@@ -2,13 +2,10 @@
 //!
 //! - sequential vs multi-worker Lightweight Parallel CPM (the paper's
 //!   companion-algorithm claim, P.CPM in DESIGN.md);
-//! - the single incremental descending-k sweep vs re-percolating every k
-//!   from scratch (the repository's core algorithmic choice);
-//! - inverted-index overlap counting vs naive all-pairs;
-//! - the fast maximal-clique reduction vs the literal definition.
+//! - the fast maximal-clique reduction vs SCP vs the literal definition.
 
 use bench::{random_graph, small_internet, tiny_internet};
-use cpm::Dsu;
+use cpm::Mode;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -26,85 +23,9 @@ fn cpm_end_to_end(c: &mut Criterion) {
     });
     for threads in [1usize, 2, 4] {
         group.bench_function(format!("parallel{threads}/small2000"), |b| {
-            b.iter(|| black_box(cpm::parallel::percolate_parallel(&small.graph, threads)))
+            b.iter(|| black_box(cpm::percolate_parallel(&small.graph, threads, Mode::Exact)))
         });
     }
-    group.finish();
-}
-
-fn sweep_ablation(c: &mut Criterion) {
-    // Fixed clique/overlap input; compare one incremental sweep for all k
-    // against an independent DSU pass per k.
-    let topo = small_internet(7);
-    let cliques_set = cliques::max_cliques(&topo.graph);
-    let index = cpm::build_vertex_index(&cliques_set, topo.graph.node_count());
-    let edges = cpm::overlap_edges(&cliques_set, &index);
-    let k_max = cliques_set.max_size();
-
-    let mut group = c.benchmark_group("sweep_ablation");
-    group.sample_size(10);
-    group.bench_function("incremental_all_k", |b| {
-        b.iter(|| {
-            black_box(cpm::percolate_with_cliques(
-                topo.graph.node_count(),
-                cliques_set.clone(),
-            ))
-        })
-    });
-    group.bench_function("from_scratch_per_k", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for k in 2..=k_max {
-                let mut dsu = Dsu::new(cliques_set.len());
-                for e in &edges {
-                    if e.overlap as usize >= k - 1 {
-                        dsu.union(e.a, e.b);
-                    }
-                }
-                total += dsu.set_count();
-            }
-            black_box(total)
-        })
-    });
-    group.finish();
-}
-
-fn overlap_ablation(c: &mut Criterion) {
-    let topo = tiny_internet(9);
-    let cliques_set = cliques::max_cliques(&topo.graph);
-    let index = cpm::build_vertex_index(&cliques_set, topo.graph.node_count());
-
-    let mut group = c.benchmark_group("overlap_ablation");
-    group.sample_size(10);
-    group.bench_function("inverted_index", |b| {
-        b.iter(|| black_box(cpm::overlap_edges(&cliques_set, &index)))
-    });
-    group.bench_function("naive_all_pairs", |b| {
-        b.iter(|| {
-            let mut edges = Vec::new();
-            for i in 0..cliques_set.len() {
-                for j in (i + 1)..cliques_set.len() {
-                    let (a, b2) = (cliques_set.get(i), cliques_set.get(j));
-                    let (mut x, mut y, mut shared) = (0, 0, 0u32);
-                    while x < a.len() && y < b2.len() {
-                        match a[x].cmp(&b2[y]) {
-                            std::cmp::Ordering::Less => x += 1,
-                            std::cmp::Ordering::Greater => y += 1,
-                            std::cmp::Ordering::Equal => {
-                                shared += 1;
-                                x += 1;
-                                y += 1;
-                            }
-                        }
-                    }
-                    if shared > 0 {
-                        edges.push((i as u32, j as u32, shared));
-                    }
-                }
-            }
-            black_box(edges)
-        })
-    });
     group.finish();
 }
 
@@ -127,11 +48,5 @@ fn definition_vs_reduction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    cpm_end_to_end,
-    sweep_ablation,
-    overlap_ablation,
-    definition_vs_reduction
-);
+criterion_group!(benches, cpm_end_to_end, definition_vs_reduction);
 criterion_main!(benches);

@@ -38,28 +38,5 @@ fn analysis_stages(c: &mut Criterion) {
     group.finish();
 }
 
-fn percolation_kernels(c: &mut Criterion) {
-    let topo = topology::generate(&topology::ModelConfig::small(42)).unwrap();
-    let g = &topo.graph;
-
-    let mut group = c.benchmark_group("pipeline/percolate-small2000");
-    group.sample_size(10);
-    for kernel in [cliques::Kernel::Merge, cliques::Kernel::Bitset] {
-        group.bench_function(format!("sequential/{kernel}"), |b| {
-            b.iter(|| black_box(cpm::percolate_with_kernel(black_box(g), kernel)))
-        });
-        group.bench_function(format!("parallel4/{kernel}"), |b| {
-            b.iter(|| {
-                black_box(cpm::parallel::percolate_parallel_with_kernel(
-                    black_box(g),
-                    4,
-                    kernel,
-                ))
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, full_pipeline, analysis_stages, percolation_kernels);
+criterion_group!(benches, full_pipeline, analysis_stages);
 criterion_main!(benches);

@@ -13,24 +13,16 @@
 //! committed as `BENCH_kernel.json` and checked by the CI smoke job.
 //!
 //! Operations: `enumerate` (sequential maximal cliques), `enumerate_par`
-//! (work-stealing, `--threads` workers), `overlap` (clique-overlap
-//! counting), `percolate` (full sequential CPM), `percolate_par`,
-//! `percolate_fused` / `percolate_fused_par` (the sink-driven pipeline —
-//! cliques stream straight into percolation, no clique list; the `_par`
-//! row runs both the enumeration *and* the finish-time phases on the
-//! pool), and
-//! `sweep` (the union/grouping phase alone, from prebuilt overlap
-//! strata — so end-to-end time decomposes into enumerate + overlap +
-//! sweep; the row includes one clone of the inputs per run). Every row
+//! (work-stealing, `--threads` workers), and `percolate_fused` /
+//! `percolate_fused_par` (the percolation engine — cliques stream
+//! straight into percolation, no clique list; the `_par` row runs both
+//! the enumeration *and* the finish-time phases on the pool). Every row
 //! carries a `mode` column: the kernel matrix runs the `exact` engine,
-//! plus one sequential and one parallel `almost`-mode row per fused and
-//! staged `percolate` op per substrate (the almost engine does no
-//! overlap counting, so it is kernel-independent). The `peak_bytes`
-//! column makes the fused pipeline's point directly: its rows peak well
-//! below the staged ones, which hold the full clique list.
+//! plus one sequential and one parallel `almost`-mode row per substrate
+//! (the kernel only changes how cliques are enumerated, which every
+//! mode shares).
 
 use cliques::Kernel;
-use cpm::{build_vertex_index, overlap_edges_with};
 use std::time::Instant;
 
 #[global_allocator]
@@ -64,6 +56,17 @@ fn measure<T>(iters: usize, mut f: impl FnMut() -> T) -> (u128, usize) {
     (median_ns(samples), peak)
 }
 
+/// The percolation engine at `threads` workers with an explicit kernel.
+fn percolate(
+    g: &asgraph::Graph,
+    threads: exec::Threads,
+    kernel: Kernel,
+    mode: cpm::Mode,
+) -> cpm::CpmResult {
+    cpm::percolate_fused_cancellable(g, threads, kernel, &exec::CancelToken::new(), mode)
+        .expect("a token nobody cancels never trips")
+}
+
 fn bench_substrate(
     name: &str,
     g: &asgraph::Graph,
@@ -71,10 +74,7 @@ fn bench_substrate(
     iters: usize,
     records: &mut Vec<Record>,
 ) {
-    let mut cliques = cliques::max_cliques(g);
-    cliques.canonicalize();
-    let index = build_vertex_index(&cliques, g.node_count());
-
+    let sequential = exec::Threads::Fixed(1);
     for kernel in [Kernel::Merge, Kernel::Bitset, Kernel::Auto] {
         let mut push = |op, threads, (median_ns, peak_bytes)| {
             records.push(Record {
@@ -89,7 +89,7 @@ fn bench_substrate(
         };
         push(
             "enumerate",
-            exec::Threads::Fixed(1),
+            sequential,
             measure(iters, || cliques::max_cliques_with(g, kernel)),
         );
         push(
@@ -100,110 +100,36 @@ fn bench_substrate(
             }),
         );
         push(
-            "overlap",
-            exec::Threads::Fixed(1),
-            measure(iters, || overlap_edges_with(&cliques, &index, kernel)),
-        );
-        push(
-            "percolate",
-            exec::Threads::Fixed(1),
-            measure(iters, || cpm::percolate_with_kernel(g, kernel)),
-        );
-        push(
-            "percolate_par",
-            threads,
-            measure(iters, || {
-                cpm::parallel::percolate_parallel_with_kernel(g, threads, kernel)
-            }),
-        );
-        push(
             "percolate_fused",
-            exec::Threads::Fixed(1),
-            measure(iters, || {
-                cpm::percolate_fused_with_kernel(g, kernel, cpm::Mode::Exact)
-            }),
+            sequential,
+            measure(iters, || percolate(g, sequential, kernel, cpm::Mode::Exact)),
         );
         push(
             "percolate_fused_par",
             threads,
-            measure(iters, || {
-                cpm::percolate_fused_cancellable(
-                    g,
-                    threads,
-                    kernel,
-                    &exec::CancelToken::new(),
-                    cpm::Mode::Exact,
-                )
-            }),
+            measure(iters, || percolate(g, threads, kernel, cpm::Mode::Exact)),
         );
     }
 
-    // The previously-unattributed phase: the descending-k union/grouping
-    // sweep alone, from prebuilt strata (min-overlap 2, as the pipeline
-    // builds them — k = 2 chains off the posting lists inside the
-    // sweep). One row (the sweep is kernel-independent); timing includes
-    // cloning the inputs.
-    let strata = cpm::overlap_strata_min(&cliques, &index, Kernel::Auto, 2);
-    let (median_ns, peak_bytes) = measure(iters, || {
-        cpm::percolate_from_strata(cliques.clone(), strata.clone(), &index)
-    });
-    records.push(Record {
-        substrate: name.to_owned(),
-        op: "sweep",
-        mode: "exact",
-        kernel: Kernel::Auto,
-        threads: exec::Threads::Fixed(1),
-        median_ns,
-        peak_bytes,
-    });
-
-    // The almost engine is kernel-independent (no overlap counting at
-    // all); one sequential and one parallel end-to-end row suffice for
-    // the exact-vs-almost comparison per substrate.
-    let (median_ns, peak_bytes) = measure(iters, || cpm::percolate_mode(g, cpm::Mode::Almost));
-    records.push(Record {
-        substrate: name.to_owned(),
-        op: "percolate",
-        mode: "almost",
-        kernel: Kernel::Auto,
-        threads: exec::Threads::Fixed(1),
-        median_ns,
-        peak_bytes,
-    });
-    let (median_ns, peak_bytes) = measure(iters, || {
-        cpm::parallel::percolate_parallel_mode(g, threads, cpm::Mode::Almost)
-    });
-    records.push(Record {
-        substrate: name.to_owned(),
-        op: "percolate_par",
-        mode: "almost",
-        kernel: Kernel::Auto,
-        threads,
-        median_ns,
-        peak_bytes,
-    });
-    let (median_ns, peak_bytes) = measure(iters, || cpm::percolate_fused(g, cpm::Mode::Almost));
-    records.push(Record {
-        substrate: name.to_owned(),
-        op: "percolate_fused",
-        mode: "almost",
-        kernel: Kernel::Auto,
-        threads: exec::Threads::Fixed(1),
-        median_ns,
-        peak_bytes,
-    });
-    let (median_ns, peak_bytes) = measure(iters, || {
-        cpm::percolate_fused_parallel(g, threads, cpm::Mode::Almost)
-    });
-    records.push(Record {
-        substrate: name.to_owned(),
-        op: "percolate_fused_par",
-        mode: "almost",
-        kernel: Kernel::Auto,
-        threads,
-        median_ns,
-        peak_bytes,
-    });
+    // One sequential and one parallel almost-mode row per substrate for
+    // the exact-vs-almost comparison.
+    for (op, threads) in [
+        ("percolate_fused", sequential),
+        ("percolate_fused_par", threads),
+    ] {
+        let (median_ns, peak_bytes) = measure(iters, || {
+            percolate(g, threads, Kernel::Auto, cpm::Mode::Almost)
+        });
+        records.push(Record {
+            substrate: name.to_owned(),
+            op,
+            mode: "almost",
+            kernel: Kernel::Auto,
+            threads,
+            median_ns,
+            peak_bytes,
+        });
+    }
 }
 
 fn json_escape_free(s: &str) -> &str {
@@ -286,26 +212,25 @@ fn main() {
     }
 
     println!(
-        "{:<16} {:<14} {:<7} {:<7} {:>3} {:>14} {:>12}",
+        "{:<16} {:<20} {:<7} {:<7} {:>4} {:>14} {:>12}",
         "substrate", "op", "mode", "kernel", "thr", "median_ns", "peak_bytes"
     );
     for r in &records {
         println!(
-            "{:<16} {:<14} {:<7} {:<7} {:>3} {:>14} {:>12}",
+            "{:<16} {:<20} {:<7} {:<7} {:>4} {:>14} {:>12}",
             r.substrate, r.op, r.mode, r.kernel, r.threads, r.median_ns, r.peak_bytes
         );
     }
-    // Speedup summary: bitset vs merge per (substrate, op), exact rows.
+    let ops = [
+        "enumerate",
+        "enumerate_par",
+        "percolate_fused",
+        "percolate_fused_par",
+    ];
     for (name, _) in &substrates {
-        for op in [
-            "enumerate",
-            "enumerate_par",
-            "overlap",
-            "percolate",
-            "percolate_par",
-            "percolate_fused",
-            "percolate_fused_par",
-        ] {
+        // Speedup summary: bitset and auto vs merge per (substrate, op),
+        // exact rows.
+        for op in ops {
             let find = |k: Kernel| {
                 records
                     .iter()
@@ -330,12 +255,7 @@ fn main() {
             }
         }
         // Mode summary: the almost engine vs the exact auto-kernel row.
-        for op in [
-            "percolate",
-            "percolate_par",
-            "percolate_fused",
-            "percolate_fused_par",
-        ] {
+        for op in ["percolate_fused", "percolate_fused_par"] {
             let find = |mode: &str| {
                 records
                     .iter()
@@ -352,31 +272,6 @@ fn main() {
                     "speedup {name}/{op}: almost mode is {:.2}x vs exact",
                     e as f64 / a.max(1) as f64
                 );
-            }
-        }
-        // Pipeline summary: the fused pipeline against its staged twin,
-        // wall time and peak heap, per mode (auto-kernel rows).
-        for (staged_op, fused_op) in [
-            ("percolate", "percolate_fused"),
-            ("percolate_par", "percolate_fused_par"),
-        ] {
-            for mode in ["exact", "almost"] {
-                let find = |op: &str| {
-                    records.iter().find(|r| {
-                        r.substrate == *name
-                            && r.op == op
-                            && r.mode == mode
-                            && r.kernel == Kernel::Auto
-                    })
-                };
-                if let (Some(s), Some(f)) = (find(staged_op), find(fused_op)) {
-                    println!(
-                        "pipeline {name}/{staged_op} ({mode}): fused is {:.2}x vs staged, \
-                         peak heap {:.2}x",
-                        s.median_ns as f64 / f.median_ns.max(1) as f64,
-                        f.peak_bytes as f64 / s.peak_bytes.max(1) as f64
-                    );
-                }
             }
         }
     }

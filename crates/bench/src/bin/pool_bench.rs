@@ -6,48 +6,37 @@
 //!     [--seed <u64>] [--out BENCH_pool.json] [--check]
 //! ```
 //!
-//! For each substrate this times the pool-backed phases — `enumerate`
-//! (work-stealing Bron–Kerbosch), `overlap` (stratified overlap
-//! counting), `percolate` (the staged collect-then-percolate pipeline),
-//! and `percolate-fused` (the sink-driven pipeline that percolates each
-//! clique as it is enumerated, never materialising the clique set) — at
-//! fixed worker counts 1/2/4/8 plus one `auto` row, all through the
-//! same persistent `exec::Pool`. The `percolate` ops are timed in both
-//! percolation modes (`exact` and `almost`). The almost engine
-//! additionally gets sequential per-phase rows (`key-build`, `union`,
-//! `snapshot`), and the fused pipeline gets its own phase rows
-//! (`fused-consume`, `fused-pairs`, `fused-sweep`, `fused-extract`) at
-//! 1 and 4 workers — every fused phase chunks over the pool — so both
-//! end-to-end numbers decompose along both axes. The JSON written to
-//! `--out` is the record committed as `BENCH_pool.json`; with
-//! `--features memprof` every row also carries the peak heap growth of
-//! one run in a `peak_bytes` column (0 when the feature is off) — for
-//! the fused phase rows, attributed per phase through the probed
-//! pipeline's observer hook.
+//! For each substrate this times the pool-backed operations —
+//! `enumerate` (work-stealing Bron–Kerbosch) and `percolate-fused` (the
+//! percolation engine, which percolates each clique as it is enumerated
+//! and never materialises the clique set, in both `exact` and `almost`
+//! mode) — at fixed worker counts 1/2/4/8 plus one `auto` row, all
+//! through the same persistent `exec::Pool`. The engine additionally
+//! gets phase rows (`fused-consume`, `fused-pairs`, `fused-sweep`,
+//! `fused-extract`) at 1 and 4 workers — every phase chunks over the
+//! pool — so the end-to-end numbers decompose along both axes. The JSON
+//! written to `--out` is the record committed as `BENCH_pool.json`;
+//! with `--features memprof` every row also carries the peak heap
+//! growth of one run in a `peak_bytes` column (0 when the feature is
+//! off) — for the phase rows, attributed per phase through the probed
+//! entry point's observer hook.
 //!
-//! `--check` turns the run into a CI gate with five clauses. Scaling:
-//! on every substrate, the 4-worker and `auto` rows of each phase must
-//! not be slower than 1.2× the 1-worker row. The bound is deliberately
-//! loose — on a single-core runner extra workers are pure overhead and
-//! the gate then measures exactly that overhead, which the persistent
-//! pool is supposed to keep negligible; on a multi-core runner real
-//! speedups clear it easily. Mode: on the medium Internet substrate the
-//! almost engine must run the full percolation at least 5× faster than
-//! the exact one, compared on the sequential rows' per-iteration minima
-//! (noise on a shared runner only inflates samples of a deterministic
-//! run; the median would make the gate flaky). The sequential rows are
-//! the honest comparison — the parallel exact path amortises its
-//! overlap hot loop across workers, which would understate the engine
-//! change itself. Pipeline: on the same substrate the fused pipeline
-//! must beat the staged one by at least 1.25× on the sequential
-//! almost-mode minima. Memory (only when the records carry peaks): the
-//! fused pipeline's peak heap must stay below the staged one's, which
-//! pays for the full clique list. Fused scaling (only when the machine
-//! has ≥ 4 hardware threads): the 4-worker fused run must beat the
-//! 1-worker one by at least 1.3× on the medium Internet minima, both
-//! modes — the gate that keeps the parallel finish honest.
+//! `--check` turns the run into a CI gate with three clauses. Scaling:
+//! on every substrate, the 4-worker and `auto` rows of each operation
+//! must not be slower than 1.2× the 1-worker row. The bound is
+//! deliberately loose — on a single-core runner extra workers are pure
+//! overhead and the gate then measures exactly that overhead, which the
+//! persistent pool is supposed to keep negligible; on a multi-core
+//! runner real speedups clear it easily. Mode: on the medium Internet
+//! substrate the almost engine must run the full percolation at least
+//! 5× faster than the exact one, compared on the 1-worker rows'
+//! per-iteration minima (noise on a shared runner only inflates samples
+//! of a deterministic run; the median would make the gate flaky).
+//! Scaling of the engine (only when the machine has ≥ 4 hardware
+//! threads): the 4-worker run must beat the 1-worker one by at least
+//! 1.3× on the medium Internet minima, both modes — the gate that keeps
+//! the parallel finish honest.
 
-use cliques::Kernel;
 use exec::Threads;
 use std::time::Instant;
 
@@ -57,6 +46,13 @@ static ALLOC: bench::memprof::CountingAlloc = bench::memprof::CountingAlloc;
 
 /// Fixed worker counts of the scaling curve; one `auto` row is added.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// The `(op, mode)` rows timed at every worker count.
+const SCALED_OPS: [(&str, &str); 3] = [
+    ("enumerate", "exact"),
+    ("percolate-fused", "exact"),
+    ("percolate-fused", "almost"),
+];
 
 struct Record {
     substrate: String,
@@ -103,10 +99,6 @@ fn measure<T>(iters: usize, mut f: impl FnMut() -> T) -> (u128, u128, usize) {
 }
 
 fn bench_substrate(name: &str, g: &asgraph::Graph, iters: usize, records: &mut Vec<Record>) {
-    let mut cliques = cliques::max_cliques(g);
-    cliques.canonicalize();
-    let index = cpm::build_vertex_index(&cliques, g.node_count());
-
     let mut rows: Vec<Threads> = THREAD_COUNTS.iter().map(|&t| Threads::Fixed(t)).collect();
     rows.push(Threads::Auto);
     for threads in rows {
@@ -128,82 +120,21 @@ fn bench_substrate(name: &str, g: &asgraph::Graph, iters: usize, records: &mut V
                 cliques::parallel::max_cliques_parallel(g, threads)
             }),
         );
-        push(
-            "overlap",
-            "exact",
-            measure(iters, || {
-                cpm::parallel::overlap_strata_parallel_min(
-                    &cliques,
-                    &index,
-                    threads,
-                    Kernel::Auto,
-                    2,
-                )
-            }),
-        );
-        push(
-            "percolate",
-            "exact",
-            measure(iters, || cpm::parallel::percolate_parallel(g, threads)),
-        );
-        push(
-            "percolate",
-            "almost",
-            measure(iters, || {
-                cpm::parallel::percolate_parallel_mode(g, threads, cpm::Mode::Almost)
-            }),
-        );
-        push(
-            "percolate-fused",
-            "exact",
-            measure(iters, || {
-                cpm::percolate_fused_parallel(g, threads, cpm::Mode::Exact)
-            }),
-        );
-        push(
-            "percolate-fused",
-            "almost",
-            measure(iters, || {
-                cpm::percolate_fused_parallel(g, threads, cpm::Mode::Almost)
-            }),
-        );
+        for mode in [cpm::Mode::Exact, cpm::Mode::Almost] {
+            push(
+                "percolate-fused",
+                mode.as_str(),
+                measure(iters, || cpm::percolate_parallel(g, threads, mode)),
+            );
+        }
     }
 
-    // The almost engine's sequential phase breakdown: where the
-    // (k−1)-clique-key pipeline spends its time once the cliques exist
-    // (end-to-end = enumerate + key-build + union + snapshot).
-    let mut key_build = Vec::with_capacity(iters);
-    let mut union = Vec::with_capacity(iters);
-    let mut snapshot = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let (_, phases) = cpm::percolate_almost_phases(cliques.clone());
-        key_build.push(phases.key_build.as_nanos());
-        union.push(phases.union.as_nanos());
-        snapshot.push(phases.snapshot.as_nanos());
-    }
-    for (op, samples) in [
-        ("key-build", key_build),
-        ("union", union),
-        ("snapshot", snapshot),
-    ] {
-        let (median_ns, min_ns) = stats_ns(samples);
-        records.push(Record {
-            substrate: name.to_owned(),
-            op,
-            mode: "almost",
-            threads: Threads::Fixed(1),
-            median_ns,
-            min_ns,
-            peak_bytes: 0,
-        });
-    }
-
-    // The fused pipeline's phase breakdown at 1 and 4 workers:
-    // `consume` is the enumerate-while-percolating front (Bron–Kerbosch
-    // driving the consumer), `pairs`/`sweep`/`extract` the finish work
-    // — all four now chunk over the pool, so each phase gets its own
-    // scaling rows. One probed run per row attributes peak heap growth
-    // to each phase (memprof feature; zeros otherwise).
+    // The engine's phase breakdown at 1 and 4 workers: `consume` is the
+    // enumerate-while-percolating front (Bron–Kerbosch driving the
+    // consumer), `pairs`/`sweep`/`extract` the finish work — all four
+    // chunk over the pool, so each phase gets its own scaling rows. One
+    // probed run per row attributes peak heap growth to each phase
+    // (memprof feature; zeros otherwise).
     for mode in [cpm::Mode::Exact, cpm::Mode::Almost] {
         for workers in [1usize, 4] {
             let threads = Threads::Fixed(workers);
@@ -232,10 +163,7 @@ fn bench_substrate(name: &str, g: &asgraph::Graph, iters: usize, records: &mut V
                 records.push(Record {
                     substrate: name.to_owned(),
                     op,
-                    mode: match mode {
-                        cpm::Mode::Exact => "exact",
-                        cpm::Mode::Almost => "almost",
-                    },
+                    mode: mode.as_str(),
                     threads,
                     median_ns,
                     min_ns,
@@ -311,16 +239,14 @@ fn to_json(records: &[Record]) -> String {
 /// The `--check` gate. Scaling clause: 4-worker and auto rows within
 /// `BOUND`× of the 1-worker row (medians) for every (substrate, op,
 /// mode). Mode clause: on the medium Internet substrate the almost
-/// engine's sequential end-to-end percolation at least `MODE_BOUND`×
-/// faster than the exact one (per-iteration minima). Pipeline clause:
-/// on the same substrate the fused pipeline at least `FUSED_BOUND`×
-/// faster than the staged one (almost mode, sequential minima). Memory
-/// clause: when the rows carry memprof peaks, the fused pipeline's
-/// peak heap below the staged one's. Returns violation messages.
+/// engine's 1-worker end-to-end percolation at least `MODE_BOUND`×
+/// faster than the exact one (per-iteration minima). Engine scaling
+/// clause (≥ 4 hardware threads only): the 4-worker run at least
+/// `FUSED_SCALE_BOUND`× faster than the 1-worker one, both modes.
+/// Returns violation messages.
 fn check(records: &[Record]) -> Vec<String> {
     const BOUND: f64 = 1.2;
     const MODE_BOUND: f64 = 5.0;
-    const FUSED_BOUND: f64 = 1.25;
     const FUSED_SCALE_BOUND: f64 = 1.3;
     let mut violations = Vec::new();
     let find = |sub: &str, op: &str, mode: &str, threads: Threads| {
@@ -335,14 +261,7 @@ fn check(records: &[Record]) -> Vec<String> {
         }
     }
     for sub in seen {
-        for (op, mode) in [
-            ("enumerate", "exact"),
-            ("overlap", "exact"),
-            ("percolate", "exact"),
-            ("percolate", "almost"),
-            ("percolate-fused", "exact"),
-            ("percolate-fused", "almost"),
-        ] {
+        for (op, mode) in SCALED_OPS {
             let Some(base) = find(sub, op, mode, Threads::Fixed(1)).map(|r| r.median_ns) else {
                 continue;
             };
@@ -363,48 +282,20 @@ fn check(records: &[Record]) -> Vec<String> {
         // shared runner only ever inflates a sample, and the minimum is
         // the stable estimate of the true cost ratio.
         if let (Some(exact), Some(almost)) = (
-            find(sub, "percolate", "exact", Threads::Fixed(1)).map(|r| r.min_ns),
-            find(sub, "percolate", "almost", Threads::Fixed(1)).map(|r| r.min_ns),
+            find(sub, "percolate-fused", "exact", Threads::Fixed(1)).map(|r| r.min_ns),
+            find(sub, "percolate-fused", "almost", Threads::Fixed(1)).map(|r| r.min_ns),
         ) {
             let ratio = exact as f64 / almost.max(1) as f64;
             if sub == "medium-internet" && ratio < MODE_BOUND {
                 violations.push(format!(
-                    "{sub}/percolate: almost mode is only {ratio:.2}x faster than exact \
+                    "{sub}/percolate-fused: almost mode is only {ratio:.2}x faster than exact \
                      (bound {MODE_BOUND}x)"
                 ));
             }
         }
-        // The pipeline clause: the fused pipeline earns its keep on the
-        // real workload — the staged almost pipeline's sequential
-        // minimum must be at least FUSED_BOUND× the fused one's.
-        if let (Some(staged), Some(fused)) = (
-            find(sub, "percolate", "almost", Threads::Fixed(1)),
-            find(sub, "percolate-fused", "almost", Threads::Fixed(1)),
-        ) {
-            let ratio = staged.min_ns as f64 / fused.min_ns.max(1) as f64;
-            if sub == "medium-internet" && ratio < FUSED_BOUND {
-                violations.push(format!(
-                    "{sub}/percolate: fused pipeline is only {ratio:.2}x faster than staged \
-                     (bound {FUSED_BOUND}x)"
-                ));
-            }
-            // The memory clause: fused never materialises the clique
-            // set, so its peak heap must stay below the staged
-            // pipeline's, which holds the full clique list. Gated on
-            // the rows actually carrying peaks (memprof feature).
-            if sub == "medium-internet"
-                && staged.peak_bytes > 0
-                && fused.peak_bytes >= staged.peak_bytes
-            {
-                violations.push(format!(
-                    "{sub}/percolate: fused peak heap {} B is not below staged {} B",
-                    fused.peak_bytes, staged.peak_bytes
-                ));
-            }
-        }
-        // The fused scaling clause: the finish phases chunk over the
-        // pool, so on hardware with real parallelism the 4-worker fused
-        // run must beat the 1-worker one outright. Gated on the machine
+        // The engine scaling clause: the finish phases chunk over the
+        // pool, so on hardware with real parallelism the 4-worker run
+        // must beat the 1-worker one outright. Gated on the machine
         // actually having 4 threads — on a single-core runner extra
         // workers cannot speed anything up and the generic BOUND clause
         // above already polices their overhead.
@@ -477,12 +368,12 @@ fn main() {
     }
 
     println!(
-        "{:<16} {:<10} {:<7} {:>5} {:>14}",
+        "{:<16} {:<15} {:<7} {:>5} {:>14}",
         "substrate", "op", "mode", "thr", "median_ns"
     );
     for r in &records {
         println!(
-            "{:<16} {:<10} {:<7} {:>5} {:>14}",
+            "{:<16} {:<15} {:<7} {:>5} {:>14}",
             r.substrate,
             r.op,
             r.mode,
@@ -490,16 +381,9 @@ fn main() {
             r.median_ns
         );
     }
-    // Scaling summary: each fixed count vs the 1-worker row.
     for (name, _) in &substrates {
-        for (op, mode) in [
-            ("enumerate", "exact"),
-            ("overlap", "exact"),
-            ("percolate", "exact"),
-            ("percolate", "almost"),
-            ("percolate-fused", "exact"),
-            ("percolate-fused", "almost"),
-        ] {
+        // Scaling summary: each fixed count vs the 1-worker row.
+        for (op, mode) in SCALED_OPS {
             let find = |threads: Threads| {
                 records
                     .iter()
@@ -519,13 +403,13 @@ fn main() {
                 }
             }
         }
-        // Mode summary: the engine change itself, sequential rows.
+        // Mode summary: the engine's two modes, 1-worker rows.
         let find = |mode: &str| {
             records
                 .iter()
                 .find(|r| {
                     r.substrate == *name
-                        && r.op == "percolate"
+                        && r.op == "percolate-fused"
                         && r.mode == mode
                         && r.threads == Threads::Fixed(1)
                 })
@@ -533,29 +417,9 @@ fn main() {
         };
         if let (Some(exact), Some(almost)) = (find("exact"), find("almost")) {
             println!(
-                "mode {name}/percolate: almost runs {:.2}x vs exact (1 worker)",
+                "mode {name}/percolate-fused: almost runs {:.2}x vs exact (1 worker)",
                 exact as f64 / almost.max(1) as f64
             );
-        }
-        // Pipeline summary: fused vs staged, sequential rows, per mode.
-        for mode in ["exact", "almost"] {
-            let find = |op: &str| {
-                records
-                    .iter()
-                    .find(|r| {
-                        r.substrate == *name
-                            && r.op == op
-                            && r.mode == mode
-                            && r.threads == Threads::Fixed(1)
-                    })
-                    .map(|r| r.min_ns)
-            };
-            if let (Some(staged), Some(fused)) = (find("percolate"), find("percolate-fused")) {
-                println!(
-                    "pipeline {name}/percolate ({mode}): fused runs {:.2}x vs staged (1 worker, minima)",
-                    staged as f64 / fused.max(1) as f64
-                );
-            }
         }
     }
 
@@ -567,12 +431,11 @@ fn main() {
         if violations.is_empty() {
             eprintln!(
                 "check passed: 4-worker and auto rows within 1.2x of sequential; \
-                 almost mode at least 5x faster than exact and the fused pipeline \
-                 at least 1.25x faster than staged on medium-internet{}",
+                 almost mode at least 5x faster than exact on medium-internet{}",
                 if exec::available_parallelism() >= 4 {
-                    "; fused 4-worker runs at least 1.3x faster than 1-worker"
+                    "; 4-worker percolation at least 1.3x faster than 1-worker"
                 } else {
-                    " (fused scaling clause skipped: fewer than 4 hardware threads)"
+                    " (engine scaling clause skipped: fewer than 4 hardware threads)"
                 }
             );
         } else {

@@ -7,9 +7,13 @@
 //!
 //! Both pipelines produce the same communities (property-tested in
 //! `crates/stream/tests/oracle.rs`); this binary quantifies what the
-//! streaming engine buys: it never materialises the maximal-clique set
-//! or the clique-overlap edge list, so its peak heap growth over the
-//! resident graph is strictly lower.
+//! streaming engine buys. The batch engine is the fused percolator: it
+//! never holds a `CliqueSet` or an overlap edge list either, but it keeps
+//! every clique's members and per-level overlap strata for the whole
+//! census until its sweep runs. The streaming engine folds each clique
+//! into one level's union–find and drops it, so its peak heap growth over
+//! the resident graph is strictly lower (seed 7: tiny 67 KiB vs 253 KiB,
+//! small 0.68 MiB vs 5.3 MiB). Exits 1 if it is not.
 
 use cpm_stream::GraphSource;
 

@@ -11,7 +11,9 @@
 //! (re)allocation. Both are observable from outside — thread creation
 //! through `exec::Pool::spawned_threads`, allocation churn through the
 //! counting allocator's cumulative byte counter — so this test pins the
-//! amortisation down as numbers rather than trusting the design.
+//! amortisation down as numbers rather than trusting the design. It is
+//! the only test in its binary, so no sibling test can grow the
+//! process-wide pool between its census readings.
 
 #![cfg(feature = "memprof")]
 
@@ -27,7 +29,7 @@ fn warm_calls_reuse_threads_and_scratch() {
 
     // Cold call: spawns pool threads, builds per-worker scratch arenas.
     let (cold_result, cold_bytes) =
-        bench::memprof::measure_total(|| cpm::parallel::percolate_parallel(&g, 4));
+        bench::memprof::measure_total(|| cpm::percolate_parallel(&g, 4, cpm::Mode::Exact));
     assert_eq!(reference.levels, cold_result.levels);
     let spawned = Pool::global().spawned_threads();
     assert!(spawned >= 3, "expected pool threads after a 4-worker call");
@@ -36,7 +38,7 @@ fn warm_calls_reuse_threads_and_scratch() {
     let mut warm_bytes = Vec::new();
     for round in 0..5 {
         let (warm_result, bytes) =
-            bench::memprof::measure_total(|| cpm::parallel::percolate_parallel(&g, 4));
+            bench::memprof::measure_total(|| cpm::percolate_parallel(&g, 4, cpm::Mode::Exact));
         assert_eq!(reference.levels, warm_result.levels, "round {round}");
         assert_eq!(
             Pool::global().spawned_threads(),

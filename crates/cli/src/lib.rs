@@ -120,20 +120,13 @@ pub enum Command {
         /// Percolation engine: definitional overlap counting
         /// (`exact`) or the (k−1)-clique-key union engine (`almost`).
         mode: cpm::Mode,
-        /// Set kernel for enumeration and overlap counting.
+        /// Set kernel for the clique enumeration.
         kernel: cliques::Kernel,
         /// Worker-count policy for the parallel pipeline.
         threads: exec::Threads,
         /// Cancel the run after this many seconds (exit
         /// [`EXIT_INTERRUPTED`]).
         deadline: Option<u64>,
-        /// Clique delivery: `fused` (default) streams each enumerated
-        /// clique straight into the percolation engine; `staged`
-        /// materialises the clique set first (escape hatch, noted on
-        /// stderr). Identical communities either way.
-        pipeline: cpm::Pipeline,
-        /// Deprecated `--sweep` value, warned about and ignored.
-        deprecated_sweep: Option<String>,
     },
     /// Print the community tree (Graphviz DOT) to stdout.
     Tree {
@@ -181,9 +174,6 @@ pub enum Command {
         /// Percolation mode (`exact` | `almost`), shared vocabulary
         /// with the batch engine.
         mode: cpm::Mode,
-        /// Deprecated `--approx` flag was given (alias for
-        /// `--mode almost`), warned about at run time.
-        deprecated_approx: bool,
         /// Set kernel for the per-replay clique enumeration (live
         /// `--input` sources only; a log replay does no enumeration).
         kernel: cliques::Kernel,
@@ -192,8 +182,6 @@ pub enum Command {
         /// Cancel the run after this many seconds (exit
         /// [`EXIT_INTERRUPTED`]).
         deadline: Option<u64>,
-        /// Deprecated `--sweep` value, warned about and ignored.
-        deprecated_sweep: Option<String>,
     },
     /// Enumerate maximal cliques once and write a replayable clique log.
     CliqueLogBuild {
@@ -286,7 +274,6 @@ kclique-cli — k-clique communities for AS-level topologies
 USAGE:
   kclique-cli communities --input <edges> (--k <n> | --all-k) [--mode exact|almost]
                           [--kernel auto|bitset|merge] [--threads <n>|auto] [--deadline <secs>]
-                          [--pipeline fused|staged]
   kclique-cli tree        --input <edges> [--min-k <n>]
   kclique-cli stats       --input <edges>
   kclique-cli generate    [--scale tiny|small|medium|default|full] [--seed <u64>] --out <dir>
@@ -313,13 +300,12 @@ The percolation mode (--mode) picks the community engine: `exact`
 more faster on Internet-like topologies, identical output there, and
 never over-merged (divergence can only split communities). In
 `stream-percolate` the almost engine is the O(nodes) last-clique-seen
-form. The --approx flag of previous releases is a deprecated alias for
-`--mode almost`.
+form.
 
-The set kernel (--kernel) picks the Bron–Kerbosch / overlap-counting
-representation: `merge` walks sorted adjacency lists, `bitset` uses dense
-word-wise bitmaps, and `auto` (default) chooses per subproblem. Every
-kernel produces identical output; only the speed differs.
+The set kernel (--kernel) picks the Bron–Kerbosch set representation:
+`merge` walks sorted adjacency lists, `bitset` uses dense word-wise
+bitmaps, and `auto` (default) chooses per subproblem. Every kernel
+produces identical output; only the speed differs.
 
 The worker count (--threads) sizes the persistent thread pool: a fixed
 `<n>` forces that many workers, `auto` (default) scales with the input
@@ -331,8 +317,8 @@ cancels at the next safe point instead of killing mid-write, and the
 process exits 75 to signal \"interrupted, resumable\". A cancelled
 `clique-log build` seals a valid log; rerun with --resume to continue
 from its last durable clique. Exit codes: 0 success, 1 failure, 2 bad
-usage, 65 corrupt input (e.g. a torn log — try `clique-log recover`),
-75 interrupted/resumable.
+usage (every verb rejects flags it does not know), 65 corrupt input
+(e.g. a torn log — try `clique-log recover`), 75 interrupted/resumable.
 
 `serve` answers community queries over HTTP from a frozen snapshot (a
 clique log or a serialised snapshot index; default address
@@ -340,16 +326,6 @@ clique log or a serialised snapshot index; default address
 /tree/{id}, /healthz, /stats, and POST /reload to rebuild from disk and
 swap atomically. Ctrl-C during the initial load exits 75 (nothing was
 served); Ctrl-C while serving drains connections and exits 0.
-
-The clique delivery (--pipeline) picks how `communities` feeds the
-percolation engine: `fused` (default) streams every maximal clique into
-the engine as Bron-Kerbosch emits it — one pass, no clique list in
-memory — while `staged` materialises the clique set first and is kept as
-an escape hatch (a note goes to stderr). Both produce identical
-communities.
-
-The --sweep flag of previous releases is deprecated: the fused sweep is
-now the only pipeline. The flag is accepted and ignored, with a warning.
 
 `ingest` merges real measurement sources — CAIDA-style AS-links files,
 DIMES-like CSV exports, plain edge lists — and cleans the union the way
@@ -376,6 +352,7 @@ impl Command {
         let mut it = args.into_iter();
         let sub = it.next().unwrap_or_else(|| "help".to_owned());
         let rest: Vec<String> = it.collect();
+        check_flags(&sub, &rest)?;
         let get = |flag: &str| -> Option<String> {
             rest.iter()
                 .position(|a| a == flag)
@@ -412,17 +389,6 @@ impl Command {
                 None => Ok(cpm::Mode::Exact),
             }
         };
-        let pipeline = || -> Result<cpm::Pipeline, String> {
-            match get("--pipeline") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|e: String| format!("bad --pipeline: {e}")),
-                None => Ok(cpm::Pipeline::Fused),
-            }
-        };
-        // Deprecated, value-carrying, ignored: warn at run time so old
-        // scripts keep working for one more release.
-        let deprecated_sweep = || get("--sweep");
 
         match sub.as_str() {
             "communities" => {
@@ -451,8 +417,6 @@ impl Command {
                     kernel: kernel()?,
                     threads: threads()?,
                     deadline: deadline()?,
-                    pipeline: pipeline()?,
-                    deprecated_sweep: deprecated_sweep(),
                 })
             }
             "tree" => Ok(Command::Tree {
@@ -527,31 +491,15 @@ impl Command {
                         return Err("--k must be at least 2".to_owned());
                     }
                 }
-                // `--approx` survives as a deprecated alias for
-                // `--mode almost`; mixing the old and new spellings is
-                // ambiguous, so it is rejected rather than resolved.
-                let deprecated_approx = has("--approx");
-                if deprecated_approx && has("--mode") {
-                    return Err("--approx is a deprecated alias for --mode almost; \
-                         give --mode alone"
-                        .to_owned());
-                }
-                let mode = if deprecated_approx {
-                    cpm::Mode::Almost
-                } else {
-                    mode()?
-                };
                 Ok(Command::StreamPercolate {
                     input,
                     log,
                     k,
                     all_k,
-                    mode,
-                    deprecated_approx,
+                    mode: mode()?,
                     kernel: kernel()?,
                     threads: threads()?,
                     deadline: deadline()?,
-                    deprecated_sweep: deprecated_sweep(),
                 })
             }
             "clique-log" => match rest.first().map(String::as_str) {
@@ -664,30 +612,17 @@ impl Command {
                 kernel,
                 threads,
                 deadline,
-                pipeline,
-                deprecated_sweep,
             } => {
-                warn_legacy_flags(deprecated_sweep, false, Some(*pipeline));
                 let g = load_graph(input)?;
                 if *all_k {
                     // Always the cancellable pipeline: a live token is
                     // bit-identical to the plain one, and Ctrl-C /
                     // --deadline then stop the sweep cooperatively.
                     let token = cancel_token(deadline);
-                    let levels = match pipeline {
-                        cpm::Pipeline::Fused => {
-                            cpm::percolate_fused_cancellable(&g, *threads, *kernel, &token, *mode)
-                                .map_err(|_| interrupted_no_durable_state())?
-                                .levels
-                        }
-                        cpm::Pipeline::Staged => {
-                            cpm::parallel::percolate_parallel_cancellable_mode(
-                                &g, *threads, *kernel, &token, *mode,
-                            )
+                    let levels =
+                        cpm::percolate_fused_cancellable(&g, *threads, *kernel, &token, *mode)
                             .map_err(|_| interrupted_no_durable_state())?
-                            .levels
-                        }
-                    };
+                            .levels;
                     let mut table = Table::new(vec!["k", "communities", "largest"]);
                     for level in &levels {
                         let largest = level
@@ -710,57 +645,27 @@ impl Command {
                     // and project out level k instead.
                     let comms: Vec<Vec<asgraph::NodeId>> = if deadline.is_some() {
                         let token = cancel_token(deadline);
-                        match pipeline {
-                            cpm::Pipeline::Fused => {
-                                let result = cpm::percolate_fused_cancellable(
-                                    &g, *threads, *kernel, &token, *mode,
-                                )
+                        let result =
+                            cpm::percolate_fused_cancellable(&g, *threads, *kernel, &token, *mode)
                                 .map_err(|_| interrupted_no_durable_state())?;
-                                let mut covers: Vec<Vec<asgraph::NodeId>> = result
-                                    .level(k)
-                                    .map(|level| {
-                                        level
-                                            .communities
-                                            .iter()
-                                            .map(|c| c.members.clone())
-                                            .collect()
-                                    })
-                                    .unwrap_or_default();
-                                // Canonical cover order: byte-identical to
-                                // the deadline-free path below.
-                                covers.sort_unstable();
-                                covers
-                            }
-                            cpm::Pipeline::Staged => {
-                                let result = cpm::parallel::percolate_parallel_cancellable_mode(
-                                    &g, *threads, *kernel, &token, *mode,
-                                )
-                                .map_err(|_| interrupted_no_durable_state())?;
-                                result
-                                    .level(k)
-                                    .map(|level| {
-                                        level
-                                            .communities
-                                            .iter()
-                                            .map(|c| c.members.clone())
-                                            .collect()
-                                    })
-                                    .unwrap_or_default()
-                            }
-                        }
+                        let mut covers: Vec<Vec<asgraph::NodeId>> = result
+                            .level(k)
+                            .map(|level| {
+                                level
+                                    .communities
+                                    .iter()
+                                    .map(|c| c.members.clone())
+                                    .collect()
+                            })
+                            .unwrap_or_default();
+                        // Canonical cover order: byte-identical to the
+                        // deadline-free path below.
+                        covers.sort_unstable();
+                        covers
                     } else {
-                        match pipeline {
-                            cpm::Pipeline::Fused => {
-                                cpm::percolate_at_fused_with_kernel(&g, k as usize, *kernel, *mode)
-                            }
-                            cpm::Pipeline::Staged => {
-                                if *mode == cpm::Mode::Almost {
-                                    cpm::percolate_at_mode(&g, k as usize, *mode)
-                                } else {
-                                    cpm::percolate_at_with_kernel(&g, k as usize, *kernel)
-                                }
-                            }
-                        }
+                        let mut p = cpm::FusedPercolator::new(g.node_count(), *mode);
+                        cliques::consume_max_cliques(&g, *kernel, &mut p);
+                        p.finish_at(k as usize)
                     };
                     println!("# {} {k}-clique communities", comms.len());
                     for (i, c) in comms.iter().enumerate() {
@@ -923,13 +828,10 @@ impl Command {
                 k,
                 all_k,
                 mode,
-                deprecated_approx,
                 kernel,
                 threads,
                 deadline,
-                deprecated_sweep,
             } => {
-                warn_legacy_flags(deprecated_sweep, *deprecated_approx, None);
                 // Both source kinds funnel through the same dyn-dispatch
                 // path; the graph (if any) must outlive the source. The
                 // token rides inside the source, so every replay of the
@@ -1307,32 +1209,94 @@ fn interrupted_no_durable_state() -> CliFailure {
     )
 }
 
-/// Every legacy-flag notice of an invocation, funnelled through one
-/// stderr-only helper: `--sweep <v>` (deprecated, ignored), `--approx`
-/// (deprecated alias of `--mode almost`), and the `--pipeline staged`
-/// escape hatch (supported, noted). Keeping them in one place is what
-/// the byte-clean-stdout regression test pins: notices never leak into
-/// the machine-readable output stream.
-fn warn_legacy_flags(sweep: &Option<String>, approx: bool, pipeline: Option<cpm::Pipeline>) {
-    let mut notices: Vec<String> = Vec::new();
-    if let Some(v) = sweep {
-        notices.push(format!(
-            "--sweep {v} is deprecated and ignored; the fused sweep is the only pipeline"
-        ));
+/// The flags a verb accepts, each with whether it takes a value;
+/// `None` for an unknown verb or `clique-log` action (the parser
+/// reports those itself).
+fn flag_table(sub: &str, action: Option<&str>) -> Option<&'static [(&'static str, bool)]> {
+    let table: &'static [(&'static str, bool)] = match (sub, action) {
+        ("communities", _) => &[
+            ("--input", true),
+            ("--k", true),
+            ("--all-k", false),
+            ("--mode", true),
+            ("--kernel", true),
+            ("--threads", true),
+            ("--deadline", true),
+        ],
+        ("tree", _) => &[("--input", true), ("--min-k", true)],
+        ("stats" | "baselines", _) => &[("--input", true)],
+        ("generate", _) => &[("--scale", true), ("--seed", true), ("--out", true)],
+        ("analyze", _) => &[("--dataset", true)],
+        ("rewire", _) => &[
+            ("--input", true),
+            ("--output", true),
+            ("--swaps", true),
+            ("--seed", true),
+        ],
+        ("stream-percolate", _) => &[
+            ("--input", true),
+            ("--log", true),
+            ("--k", true),
+            ("--all-k", false),
+            ("--mode", true),
+            ("--kernel", true),
+            ("--threads", true),
+            ("--deadline", true),
+        ],
+        ("clique-log", Some("build")) => &[
+            ("--input", true),
+            ("--out", true),
+            ("--kernel", true),
+            ("--checkpoint-cliques", true),
+            ("--resume", false),
+            ("--deadline", true),
+        ],
+        ("clique-log", Some("info" | "recover")) => &[("--log", true)],
+        ("serve", _) => &[
+            ("--snapshot", true),
+            ("--addr", true),
+            ("--threads", true),
+            ("--mode", true),
+        ],
+        ("ingest", _) => &[
+            ("--input", true),
+            ("--format", true),
+            ("--out", true),
+            ("--check", false),
+            ("--map", true),
+            ("--lenient", false),
+            ("--largest-cc", false),
+            ("--json", false),
+            ("--deadline", true),
+        ],
+        ("help" | "--help" | "-h", _) => &[],
+        _ => return None,
+    };
+    Some(table)
+}
+
+/// Rejects every argument of `sub` that its [`flag_table`] does not
+/// list: a mistyped or removed flag is a usage error naming it, never
+/// silently ignored.
+fn check_flags(sub: &str, rest: &[String]) -> Result<(), String> {
+    // `clique-log` takes its action as the first word.
+    let (action, args) = match (sub, rest.split_first()) {
+        ("clique-log", Some((action, args))) => (Some(action.as_str()), args),
+        _ => (None, rest),
+    };
+    let Some(table) = flag_table(sub, action) else {
+        return Ok(());
+    };
+    let mut i = 0;
+    while i < args.len() {
+        let arg = &args[i];
+        match table.iter().find(|(name, _)| name == arg) {
+            Some(&(_, takes_value)) => i += 1 + usize::from(takes_value),
+            None if arg.starts_with('-') => return Err(format!("unknown flag {arg} for {sub}")),
+            None => return Err(format!("unexpected argument {arg:?} for {sub}")),
+        }
     }
-    if approx {
-        notices.push("--approx is deprecated; use --mode almost".to_owned());
-    }
-    if pipeline == Some(cpm::Pipeline::Staged) {
-        notices.push(
-            "--pipeline staged materialises the clique set before percolating; \
-             the default fused pipeline produces identical communities in one pass"
-                .to_owned(),
-        );
-    }
-    for n in notices {
-        eprintln!("warning: {n}");
-    }
+    Ok(())
 }
 
 fn load_graph(path: &PathBuf) -> Result<asgraph::Graph, String> {
@@ -1468,8 +1432,6 @@ mod tests {
                 kernel: cliques::Kernel::Auto,
                 threads: exec::Threads::Auto,
                 deadline: None,
-                pipeline: cpm::Pipeline::Fused,
-                deprecated_sweep: None,
             }
         );
         let c = parse(&["communities", "--input", "g.txt", "--all-k"]).unwrap();
@@ -1551,24 +1513,61 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_sweep_flag_is_accepted_and_recorded() {
-        // Any value parses — the flag is a warned-about no-op now.
-        for v in ["fused", "legacy", "quantum"] {
-            let c = parse(&["communities", "--input", "g.txt", "--k", "3", "--sweep", v]).unwrap();
-            assert!(
-                matches!(c, Command::Communities { ref deprecated_sweep, .. }
-                    if deprecated_sweep.as_deref() == Some(v))
-            );
+    fn unknown_flags_are_rejected_by_name() {
+        // Removed flags, typos, another verb's flags, stray words.
+        for (args, offender) in [
+            (
+                &[
+                    "communities",
+                    "--input",
+                    "g",
+                    "--k",
+                    "3",
+                    "--sweep",
+                    "legacy",
+                ][..],
+                "--sweep",
+            ),
+            (
+                &[
+                    "communities",
+                    "--input",
+                    "g",
+                    "--k",
+                    "3",
+                    "--pipeline",
+                    "staged",
+                ][..],
+                "--pipeline",
+            ),
+            (
+                &["communities", "--input", "g", "--k", "3", "--thread", "4"][..],
+                "--thread",
+            ),
+            (
+                &["communities", "--input", "g", "--k", "3", "--resume"][..],
+                "--resume",
+            ),
+            (
+                &["stream-percolate", "--input", "g", "--k", "3", "--approx"][..],
+                "--approx",
+            ),
+            (
+                &["clique-log", "info", "--log", "c", "--out", "o"][..],
+                "--out",
+            ),
+            (
+                &["serve", "--snapshot", "s", "--deadline", "5"][..],
+                "--deadline",
+            ),
+            (&["tree", "--input", "g", "extra"][..], "extra"),
+            (&["help", "--verbose"][..], "--verbose"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(offender), "{args:?}: {err}");
         }
-        let c = parse(&["communities", "--input", "g.txt", "--k", "3"]).unwrap();
-        assert!(matches!(
-            c,
-            Command::Communities {
-                pipeline: cpm::Pipeline::Fused,
-                deprecated_sweep: None,
-                ..
-            }
-        ));
+        // A flag's value is never mistaken for a flag.
+        assert!(parse(&["generate", "--out", "--scale"]).is_ok());
     }
 
     #[test]
@@ -1632,11 +1631,9 @@ mod tests {
                 k: Some(4),
                 all_k: false,
                 mode: cpm::Mode::Exact,
-                deprecated_approx: false,
                 kernel: cliques::Kernel::Auto,
                 threads: exec::Threads::Auto,
                 deadline: None,
-                deprecated_sweep: None,
             }
         );
         let c = parse(&["stream-percolate", "--log", "c.log", "--all-k"]).unwrap();
@@ -1645,23 +1642,6 @@ mod tests {
             Command::StreamPercolate {
                 input: None,
                 all_k: true,
-                ..
-            }
-        ));
-        let c = parse(&[
-            "stream-percolate",
-            "--input",
-            "g.txt",
-            "--k",
-            "3",
-            "--approx",
-        ])
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::StreamPercolate {
-                mode: cpm::Mode::Almost,
-                deprecated_approx: true,
                 ..
             }
         ));
@@ -1709,28 +1689,6 @@ mod tests {
         assert!(parse(&["stream-percolate", "--input", "a"]).is_err());
         assert!(parse(&["stream-percolate", "--input", "a", "--k", "3", "--all-k"]).is_err());
         assert!(parse(&["stream-percolate", "--input", "a", "--k", "1"]).is_err());
-        // The unified engine lifted the old single-k-only restriction:
-        // the deprecated alias now composes with --all-k too...
-        assert!(matches!(
-            parse(&["stream-percolate", "--input", "a", "--all-k", "--approx"]).unwrap(),
-            Command::StreamPercolate {
-                mode: cpm::Mode::Almost,
-                ..
-            }
-        ));
-        // ...but mixing the old and new spellings is ambiguous.
-        let err = parse(&[
-            "stream-percolate",
-            "--input",
-            "a",
-            "--k",
-            "3",
-            "--approx",
-            "--mode",
-            "exact",
-        ])
-        .unwrap_err();
-        assert!(err.contains("deprecated alias"), "{err}");
     }
 
     #[test]
@@ -1870,11 +1828,9 @@ mod tests {
                 k: Some(3),
                 all_k: false,
                 mode: cpm::Mode::Exact,
-                deprecated_approx: false,
                 kernel: cliques::Kernel::Auto,
                 threads: exec::Threads::Auto,
                 deadline: None,
-                deprecated_sweep: None,
             }
             .run()
             .unwrap();
@@ -1884,11 +1840,9 @@ mod tests {
                 k: None,
                 all_k: true,
                 mode: cpm::Mode::Exact,
-                deprecated_approx: false,
                 kernel: cliques::Kernel::Merge,
                 threads: exec::Threads::Fixed(2),
                 deadline: None,
-                deprecated_sweep: Some("legacy".into()),
             }
             .run()
             .unwrap();
@@ -1899,11 +1853,9 @@ mod tests {
             k: Some(3),
             all_k: false,
             mode: cpm::Mode::Almost,
-            deprecated_approx: false,
             kernel: cliques::Kernel::Auto,
             threads: exec::Threads::Auto,
             deadline: None,
-            deprecated_sweep: None,
         }
         .run()
         .unwrap();
@@ -1952,11 +1904,9 @@ mod tests {
             k: None,
             all_k: true,
             mode: cpm::Mode::Exact,
-            deprecated_approx: false,
             kernel: cliques::Kernel::Auto,
             threads: exec::Threads::Auto,
             deadline: None,
-            deprecated_sweep: None,
         }
         .run()
         .unwrap();
@@ -1971,8 +1921,6 @@ mod tests {
             kernel: cliques::Kernel::Auto,
             threads: exec::Threads::Auto,
             deadline: Some(0),
-            pipeline: cpm::Pipeline::Fused,
-            deprecated_sweep: None,
         }
         .run()
         .unwrap_err();
@@ -1983,11 +1931,9 @@ mod tests {
             k: Some(3),
             all_k: false,
             mode: cpm::Mode::Exact,
-            deprecated_approx: false,
             kernel: cliques::Kernel::Auto,
             threads: exec::Threads::Auto,
             deadline: Some(0),
-            deprecated_sweep: None,
         }
         .run()
         .unwrap_err();
@@ -2026,11 +1972,9 @@ mod tests {
                 k: Some(3),
                 all_k: false,
                 mode: cpm::Mode::Exact,
-                deprecated_approx: false,
                 kernel: cliques::Kernel::Auto,
                 threads: exec::Threads::Auto,
                 deadline: None,
-                deprecated_sweep: None,
             },
         ] {
             let err = cmd.run().unwrap_err();
@@ -2084,8 +2028,6 @@ mod tests {
             kernel: cliques::Kernel::Auto,
             threads: exec::Threads::Auto,
             deadline: None,
-            pipeline: cpm::Pipeline::Fused,
-            deprecated_sweep: None,
         }
         .run()
         .unwrap();
@@ -2097,8 +2039,6 @@ mod tests {
             kernel: cliques::Kernel::Auto,
             threads: exec::Threads::Fixed(2),
             deadline: None,
-            pipeline: cpm::Pipeline::Fused,
-            deprecated_sweep: Some("legacy".into()),
         }
         .run()
         .unwrap();
@@ -2112,8 +2052,6 @@ mod tests {
             kernel: cliques::Kernel::Auto,
             threads: exec::Threads::Auto,
             deadline: Some(3600),
-            pipeline: cpm::Pipeline::Fused,
-            deprecated_sweep: None,
         }
         .run()
         .unwrap();

@@ -1,101 +1,165 @@
-//! Regression tests for the consolidated legacy-flag stderr helper:
-//! every notice (`--sweep`, `--approx`, `--pipeline staged`) goes to
-//! stderr, and stdout stays **byte-identical** to a notice-free run —
-//! piping the command's output must never pick up a warning.
+//! The flag contract, through the real binary: every verb accepts only
+//! the flags in its table. Anything else — a typo, another verb's flag,
+//! or one of the removed `--pipeline`, `--sweep` and `--approx` — exits
+//! 2 with the offending flag named on stderr and nothing on stdout, so
+//! a script never consumes output from a run it did not ask for.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_kclique-cli"))
 }
 
 fn fixture_edges(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("kclique_cli_legacy_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("kclique_cli_flags_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let edges = dir.join(format!("{name}.edges"));
     std::fs::write(&edges, "0 1\n0 2\n1 2\n1 3\n2 3\n2 4\n3 4\n").expect("write edges");
     edges
 }
 
-fn run(args: &[&str], edges: &PathBuf) -> std::process::Output {
-    let output = bin()
-        .args(args)
-        .arg("--input")
-        .arg(edges)
-        .output()
-        .expect("spawn kclique-cli");
-    assert_eq!(output.status.code(), Some(0), "{output:?}");
-    output
+fn run(args: &[&str]) -> Output {
+    bin().args(args).output().expect("spawn kclique-cli")
 }
 
-/// All three notices at once: one stderr block, stdout byte-equal to
-/// the clean invocation.
+#[track_caller]
+fn assert_rejects(args: &[&str], flag: &str) {
+    let output = run(args);
+    assert_eq!(output.status.code(), Some(2), "{args:?}: {output:?}");
+    assert!(
+        output.stdout.is_empty(),
+        "{args:?}: stdout must stay empty: {output:?}"
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains(&format!("unknown flag {flag}")),
+        "{args:?}: {stderr}"
+    );
+}
+
+/// The flags of previous releases are gone, not silently accepted.
 #[test]
-fn legacy_flag_notices_never_touch_stdout() {
-    let edges = fixture_edges("combo");
-    let clean = run(&["communities", "--k", "3"], &edges);
-    let warned = run(
+fn removed_legacy_flags_are_usage_errors() {
+    let edges = fixture_edges("legacy");
+    let input = edges.to_str().expect("utf-8 temp path");
+    assert_rejects(
         &[
             "communities",
+            "--input",
+            input,
             "--k",
             "3",
-            "--sweep",
-            "legacy",
             "--pipeline",
             "staged",
         ],
-        &edges,
+        "--pipeline",
     );
-    assert_eq!(
-        clean.stdout, warned.stdout,
-        "legacy-flag notices changed stdout bytes"
+    assert_rejects(
+        &[
+            "communities",
+            "--input",
+            input,
+            "--all-k",
+            "--sweep",
+            "legacy",
+        ],
+        "--sweep",
     );
-    assert!(clean.stderr.is_empty(), "clean run must not warn");
-    let stderr = String::from_utf8_lossy(&warned.stderr);
-    assert!(stderr.contains("--sweep legacy is deprecated"), "{stderr}");
-    assert!(stderr.contains("--pipeline staged"), "{stderr}");
-    // Every line of the block is a warning, nothing else.
-    assert!(
-        stderr.lines().all(|l| l.starts_with("warning: ")),
-        "{stderr}"
+    assert_rejects(
+        &["stream-percolate", "--input", input, "--k", "3", "--approx"],
+        "--approx",
     );
 }
 
-/// `--approx` routes through the same helper on the streaming verb.
+/// A typo never runs with the defaults, on any verb.
 #[test]
-fn approx_alias_warns_on_stderr_only() {
-    let edges = fixture_edges("approx");
-    let clean = run(
-        &["stream-percolate", "--k", "3", "--mode", "almost"],
-        &edges,
-    );
-    let warned = run(&["stream-percolate", "--k", "3", "--approx"], &edges);
-    assert_eq!(clean.stdout, warned.stdout, "--approx changed stdout bytes");
-    let stderr = String::from_utf8_lossy(&warned.stderr);
-    assert!(stderr.contains("--approx is deprecated"), "{stderr}");
-}
-
-/// The fused default and the staged escape hatch print byte-identical
-/// communities — single-k and the all-k table.
-#[test]
-fn fused_and_staged_stdout_agree() {
-    let edges = fixture_edges("pipelines");
-    for (sel, rest) in [("--k", "3"), ("--all-k", "")] {
-        for mode in ["exact", "almost"] {
-            let mut base = vec!["communities", sel];
-            if !rest.is_empty() {
-                base.push(rest);
-            }
-            base.extend(["--mode", mode]);
-            let fused = run(&base, &edges);
-            let mut staged_args = base.clone();
-            staged_args.extend(["--pipeline", "staged"]);
-            let staged = run(&staged_args, &edges);
-            assert_eq!(
-                fused.stdout, staged.stdout,
-                "fused vs staged stdout diverged ({sel} {mode})"
-            );
-        }
+fn mistyped_flags_are_usage_errors_on_every_verb() {
+    let edges = fixture_edges("typo");
+    let input = edges.to_str().expect("utf-8 temp path");
+    for (args, flag) in [
+        (
+            &["communities", "--input", input, "--all-k", "--thread", "4"][..],
+            "--thread",
+        ),
+        (&["tree", "--input", input, "--min_k", "3"][..], "--min_k"),
+        (&["stats", "--input", input, "--verbose"][..], "--verbose"),
+        (&["baselines", "--input", input, "--k", "3"][..], "--k"),
+        (
+            &[
+                "stream-percolate",
+                "--input",
+                input,
+                "--all-k",
+                "--thread",
+                "4",
+            ][..],
+            "--thread",
+        ),
+        (
+            &[
+                "clique-log",
+                "build",
+                "--input",
+                input,
+                "--out",
+                "x.log",
+                "--resum",
+            ][..],
+            "--resum",
+        ),
+        (
+            &["clique-log", "info", "--log", "x.log", "--input", input][..],
+            "--input",
+        ),
+        (
+            &["ingest", "--input", input, "--check", "--lenent"][..],
+            "--lenent",
+        ),
+        (
+            &["rewire", "--input", input, "--out", "x.edges"][..],
+            "--out",
+        ),
+        (
+            &["generate", "--scale", "tiny", "--out", "d", "--sed", "3"][..],
+            "--sed",
+        ),
+        (
+            &["analyze", "--dataset", "d", "--threads", "2"][..],
+            "--threads",
+        ),
+        (
+            &["serve", "--snapshot", "x.log", "--port", "7117"][..],
+            "--port",
+        ),
+    ] {
+        assert_rejects(args, flag);
     }
+}
+
+/// Every flag in a verb's table still runs, and a clean run keeps
+/// stderr empty.
+#[test]
+fn listed_flags_still_run() {
+    let edges = fixture_edges("ok");
+    let input = edges.to_str().expect("utf-8 temp path");
+    let output = run(&[
+        "communities",
+        "--input",
+        input,
+        "--k",
+        "3",
+        "--mode",
+        "almost",
+        "--kernel",
+        "merge",
+        "--threads",
+        "2",
+        "--deadline",
+        "3600",
+    ]);
+    assert_eq!(output.status.code(), Some(0), "{output:?}");
+    assert!(output.stderr.is_empty(), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("3-clique communities"), "{stdout}");
 }

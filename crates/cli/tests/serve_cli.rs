@@ -161,12 +161,12 @@ fn sigint_while_serving_drains_and_exits_0() {
 }
 
 #[test]
-fn sweep_deprecation_warns_on_stderr_not_stdout() {
+fn communities_output_lands_on_stdout_only() {
     let dir = tmp_dir();
-    let edges = dir.join("sweep.edges");
+    let edges = dir.join("clean.edges");
     std::fs::write(&edges, "0 1\n0 2\n1 2\n").unwrap();
     let output = bin()
-        .args(["communities", "--k", "2", "--sweep", "legacy", "--input"])
+        .args(["communities", "--k", "2", "--input"])
         .arg(&edges)
         .output()
         .expect("spawn");
@@ -174,12 +174,8 @@ fn sweep_deprecation_warns_on_stderr_not_stdout() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(
-        stderr.contains("--sweep legacy is deprecated"),
-        "warning must go to stderr: {stderr}"
-    );
-    assert!(
-        !stdout.contains("deprecated"),
-        "warning leaked into stdout (breaks piped output): {stdout}"
+        stderr.is_empty(),
+        "a clean run writes nothing to stderr: {stderr}"
     );
     // The command's actual output still lands on stdout.
     assert!(stdout.contains("communities"), "{stdout}");

@@ -53,7 +53,7 @@ pub struct Analysis {
 /// ```
 pub fn analyze(config: &ModelConfig, threads: usize) -> Result<Analysis, InvalidConfig> {
     let topo = generate(config)?;
-    let result = cpm::parallel::percolate_parallel(&topo.graph, threads);
+    let result = cpm::percolate_parallel(&topo.graph, threads, cpm::Mode::Exact);
     Ok(analyze_topology(topo, result))
 }
 

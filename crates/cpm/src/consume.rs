@@ -1,13 +1,28 @@
-//! The fused enumerate-while-percolating pipeline: percolation as a
-//! [`CliqueConsumer`], with zero `CliqueSet` materialisation.
+//! The percolation engine: clique percolation as a [`CliqueConsumer`],
+//! with zero clique-list materialisation.
 //!
-//! The staged pipeline runs two passes over the clique census —
-//! enumerate everything into a [`cliques::CliqueSet`], then percolate
-//! it — with the full clique list resident in between. Kumpula et
-//! al.'s sequential CPM and Baudin et al.'s memory-efficient
-//! almost-exact CPM both fold each clique in **as it is emitted**;
-//! [`FusedPercolator`] does the same for this repo's engines. The
-//! Bron–Kerbosch kernels stream cliques straight into it (via
+//! **The reduction.** Two k-cliques are adjacent when they share k−1
+//! nodes. Every k-clique lies inside a maximal clique of size ≥ k; two
+//! adjacent k-cliques lie inside maximal cliques overlapping in ≥ k−1
+//! nodes; conversely an overlap of ≥ k−1 between maximal cliques induces
+//! a chain of adjacent k-cliques across them, and all k-subsets of one
+//! clique are mutually reachable by single-element swaps (CFinder).
+//! Hence the k-clique communities are the components of the clique
+//! overlap graph thresholded at k−1, restricted to cliques of size ≥ k —
+//! `crates/cpm/tests/oracle.rs` checks this against the literal
+//! definition ([`crate::naive`]).
+//!
+//! **One descending sweep.** As `k` decreases, the set of active cliques
+//! (size ≥ k) and active overlaps (≥ k−1) only grows, so a single
+//! descending-`k` pass over one union–find yields the communities of
+//! every level — and the component that absorbs a level-`k` community at
+//! level `k−1` is its unique parent in the k-clique community tree
+//! (Theorem 1 of the paper), so the tree falls out of the sweep.
+//!
+//! **One pass over the cliques.** Kumpula et al.'s sequential CPM and
+//! Baudin et al.'s memory-efficient almost-exact CPM both fold each
+//! clique in **as it is emitted**; [`FusedPercolator`] does the same.
+//! The Bron–Kerbosch kernels stream cliques straight into it (via
 //! [`cliques::sink`]), it folds each one into per-mode working state,
 //! and [`FusedPercolator::finish`] runs the descending-`k` sweep from
 //! that state alone. No clique list ever exists:
@@ -15,132 +30,48 @@
 //! * **Almost mode** keeps the level-2/level-3 key unions *incremental*
 //!   (a per-vertex last-owner chain for vertex keys, a persistent
 //!   last-owner table for edge keys — chains and first-seen stars have
-//!   the same connected components), streams the small×small exact
-//!   counting pass of [`SubsumptionStrata`] against per-vertex posting
-//!   lists of earlier small cliques, and compresses each big clique to
-//!   a 256-bit hub bitmap (40 bytes, vs. the full member list) from
-//!   which the big×big and big×small prepasses — and the big cliques'
-//!   members themselves — are reconstructed at [`finish`] time. When a
-//!   substrate overflows 256 hub vertices the engine switches to the
-//!   same counting + bloom-guarded fallback the staged prepass uses.
+//!   the same connected components), streams an exact small×small
+//!   counting pass against per-vertex posting lists of earlier small
+//!   cliques, and compresses each big clique to a 256-bit hub bitmap
+//!   (40 bytes, vs. the full member list) from which the big×big and
+//!   big×small prepasses — and the big cliques' members themselves — are
+//!   reconstructed at [`finish`] time. When a substrate overflows 256 hub
+//!   vertices the engine switches to a counting + bloom-guarded
+//!   fallback. Everything from `k = 4` up thus comes from the prepass
+//!   *strata*, which record each detected pair at its exact detection
+//!   level `m + 1` (`m` = overlap size); the persistent union–find
+//!   carries every detection to all lower levels for free.
 //! * **Exact mode** appends each clique's members to a forward arena at
 //!   push time and defers the pairwise overlap counting to finish time:
 //!   each ordinal counts against the below-`x` prefixes of the posting
-//!   lists (rebuilt by transposing the arena), which reproduces the
-//!   streamed scan's pairs — and their order — exactly while letting
-//!   the scan chunk over pool workers. Pairs land in their detection
-//!   stratum, `k = 2` is chained off the postings during the sweep, and
-//!   the arena doubles as the ordinal-indexed member store for
-//!   community-first extraction.
+//!   lists (rebuilt by transposing the arena), which lets the scan chunk
+//!   over pool workers while reproducing a streamed scan's pairs — and
+//!   their order — exactly. Pairs land in their detection stratum,
+//!   `k = 2` is chained off the postings during the sweep, and the arena
+//!   doubles as the ordinal-indexed member store for community-first
+//!   extraction.
 //!
-//! [`finish`] has a pool-parallel twin
-//! ([`finish_parallel`](FusedPercolator::finish_parallel)) whose phases
-//! — pair detection, the descending-`k` stratum drains, member
-//! extraction — scale with workers while staying bit-identical to the
-//! sequential finish at every worker count; see the determinism notes
-//! on `FusedPercolator::finish_impl`.
-//!
-//! Both engines reach the same union–find states as the staged
-//! [`crate::percolate_mode`] at every level, so community *covers* are
-//! identical; only the clique-id convention differs (stream ordinals
-//! here, canonical lex order there), which permutes `clique_ids` and
-//! the order of communities within a level. Everything the CLI prints
-//! (sorted single-level covers, per-level count tables) is
-//! byte-identical, and the fused result itself is bit-identical across
-//! kernels and worker counts (the parallel sink driver reassembles
-//! chunks in sequential order).
+//! The finish ([`finish_parallel`](FusedPercolator::finish_parallel);
+//! [`finish`] is its one-worker form) runs on the worker pool: its
+//! phases — pair detection, the descending-`k` stratum drains, member
+//! extraction — scale with workers while staying bit-identical at every
+//! worker count; see the determinism notes on
+//! `FusedPercolator::finish_impl`. Clique ids are stream ordinals
+//! (positions in the deterministic sequential enumeration order), so
+//! the result is also bit-identical across kernels.
 //!
 //! [`finish`]: FusedPercolator::finish
 
 use crate::dsu::Dsu;
 use crate::dsu_concurrent::ConcurrentDsu;
-use crate::mode::{emits, mix, Mode, SubsumptionStrata, KEY_MAX_L, MISS_DEPTH, R, SMALL_FULL};
-use crate::parallel::{PAR_UNION_MIN, UNION_CHUNK};
-use crate::result::{canonical_members, Community, KLevel};
+use crate::mode::Mode;
+use crate::result::{canonical_members, Community, CpmResult, KLevel};
 use asgraph::{Graph, NodeId};
+use cliques::kclique::binomial;
 use cliques::{CliqueConsumer, Kernel};
 use exec::{CancelToken, Cancelled, ChunkQueue, OrderedAbsorber, Pool, Threads};
-use std::fmt;
-use std::str::FromStr;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Which plumbing carries cliques into percolation: the fused
-/// single-pass consumer pipeline (default) or the staged
-/// enumerate-then-percolate path it replaces. The covers they produce
-/// are identical; `staged` remains as an escape hatch and as the
-/// cross-check baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pipeline {
-    /// Sink-driven: cliques stream into the percolation engine as they
-    /// are enumerated; no clique list is ever materialised.
-    #[default]
-    Fused,
-    /// Two-pass: enumerate a `CliqueSet`, then percolate it.
-    Staged,
-}
-
-impl Pipeline {
-    /// The CLI/JSON spelling (`"fused"` / `"staged"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Pipeline::Fused => "fused",
-            Pipeline::Staged => "staged",
-        }
-    }
-}
-
-impl fmt::Display for Pipeline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for Pipeline {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fused" => Ok(Pipeline::Fused),
-            "staged" => Ok(Pipeline::Staged),
-            other => Err(format!(
-                "unknown pipeline '{other}' (expected fused|staged)"
-            )),
-        }
-    }
-}
-
-/// The multi-level result of a fused percolation: one [`KLevel`] per
-/// `k` (ascending), each with full members, clique ids (stream
-/// ordinals) and Theorem-1 parent links — a [`crate::CpmResult`]
-/// without the clique list, because the pipeline never had one.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FusedCpmResult {
-    /// One entry per level `k` (ascending) from 2 to the largest
-    /// clique size. `clique_ids` are stream ordinals — the position of
-    /// each clique in the (deterministic) sequential enumeration order.
-    pub levels: Vec<KLevel>,
-    /// Total maximal cliques the stream carried (the ordinal space).
-    pub clique_count: usize,
-}
-
-impl FusedCpmResult {
-    /// The largest clique size (highest level), `None` when no level
-    /// exists.
-    pub fn k_max(&self) -> Option<u32> {
-        self.levels.last().map(|l| l.k)
-    }
-
-    /// The level for a given `k`, if present.
-    pub fn level(&self, k: u32) -> Option<&KLevel> {
-        self.levels.iter().find(|l| l.k == k)
-    }
-
-    /// Total communities across all levels.
-    pub fn total_communities(&self) -> usize {
-        self.levels.iter().map(|l| l.communities.len()).sum()
-    }
-}
 
 /// Wall-clock attribution of one fused percolation, for the bench
 /// per-phase rows: `consume` covers enumeration plus all streaming
@@ -159,14 +90,119 @@ pub struct FusedPhases {
     pub extract: std::time::Duration,
 }
 
+/// Per-clique-per-level emission budget: a clique emits its full
+/// (k−1)-subset decomposition while `C(s, k−1)` stays at or below
+/// this, and nothing at the (mid-range) levels where it would exceed
+/// it. Symmetry of the binomial makes one cap serve both the
+/// low-level and the near-top tail.
+pub const SUBSET_CAP: u64 = 4096;
+
+/// Cliques at or below this size are *small*: every pair involving a
+/// small clique gets its overlap counted exactly by the streaming
+/// counting pass, whose posting lists hold small cliques only — hub
+/// posting lists are dominated by large cliques, so the restriction
+/// turns the quadratic pairwise phase into a cache-resident pass an
+/// order of magnitude cheaper than the exact engine's.
+pub const SMALL_FULL: usize = 14;
+
+/// The per-level key emission bound: shared vertices (`l = 1`, exact
+/// `k = 2` components) and shared edges (`l = 2`, exact `k = 3`
+/// strata) are keyed for every clique. Higher subset sizes are
+/// mostly-unique keys — all cost, no sharing — so everything from
+/// `k = 4` up is covered by the prepass strata instead.
+pub const KEY_MAX_L: usize = 2;
+
+/// Polynomial base for the key hash (odd, so powers never vanish).
+const R: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 finalizer: decorrelates member ids before they enter the
+/// polynomial, so consecutive ids don't produce near-collisions.
+#[inline]
+fn mix(v: NodeId) -> u64 {
+    let mut z = (v as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The emission gate: whether a clique of size `s` keys its
+/// `l`-subsets (see [`KEY_MAX_L`] / [`SUBSET_CAP`]).
+#[inline]
+fn emits(s: usize, l: usize) -> bool {
+    l >= 1 && l <= s && l <= KEY_MAX_L && binomial(s, l) <= SUBSET_CAP
+}
+
 /// Largest clique size whose vertex keys the almost engine emits
-/// (`binomial(s, 1) = s ≤ SUBSET_CAP`), mirroring the staged gate.
-const VERTEX_KEY_MAX_S: usize = crate::mode::SUBSET_CAP as usize;
+/// (`binomial(s, 1) = s ≤ SUBSET_CAP`).
+const VERTEX_KEY_MAX_S: usize = SUBSET_CAP as usize;
 
 /// Largest clique size whose edge keys the almost engine emits
-/// (`binomial(s, 2) ≤ SUBSET_CAP` ⟺ `s ≤ 91`), mirroring the staged
-/// gate.
+/// (`binomial(s, 2) ≤ SUBSET_CAP` ⟺ `s ≤ 91`).
 const EDGE_KEY_MAX_S: usize = 91;
+
+/// How nearly contained a big×big pair must be for the subsumption
+/// pass to detect it: the smaller clique may miss up to this many of
+/// its own members from the larger partner
+/// (`|x ∩ y| ≥ |x| −` this).
+pub const MISS_DEPTH: usize = 5;
+
+// The big×big scan counts misses in 3-bit saturating registers, which
+// stay exact only up to a miss depth of 7.
+const _: () = assert!(MISS_DEPTH <= 7);
+
+/// How many members of sorted `a` are absent from sorted `b`, if at
+/// most `max_miss` — `None` as soon as one more is proven absent, so a
+/// non-qualifying candidate costs only a few merge steps.
+fn missing_at_most(a: &[NodeId], b: &[NodeId], max_miss: usize) -> Option<usize> {
+    let (mut i, mut j, mut miss) = (0usize, 0usize, 0usize);
+    while i < a.len() {
+        if j == b.len() || a[i] < b[j] {
+            miss += 1;
+            if miss > max_miss {
+                return None;
+            }
+            i += 1;
+        } else if a[i] == b[j] {
+            i += 1;
+            j += 1;
+        } else {
+            j += 1;
+        }
+    }
+    Some(miss)
+}
+
+/// Stratum pairs claimed per queue chunk while draining one stratum
+/// into the concurrent union–find. A union is a handful of atomic ops,
+/// so chunks are coarse to keep the shared counter out of the way.
+pub const UNION_CHUNK: usize = 2048;
+
+/// Below this many pairs a stratum is drained by worker 0 alone:
+/// coordinating the team costs more than the unions.
+const PAR_UNION_MIN: usize = 4 * UNION_CHUNK;
+
+/// The `Threads::Auto` work-volume grain for the *end-to-end*
+/// almost-mode percolate entry points: graph edges per worker before
+/// the whole pipeline's fan-out amortises. Individual phases have
+/// their own (smaller) grains, but the committed `BENCH_pool.json`
+/// shows every sub-crossover substrate (sparse300 at ~2.3k edges,
+/// dense60, tiny-internet) losing to the sequential path at *every*
+/// fixed multi-worker count — so below `2 × grain` edges, `auto`
+/// snaps the entire run to one worker instead of letting a single
+/// phase fan out.
+pub const ALMOST_AUTO_EDGES_PER_WORKER: usize = 8_192;
+
+/// Applies [`ALMOST_AUTO_EDGES_PER_WORKER`] at an almost-mode
+/// percolate entry point: `Threads::Auto` below the crossover becomes
+/// an explicit one-worker run (fixed counts pass through untouched;
+/// above the crossover `auto` keeps its per-phase sizing).
+fn almost_auto_threads(threads: Threads, g: &Graph) -> Threads {
+    if threads.is_auto() && threads.resolve(g.edge_count(), ALMOST_AUTO_EDGES_PER_WORKER) == 1 {
+        Threads::Fixed(1)
+    } else {
+        threads
+    }
+}
 
 /// Ordinals per claim of the exact engine's parallel finish-time
 /// counting scan. The per-ordinal cost varies with the posting-prefix
@@ -193,7 +229,7 @@ const FUSED_EXTRACT_CHUNK: usize = 16;
 
 /// `Threads::Auto` grain of the exact pairs phase: arena members per
 /// worker before fan-out pays (each membership triggers one
-/// posting-prefix scan — the same proxy the staged overlap pass uses).
+/// posting-prefix scan).
 const FUSED_PAIRS_AUTO_MEMBERS_PER_WORKER: usize = 8_192;
 
 /// `Threads::Auto` grain of the almost pairs phase, in candidate units:
@@ -205,16 +241,14 @@ const FUSED_PAIRS_AUTO_CANDIDATES_PER_WORKER: usize = 65_536;
 /// ordinals per worker before fan-out pays.
 const FUSED_EXTRACT_AUTO_CLIQUES_PER_WORKER: usize = 4_096;
 
-/// Persistent open-addressed `edge-key → last owner` table. The staged
-/// engine probes a first-seen [`crate::mode::KeyTable`] per level; the
-/// fused engine only ever has *one* edge-keyed level (k = 3), so a
-/// single persistent table with last-owner *chaining* reaches the same
-/// connected components (a chain and a first-seen star over the same
-/// key class connect the same cliques — including classes formed by
-/// 64-bit hash collisions, which both engines honour identically).
+/// Persistent open-addressed `edge-key → last owner` table. The engine
+/// only ever has *one* edge-keyed level (k = 3), so a single persistent
+/// table with last-owner *chaining* reaches the same connected
+/// components as a per-level first-seen table would (a chain and a
+/// first-seen star over the same key class connect the same cliques —
+/// including classes formed by 64-bit hash collisions).
 struct EdgeTable {
-    /// `(fp, owner)`; `fp == 0` marks an empty slot (key 0 remaps to 1,
-    /// exactly like the staged table).
+    /// `(fp, owner)`; `fp == 0` marks an empty slot (key 0 remaps to 1).
     slots: Vec<EdgeSlot>,
     mask: usize,
     used: usize,
@@ -291,9 +325,8 @@ struct BigRec {
     bm: [u64; 4],
 }
 
-/// Level-stratified `(earlier, later)` union pairs, grown on demand —
-/// the fused twin of the staged [`SubsumptionStrata`] / overlap
-/// strata, filled incrementally by the streaming passes.
+/// Level-stratified `(earlier, later)` union pairs, grown on demand and
+/// filled incrementally by the streaming passes.
 #[derive(Default)]
 struct Strata {
     by_level: Vec<Vec<(u32, u32)>>,
@@ -359,7 +392,7 @@ struct AlmostFused {
     /// Big cliques as hub bitmaps (fast path; drained on fallback).
     bigs: Vec<BigRec>,
     /// Fallback state (> 256 hub vertices): explicit big members and
-    /// big posting lists, as in the staged prepass fallback.
+    /// big posting lists.
     fallback: bool,
     big_ords: Vec<u32>,
     big_offsets: Vec<usize>,
@@ -433,8 +466,9 @@ impl AlmostFused {
                 }
             }
         }
-        // Level-3 edge keys: same hash values as the staged emitter,
-        // same emission gate, last-owner chaining.
+        // Level-3 edge keys: `Σ_t mix(mᵗ)·Rᵗ` over each member pair, so
+        // a shared edge hashes the same in every clique; last-owner
+        // chaining.
         if (3..=EDGE_KEY_MAX_S).contains(&s) {
             debug_assert!(emits(s, 2));
             for i in 0..s - 1 {
@@ -459,8 +493,8 @@ impl AlmostFused {
     }
 
     /// Streaming small×small (and, on the fallback path, small×big)
-    /// exact counting — the incremental form of the staged
-    /// `count_pairs` scan.
+    /// exact counting: per-vertex posting lists of the earlier cliques
+    /// and a dense counter accumulating `|x ∩ y|` per partner.
     fn consume_small(&mut self, c: &[NodeId], x: u32) {
         for &v in c {
             for &y in &self.small_postings[v as usize] {
@@ -511,9 +545,9 @@ impl AlmostFused {
             }
             self.switch_to_fallback();
         }
-        // Fallback: store members, count against earlier smalls (the
-        // staged mixed scheme — bigs scan small postings, smalls scan
-        // big postings, so each mixed pair is counted exactly once),
+        // Fallback: store members, count against earlier smalls (bigs
+        // scan small postings, smalls scan big postings, so each mixed
+        // pair is counted exactly once),
         // defer big×big to the finish-time bloom pass.
         for &v in c {
             for &y in &self.small_postings[v as usize] {
@@ -533,7 +567,7 @@ impl AlmostFused {
     }
 
     /// Drains the touched counters into the strata (`m >` [`KEY_MAX_L`]
-    /// ⇒ detection level `m + 1`), exactly like the staged scan.
+    /// ⇒ detection level `m + 1`; `m ≤ 2` is owned by the keys).
     fn flush_counts(&mut self, x: u32) {
         for &y in &self.touched {
             let m = self.counter[y as usize] as usize;
@@ -655,8 +689,7 @@ impl ExactFused {
     /// partners and their order equal the PR 8 streaming scan's
     /// exactly: the below-`x` prefix of `postings[v]` is precisely what
     /// the streaming pass had accumulated when `x` arrived. `m = 1`
-    /// pairs are left for the `k = 2` posting chain, as in the staged
-    /// `overlap_strata_min(…, 2)`.
+    /// pairs are left for the `k = 2` posting chain.
     fn count_pairs_range(
         &self,
         range: std::ops::Range<usize>,
@@ -742,19 +775,23 @@ enum Engine {
     Exact(ExactFused),
 }
 
-/// [`crate::percolation::LevelSnapshotter`] for the fused pipeline:
-/// identical first-seen-root community assignment and Theorem-1 parent
-/// wiring, but driven by the per-ordinal size array (members are
-/// extracted afterwards from the engines' transposed stores).
-struct FusedSnapshotter {
+/// Level construction for the sweep: groups the active cliques of one
+/// level by union–find root and wires the Theorem-1 parent links of the
+/// level above. A root-indexed `Vec` plus an epoch stamp gives one
+/// `find` per active clique, no hashing and no per-level allocation.
+/// Community indices are assigned first-seen-root in ascending ordinal
+/// order, which keeps the result independent of union order, DSU root
+/// identity, and thread count. Driven by the per-ordinal size array;
+/// members are extracted afterwards from the engines' stores.
+struct LevelSnapshotter {
     idx_of_root: Vec<u32>,
     stamp: Vec<u32>,
     epoch: u32,
 }
 
-impl FusedSnapshotter {
+impl LevelSnapshotter {
     fn new(num_cliques: usize) -> Self {
-        FusedSnapshotter {
+        LevelSnapshotter {
             idx_of_root: vec![0; num_cliques],
             stamp: vec![u32::MAX; num_cliques],
             epoch: 0,
@@ -887,63 +924,23 @@ impl FusedPercolator {
         self.sizes.len()
     }
 
-    /// Runs the descending-`k` sweep and extracts every level.
-    pub fn finish(self) -> FusedCpmResult {
-        self.finish_phases(&mut FusedPhases::default())
+    /// Runs the descending-`k` sweep on the calling thread and extracts
+    /// every level: [`finish_parallel`](Self::finish_parallel) with one
+    /// worker, which the pool runs inline.
+    pub fn finish(self) -> CpmResult {
+        self.finish_parallel(1)
     }
 
-    /// [`finish`](Self::finish) accumulating the post-consume phase
-    /// breakdown into `phases` (the `consume` component is timed by
-    /// the caller, since it happens before the engine is entered).
-    pub fn finish_phases(mut self, phases: &mut FusedPhases) -> FusedCpmResult {
-        let clique_count = self.sizes.len();
-        if self.k_max < 2 {
-            return FusedCpmResult {
-                levels: Vec::new(),
-                clique_count,
-            };
-        }
-        let t = Instant::now();
-        match &mut self.engine {
-            Engine::Almost(a) => {
-                a.finish_pairs(&self.sizes);
-                a.build_extract_index(&self.sizes);
-            }
-            Engine::Exact(e) => e.finish_pairs(&self.sizes),
-        }
-        phases.pairs += t.elapsed();
-
-        let mut dsu = Dsu::new(clique_count);
-        let mut snap = FusedSnapshotter::new(clique_count);
-        let mut levels_desc: Vec<KLevel> = Vec::with_capacity(self.k_max - 1);
-        for k in (2..=self.k_max).rev() {
-            let t = Instant::now();
-            self.union_level(&mut dsu, k);
-            phases.sweep += t.elapsed();
-            let t = Instant::now();
-            let mut level =
-                snap.snapshot(&self.sizes, k, &mut |x| dsu.find(x), levels_desc.last_mut());
-            self.fill_members(&mut level);
-            phases.extract += t.elapsed();
-            levels_desc.push(level);
-        }
-        levels_desc.reverse();
-        FusedCpmResult {
-            levels: levels_desc,
-            clique_count,
-        }
-    }
-
-    /// [`finish`](Self::finish) over the persistent [`Pool`]: the pair
-    /// detection, the descending-`k` sweep and the member extraction
-    /// all chunk over up to `threads` workers ([`Threads::Auto`]
-    /// resolves each phase against its own work volume). Bit-identical
-    /// to the sequential finish at every worker count.
+    /// The pair detection, the descending-`k` sweep and the member
+    /// extraction, each chunked over up to `threads` workers of the
+    /// persistent [`Pool`] ([`Threads::Auto`] resolves each phase
+    /// against its own work volume). Bit-identical at every worker
+    /// count.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is a fixed count of 0.
-    pub fn finish_parallel(self, threads: impl Into<Threads>) -> FusedCpmResult {
+    pub fn finish_parallel(self, threads: impl Into<Threads>) -> CpmResult {
         let mut phases = FusedPhases::default();
         self.finish_impl(threads.into(), None, &mut phases, &mut |_| {})
             .expect("uncancellable finish cannot be cancelled")
@@ -966,27 +963,14 @@ impl FusedPercolator {
         self,
         threads: impl Into<Threads>,
         cancel: &CancelToken,
-    ) -> Result<FusedCpmResult, Cancelled> {
+    ) -> Result<CpmResult, Cancelled> {
         let mut phases = FusedPhases::default();
         self.finish_impl(threads.into(), Some(cancel), &mut phases, &mut |_| {})
     }
 
-    /// [`finish_parallel`](Self::finish_parallel) accumulating the
-    /// phase breakdown into `phases`, as
-    /// [`finish_phases`](Self::finish_phases) does for the sequential
-    /// path.
-    pub fn finish_phases_parallel(
-        self,
-        threads: impl Into<Threads>,
-        phases: &mut FusedPhases,
-    ) -> FusedCpmResult {
-        self.finish_impl(threads.into(), None, phases, &mut |_| {})
-            .expect("uncancellable finish cannot be cancelled")
-    }
-
     /// The phase-structured finish shared by every parallel entry.
     ///
-    /// Why the parallel finish is bit-identical to the sequential one:
+    /// Why the finish is bit-identical at every worker count:
     /// the final result depends only on the per-level *partitions* (the
     /// snapshotter assigns community indices by first-seen root over
     /// ascending ordinals, and members are canonicalised), every union
@@ -1003,10 +987,10 @@ impl FusedPercolator {
         cancel: Option<&CancelToken>,
         phases: &mut FusedPhases,
         observe: &mut dyn FnMut(&'static str),
-    ) -> Result<FusedCpmResult, Cancelled> {
+    ) -> Result<CpmResult, Cancelled> {
         let clique_count = self.sizes.len();
         if self.k_max < 2 {
-            return Ok(FusedCpmResult {
+            return Ok(CpmResult {
                 levels: Vec::new(),
                 clique_count,
             });
@@ -1050,7 +1034,7 @@ impl FusedPercolator {
         phases.extract += t.elapsed() + snap_time;
 
         levels_desc.reverse();
-        Ok(FusedCpmResult {
+        Ok(CpmResult {
             levels: levels_desc,
             clique_count,
         })
@@ -1087,13 +1071,12 @@ impl FusedPercolator {
     /// separates the unions from the leader's level snapshot (taken
     /// from the quiescent DSU, where `find` is the exact min-id root),
     /// and a second barrier separates the snapshot from the next
-    /// level's unions — the PR 3/4 protocol. Sources smaller than
-    /// [`PAR_UNION_MIN`] get an empty queue and are replayed leader-
-    /// inline, so tiny levels never pay claim traffic.
+    /// level's unions. Sources smaller than [`PAR_UNION_MIN`] get an
+    /// empty queue and are replayed leader-inline, so tiny levels never
+    /// pay claim traffic.
     ///
     /// Returns the levels in descending `k` plus the wall time spent
-    /// snapshotting (attributed to the extract phase, matching the
-    /// sequential accounting).
+    /// snapshotting (attributed to the extract phase).
     fn sweep_levels(
         &mut self,
         workers: usize,
@@ -1178,9 +1161,9 @@ impl FusedPercolator {
         }
 
         let cdsu = ConcurrentDsu::new(count);
-        type SnapParts = (FusedSnapshotter, Vec<KLevel>, Duration);
+        type SnapParts = (LevelSnapshotter, Vec<KLevel>, Duration);
         let snap_parts: Mutex<SnapParts> = Mutex::new((
-            FusedSnapshotter::new(count),
+            LevelSnapshotter::new(count),
             Vec::with_capacity(self.k_max - 1),
             Duration::ZERO,
         ));
@@ -1397,9 +1380,8 @@ impl FusedPercolator {
     /// cliques in `ids`, fetched from the engine's ordinal-indexed
     /// stores ([`AlmostFused::build_extract_index`] / the exact arena
     /// CSR) — work proportional to the community's own membership, not
-    /// to the whole census, which is what makes the per-level
-    /// extraction cheaper than the staged snapshot despite never
-    /// holding a clique list. Shared by the sequential and the
+    /// to the whole census, which is what keeps the per-level
+    /// extraction cheap despite never holding a clique list. Shared by the sequential and the
     /// pool-parallel extraction (`&self` only, so workers can run it
     /// concurrently per community).
     fn community_members(&self, ids: &[u32]) -> Vec<NodeId> {
@@ -1463,8 +1445,8 @@ impl FusedPercolator {
     }
 
     /// Runs the sweep down to a single level `k` and returns its
-    /// communities as sorted member lists, sorted — byte-identical to
-    /// the staged [`crate::percolate_at_mode`] output.
+    /// communities as sorted member lists, sorted — the level-`k` cover
+    /// of [`finish`](Self::finish), without building the other levels.
     pub fn finish_at(mut self, k: usize) -> Vec<Vec<NodeId>> {
         if k < 2 || self.k_max < k {
             return Vec::new();
@@ -1502,9 +1484,9 @@ impl FusedPercolator {
             self.union_level(&mut dsu, 2);
         }
 
-        // Root-indexed compaction over the active cliques, as in the
-        // staged single-level paths; a synthetic one-community-per-root
-        // level reuses the member extraction machinery.
+        // Root-indexed compaction over the active cliques; a synthetic
+        // one-community-per-root level reuses the member extraction
+        // machinery.
         let mut group_of_root = vec![u32::MAX; clique_count];
         let mut communities: Vec<Community> = Vec::new();
         for (i, &s) in self.sizes.iter().enumerate() {
@@ -1596,9 +1578,21 @@ impl AlmostFused {
 
     /// The finish-time pair detection deferred by the streaming pass:
     /// big×big and big×small on the hub-bitmap fast path, or the
-    /// bloom-guarded big×big scan in fallback — a direct port of the
-    /// staged [`SubsumptionStrata`] pass 2 over the compressed big
+    /// bloom-guarded big×big scan in fallback, over the compressed big
     /// records. `sizes` is the per-ordinal clique size array.
+    ///
+    /// Only cliques of ≥ 3 members can overlap in `m ≥ 3` (below that
+    /// the keys own the pair), and every member of a big clique lives in
+    /// the *hub vertex set* — tiny on Internet substrates (203 ASes on
+    /// the medium preset, against 10,000 nodes): hub cores nest, so the
+    /// big cliques are rungs of a ladder over the same few hub vertices.
+    /// *Big×big* records every near-containment (the smaller side
+    /// missing at most [`MISS_DEPTH`] of its own members); *big×small*
+    /// tests every small with ≥ 3 hub members against every big. What
+    /// this leaves out — a big×big pair with a mid-range overlap — is
+    /// where Internet substrates are densest in *chains* of
+    /// near-containments and hubby smalls, which is why the divergence
+    /// oracle measures zero on every preset.
     fn finish_pairs(&mut self, sizes: &[u32]) {
         if self.fallback {
             self.finish_pairs_fallback(sizes);
@@ -1608,8 +1602,7 @@ impl AlmostFused {
             return;
         }
         // Descending size order (ordinal tie-break), so each pair's
-        // miss count is measured from its smaller side — the staged
-        // ordering with ordinals in place of canonical ids.
+        // miss count is measured from its smaller side.
         self.bigs
             .sort_unstable_by_key(|r| (std::cmp::Reverse(r.size), r.ord));
         let nb = self.bigs.len();
@@ -1632,108 +1625,76 @@ impl AlmostFused {
         }
 
         let count = sizes.len();
-        if MISS_DEPTH <= 7 {
-            // Big×big, bit-sliced on the *miss* count: a qualifying
-            // pair lacks at most `MISS_DEPTH` of x's hub rows, so per
-            // candidate word a 3-bit saturating counter of absences —
-            // kept in registers, rippled branch-free from the
-            // complemented rows — replaces one AND+popcount row per
-            // earlier big. Almost every word has all 64 candidates
-            // saturate (miss ≥ 8) after a handful of rows, and the
-            // sticky mask then short-circuits the rest of x's rows.
-            let mut rows: Vec<&[u64]> = Vec::new();
-            for xi in 1..nb {
-                let s = self.bigs[xi].size as usize;
-                let w_words = xi.div_ceil(64);
-                rows.clear();
-                for w4 in 0..4 {
-                    let mut bits = self.bigs[xi].bm[w4];
-                    while bits != 0 {
-                        let b = (w4 << 6) | bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        rows.push(&trans[b * w_big..][..w_words]);
-                    }
-                }
-                debug_assert_eq!(rows.len(), s);
-                for w in 0..w_words {
-                    let (mut c0, mut c1, mut c2, mut sat) = (0u64, 0u64, 0u64, 0u64);
-                    for r in &rows {
-                        let mut v = !r[w];
-                        let t = c0 & v;
-                        c0 ^= v;
-                        v = t;
-                        let t = c1 & v;
-                        c1 ^= v;
-                        v = t;
-                        let t = c2 & v;
-                        c2 ^= v;
-                        v = t;
-                        sat |= v;
-                        if sat == u64::MAX {
-                            // Every candidate in the word already
-                            // misses ≥ 8 rows; no survivors possible.
-                            break;
-                        }
-                    }
-                    // Unsaturated candidates carry an exact 3-bit miss
-                    // count; the `c2 & c1` term pre-cuts 6 and 7 so
-                    // only genuine d ≤ MISS_DEPTH = 5 bits survive to
-                    // the (defensive) per-hit check.
-                    let mut hits = !(sat | (c2 & c1));
-                    if w == xi >> 6 {
-                        hits &= (1u64 << (xi & 63)) - 1;
-                    }
-                    while hits != 0 {
-                        let i = hits.trailing_zeros() as usize;
-                        hits &= hits - 1;
-                        let yi = (w << 6) | i;
-                        let d = (((c0 >> i) & 1) | (((c1 >> i) & 1) << 1) | (((c2 >> i) & 1) << 2))
-                            as usize;
-                        if d > MISS_DEPTH {
-                            continue;
-                        }
-                        let level = (s - d + 1).min(s).max(2);
-                        let (a, b) = (self.bigs[yi].ord, self.bigs[xi].ord);
-                        self.level_dsu(level, count).union(a, b);
-                    }
+        // Big×big, bit-sliced on the *miss* count: a qualifying
+        // pair lacks at most `MISS_DEPTH` of x's hub rows, so per
+        // candidate word a 3-bit saturating counter of absences —
+        // kept in registers, rippled branch-free from the
+        // complemented rows — replaces one AND+popcount row per
+        // earlier big. Almost every word has all 64 candidates
+        // saturate (miss ≥ 8) after a handful of rows, and the
+        // sticky mask then short-circuits the rest of x's rows.
+        let mut rows: Vec<&[u64]> = Vec::new();
+        for xi in 1..nb {
+            let s = self.bigs[xi].size as usize;
+            let w_words = xi.div_ceil(64);
+            rows.clear();
+            for w4 in 0..4 {
+                let mut bits = self.bigs[xi].bm[w4];
+                while bits != 0 {
+                    let b = (w4 << 6) | bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    rows.push(&trans[b * w_big..][..w_words]);
                 }
             }
-        } else {
-            // A MISS_DEPTH past the 3-bit saturation point would make
-            // the miss counters lossy: keep the direct AND+popcount
-            // row sweep of the staged prepass for the whole matrix.
-            let words: [Vec<u64>; 4] =
-                std::array::from_fn(|w| self.bigs.iter().map(|r| r.bm[w]).collect());
-            let mut overlaps = vec![0u8; nb];
-            for xi in 1..nb {
-                let sx = [words[0][xi], words[1][xi], words[2][xi], words[3][xi]];
-                SubsumptionStrata::and_popcount_rows(sx, &words, &mut overlaps[..xi]);
-                let s = self.bigs[xi].size as usize;
-                let t = s - MISS_DEPTH;
-                if t <= 127 {
-                    let bigs = &self.bigs;
-                    let strata = &mut self.strata;
-                    SubsumptionStrata::for_each_at_least(&overlaps[..xi], t as u8, |yi, m| {
-                        let level = ((m as usize) + 1).min(s).max(2);
-                        strata.push(level, (bigs[yi].ord, bigs[xi].ord));
-                    });
-                } else {
-                    for (yi, &m) in overlaps[..xi].iter().enumerate() {
-                        if (m as usize) >= t {
-                            let level = ((m as usize) + 1).min(s).max(2);
-                            self.strata
-                                .push(level, (self.bigs[yi].ord, self.bigs[xi].ord));
-                        }
+            debug_assert_eq!(rows.len(), s);
+            for w in 0..w_words {
+                let (mut c0, mut c1, mut c2, mut sat) = (0u64, 0u64, 0u64, 0u64);
+                for r in &rows {
+                    let mut v = !r[w];
+                    let t = c0 & v;
+                    c0 ^= v;
+                    v = t;
+                    let t = c1 & v;
+                    c1 ^= v;
+                    v = t;
+                    let t = c2 & v;
+                    c2 ^= v;
+                    v = t;
+                    sat |= v;
+                    if sat == u64::MAX {
+                        // Every candidate in the word already
+                        // misses ≥ 8 rows; no survivors possible.
+                        break;
                     }
+                }
+                // Unsaturated candidates carry an exact 3-bit miss
+                // count; the `c2 & c1` term pre-cuts 6 and 7 so
+                // only genuine d ≤ MISS_DEPTH = 5 bits survive to
+                // the (defensive) per-hit check.
+                let mut hits = !(sat | (c2 & c1));
+                if w == xi >> 6 {
+                    hits &= (1u64 << (xi & 63)) - 1;
+                }
+                while hits != 0 {
+                    let i = hits.trailing_zeros() as usize;
+                    hits &= hits - 1;
+                    let yi = (w << 6) | i;
+                    let d = (((c0 >> i) & 1) | (((c1 >> i) & 1) << 1) | (((c2 >> i) & 1) << 2))
+                        as usize;
+                    if d > MISS_DEPTH {
+                        continue;
+                    }
+                    let level = (s - d + 1).min(s).max(2);
+                    let (a, b) = (self.bigs[yi].ord, self.bigs[xi].ord);
+                    self.level_dsu(level, count).union(a, b);
                 }
             }
         }
 
         // Big×small, over the transposed per-hub-vertex bitmaps, for
-        // the hubby smalls (≥ 3 hub members) — identical plane
-        // arithmetic to the staged pass; the smalls' hub memberships
-        // come back out of the posting lists (which hold exactly the
-        // 3 ≤ size ≤ SMALL_FULL cliques).
+        // the hubby smalls (≥ 3 hub members); the smalls' hub
+        // memberships come back out of the posting lists (which hold
+        // exactly the 3 ≤ size ≤ SMALL_FULL cliques).
         // CSR of hub bits per small clique, rebuilt from the postings.
         let mut hub_off = vec![0u32; count + 1];
         for b in 0..hubs {
@@ -1843,9 +1804,10 @@ impl AlmostFused {
     }
 
     /// The fallback big×big scan (hub space > 256): 256-bit member
-    /// blooms guard an early-abort sorted merge, exactly as in the
-    /// staged prepass (big×small was already counted by the streaming
-    /// mixed scan).
+    /// blooms guard an early-abort sorted merge — a member of x absent
+    /// from y contributes at most one bit to `sig(x) & !sig(y)`, so the
+    /// stray-bit test never rejects a qualifying pair (big×small was
+    /// already counted by the streaming mixed scan).
     fn finish_pairs_fallback(&mut self, _sizes: &[u32]) {
         let nb = self.big_ords.len();
         if nb < 2 {
@@ -1880,7 +1842,7 @@ impl AlmostFused {
                 }
                 let by = order[yi];
                 let other = &self.big_members[self.big_offsets[by]..self.big_offsets[by + 1]];
-                if let Some(d) = crate::mode::missing_at_most(members, other, MISS_DEPTH) {
+                if let Some(d) = missing_at_most(members, other, MISS_DEPTH) {
                     let level = (s - d + 1).min(s).max(2);
                     self.strata
                         .push(level, (self.big_ords[by], self.big_ords[bx]));
@@ -1904,10 +1866,9 @@ impl AlmostFused {
     /// cached-root trick is dropped here (roots move under concurrent
     /// unions); `ConcurrentDsu::union` resolves both sides itself.
     ///
-    /// The > 256-hub fallback and the (statically dead) deep-miss
-    /// configuration delegate to the sequential pass: both are rare and
-    /// emit into ordered strata, which parallel workers could not do
-    /// without a reassembly stage of their own.
+    /// The > 256-hub fallback delegates to the sequential pass: it is
+    /// rare and emits into ordered strata, which parallel workers could
+    /// not do without a reassembly stage of their own.
     fn finish_pairs_parallel(
         &mut self,
         sizes: &[u32],
@@ -1915,7 +1876,7 @@ impl AlmostFused {
         workers: usize,
         cancel: Option<&CancelToken>,
     ) {
-        if self.fallback || MISS_DEPTH > 7 {
+        if self.fallback {
             self.finish_pairs(sizes);
             return;
         }
@@ -2102,12 +2063,61 @@ impl AlmostFused {
     }
 }
 
-/// Fused percolation of `g` in `mode`: enumeration streams straight
-/// into the percolation engine — one pass, no clique list.
+/// Clique percolation of `g` (exact mode, on the calling thread): the
+/// communities of every `k` from 2 to the largest clique size and their
+/// tree links. Enumeration streams straight into the engine — one
+/// pass, no clique list. [`percolate_parallel`] runs the same engine on
+/// the worker pool and is bit-identical at every worker count.
 ///
-/// The community covers (and parents) equal
-/// [`crate::percolate_mode`]'s at every level; `clique_ids` use stream
-/// ordinals instead of canonical ids (see the module docs).
+/// # Example
+///
+/// ```
+/// use asgraph::Graph;
+///
+/// // Two triangles sharing the edge {1, 2}: one 3-clique community.
+/// let g = Graph::from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
+/// let result = cpm::percolate(&g);
+/// assert_eq!(result.k_max(), Some(3));
+/// let level3 = result.level(3).unwrap();
+/// assert_eq!(level3.communities.len(), 1);
+/// assert_eq!(level3.communities[0].members, vec![0, 1, 2, 3]);
+/// ```
+pub fn percolate(g: &Graph) -> CpmResult {
+    percolate_parallel(g, 1, Mode::Exact)
+}
+
+/// The exact k-clique communities of a single level, without building
+/// the other levels. Returns sorted member lists, sorted; empty when
+/// `k < 2` or no clique reaches size `k`.
+///
+/// # Example
+///
+/// ```
+/// use asgraph::Graph;
+///
+/// let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]);
+/// let comms = cpm::percolate_at(&g, 3);
+/// assert_eq!(comms, vec![vec![0, 1, 2], vec![2, 3, 4]]);
+/// ```
+pub fn percolate_at(g: &Graph, k: usize) -> Vec<Vec<NodeId>> {
+    if k < 2 {
+        return Vec::new();
+    }
+    let mut p = FusedPercolator::new(g.node_count(), Mode::Exact);
+    cliques::consume_max_cliques(g, Kernel::Auto, &mut p);
+    p.finish_at(k)
+}
+
+/// Percolation in `mode` with pool-parallel enumeration *and* finish:
+/// producers enumerate work-stolen chunks and fold them into the
+/// engine in sequential order, then the finish-time phases (pair
+/// detection, sweep, extraction) chunk over the same pool —
+/// bit-identical to [`percolate`] (for [`Mode::Exact`]) at every worker
+/// count.
+///
+/// # Panics
+///
+/// Panics if `threads` is a fixed count of 0.
 ///
 /// # Example
 ///
@@ -2115,61 +2125,18 @@ impl AlmostFused {
 /// use asgraph::Graph;
 /// use cpm::Mode;
 ///
-/// let g = Graph::from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
-/// let fused = cpm::percolate_fused(&g, Mode::Exact);
-/// let staged = cpm::percolate(&g);
-/// assert_eq!(fused.k_max(), staged.k_max());
-/// assert_eq!(
-///     fused.level(3).unwrap().communities[0].members,
-///     staged.level(3).unwrap().communities[0].members,
-/// );
+/// let g = Graph::complete(6);
+/// assert_eq!(cpm::percolate(&g), cpm::percolate_parallel(&g, 4, Mode::Exact));
 /// ```
-pub fn percolate_fused(g: &Graph, mode: Mode) -> FusedCpmResult {
-    percolate_fused_with_kernel(g, Kernel::Auto, mode)
-}
-
-/// [`percolate_fused`] with an explicit enumeration [`Kernel`]. Every
-/// kernel yields a bit-identical result.
-pub fn percolate_fused_with_kernel(g: &Graph, kernel: Kernel, mode: Mode) -> FusedCpmResult {
-    let mut p = FusedPercolator::new(g.node_count(), mode);
-    cliques::consume_max_cliques(g, kernel, &mut p);
-    p.finish()
-}
-
-/// [`percolate_fused`] with its [`FusedPhases`] wall-clock breakdown —
-/// the hook behind the bench fused phase rows.
-pub fn percolate_fused_phases(g: &Graph, mode: Mode) -> (FusedCpmResult, FusedPhases) {
-    let mut phases = FusedPhases::default();
-    let mut p = FusedPercolator::new(g.node_count(), mode);
-    let t = std::time::Instant::now();
-    cliques::consume_max_cliques(g, Kernel::Auto, &mut p);
-    phases.consume = t.elapsed();
-    let result = p.finish_phases(&mut phases);
-    (result, phases)
-}
-
-/// Fused percolation with pool-parallel enumeration *and* finish:
-/// producers enumerate work-stolen chunks and fold them into the
-/// engine in sequential order, then the finish-time phases (pair
-/// detection, sweep, extraction) chunk over the same pool —
-/// bit-identical to [`percolate_fused`] at every worker count.
-///
-/// # Panics
-///
-/// Panics if `threads` is a fixed count of 0.
-pub fn percolate_fused_parallel(
-    g: &Graph,
-    threads: impl Into<Threads>,
-    mode: Mode,
-) -> FusedCpmResult {
+pub fn percolate_parallel(g: &Graph, threads: impl Into<Threads>, mode: Mode) -> CpmResult {
     let threads = entry_threads(threads.into(), g, mode);
     let mut p = FusedPercolator::new(g.node_count(), mode);
     cliques::parallel::consume_max_cliques_parallel(g, threads, Kernel::Auto, &mut p);
     p.finish_parallel(threads)
 }
 
-/// [`percolate_fused_parallel`] with the [`FusedPhases`] wall-clock
-/// breakdown — the multi-worker twin of [`percolate_fused_phases`].
+/// [`percolate_parallel`] with the [`FusedPhases`] wall-clock breakdown
+/// — the hook behind the bench fused phase rows.
 ///
 /// # Panics
 ///
@@ -2178,7 +2145,7 @@ pub fn percolate_fused_phases_parallel(
     g: &Graph,
     threads: impl Into<Threads>,
     mode: Mode,
-) -> (FusedCpmResult, FusedPhases) {
+) -> (CpmResult, FusedPhases) {
     percolate_fused_phases_probed(g, threads, mode, &mut |_| {})
 }
 
@@ -2195,7 +2162,7 @@ pub fn percolate_fused_phases_probed(
     threads: impl Into<Threads>,
     mode: Mode,
     observe: &mut dyn FnMut(&'static str),
-) -> (FusedCpmResult, FusedPhases) {
+) -> (CpmResult, FusedPhases) {
     let threads = entry_threads(threads.into(), g, mode);
     let mut phases = FusedPhases::default();
     let mut p = FusedPercolator::new(g.node_count(), mode);
@@ -2210,21 +2177,22 @@ pub fn percolate_fused_phases_probed(
 }
 
 /// The shared `Threads::Auto` work-volume grain of the percolate entry
-/// points ([`crate::parallel::ALMOST_AUTO_EDGES_PER_WORKER`]): below
-/// the crossover, `auto` runs the whole fused pipeline on one worker
-/// instead of letting the enumerator fan out for a graph whose
-/// percolation cannot amortise it.
+/// points ([`ALMOST_AUTO_EDGES_PER_WORKER`]): below the crossover,
+/// `auto` runs the whole almost-mode pipeline on one worker instead of
+/// letting the enumerator fan out for a graph whose percolation cannot
+/// amortise it.
 fn entry_threads(threads: Threads, g: &Graph, mode: Mode) -> Threads {
     match mode {
-        Mode::Almost => crate::parallel::almost_auto_threads(threads, g),
+        Mode::Almost => almost_auto_threads(threads, g),
         Mode::Exact => threads,
     }
 }
 
-/// [`percolate_fused_parallel`] with an explicit [`Kernel`] and a
+/// [`percolate_parallel`] with an explicit enumeration [`Kernel`] and a
 /// [`CancelToken`] polled between emitted chunks and at every
 /// finish-time chunk claim, for the CLI and the daemon: cancellation
-/// leaves the pool reusable and discards the partial consumer.
+/// leaves the pool reusable and discards the partial consumer. Every
+/// kernel yields a bit-identical result.
 ///
 /// # Errors
 ///
@@ -2239,7 +2207,7 @@ pub fn percolate_fused_cancellable(
     kernel: Kernel,
     cancel: &CancelToken,
     mode: Mode,
-) -> Result<FusedCpmResult, Cancelled> {
+) -> Result<CpmResult, Cancelled> {
     let threads = entry_threads(threads.into(), g, mode);
     let mut p = FusedPercolator::new(g.node_count(), mode);
     cliques::parallel::consume_max_cliques_parallel_cancellable(
@@ -2248,32 +2216,11 @@ pub fn percolate_fused_cancellable(
     p.finish_cancellable(threads, cancel)
 }
 
-/// Fused single-level percolation: sorted member lists, sorted —
-/// byte-identical to the staged [`crate::percolate_at_mode`] (and, for
-/// [`Mode::Exact`], to sorted [`crate::percolate_at`]).
-pub fn percolate_at_fused(g: &Graph, k: usize, mode: Mode) -> Vec<Vec<NodeId>> {
-    percolate_at_fused_with_kernel(g, k, Kernel::Auto, mode)
-}
-
-/// [`percolate_at_fused`] with an explicit enumeration [`Kernel`].
-pub fn percolate_at_fused_with_kernel(
-    g: &Graph,
-    k: usize,
-    kernel: Kernel,
-    mode: Mode,
-) -> Vec<Vec<NodeId>> {
-    if k < 2 {
-        return Vec::new();
-    }
-    let mut p = FusedPercolator::new(g.node_count(), mode);
-    cliques::consume_max_cliques(g, kernel, &mut p);
-    p.finish_at(k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{percolate_at, percolate_at_mode, percolate_mode};
+    use crate::divergence;
+    use crate::naive::naive_communities;
     use proptest::prelude::*;
 
     fn random_graph(n: u32, p: f64, seed: u64) -> Graph {
@@ -2290,110 +2237,104 @@ mod tests {
         b.build()
     }
 
-    /// Sorted member lists per level, sorted within the level — the
-    /// order-independent view shared by fused and staged results.
-    fn covers(levels: &[KLevel]) -> Vec<(u32, Vec<Vec<NodeId>>)> {
-        levels
-            .iter()
-            .map(|l| {
-                let mut ms: Vec<_> = l.communities.iter().map(|c| c.members.clone()).collect();
-                ms.sort_unstable();
-                (l.k, ms)
-            })
-            .collect()
+    /// The sequential engine with an explicit kernel.
+    fn run(g: &Graph, kernel: Kernel, mode: Mode) -> CpmResult {
+        let mut p = FusedPercolator::new(g.node_count(), mode);
+        cliques::consume_max_cliques(g, kernel, &mut p);
+        p.finish()
     }
 
-    /// One `(child cover, parent cover)` link of the relation below.
-    type ParentLink = (Vec<NodeId>, Vec<NodeId>);
-
-    /// Parent links as a member-set relation: child cover → parent
-    /// cover at the next lower level. Community order differs between
-    /// the pipelines, so indices cannot be compared directly; the
-    /// relation can.
-    fn parent_relation(levels: &[KLevel]) -> Vec<(u32, Vec<ParentLink>)> {
-        let mut out = Vec::new();
-        for w in levels.windows(2) {
-            let (lower, upper) = (&w[0], &w[1]);
-            let mut rel: Vec<_> = upper
-                .communities
-                .iter()
-                .map(|c| {
-                    let p = c.parent.expect("every community has a parent below k_max");
-                    (
-                        c.members.clone(),
-                        lower.communities[p as usize].members.clone(),
-                    )
-                })
-                .collect();
-            rel.sort_unstable();
-            (out).push((upper.k, rel));
-        }
-        out
+    /// The single-level path in `mode`.
+    fn run_at(g: &Graph, k: usize, mode: Mode) -> Vec<Vec<NodeId>> {
+        let mut p = FusedPercolator::new(g.node_count(), mode);
+        cliques::consume_max_cliques(g, Kernel::Auto, &mut p);
+        p.finish_at(k)
     }
 
+    /// Sorted member lists of level `k`, sorted — the order-independent
+    /// view the oracles produce.
+    fn cover_at(r: &CpmResult, k: usize) -> Vec<Vec<NodeId>> {
+        let mut ms: Vec<_> = r
+            .level(k as u32)
+            .map(|l| l.communities.iter().map(|c| c.members.clone()).collect())
+            .unwrap_or_default();
+        ms.sort_unstable();
+        ms
+    }
+
+    /// Every community's parent at the level below contains it, and
+    /// every community's clique ids are sorted, non-empty ordinals.
     #[track_caller]
-    fn assert_matches_staged(g: &Graph, mode: Mode) {
-        let fused = percolate_fused(g, mode);
-        let staged = percolate_mode(g, mode);
-        assert_eq!(fused.clique_count, staged.cliques.len(), "clique census");
-        assert_eq!(
-            covers(&fused.levels),
-            covers(&staged.levels),
-            "{mode} covers"
-        );
-        assert_eq!(
-            parent_relation(&fused.levels),
-            parent_relation(&staged.levels),
-            "{mode} parent relation"
-        );
-        // Stream ordinals are a permutation of the canonical ids: both
-        // label the same census, and each community's clique_ids stay
-        // sorted ascending and non-empty.
-        for level in &fused.levels {
+    fn assert_well_formed(r: &CpmResult) {
+        for w in r.levels.windows(2) {
+            let (lower, upper) = (&w[0], &w[1]);
+            for c in &upper.communities {
+                let p = c.parent.expect("every community has a parent below k_max");
+                let parent = &lower.communities[p as usize];
+                assert!(c.members.iter().all(|&v| parent.contains(v)));
+            }
+        }
+        for level in &r.levels {
             for c in &level.communities {
                 assert!(!c.clique_ids.is_empty());
                 assert!(c.clique_ids.windows(2).all(|w| w[0] < w[1]));
                 assert!(c
                     .clique_ids
                     .iter()
-                    .all(|&id| (id as usize) < fused.clique_count));
+                    .all(|&id| (id as usize) < r.clique_count));
             }
         }
     }
 
+    /// Both modes agree with the literal definition at every level (and
+    /// one above the top), through the all-k sweep and the single-level
+    /// path alike, and the almost result refines the exact one with
+    /// zero divergence.
     #[track_caller]
-    fn assert_at_matches_staged(g: &Graph, mode: Mode) {
-        let k_hi = percolate_fused(g, mode).k_max().unwrap_or(1);
-        for k in 2..=(k_hi as usize + 1) {
-            let fused = percolate_at_fused(g, k, mode);
-            let staged = percolate_at_mode(g, k, mode);
-            assert_eq!(fused, staged, "{mode} k = {k}");
-            if mode == Mode::Exact {
-                let mut plain = percolate_at(g, k);
-                plain.sort_unstable();
-                assert_eq!(fused, plain, "exact baseline k = {k}");
+    fn assert_matches_naive(g: &Graph) {
+        let exact = run(g, Kernel::Auto, Mode::Exact);
+        let almost = run(g, Kernel::Auto, Mode::Almost);
+        assert_well_formed(&exact);
+        assert_well_formed(&almost);
+        assert!(divergence(&exact, &almost).is_zero());
+        assert_eq!(exact.clique_count, cliques::max_cliques(g).len());
+        for k in 2..=exact.k_max().unwrap_or(1) as usize + 1 {
+            let expected = naive_communities(g, k);
+            for (mode, r) in [(Mode::Exact, &exact), (Mode::Almost, &almost)] {
+                assert_eq!(cover_at(r, k), expected, "{mode} k = {k}");
+                assert_eq!(run_at(g, k, mode), expected, "{mode} single k = {k}");
             }
         }
     }
 
+    /// The all-k sweep and the single-level path in `mode` against
+    /// covers known by construction (the literal definition is too slow
+    /// on K15+).
+    #[track_caller]
+    fn assert_covers(g: &Graph, mode: Mode, expected: &[(usize, Vec<Vec<NodeId>>)]) {
+        let r = run(g, Kernel::Auto, mode);
+        assert_well_formed(&r);
+        assert_eq!(r.k_max(), expected.last().map(|(k, _)| *k as u32));
+        for (k, cover) in expected {
+            assert_eq!(&cover_at(&r, *k), cover, "{mode} k = {k}");
+            assert_eq!(&run_at(g, *k, mode), cover, "{mode} single k = {k}");
+        }
+    }
+
     #[test]
-    fn fused_matches_staged_on_random_graphs() {
+    fn fused_matches_definition_on_random_graphs() {
         for (n, p, seed) in [(40, 0.25, 1), (60, 0.15, 9), (80, 0.1, 4), (30, 0.5, 7)] {
-            let g = random_graph(n, p, seed);
-            for mode in [Mode::Exact, Mode::Almost] {
-                assert_matches_staged(&g, mode);
-                assert_at_matches_staged(&g, mode);
-            }
+            assert_matches_naive(&random_graph(n, p, seed));
         }
     }
 
     #[test]
-    fn fused_matches_staged_with_big_cliques() {
+    fn fused_handles_big_cliques() {
         // Cliques above SMALL_FULL force the hub-bitmap big paths:
-        // three K20s chained with 4-vertex overlaps, plus a sparse halo.
+        // three K20s chained with 4-vertex overlaps, plus a halo of
+        // triangles {2, v, v+1} (v = 52..57) and the edge {58, 59}.
         let mut b = asgraph::GraphBuilder::with_nodes(60);
-        for (base, step) in [(0u32, 16u32), (16, 16), (32, 16)] {
-            let _ = step;
+        for base in [0u32, 16, 32] {
             for u in base..base + 20 {
                 for v in (u + 1)..base + 20 {
                     b.add_edge(u, v);
@@ -2405,14 +2346,31 @@ mod tests {
             b.add_edge(2, v);
         }
         let g = b.build();
-        for mode in [Mode::Exact, Mode::Almost] {
-            assert_matches_staged(&g, mode);
-            assert_at_matches_staged(&g, mode);
+        let range = |a: u32, b: u32| (a..b).collect::<Vec<NodeId>>();
+        let mut halo = vec![2];
+        halo.extend(52..59);
+        let mut expected = vec![
+            (2, vec![range(0, 60)]),
+            (3, vec![range(0, 52), halo]),
+            (4, vec![range(0, 52)]),
+            (5, vec![range(0, 52)]),
+        ];
+        for k in 6..=20 {
+            expected.push((k, vec![range(0, 20), range(16, 36), range(32, 52)]));
         }
+        assert_covers(&g, Mode::Exact, &expected);
+        // Almost mode's documented blind spot: a big×big overlap missing
+        // more than MISS_DEPTH members of the smaller side (4 of 20
+        // shared here) splits k = 4 and 5, where exact merges.
+        for (k, cover) in &mut expected[2..4] {
+            assert!(*k == 4 || *k == 5);
+            *cover = vec![range(0, 20), range(16, 36), range(32, 52)];
+        }
+        assert_covers(&g, Mode::Almost, &expected);
     }
 
     #[test]
-    fn fused_matches_staged_in_hub_overflow_fallback() {
+    fn fused_handles_hub_overflow_fallback() {
         // 25 K15 blocks, consecutive blocks sharing 3 vertices: 303
         // distinct big-clique members blow the 256-hub budget, so the
         // almost engine must switch to the fallback arena mid-stream
@@ -2429,23 +2387,28 @@ mod tests {
             }
         }
         let g = b.build();
-        for mode in [Mode::Exact, Mode::Almost] {
-            assert_matches_staged(&g, mode);
-            assert_at_matches_staged(&g, mode);
-        }
+        let all: Vec<NodeId> = (0..n).collect();
+        let each: Vec<Vec<NodeId>> = (0..blocks)
+            .map(|i| (12 * i..12 * i + 15).collect())
+            .collect();
+        let mut expected: Vec<(usize, Vec<Vec<NodeId>>)> =
+            (2..=4).map(|k| (k, vec![all.clone()])).collect();
+        expected.extend((5..=15).map(|k| (k, each.clone())));
+        assert_covers(&g, Mode::Exact, &expected);
+        // Almost mode: the 3-vertex big×big overlaps are out of
+        // MISS_DEPTH reach, so k = 4 splits into the blocks (the edge
+        // keys still join them at k ≤ 3).
+        expected[2].1 = each;
+        assert_covers(&g, Mode::Almost, &expected);
     }
 
     #[test]
     fn fused_is_identical_across_kernels() {
         let g = random_graph(70, 0.12, 21);
         for mode in [Mode::Exact, Mode::Almost] {
-            let auto = percolate_fused_with_kernel(&g, Kernel::Auto, mode);
+            let auto = run(&g, Kernel::Auto, mode);
             for kernel in [Kernel::Bitset, Kernel::Merge] {
-                assert_eq!(
-                    auto,
-                    percolate_fused_with_kernel(&g, kernel, mode),
-                    "{mode} kernel {kernel}"
-                );
+                assert_eq!(auto, run(&g, kernel, mode), "{mode} kernel {kernel}");
             }
         }
     }
@@ -2456,74 +2419,124 @@ mod tests {
         let isolated = Graph::from_edges(3, std::iter::empty::<(u32, u32)>());
         let one_edge = Graph::from_edges(2, [(0, 1)]);
         for mode in [Mode::Exact, Mode::Almost] {
-            let r = percolate_fused(&empty, mode);
+            let r = run(&empty, Kernel::Auto, mode);
             assert_eq!(r.clique_count, 0);
             assert!(r.levels.is_empty());
 
             // Isolated vertices are maximal 1-cliques: counted, but no
             // level reaches k = 2.
-            let r = percolate_fused(&isolated, mode);
+            let r = run(&isolated, Kernel::Auto, mode);
             assert_eq!(r.clique_count, 3);
             assert!(r.levels.is_empty());
-            assert!(percolate_at_fused(&isolated, 2, mode).is_empty());
+            assert!(run_at(&isolated, 2, mode).is_empty());
 
-            let r = percolate_fused(&one_edge, mode);
+            let r = run(&one_edge, Kernel::Auto, mode);
             assert_eq!(r.clique_count, 1);
-            assert_eq!(
-                covers(&r.levels),
-                covers(&percolate_mode(&one_edge, mode).levels)
-            );
+            assert_eq!(cover_at(&r, 2), vec![vec![0, 1]]);
 
-            assert!(percolate_at_fused(&one_edge, 0, mode).is_empty());
-            assert!(percolate_at_fused(&one_edge, 1, mode).is_empty());
+            assert!(run_at(&one_edge, 0, mode).is_empty());
+            assert!(run_at(&one_edge, 1, mode).is_empty());
         }
     }
 
     #[test]
     fn phases_account_for_the_whole_run() {
         let g = random_graph(50, 0.2, 3);
-        let (result, phases) = percolate_fused_phases(&g, Mode::Almost);
-        assert_eq!(
-            covers(&result.levels),
-            covers(&percolate_mode(&g, Mode::Almost).levels)
-        );
-        assert!(phases.consume > std::time::Duration::ZERO);
+        let (result, phases) = percolate_fused_phases_parallel(&g, 1, Mode::Almost);
+        assert_eq!(result, run(&g, Kernel::Auto, Mode::Almost));
+        assert!(phases.consume > Duration::ZERO);
     }
 
     #[test]
-    fn pipeline_flag_round_trips() {
-        assert_eq!("fused".parse::<Pipeline>().unwrap(), Pipeline::Fused);
-        assert_eq!("staged".parse::<Pipeline>().unwrap(), Pipeline::Staged);
-        assert_eq!(Pipeline::default(), Pipeline::Fused);
-        assert_eq!(Pipeline::Fused.to_string(), "fused");
-        assert!("eager".parse::<Pipeline>().is_err());
+    #[should_panic(expected = "at least one thread")]
+    fn zero_threads_panics() {
+        let g = Graph::complete(3);
+        let _ = percolate_parallel(&g, 0, Mode::Exact);
+    }
+
+    #[test]
+    fn auto_never_fans_out_below_the_percolate_crossover() {
+        // Sub-crossover substrate (sparse300-sized): auto must snap to
+        // one worker at the entry point, while fixed counts are always
+        // honoured and a super-crossover graph keeps auto's per-phase
+        // sizing.
+        let small = random_graph(300, 0.05, 7);
+        assert!(small.edge_count() < 2 * ALMOST_AUTO_EDGES_PER_WORKER);
+        assert_eq!(
+            almost_auto_threads(Threads::Auto, &small),
+            Threads::Fixed(1)
+        );
+        assert_eq!(
+            almost_auto_threads(Threads::Fixed(4), &small),
+            Threads::Fixed(4)
+        );
+        // Exact mode never applies the almost-mode clamp.
+        assert_eq!(
+            entry_threads(Threads::Auto, &small, Mode::Exact),
+            Threads::Auto
+        );
+        assert_eq!(
+            entry_threads(Threads::Auto, &small, Mode::Almost),
+            Threads::Fixed(1)
+        );
+        let big = random_graph(300, 0.4, 7);
+        assert!(big.edge_count() >= 2 * ALMOST_AUTO_EDGES_PER_WORKER);
+        if exec::available_parallelism() > 1 {
+            assert_eq!(almost_auto_threads(Threads::Auto, &big), Threads::Auto);
+        } else {
+            // One hardware thread: auto resolves to one worker above
+            // the crossover too, and the clamp just makes it explicit.
+            assert_eq!(almost_auto_threads(Threads::Auto, &big), Threads::Fixed(1));
+        }
+    }
+
+    #[test]
+    fn small_full_is_the_largest_fully_countable_size() {
+        // SMALL_FULL is exactly the largest size whose every binomial
+        // stays under the cap — the size class whose pairwise overlaps
+        // the counting pass can afford to resolve exactly.
+        assert!((1..=SMALL_FULL).all(|l| binomial(SMALL_FULL, l) <= SUBSET_CAP));
+        assert!(binomial(SMALL_FULL + 1, SMALL_FULL.div_ceil(2)) > SUBSET_CAP);
+    }
+
+    #[test]
+    fn key_gates_follow_the_emission_budget() {
+        // The streaming vertex/edge key gates are the emission gate
+        // evaluated at l = 1 and l = 2; nothing above KEY_MAX_L is keyed.
+        for s in 0..=200usize {
+            assert_eq!(emits(s, 1), (1..=VERTEX_KEY_MAX_S).contains(&s), "s = {s}");
+            assert_eq!(emits(s, 2), (2..=EDGE_KEY_MAX_S).contains(&s), "s = {s}");
+            assert!(!emits(s, KEY_MAX_L + 1), "s = {s}");
+        }
+    }
+
+    #[test]
+    fn missing_at_most_stops_past_the_budget() {
+        assert_eq!(missing_at_most(&[1, 2, 3], &[1, 2, 3, 4], 0), Some(0));
+        assert_eq!(missing_at_most(&[1, 5, 9], &[1, 2, 3], 2), Some(2));
+        assert_eq!(missing_at_most(&[1, 5, 9], &[1, 2, 3], 1), None);
+        assert_eq!(missing_at_most(&[], &[1], 0), Some(0));
     }
 
     /// Small random soups keep proptest throughput high while still
     /// exercising every streaming gate (vertex keys, edge keys, small
-    /// counting) — the presets above pin the big-clique paths.
+    /// counting) — the fixtures above pin the big-clique paths.
     fn edge_soup(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
         proptest::collection::vec((0..n, 0..n), 0..max_edges)
     }
 
     proptest! {
-        /// Fused ≡ staged on random graphs: covers and parent relation
-        /// at every level, and byte-identical single-k extraction, for
-        /// both modes.
+        /// Both modes ≡ the literal definition on random graphs, every
+        /// level, through the all-k sweep and the single-level path.
         #[test]
-        fn fused_equals_staged_on_soups(edges in edge_soup(16, 60)) {
+        fn fused_matches_definition_on_soups(edges in edge_soup(16, 60)) {
             let g = Graph::from_edges(16, edges);
             for mode in [Mode::Exact, Mode::Almost] {
-                let fused = percolate_fused(&g, mode);
-                let staged = percolate_mode(&g, mode);
-                prop_assert_eq!(fused.clique_count, staged.cliques.len());
-                prop_assert_eq!(covers(&fused.levels), covers(&staged.levels));
-                for k in 2..=6usize {
-                    prop_assert_eq!(
-                        percolate_at_fused(&g, k, mode),
-                        percolate_at_mode(&g, k, mode),
-                        "mode {} k {}", mode, k
-                    );
+                let r = run(&g, Kernel::Auto, mode);
+                for k in 2..=r.k_max().unwrap_or(1) as usize + 1 {
+                    let expected = naive_communities(&g, k);
+                    prop_assert_eq!(&cover_at(&r, k), &expected, "mode {} k {}", mode, k);
+                    prop_assert_eq!(&run_at(&g, k, mode), &expected, "mode {} k {}", mode, k);
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! Disjoint-set union (union–find) with union by rank and path halving.
 //!
-//! The percolation sweep of [`crate::percolation`] performs one monotone
+//! The percolation sweep of [`crate::consume`] performs one monotone
 //! pass over a single DSU: sets only ever merge as `k` decreases, which is
 //! exactly the regime where union–find is (inverse-Ackermann) optimal.
 

@@ -1,6 +1,6 @@
 //! Lock-free disjoint-set union over atomic parent pointers.
 //!
-//! The parallel multi-k sweep ([`crate::parallel`]) drains each overlap
+//! The pool-parallel finish of [`crate::FusedPercolator`] drains each
 //! stratum with several workers hammering one union–find. This is the
 //! classic CAS-based structure (Anderson & Woll's lock-free union–find,
 //! as used by every parallel connected-components kernel since):

@@ -9,17 +9,23 @@
 //! theorem the paper proves in §3.1 and turns into its *k-clique community
 //! tree*.
 //!
-//! This crate computes the communities of **every** k in a single
-//! descending sweep ([`percolate`]), emitting the nesting links as it
-//! goes, and provides the multi-threaded pipeline of the companion
-//! "Lightweight Parallel CPM" paper ([`parallel::percolate_parallel`]).
-//! The literal definition is also implemented ([`naive`]) and used as a
-//! cross-validation oracle in the property tests.
+//! This crate has one percolation engine, [`FusedPercolator`]: maximal
+//! cliques stream into it as Bron–Kerbosch emits them, and a single
+//! descending-`k` sweep yields the communities of **every** k together
+//! with the nesting links (see [`consume`]). [`percolate`] runs it on
+//! the calling thread, [`percolate_parallel`] on the persistent worker
+//! pool (the companion "Lightweight Parallel CPM" paper's insight:
+//! enumeration and pair detection parallelise, the sweep is cheap), and
+//! [`Mode::Almost`] swaps pairwise overlap counting for hashed
+//! (k−1)-clique keys. The literal definition is also implemented
+//! ([`naive`]) and used as a cross-validation oracle in the property
+//! tests.
 //!
 //! # Example
 //!
 //! ```
 //! use asgraph::Graph;
+//! use cpm::Mode;
 //!
 //! // Two overlapping K4s sharing a triangle.
 //! let g = Graph::from_edges(
@@ -31,6 +37,8 @@
 //! // They merge into a single 4-clique community covering all 5 nodes.
 //! assert_eq!(result.level(4).unwrap().communities.len(), 1);
 //! assert_eq!(result.level(4).unwrap().communities[0].members.len(), 5);
+//! // Every mode and worker count gives the same communities here.
+//! assert_eq!(result, cpm::percolate_parallel(&g, 2, Mode::Almost));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,39 +48,19 @@ pub mod consume;
 pub mod directed;
 mod dsu;
 mod dsu_concurrent;
-pub mod mode;
+mod mode;
 pub mod naive;
-pub mod overlap;
-pub mod parallel;
-mod percolation;
 mod result;
 pub mod scp;
 mod snapshot;
-mod sweep;
 pub mod weighted;
 
 pub use consume::{
-    percolate_at_fused, percolate_at_fused_with_kernel, percolate_fused,
-    percolate_fused_cancellable, percolate_fused_parallel, percolate_fused_phases,
-    percolate_fused_phases_parallel, percolate_fused_phases_probed, percolate_fused_with_kernel,
-    FusedCpmResult, FusedPercolator, FusedPhases, Pipeline,
+    percolate, percolate_at, percolate_fused_cancellable, percolate_fused_phases_parallel,
+    percolate_fused_phases_probed, percolate_parallel, FusedPercolator, FusedPhases,
 };
 pub use dsu::Dsu;
 pub use dsu_concurrent::ConcurrentDsu;
-pub use mode::{
-    divergence, percolate_almost_phases, percolate_at_mode, percolate_mode,
-    percolate_with_cliques_mode, AlmostPhases, Divergence, LevelDivergence, Mode,
-};
-pub use overlap::{
-    build_vertex_index, build_vertex_index_min_size, overlap_edges, overlap_edges_with,
-    OverlapEdge, VertexCliqueIndex,
-};
-pub use percolation::{
-    percolate, percolate_at, percolate_at_with_kernel, percolate_with_cliques,
-    percolate_with_cliques_kernel, percolate_with_kernel,
-};
+pub use mode::{divergence, Divergence, LevelDivergence, Mode};
 pub use result::{canonical_members, Community, CommunityId, CpmResult, KLevel};
 pub use snapshot::{SnapCommunity, SnapLevel, SnapshotIndex, SNAPSHOT_MAGIC};
-pub use sweep::{
-    overlap_strata, overlap_strata_min, overlap_strata_with, percolate_from_strata, OverlapStrata,
-};

@@ -1,7 +1,6 @@
 //! Result types: per-k community covers and the nesting (tree) links.
 
 use asgraph::NodeId;
-use cliques::CliqueSet;
 
 /// Canonicalises a community member list: sorts ascending and removes
 /// duplicates (a node appears once however many of the community's
@@ -43,8 +42,9 @@ impl std::fmt::Display for CommunityId {
 pub struct Community {
     /// Sorted member vertices.
     pub members: Vec<NodeId>,
-    /// Ids (into [`CpmResult::cliques`]) of the maximal cliques of size ≥ k
-    /// whose union this community is.
+    /// Stream ordinals of the maximal cliques of size ≥ k whose union
+    /// this community is: each clique's position in the deterministic
+    /// sequential enumeration order (`cliques::max_cliques`), ascending.
     pub clique_ids: Vec<u32>,
     /// Index of the unique (k−1)-clique community containing this one
     /// (Theorem 1 of the paper). `None` only at the bottom level `k = 2`.
@@ -105,15 +105,16 @@ pub struct KLevel {
 /// every `k` from 2 to the maximum clique size, with parent links forming
 /// the k-clique community tree.
 ///
-/// Produced by [`crate::percolate`] /
-/// [`crate::percolate_with_cliques`].
-#[derive(Debug, Clone)]
+/// Produced by [`crate::percolate`] and the other entry points of the
+/// fused engine ([`crate::FusedPercolator`]).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CpmResult {
-    /// The maximal cliques the percolation ran on.
-    pub cliques: CliqueSet,
     /// Levels for `k = 2..=k_max`, ascending. Empty if the graph has no
     /// edge.
     pub levels: Vec<KLevel>,
+    /// Total maximal cliques the percolation consumed (the ordinal
+    /// space of [`Community::clique_ids`]).
+    pub clique_count: usize,
 }
 
 impl CpmResult {
@@ -220,10 +221,7 @@ mod tests {
 
     #[test]
     fn empty_result() {
-        let r = CpmResult {
-            cliques: CliqueSet::new(),
-            levels: Vec::new(),
-        };
+        let r = CpmResult::default();
         assert_eq!(r.k_max(), None);
         assert_eq!(r.total_communities(), 0);
         assert!(r.level(2).is_none());

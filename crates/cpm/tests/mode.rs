@@ -10,8 +10,20 @@
 //! `cargo test --release -p cpm --test mode -- --ignored --nocapture`.
 
 use asgraph::{Graph, NodeId};
-use cpm::{divergence, percolate_at_mode, percolate_mode, CpmResult, Mode};
+use cpm::{divergence, CpmResult, FusedPercolator, Mode};
 use proptest::prelude::*;
+
+/// All-k percolation in `mode` on the worker pool.
+fn percolate_mode(g: &Graph, mode: Mode) -> CpmResult {
+    cpm::percolate_parallel(g, exec::Threads::Auto, mode)
+}
+
+/// Single-level percolation in `mode`: sorted member lists, sorted.
+fn percolate_at_mode(g: &Graph, k: usize, mode: Mode) -> Vec<Vec<NodeId>> {
+    let mut p = FusedPercolator::new(g.node_count(), mode);
+    cliques::consume_max_cliques(g, cliques::Kernel::Auto, &mut p);
+    p.finish_at(k)
+}
 
 fn edge_soup(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(NodeId, NodeId)>> {
     prop::collection::vec((0..n, 0..n), 0..max_edges)
@@ -107,18 +119,19 @@ fn three_way_oracle_on_tiny_internet() {
     }
 }
 
-/// The parallel almost sweep is bit-identical to the sequential one at
-/// every worker count — chunk-ordered key merging makes the first-seen
-/// owner, and therefore the whole result, thread-count-invariant.
+/// The parallel almost engine is bit-identical to the sequential one at
+/// every worker count — the clique stream reaches the engine in
+/// sequential order and the per-level partitions are order-free, so the
+/// whole result is thread-count-invariant.
 #[test]
 fn parallel_almost_is_thread_count_invariant() {
     let topo = topology::generate(&topology::ModelConfig::tiny(42)).expect("valid preset");
     let g = &topo.graph;
-    let sequential = percolate_mode(g, Mode::Almost);
-    for workers in [1usize, 2, 4, 7] {
-        let parallel = cpm::parallel::percolate_parallel_mode(g, workers, Mode::Almost);
+    let sequential = cpm::percolate_parallel(g, 1, Mode::Almost);
+    for workers in [2usize, 4, 7] {
+        let parallel = cpm::percolate_parallel(g, workers, Mode::Almost);
         assert_eq!(
-            sequential.levels, parallel.levels,
+            sequential, parallel,
             "{workers} workers diverged from sequential"
         );
     }

@@ -3,7 +3,7 @@
 
 use asgraph::{Graph, NodeId};
 use cpm::naive::naive_communities;
-use cpm::{percolate, CpmResult};
+use cpm::{percolate, CpmResult, Mode};
 use proptest::prelude::*;
 
 fn edge_soup(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(NodeId, NodeId)>> {
@@ -71,12 +71,19 @@ proptest! {
     fn communities_are_clique_unions(edges in edge_soup(14, 50)) {
         let g = Graph::from_edges(14, edges);
         let result = percolate(&g);
+        // Clique ids are stream ordinals — positions in the sequential
+        // enumeration order — recovered here by one more sequential pass.
+        let mut stream: Vec<Vec<NodeId>> = Vec::new();
+        cliques::consume_max_cliques(&g, cliques::Kernel::Auto, &mut |c: &[NodeId]| {
+            stream.push(c.to_vec())
+        });
+        prop_assert_eq!(stream.len(), result.clique_count);
         for (id, c) in result.iter() {
             let k = id.k as usize;
             prop_assert!(c.size() >= k, "community smaller than k");
             let mut union: Vec<NodeId> = Vec::new();
             for &ci in &c.clique_ids {
-                let clique = result.cliques.get(ci as usize);
+                let clique = &stream[ci as usize];
                 prop_assert!(clique.len() >= k);
                 union.extend_from_slice(clique);
             }
@@ -122,41 +129,29 @@ proptest! {
         prop_assert_eq!(cpm::scp::scp_communities(&g, k), cpm::percolate_at(&g, k));
     }
 
-    /// The parallel pipeline agrees with the sequential one.
-    #[test]
-    fn parallel_agrees(edges in edge_soup(14, 50)) {
-        let g = Graph::from_edges(14, edges);
-        let seq = percolate(&g);
-        let par = cpm::parallel::percolate_parallel(&g, 3);
-        prop_assert_eq!(seq.levels.len(), par.levels.len());
-        for k in 2..=seq.k_max().unwrap_or(1) {
-            prop_assert_eq!(cover_at(&seq, k), cover_at(&par, k));
-        }
-    }
-
     /// The pooled parallel pipeline is bit-identical to the sequential
     /// one — full `CpmResult`, tree parents included — at every tested
-    /// worker count, fixed or auto-resolved.
+    /// worker count, fixed or auto-resolved, in both modes.
     #[test]
     fn parallel_is_bit_identical_across_thread_counts(edges in edge_soup(14, 50)) {
         let g = Graph::from_edges(14, edges);
-        let seq = percolate(&g);
-        for threads in [
-            exec::Threads::Fixed(1),
-            exec::Threads::Fixed(2),
-            exec::Threads::Fixed(4),
-            exec::Threads::Fixed(7),
-            exec::Threads::Auto,
-        ] {
-            let par = cpm::parallel::percolate_parallel(&g, threads);
-            prop_assert_eq!(&seq.cliques, &par.cliques, "{} threads", threads);
-            prop_assert_eq!(&seq.levels, &par.levels, "{} threads", threads);
+        prop_assert_eq!(&percolate(&g), &cpm::percolate_parallel(&g, 1, Mode::Exact));
+        for mode in [Mode::Exact, Mode::Almost] {
+            let seq = cpm::percolate_parallel(&g, 1, mode);
+            for threads in [
+                exec::Threads::Fixed(2),
+                exec::Threads::Fixed(4),
+                exec::Threads::Fixed(7),
+                exec::Threads::Auto,
+            ] {
+                let par = cpm::percolate_parallel(&g, threads, mode);
+                prop_assert_eq!(&seq, &par, "{} {} threads", mode, threads);
+            }
         }
     }
 
-    /// The fused single-level path (saturating counts, DSU pruning,
-    /// size-filtered index) finds exactly the covers of the all-k sweep
-    /// and of the literal definition.
+    /// The single-level path finds exactly the covers of the all-k
+    /// sweep and of the literal definition.
     #[test]
     fn percolate_at_agrees_with_sweep_and_definition(edges in edge_soup(14, 50), k in 2usize..6) {
         let g = Graph::from_edges(14, edges);

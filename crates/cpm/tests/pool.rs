@@ -1,16 +1,17 @@
 //! Stress runs of the full parallel pipeline on the persistent pool.
 //!
 //! The DSU stress tests (`tests/dsu.rs`) hammer the union–find alone;
-//! these hammer the whole pool-backed pipeline: many successive
+//! these hammer the whole pool-backed engine: many successive
 //! percolations at shifting worker counts, all through the one global
 //! `exec::Pool`, asserting bit-identity with the sequential result
-//! every time and that the pool's thread set stops growing once the
-//! largest worker count has been seen. Run under `--release`
+//! every time. (The pool's thread census lives in the root
+//! `tests/pool_census.rs`, alone in its binary.) Run under `--release`
 //! (`cargo test --release -p cpm --test pool`) for the CI stress
 //! target — more repeats race harder there.
 
 use asgraph::{Graph, GraphBuilder};
-use exec::{Pool, Threads};
+use cpm::Mode;
+use exec::Threads;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -39,63 +40,28 @@ fn repeated_percolations_stay_bit_identical() {
             // Shift the worker count every round so the pool grows,
             // shrinks its active set, and reuses parked threads.
             let threads = [1usize, 2, 4, 8, 3, 7][round % 6];
-            let par = cpm::parallel::percolate_parallel(g, threads);
-            assert_eq!(
-                reference.cliques, par.cliques,
-                "round {round}, {threads} workers"
-            );
-            assert_eq!(
-                reference.levels, par.levels,
-                "round {round}, {threads} workers"
-            );
+            let par = cpm::percolate_parallel(g, threads, Mode::Exact);
+            assert_eq!(reference, &par, "round {round}, {threads} workers");
         }
     }
 }
 
 #[test]
-fn pool_thread_set_stops_growing() {
-    let g = random_graph(120, 0.15, 99);
-    let reference = cpm::percolate(&g);
-    // Touch the largest worker count once...
-    let par = cpm::parallel::percolate_parallel(&g, 8);
-    assert_eq!(reference.levels, par.levels);
-    let spawned = Pool::global().spawned_threads();
-    // ...then no later call at any smaller or equal count may spawn.
-    for round in 0..REPEATS {
-        for threads in [2usize, 8, 5, 1] {
-            let par = cpm::parallel::percolate_parallel(&g, threads);
-            assert_eq!(reference.levels, par.levels, "round {round}");
-        }
-        assert_eq!(
-            Pool::global().spawned_threads(),
-            spawned,
-            "round {round}: pool spawned new threads for an already-seen worker count"
-        );
-    }
-}
-
-#[test]
-fn mixed_phases_share_one_pool() {
-    // Interleave enumeration-only, strata-only, and full-pipeline jobs:
-    // the phases must not corrupt each other's per-worker scratch.
+fn mixed_jobs_share_one_pool() {
+    // Interleave enumeration-only and full-engine jobs in both modes:
+    // the jobs must not corrupt each other's per-worker scratch.
     let g = random_graph(100, 0.2, 5);
-    let mut cliques = cliques::max_cliques(&g);
-    cliques.canonicalize();
-    let index = cpm::build_vertex_index(&cliques, g.node_count());
-    let flat_strata = cpm::overlap_strata(&cliques, &index);
-    let reference = cpm::percolate(&g);
+    let cliques = cliques::max_cliques(&g);
+    let exact = cpm::percolate(&g);
+    let almost = cpm::percolate_parallel(&g, 1, Mode::Almost);
     for round in 0..REPEATS {
         let threads = [2usize, 4, 7][round % 3];
         let c = cliques::parallel::max_cliques_parallel(&g, threads);
-        assert_eq!(c.len(), cliques.len(), "round {round}");
-        let strata = cpm::parallel::overlap_strata_parallel(&cliques, &index, threads);
-        assert_eq!(
-            strata.edge_count(),
-            flat_strata.edge_count(),
-            "round {round}"
-        );
-        let par = cpm::parallel::percolate_parallel(&g, threads);
-        assert_eq!(reference.levels, par.levels, "round {round}");
+        assert_eq!(c, cliques, "round {round}");
+        let par = cpm::percolate_parallel(&g, threads, Mode::Almost);
+        assert_eq!(almost, par, "round {round}");
+        let par = cpm::percolate_parallel(&g, threads, Mode::Exact);
+        assert_eq!(exact, par, "round {round}");
     }
 }
 
@@ -103,9 +69,10 @@ fn mixed_phases_share_one_pool() {
 fn auto_threads_agree_with_sequential_above_and_below_the_grain() {
     for (n, p, seed) in [(20u32, 0.3, 1u64), (150, 0.12, 2), (60, 0.5, 3)] {
         let g = random_graph(n, p, seed);
-        let seq = cpm::percolate(&g);
-        let auto = cpm::parallel::percolate_parallel(&g, Threads::Auto);
-        assert_eq!(seq.cliques, auto.cliques, "n={n}");
-        assert_eq!(seq.levels, auto.levels, "n={n}");
+        for mode in [Mode::Exact, Mode::Almost] {
+            let seq = cpm::percolate_parallel(&g, 1, mode);
+            let auto = cpm::percolate_parallel(&g, Threads::Auto, mode);
+            assert_eq!(seq, auto, "{mode} n={n}");
+        }
     }
 }

@@ -55,7 +55,11 @@ fn main() {
         assert!(cliques.iter().all(|c| c.len() == m));
 
         let t0 = Instant::now();
-        let result = cpm::percolate_with_cliques(g.node_count(), cliques.clone());
+        let mut percolator = cpm::FusedPercolator::new(g.node_count(), cpm::Mode::Exact);
+        for c in cliques.iter() {
+            percolator.push(c);
+        }
+        let result = percolator.finish();
         let t_perc = t0.elapsed();
         let at_m = result
             .level(m as u32)

@@ -22,9 +22,9 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x5eed);
 
     eprintln!("# percolating original and rewired graphs ...");
-    let original = cpm::parallel::percolate_parallel(g, opts.threads);
+    let original = cpm::percolate_parallel(g, opts.threads, cpm::Mode::Exact);
     let (rewired, report) = rewire(g, 10 * g.edge_count(), &mut rng);
-    let null = cpm::parallel::percolate_parallel(&rewired, opts.threads);
+    let null = cpm::percolate_parallel(&rewired, opts.threads, cpm::Mode::Exact);
 
     println!(
         "degree-preserving rewiring: {} of {} swap attempts succeeded\n",
@@ -49,8 +49,8 @@ fn main() {
     ]);
     table.row(vec![
         "maximal cliques".into(),
-        original.cliques.len().to_string(),
-        null.cliques.len().to_string(),
+        original.clique_count.to_string(),
+        null.clique_count.to_string(),
     ]);
     table.row(vec![
         "k_max".into(),

@@ -50,7 +50,7 @@ fn main() {
     }
 
     // Maximal clique census (§3): count and dominant band.
-    let cliques = &analysis.result.cliques;
+    let cliques = cliques::max_cliques(&analysis.topo.graph);
     let hist = cliques.size_histogram();
     let mut table = Table::new(vec!["clique size k", "maximal cliques"]);
     for (size, count) in &hist {

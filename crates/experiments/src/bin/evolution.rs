@@ -21,7 +21,11 @@ fn main() {
     let mut topo = topology::generate(&config).expect("preset is valid");
 
     eprintln!("# percolating {STEPS} snapshots ...");
-    let mut results = vec![cpm::parallel::percolate_parallel(&topo.graph, opts.threads)];
+    let mut results = vec![cpm::percolate_parallel(
+        &topo.graph,
+        opts.threads,
+        cpm::Mode::Exact,
+    )];
     let mut churns = Vec::new();
     for step in 0..STEPS - 1 {
         let (next, churn) = topology::evolve(
@@ -32,7 +36,11 @@ fn main() {
             },
         );
         churns.push(churn);
-        results.push(cpm::parallel::percolate_parallel(&next.graph, opts.threads));
+        results.push(cpm::percolate_parallel(
+            &next.graph,
+            opts.threads,
+            cpm::Mode::Exact,
+        ));
         topo = next;
     }
 

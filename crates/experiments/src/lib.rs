@@ -122,7 +122,7 @@ impl Options {
             "# nodes={} edges={} maximal_cliques={} k_max={} communities={}",
             analysis.topo.graph.node_count(),
             analysis.topo.graph.edge_count(),
-            analysis.result.cliques.len(),
+            analysis.result.clique_count,
             analysis.result.k_max().unwrap_or(0),
             analysis.result.total_communities()
         );

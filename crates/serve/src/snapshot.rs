@@ -234,7 +234,7 @@ mod tests {
         let fused = index_from_graph(&g, &token, Threads::Fixed(1), Mode::Almost).unwrap();
         let expected = SnapshotIndex::from_levels(
             g.node_count(),
-            &cpm::percolate_mode(&g, Mode::Almost).levels,
+            &cpm::percolate_parallel(&g, 1, Mode::Almost).levels,
         );
         assert_eq!(fused.to_bytes(), expected.to_bytes());
         for threads in [2usize, 4] {

@@ -1,12 +1,11 @@
 //! Memory-bounded streaming clique percolation.
 //!
-//! The batch pipeline (`cliques::max_cliques` → `cpm::percolate`) holds
-//! the full maximal-clique set, the vertex→clique index, and the
-//! clique-overlap edge list in memory at once — on AS-level topology
-//! graphs the overlap list is the peak-memory term. This crate runs the
+//! The batch engine (`cpm::percolate`) keeps per-clique state for the
+//! whole census until its sweep runs — on AS-level topology graphs the
+//! exact overlap strata are the peak-memory term. This crate runs the
 //! same analysis as a stream: cliques flow out of the enumerator (or off
 //! an on-disk log) one at a time and fold directly into an online
-//! union–find, so no clique set and no overlap graph is ever
+//! union–find per level, so no clique set and no overlap graph is ever
 //! materialised.
 //!
 //! The three moving parts:
@@ -47,8 +46,6 @@ pub use log::{
     CliqueLogInfo, CliqueLogReader, CliqueLogWriter, LogSink, RecoveryReport,
     DEFAULT_CHECKPOINT_CLIQUES, TORN_LOG_MSG,
 };
-#[allow(deprecated)]
-pub use percolate::LAST_SEEN;
 pub use percolate::{
     stream_percolate, stream_percolate_at, stream_percolate_parallel,
     stream_percolate_parallel_mode, Mode, StreamCpmResult, StreamPercolator,

@@ -1,10 +1,10 @@
 //! The online clique percolator: cliques in, communities out, nothing
 //! quadratic in between.
 //!
-//! `cpm::percolate` keeps three big structures alive at once: the full
-//! [`cliques::CliqueSet`], the vertex→clique index, and the materialised
-//! clique-overlap edge list (the quadratic-ish term that dominates peak
-//! memory on Internet-scale inputs). The streaming percolator consumes
+//! A batch percolation keeps per-clique state for the whole census
+//! alive until its sweep runs (`cpm::percolate` holds a member arena,
+//! its posting lists and the overlap strata). The streaming percolator
+//! consumes
 //! each maximal clique the moment the enumerator (or the on-disk clique
 //! log) produces it and folds it straight into a union–find, following
 //! Baudin, Magnien & Tabourier's memory-efficient CPM: the only
@@ -24,15 +24,14 @@
 //!   never the clique member arena *or* the overlap edge list.
 //!   Community-equivalent to `cpm::percolate` (property-tested).
 //! - [`Mode::Almost`] — Baudin et al.'s almost-exact variant in its
-//!   streaming form (previously spelled `Mode::LastSeen`, now a
-//!   [deprecated alias](LAST_SEEN)): each node remembers only the
+//!   streaming form: each node remembers only the
 //!   *last* clique seen through it, so percolation state is O(nodes) +
 //!   DSU. A clique that overlaps an old clique in ≥ k−1 nodes without
 //!   sharing k−1 nodes with any *latest* clique of those nodes can be
 //!   missed, splitting one true community in two — communities are
 //!   always unions of true sub-communities (never over-merged), which
-//!   the property tests assert. The batch path's almost engine
-//!   ([`cpm::mode`]) reaches the same end differently (subset keys +
+//!   the property tests assert. The batch almost engine
+//!   ([`cpm::consume`]) reaches the same end differently (subset keys +
 //!   subsumption strata need the whole clique set); what the mode
 //!   *means* — bounded state, refinement-only error — is identical,
 //!   which is why the vocabulary is shared.
@@ -51,14 +50,6 @@ use std::sync::Mutex;
 /// vocabulary. In the streaming context [`Mode::Almost`] selects the
 /// per-node last-clique-seen strategy (see module docs).
 pub use cpm::Mode;
-
-/// The pre-unification spelling of the streaming almost-exact
-/// strategy.
-#[deprecated(
-    since = "0.2.0",
-    note = "the mode vocabulary is unified with the batch engine: use `Mode::Almost`"
-)]
-pub const LAST_SEEN: Mode = Mode::Almost;
 
 const NONE: u32 = u32::MAX;
 

@@ -15,7 +15,7 @@ fn tiny_topology_has_paper_shaped_profile() {
         "nodes={} edges={} cliques={} k_max={k_max}",
         topo.graph.node_count(),
         topo.graph.edge_count(),
-        result.cliques.len()
+        result.clique_count
     );
     for level in &result.levels {
         let sizes: Vec<usize> = level.communities.iter().map(|c| c.size()).collect();

@@ -12,13 +12,13 @@ fn default_scale_profile() {
     let topo = generate(&cfg).expect("valid config");
     let t_gen = t0.elapsed();
     let t0 = Instant::now();
-    let result = cpm::parallel::percolate_parallel(&topo.graph, 8);
+    let result = cpm::percolate_parallel(&topo.graph, 8, cpm::Mode::Exact);
     let t_cpm = t0.elapsed();
     println!(
         "nodes={} edges={} cliques={} k_max={:?} total_communities={} gen={t_gen:?} cpm={t_cpm:?}",
         topo.graph.node_count(),
         topo.graph.edge_count(),
-        result.cliques.len(),
+        result.clique_count,
         result.k_max(),
         result.total_communities()
     );
@@ -59,12 +59,12 @@ fn full_scale_profile() {
     let cfg = ModelConfig::full_scale(42);
     let t0 = Instant::now();
     let topo = generate(&cfg).expect("valid config");
-    let result = cpm::parallel::percolate_parallel(&topo.graph, 8);
+    let result = cpm::percolate_parallel(&topo.graph, 8, cpm::Mode::Exact);
     println!(
         "full scale: nodes={} edges={} cliques={} k_max={:?} communities={} in {:?}",
         topo.graph.node_count(),
         topo.graph.edge_count(),
-        result.cliques.len(),
+        result.clique_count,
         result.k_max(),
         result.total_communities(),
         t0.elapsed()

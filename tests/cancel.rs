@@ -1,10 +1,13 @@
 //! Cooperative-cancellation invariance: cancelling and resuming must
 //! change *nothing* about the final answer, at every worker count, and
 //! a cancelled run must leave the shared worker pool fully reusable.
+//! (The pool's thread census is asserted in `tests/pool_census.rs`,
+//! alone in its binary.)
 
 use cliques::Kernel;
+use cpm::Mode;
 use cpm_stream::{stream_percolate, CliqueSource, GraphSource, LogBuildOptions, LogSource};
-use exec::{CancelToken, Pool};
+use exec::CancelToken;
 
 fn random_graph(n: u32, p: f64, seed: u64) -> asgraph::Graph {
     use rand::prelude::*;
@@ -36,9 +39,9 @@ fn live_token_is_invariant_at_every_worker_count() {
     let reference = cpm::percolate(&g);
     let token = CancelToken::new();
     for threads in [1, 2, 4] {
-        let got = cpm::parallel::percolate_parallel_cancellable(&g, threads, Kernel::Auto, &token)
+        let got = cpm::percolate_fused_cancellable(&g, threads, Kernel::Auto, &token, Mode::Exact)
             .expect("live token never cancels");
-        assert_eq!(got.levels, reference.levels, "threads {threads}");
+        assert_eq!(got, reference, "threads {threads}");
     }
 }
 
@@ -123,22 +126,19 @@ fn cancel_then_resume_matches_uninterrupted() {
 }
 
 /// A cancelled parallel run drains through the normal job protocol: no
-/// poisoned locks, no stuck workers, no extra threads on the next call.
+/// poisoned locks, no stuck workers — the next call does full, correct
+/// work.
 #[test]
 fn cancelled_runs_leave_the_pool_reusable() {
     let g = random_graph(60, 0.15, 47);
     let reference = cpm::percolate(&g);
     let tripped = CancelToken::new();
     tripped.cancel();
-
-    // Warm the pool, then record its thread census.
-    let warm = cpm::parallel::percolate_parallel(&g, 4);
-    assert_eq!(warm.levels, reference.levels);
-    let spawned = Pool::global().spawned_threads();
+    assert_eq!(cpm::percolate_parallel(&g, 4, Mode::Exact), reference);
 
     for threads in [2, 4] {
         assert!(
-            cpm::parallel::percolate_parallel_cancellable(&g, threads, Kernel::Auto, &tripped)
+            cpm::percolate_fused_cancellable(&g, threads, Kernel::Auto, &tripped, Mode::Exact)
                 .is_err(),
             "threads {threads}"
         );
@@ -153,13 +153,8 @@ fn cancelled_runs_leave_the_pool_reusable() {
             "threads {threads}"
         );
         // Immediately after each cancelled run the pool must do full
-        // correct work again, without spawning replacement threads.
-        let again = cpm::parallel::percolate_parallel(&g, threads);
-        assert_eq!(again.levels, reference.levels, "threads {threads}");
-        assert_eq!(
-            Pool::global().spawned_threads(),
-            spawned,
-            "cancelled run leaked or killed pool threads"
-        );
+        // correct work again.
+        let again = cpm::percolate_parallel(&g, threads, Mode::Exact);
+        assert_eq!(again, reference, "threads {threads}");
     }
 }

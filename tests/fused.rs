@@ -1,12 +1,14 @@
-//! Fused-pipeline invariance: the sink-driven percolator must be
-//! bit-identical to itself at every worker count, agree with the staged
-//! pipeline on every cover, and — like `tests/cancel.rs` — leave the
-//! shared worker pool fully reusable and the run resumable after a
-//! cancellation mid-enumeration.
+//! Percolation-engine invariance: the fused engine must agree with the
+//! literal definition on every cover, be bit-identical to itself at
+//! every worker count and kernel, and leave the run resumable after a
+//! cancellation mid-enumeration or mid-finish. The pool's thread census
+//! after those cancellations is asserted in `tests/pool_census.rs`,
+//! alone in its binary, where no sibling test can grow the pool.
 
 use cliques::Kernel;
-use cpm::Mode;
-use exec::{CancelToken, Pool};
+use cpm::naive::naive_communities;
+use cpm::{CpmResult, FusedPercolator, Mode};
+use exec::CancelToken;
 use proptest::prelude::*;
 
 fn random_graph(n: u32, p: f64, seed: u64) -> asgraph::Graph {
@@ -23,37 +25,37 @@ fn random_graph(n: u32, p: f64, seed: u64) -> asgraph::Graph {
     b.build()
 }
 
-/// Canonically sorted member lists per level — the order-independent
-/// view shared by the fused and staged pipelines.
-fn covers(levels: &[cpm::KLevel]) -> Vec<(u32, Vec<Vec<asgraph::NodeId>>)> {
-    levels
-        .iter()
-        .map(|l| {
-            let mut ms: Vec<_> = l.communities.iter().map(|c| c.members.clone()).collect();
-            ms.sort_unstable();
-            (l.k, ms)
-        })
-        .collect()
+/// Sorted member lists of level `k`, sorted — the view the literal
+/// definition produces.
+fn cover_at(r: &CpmResult, k: usize) -> Vec<Vec<asgraph::NodeId>> {
+    let mut ms: Vec<_> = r
+        .level(k as u32)
+        .map(|l| l.communities.iter().map(|c| c.members.clone()).collect())
+        .unwrap_or_default();
+    ms.sort_unstable();
+    ms
 }
 
-/// The parallel fused driver reassembles work-stolen chunks in order,
-/// so the result is *strictly equal* — ordinals, parents, everything —
-/// to the sequential run at 1, 2, 4, and 7 workers, for both modes and
-/// every kernel.
+/// The parallel driver reassembles work-stolen chunks in order, so the
+/// result is *strictly equal* — ordinals, parents, everything — to the
+/// sequential run at 1, 2, 4, and 7 workers, for both modes and every
+/// kernel; and every level equals the literal definition.
 #[test]
 fn fused_parallel_is_bit_identical_at_every_worker_count() {
     let g = random_graph(70, 0.12, 23);
     for mode in [Mode::Exact, Mode::Almost] {
-        let sequential = cpm::percolate_fused(&g, mode);
-        assert_eq!(
-            covers(&sequential.levels),
-            covers(&cpm::percolate_mode(&g, mode).levels),
-            "{mode}: fused differs from staged"
-        );
+        let sequential = consumed(&g, mode).finish();
+        for k in 2..=sequential.k_max().unwrap_or(1) as usize + 1 {
+            assert_eq!(
+                cover_at(&sequential, k),
+                naive_communities(&g, k),
+                "{mode}: k = {k}"
+            );
+        }
         for threads in [1usize, 2, 4, 7] {
             assert_eq!(
                 sequential,
-                cpm::percolate_fused_parallel(&g, threads, mode),
+                cpm::percolate_parallel(&g, threads, mode),
                 "{mode} threads {threads}"
             );
             for kernel in [Kernel::Bitset, Kernel::Merge] {
@@ -64,23 +66,16 @@ fn fused_parallel_is_bit_identical_at_every_worker_count() {
             }
         }
     }
+    assert_eq!(cpm::percolate(&g), consumed(&g, Mode::Exact).finish());
 }
 
 /// A run cancelled mid-enumeration drains through the normal job
-/// protocol: the pool spawns no replacement threads, and an immediate
-/// retry with a live token produces the full, bit-identical answer —
-/// the fused pipeline is resumable by rerunning, exactly like
-/// `tests/cancel.rs` proves for the staged one.
+/// protocol, and an immediate retry with a live token produces the
+/// full, bit-identical answer — the pipeline is resumable by rerunning.
 #[test]
 fn fused_cancellation_leaves_the_pool_reusable_and_the_run_resumable() {
     let g = random_graph(60, 0.15, 47);
-    let reference = cpm::percolate_fused(&g, Mode::Almost);
-
-    // Warm the pool, then record its thread census.
-    let warm = cpm::percolate_fused_parallel(&g, 4, Mode::Almost);
-    assert_eq!(warm, reference);
-    let spawned = Pool::global().spawned_threads();
-
+    let reference = consumed(&g, Mode::Almost).finish();
     let tripped = CancelToken::new();
     tripped.cancel();
     for threads in [1usize, 2, 4] {
@@ -92,14 +87,9 @@ fn fused_cancellation_leaves_the_pool_reusable_and_the_run_resumable() {
             );
         }
         // Immediately after each cancelled run the pool must do full
-        // correct work again, without spawning replacement threads.
-        let again = cpm::percolate_fused_parallel(&g, threads, Mode::Almost);
+        // correct work again.
+        let again = cpm::percolate_parallel(&g, threads, Mode::Almost);
         assert_eq!(again, reference, "threads {threads}");
-        assert_eq!(
-            Pool::global().spawned_threads(),
-            spawned,
-            "cancelled fused run leaked or killed pool threads"
-        );
     }
 }
 
@@ -120,15 +110,16 @@ fn book_graph(m: u32) -> asgraph::Graph {
 
 /// Builds the percolator by the *sequential* sink so the engine state
 /// is identical across runs; only the finish path under test varies.
-fn consumed(g: &asgraph::Graph, mode: Mode) -> cpm::FusedPercolator {
-    let mut p = cpm::FusedPercolator::new(g.node_count(), mode);
+fn consumed(g: &asgraph::Graph, mode: Mode) -> FusedPercolator {
+    let mut p = FusedPercolator::new(g.node_count(), mode);
     cliques::consume_max_cliques(g, Kernel::Auto, &mut p);
     p
 }
 
 /// The finish-time phases (pair detection, sweep, extraction) on the
 /// pool are strictly equal — ordinals, parents, members, everything —
-/// to the sequential `finish()` at 1, 2, 4, and 7 workers, for both
+/// to the one-worker `finish()` at 1, 2, 4, and 7 workers, plain and
+/// cancellable (which always takes the chunked pairs scan), for both
 /// modes, on a substrate whose k = 3 stratum crosses the parallel
 /// sweep's chunk-queue threshold.
 #[test]
@@ -153,16 +144,11 @@ fn parallel_finish_is_bit_identical_to_sequential_finish() {
 }
 
 /// A token tripped *between* enumeration and finish interrupts the
-/// finish-time phases themselves: the pool spawns no replacement
-/// threads, and re-consuming with a live token produces the full,
-/// bit-identical answer.
+/// finish-time phases themselves, and re-consuming with a live token
+/// produces the full, bit-identical answer.
 #[test]
 fn cancellation_mid_finish_leaves_the_pool_reusable() {
     let g = book_graph(150);
-    // Warm the pool, then record its thread census.
-    let _ = cpm::percolate_fused_parallel(&g, 4, Mode::Almost);
-    let spawned = Pool::global().spawned_threads();
-
     let tripped = CancelToken::new();
     tripped.cancel();
     for mode in [Mode::Exact, Mode::Almost] {
@@ -181,11 +167,6 @@ fn cancellation_mid_finish_leaves_the_pool_reusable() {
                 again, reference,
                 "{mode} threads {threads}: retry after cancel"
             );
-            assert_eq!(
-                Pool::global().spawned_threads(),
-                spawned,
-                "cancelled finish leaked or killed pool threads"
-            );
         }
     }
 }
@@ -195,29 +176,30 @@ fn edge_soup(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>>
 }
 
 proptest! {
-    /// Fused ≡ staged covers and per-k byte identity on random soups,
-    /// both modes, with the parallel driver strictly equal to the
-    /// sequential one at 1/2/4/7 workers.
+    /// Both modes ≡ the literal definition at every level on random
+    /// soups, through the all-k sweep and the single-level path, with
+    /// the parallel driver strictly equal to the sequential one at
+    /// 2/4/7 workers.
     #[test]
-    fn fused_equals_staged_across_workers(edges in edge_soup(14, 50)) {
+    fn fused_equals_naive_across_workers(edges in edge_soup(14, 50)) {
         let g = asgraph::Graph::from_edges(14, edges);
         for mode in [Mode::Exact, Mode::Almost] {
-            let fused = cpm::percolate_fused(&g, mode);
-            let staged = cpm::percolate_mode(&g, mode);
-            prop_assert_eq!(fused.clique_count, staged.cliques.len());
-            prop_assert_eq!(covers(&fused.levels), covers(&staged.levels));
-            for threads in [1usize, 2, 4, 7] {
+            let fused = consumed(&g, mode).finish();
+            prop_assert_eq!(fused.clique_count, cliques::max_cliques(&g).len());
+            for k in 2..=fused.k_max().unwrap_or(1) as usize + 1 {
+                let expected = naive_communities(&g, k);
+                prop_assert_eq!(&cover_at(&fused, k), &expected, "mode {} k {}", mode, k);
                 prop_assert_eq!(
-                    &fused,
-                    &cpm::percolate_fused_parallel(&g, threads, mode),
-                    "mode {} threads {}", mode, threads
+                    &consumed(&g, mode).finish_at(k),
+                    &expected,
+                    "mode {} single k {}", mode, k
                 );
             }
-            for k in 2..=5usize {
+            for threads in [2usize, 4, 7] {
                 prop_assert_eq!(
-                    cpm::percolate_at_fused(&g, k, mode),
-                    cpm::percolate_at_mode(&g, k, mode),
-                    "mode {} k {}", mode, k
+                    &fused,
+                    &cpm::percolate_parallel(&g, threads, mode),
+                    "mode {} threads {}", mode, threads
                 );
             }
         }

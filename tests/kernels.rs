@@ -4,9 +4,8 @@
 //! on small random edge soups; here the oracle runs on seeded
 //! `InternetModel` topologies — power-law degrees, dense IXP cores, the
 //! clique structure the kernels were actually built for — and covers the
-//! full pipelines: enumeration, streaming, percolation (sequential and
-//! parallel), with a regression check that results are invariant under
-//! thread count.
+//! full pipelines: enumeration, streaming and percolation (thread-count
+//! invariance of the percolation is pinned in `tests/sweep.rs`).
 
 use kclique::cliques::{self, Kernel};
 use kclique::cpm;
@@ -19,9 +18,11 @@ fn internet_graph(seed: u64) -> kclique::graph::Graph {
         .graph
 }
 
-fn assert_same_result(a: &cpm::CpmResult, b: &cpm::CpmResult, what: &str) {
-    assert_eq!(a.cliques, b.cliques, "{what}: cliques differ");
-    assert_eq!(a.levels, b.levels, "{what}: levels differ");
+/// The percolation engine on one worker with an explicit kernel.
+fn percolate_with_kernel(g: &kclique::graph::Graph, kernel: Kernel) -> cpm::CpmResult {
+    let mut p = cpm::FusedPercolator::new(g.node_count(), cpm::Mode::Exact);
+    cliques::consume_max_cliques(g, kernel, &mut p);
+    p.finish()
 }
 
 #[test]
@@ -57,32 +58,13 @@ fn kernels_agree_through_streaming_source() {
 #[test]
 fn kernels_agree_through_full_percolation() {
     let g = internet_graph(5);
-    let merge = cpm::percolate_with_kernel(&g, Kernel::Merge);
-    let bitset = cpm::percolate_with_kernel(&g, Kernel::Bitset);
+    let merge = percolate_with_kernel(&g, Kernel::Merge);
+    let bitset = percolate_with_kernel(&g, Kernel::Bitset);
     let auto = cpm::percolate(&g);
-    assert_same_result(&merge, &bitset, "merge vs bitset");
-    assert_same_result(&merge, &auto, "merge vs auto");
+    assert_eq!(merge, bitset, "merge vs bitset");
+    assert_eq!(merge, auto, "merge vs auto");
     assert!(
         merge.k_max().unwrap_or(0) >= 3,
         "fixture too sparse to be meaningful"
     );
-}
-
-#[test]
-fn parallel_percolation_is_thread_count_invariant() {
-    // Regression guard for the work-stealing scheduler: the claimed
-    // chunks race, but the reassembled result must not depend on how
-    // many workers raced.
-    let g = internet_graph(3);
-    let reference = cpm::percolate(&g);
-    for kernel in [Kernel::Auto, Kernel::Bitset, Kernel::Merge] {
-        for threads in [1, 2, 3, 7] {
-            let par = cpm::parallel::percolate_parallel_with_kernel(&g, threads, kernel);
-            assert_same_result(
-                &reference,
-                &par,
-                &format!("threads {threads}, kernel {kernel}"),
-            );
-        }
-    }
 }

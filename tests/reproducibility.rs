@@ -30,7 +30,7 @@ fn thread_count_is_invisible() {
     let topo = generate(&ModelConfig::tiny(5)).unwrap();
     let seq = cpm::percolate(&topo.graph);
     for threads in [1usize, 2, 3, 5] {
-        let par = cpm::parallel::percolate_parallel(&topo.graph, threads);
+        let par = cpm::percolate_parallel(&topo.graph, threads, cpm::Mode::Exact);
         assert_eq!(seq.levels.len(), par.levels.len(), "threads {threads}");
         for (ls, lp) in seq.levels.iter().zip(par.levels.iter()) {
             assert_eq!(ls.communities, lp.communities, "level {} mismatch", ls.k);
