@@ -120,8 +120,6 @@ pub enum Command {
         /// Percolation engine: definitional overlap counting
         /// (`exact`) or the (k−1)-clique-key union engine (`almost`).
         mode: cpm::Mode,
-        /// Set kernel for the clique enumeration.
-        kernel: cliques::Kernel,
         /// Worker-count policy for the parallel pipeline.
         threads: exec::Threads,
         /// Cancel the run after this many seconds (exit
@@ -174,9 +172,6 @@ pub enum Command {
         /// Percolation mode (`exact` | `almost`), shared vocabulary
         /// with the batch engine.
         mode: cpm::Mode,
-        /// Set kernel for the per-replay clique enumeration (live
-        /// `--input` sources only; a log replay does no enumeration).
-        kernel: cliques::Kernel,
         /// Worker-count policy for the multi-k wave sweep.
         threads: exec::Threads,
         /// Cancel the run after this many seconds (exit
@@ -189,8 +184,6 @@ pub enum Command {
         input: PathBuf,
         /// Output clique-log file.
         out: PathBuf,
-        /// Set kernel for the single enumeration pass.
-        kernel: cliques::Kernel,
         /// Cliques per sealed (checksummed, durable) segment; 0 means
         /// the library default.
         checkpoint_cliques: usize,
@@ -273,7 +266,7 @@ kclique-cli — k-clique communities for AS-level topologies
 
 USAGE:
   kclique-cli communities --input <edges> (--k <n> | --all-k) [--mode exact|almost]
-                          [--kernel auto|bitset|merge] [--threads <n>|auto] [--deadline <secs>]
+                          [--threads <n>|auto] [--deadline <secs>]
   kclique-cli tree        --input <edges> [--min-k <n>]
   kclique-cli stats       --input <edges>
   kclique-cli generate    [--scale tiny|small|medium|default|full] [--seed <u64>] --out <dir>
@@ -281,10 +274,9 @@ USAGE:
   kclique-cli baselines   --input <edges>
   kclique-cli rewire      --input <edges> --output <edges> [--swaps <n>] [--seed <u64>]
   kclique-cli stream-percolate (--input <edges> | --log <file>) (--k <n> | --all-k)
-                          [--mode exact|almost] [--kernel auto|bitset|merge]
-                          [--threads <n>|auto] [--deadline <secs>]
-  kclique-cli clique-log  build --input <edges> --out <file> [--kernel auto|bitset|merge]
-                          [--checkpoint-cliques <n>] [--resume] [--deadline <secs>]
+                          [--mode exact|almost] [--threads <n>|auto] [--deadline <secs>]
+  kclique-cli clique-log  build --input <edges> --out <file> [--checkpoint-cliques <n>]
+                          [--resume] [--deadline <secs>]
   kclique-cli clique-log  info    --log <file>
   kclique-cli clique-log  recover --log <file>
   kclique-cli serve       --snapshot <file> [--addr <host:port>] [--threads <n>|auto]
@@ -301,11 +293,6 @@ more faster on Internet-like topologies, identical output there, and
 never over-merged (divergence can only split communities). In
 `stream-percolate` the almost engine is the O(nodes) last-clique-seen
 form.
-
-The set kernel (--kernel) picks the Bron–Kerbosch set representation:
-`merge` walks sorted adjacency lists, `bitset` uses dense word-wise
-bitmaps, and `auto` (default) chooses per subproblem. Every kernel
-produces identical output; only the speed differs.
 
 The worker count (--threads) sizes the persistent thread pool: a fixed
 `<n>` forces that many workers, `auto` (default) scales with the input
@@ -362,12 +349,6 @@ impl Command {
         let required = |flag: &str| -> Result<String, String> {
             get(flag).ok_or_else(|| format!("missing required flag {flag}"))
         };
-        let kernel = || -> Result<cliques::Kernel, String> {
-            match get("--kernel") {
-                Some(v) => v.parse().map_err(|e: String| format!("bad --kernel: {e}")),
-                None => Ok(cliques::Kernel::Auto),
-            }
-        };
         let threads = || -> Result<exec::Threads, String> {
             match get("--threads") {
                 Some(v) => v.parse().map_err(|e: String| format!("bad --threads: {e}")),
@@ -414,7 +395,6 @@ impl Command {
                     k,
                     all_k,
                     mode: mode()?,
-                    kernel: kernel()?,
                     threads: threads()?,
                     deadline: deadline()?,
                 })
@@ -497,7 +477,6 @@ impl Command {
                     k,
                     all_k,
                     mode: mode()?,
-                    kernel: kernel()?,
                     threads: threads()?,
                     deadline: deadline()?,
                 })
@@ -519,7 +498,6 @@ impl Command {
                     Ok(Command::CliqueLogBuild {
                         input: PathBuf::from(required("--input")?),
                         out: PathBuf::from(required("--out")?),
-                        kernel: kernel()?,
                         checkpoint_cliques,
                         resume: has("--resume"),
                         deadline: deadline()?,
@@ -609,22 +587,25 @@ impl Command {
                 k,
                 all_k,
                 mode,
-                kernel,
                 threads,
                 deadline,
             } => {
                 let g = load_graph(input)?;
+                // Always the cancellable pipeline: a live token is
+                // bit-identical to the plain one, and Ctrl-C /
+                // --deadline then stop the run cooperatively.
+                let token = cancel_token(deadline);
+                let result = cpm::percolate_fused_cancellable(
+                    &g,
+                    *threads,
+                    cliques::Kernel::Auto,
+                    &token,
+                    *mode,
+                )
+                .map_err(|_| interrupted_no_durable_state())?;
                 if *all_k {
-                    // Always the cancellable pipeline: a live token is
-                    // bit-identical to the plain one, and Ctrl-C /
-                    // --deadline then stop the sweep cooperatively.
-                    let token = cancel_token(deadline);
-                    let levels =
-                        cpm::percolate_fused_cancellable(&g, *threads, *kernel, &token, *mode)
-                            .map_err(|_| interrupted_no_durable_state())?
-                            .levels;
                     let mut table = Table::new(vec!["k", "communities", "largest"]);
-                    for level in &levels {
+                    for level in &result.levels {
                         let largest = level
                             .communities
                             .iter()
@@ -640,33 +621,7 @@ impl Command {
                     print!("{}", table.render());
                 } else {
                     let k = k.expect("parse guarantees k for non-all-k");
-                    // The single-k fast path has no cancellation points;
-                    // under a deadline, run the cancellable full sweep
-                    // and project out level k instead.
-                    let comms: Vec<Vec<asgraph::NodeId>> = if deadline.is_some() {
-                        let token = cancel_token(deadline);
-                        let result =
-                            cpm::percolate_fused_cancellable(&g, *threads, *kernel, &token, *mode)
-                                .map_err(|_| interrupted_no_durable_state())?;
-                        let mut covers: Vec<Vec<asgraph::NodeId>> = result
-                            .level(k)
-                            .map(|level| {
-                                level
-                                    .communities
-                                    .iter()
-                                    .map(|c| c.members.clone())
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                        // Canonical cover order: byte-identical to the
-                        // deadline-free path below.
-                        covers.sort_unstable();
-                        covers
-                    } else {
-                        let mut p = cpm::FusedPercolator::new(g.node_count(), *mode);
-                        cliques::consume_max_cliques(&g, *kernel, &mut p);
-                        p.finish_at(k as usize)
-                    };
+                    let comms = result.cover(k);
                     println!("# {} {k}-clique communities", comms.len());
                     for (i, c) in comms.iter().enumerate() {
                         let ids: Vec<String> = c.iter().map(ToString::to_string).collect();
@@ -828,7 +783,6 @@ impl Command {
                 k,
                 all_k,
                 mode,
-                kernel,
                 threads,
                 deadline,
             } => {
@@ -842,8 +796,7 @@ impl Command {
                 let mut log_src;
                 let source: &mut dyn cpm_stream::CliqueSource = if let Some(input) = input {
                     graph = load_graph(input)?;
-                    graph_src = cpm_stream::GraphSource::with_kernel(&graph, *kernel)
-                        .with_cancel(token.clone());
+                    graph_src = cpm_stream::GraphSource::new(&graph).with_cancel(token.clone());
                     &mut graph_src
                 } else {
                     let log = log.as_ref().expect("parse guarantees input xor log");
@@ -896,7 +849,6 @@ impl Command {
             Command::CliqueLogBuild {
                 input,
                 out,
-                kernel,
                 checkpoint_cliques,
                 resume,
                 deadline,
@@ -904,10 +856,10 @@ impl Command {
                 let g = load_graph(input)?;
                 let token = cancel_token(deadline);
                 let options = cpm_stream::LogBuildOptions {
-                    kernel: *kernel,
                     checkpoint_cliques: *checkpoint_cliques,
                     resume: *resume,
                     cancel: Some(token),
+                    ..Default::default()
                 };
                 let outcome = cpm_stream::build_clique_log(&g, out, &options)
                     .map_err(|e| CliFailure::stream(format_args!("{}", out.display()), &e))?;
@@ -1219,7 +1171,6 @@ fn flag_table(sub: &str, action: Option<&str>) -> Option<&'static [(&'static str
             ("--k", true),
             ("--all-k", false),
             ("--mode", true),
-            ("--kernel", true),
             ("--threads", true),
             ("--deadline", true),
         ],
@@ -1239,14 +1190,12 @@ fn flag_table(sub: &str, action: Option<&str>) -> Option<&'static [(&'static str
             ("--k", true),
             ("--all-k", false),
             ("--mode", true),
-            ("--kernel", true),
             ("--threads", true),
             ("--deadline", true),
         ],
         ("clique-log", Some("build")) => &[
             ("--input", true),
             ("--out", true),
-            ("--kernel", true),
             ("--checkpoint-cliques", true),
             ("--resume", false),
             ("--deadline", true),
@@ -1429,44 +1378,12 @@ mod tests {
                 k: Some(4),
                 all_k: false,
                 mode: cpm::Mode::Exact,
-                kernel: cliques::Kernel::Auto,
                 threads: exec::Threads::Auto,
                 deadline: None,
             }
         );
         let c = parse(&["communities", "--input", "g.txt", "--all-k"]).unwrap();
         assert!(matches!(c, Command::Communities { all_k: true, .. }));
-    }
-
-    #[test]
-    fn parses_kernel_flag() {
-        for (name, want) in [
-            ("auto", cliques::Kernel::Auto),
-            ("bitset", cliques::Kernel::Bitset),
-            ("merge", cliques::Kernel::Merge),
-        ] {
-            let c = parse(&[
-                "communities",
-                "--input",
-                "g.txt",
-                "--k",
-                "3",
-                "--kernel",
-                name,
-            ])
-            .unwrap();
-            assert!(matches!(c, Command::Communities { kernel, .. } if kernel == want));
-        }
-        assert!(parse(&[
-            "communities",
-            "--input",
-            "g.txt",
-            "--k",
-            "3",
-            "--kernel",
-            "quantum"
-        ])
-        .is_err());
     }
 
     #[test]
@@ -1553,6 +1470,42 @@ mod tests {
                 "--approx",
             ),
             (
+                &[
+                    "communities",
+                    "--input",
+                    "g",
+                    "--k",
+                    "3",
+                    "--kernel",
+                    "merge",
+                ][..],
+                "--kernel",
+            ),
+            (
+                &[
+                    "stream-percolate",
+                    "--input",
+                    "g",
+                    "--all-k",
+                    "--kernel",
+                    "auto",
+                ][..],
+                "--kernel",
+            ),
+            (
+                &[
+                    "clique-log",
+                    "build",
+                    "--input",
+                    "g",
+                    "--out",
+                    "o",
+                    "--kernel",
+                    "bitset",
+                ][..],
+                "--kernel",
+            ),
+            (
                 &["clique-log", "info", "--log", "c", "--out", "o"][..],
                 "--out",
             ),
@@ -1631,7 +1584,6 @@ mod tests {
                 k: Some(4),
                 all_k: false,
                 mode: cpm::Mode::Exact,
-                kernel: cliques::Kernel::Auto,
                 threads: exec::Threads::Auto,
                 deadline: None,
             }
@@ -1699,7 +1651,6 @@ mod tests {
             Command::CliqueLogBuild {
                 input: PathBuf::from("g.txt"),
                 out: PathBuf::from("c.log"),
-                kernel: cliques::Kernel::Auto,
                 checkpoint_cliques: 0,
                 resume: false,
                 deadline: None,
@@ -1746,7 +1697,6 @@ mod tests {
             Command::CliqueLogBuild {
                 input: PathBuf::from("g.txt"),
                 out: PathBuf::from("c.log"),
-                kernel: cliques::Kernel::Auto,
                 checkpoint_cliques: 128,
                 resume: true,
                 deadline: Some(30),
@@ -1808,7 +1758,6 @@ mod tests {
         Command::CliqueLogBuild {
             input: edges.clone(),
             out: log.clone(),
-            kernel: cliques::Kernel::Bitset,
             checkpoint_cliques: 0,
             resume: false,
             deadline: None,
@@ -1828,7 +1777,6 @@ mod tests {
                 k: Some(3),
                 all_k: false,
                 mode: cpm::Mode::Exact,
-                kernel: cliques::Kernel::Auto,
                 threads: exec::Threads::Auto,
                 deadline: None,
             }
@@ -1840,7 +1788,6 @@ mod tests {
                 k: None,
                 all_k: true,
                 mode: cpm::Mode::Exact,
-                kernel: cliques::Kernel::Merge,
                 threads: exec::Threads::Fixed(2),
                 deadline: None,
             }
@@ -1853,7 +1800,6 @@ mod tests {
             k: Some(3),
             all_k: false,
             mode: cpm::Mode::Almost,
-            kernel: cliques::Kernel::Auto,
             threads: exec::Threads::Auto,
             deadline: None,
         }
@@ -1876,7 +1822,6 @@ mod tests {
         let err = Command::CliqueLogBuild {
             input: edges.clone(),
             out: log.clone(),
-            kernel: cliques::Kernel::Auto,
             checkpoint_cliques: 2,
             resume: false,
             deadline: Some(0),
@@ -1891,7 +1836,6 @@ mod tests {
         Command::CliqueLogBuild {
             input: edges.clone(),
             out: log.clone(),
-            kernel: cliques::Kernel::Auto,
             checkpoint_cliques: 2,
             resume: true,
             deadline: None,
@@ -1904,7 +1848,6 @@ mod tests {
             k: None,
             all_k: true,
             mode: cpm::Mode::Exact,
-            kernel: cliques::Kernel::Auto,
             threads: exec::Threads::Auto,
             deadline: None,
         }
@@ -1918,7 +1861,6 @@ mod tests {
             k: None,
             all_k: true,
             mode: cpm::Mode::Exact,
-            kernel: cliques::Kernel::Auto,
             threads: exec::Threads::Auto,
             deadline: Some(0),
         }
@@ -1931,7 +1873,6 @@ mod tests {
             k: Some(3),
             all_k: false,
             mode: cpm::Mode::Exact,
-            kernel: cliques::Kernel::Auto,
             threads: exec::Threads::Auto,
             deadline: Some(0),
         }
@@ -1952,7 +1893,6 @@ mod tests {
         Command::CliqueLogBuild {
             input: edges,
             out: log.clone(),
-            kernel: cliques::Kernel::Auto,
             checkpoint_cliques: 1,
             resume: false,
             deadline: None,
@@ -1972,7 +1912,6 @@ mod tests {
                 k: Some(3),
                 all_k: false,
                 mode: cpm::Mode::Exact,
-                kernel: cliques::Kernel::Auto,
                 threads: exec::Threads::Auto,
                 deadline: None,
             },
@@ -2025,7 +1964,6 @@ mod tests {
             k: Some(3),
             all_k: false,
             mode: cpm::Mode::Exact,
-            kernel: cliques::Kernel::Auto,
             threads: exec::Threads::Auto,
             deadline: None,
         }
@@ -2036,7 +1974,6 @@ mod tests {
             k: None,
             all_k: true,
             mode: cpm::Mode::Exact,
-            kernel: cliques::Kernel::Auto,
             threads: exec::Threads::Fixed(2),
             deadline: None,
         }
@@ -2049,7 +1986,6 @@ mod tests {
             k: Some(3),
             all_k: false,
             mode: cpm::Mode::Exact,
-            kernel: cliques::Kernel::Auto,
             threads: exec::Threads::Auto,
             deadline: Some(3600),
         }

@@ -1,8 +1,9 @@
 //! The flag contract, through the real binary: every verb accepts only
 //! the flags in its table. Anything else — a typo, another verb's flag,
-//! or one of the removed `--pipeline`, `--sweep` and `--approx` — exits
-//! 2 with the offending flag named on stderr and nothing on stdout, so
-//! a script never consumes output from a run it did not ask for.
+//! or one of the removed `--pipeline`, `--sweep`, `--approx` and
+//! `--kernel` — exits 2 with the offending flag named on stderr and
+//! nothing on stdout, so a script never consumes output from a run it
+//! did not ask for.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -70,6 +71,37 @@ fn removed_legacy_flags_are_usage_errors() {
         &["stream-percolate", "--input", input, "--k", "3", "--approx"],
         "--approx",
     );
+    for args in [
+        &[
+            "communities",
+            "--input",
+            input,
+            "--k",
+            "3",
+            "--kernel",
+            "merge",
+        ][..],
+        &[
+            "stream-percolate",
+            "--input",
+            input,
+            "--all-k",
+            "--kernel",
+            "auto",
+        ][..],
+        &[
+            "clique-log",
+            "build",
+            "--input",
+            input,
+            "--out",
+            "x.log",
+            "--kernel",
+            "bitset",
+        ][..],
+    ] {
+        assert_rejects(args, "--kernel");
+    }
 }
 
 /// A typo never runs with the defaults, on any verb.
@@ -151,8 +183,6 @@ fn listed_flags_still_run() {
         "3",
         "--mode",
         "almost",
-        "--kernel",
-        "merge",
         "--threads",
         "2",
         "--deadline",

@@ -197,31 +197,8 @@ pub fn degeneracy(g: &Graph) -> CliqueSet {
 /// decides per subproblem from the local vertex-set size.
 pub fn degeneracy_with(g: &Graph, kernel: Kernel) -> CliqueSet {
     let mut out = CliqueSet::new();
-    let ordering = asgraph::ordering::degeneracy_order(g);
-    let mut scratch = BitsetScratch::default();
-    for &v in &ordering.order {
-        top_level_subproblem(g, v, &ordering.rank, kernel, &mut scratch, &mut out);
-    }
+    crate::consume_max_cliques(g, kernel, &mut out);
     out
-}
-
-/// The top-level subproblem of the degeneracy variant for vertex `v`:
-/// P = later neighbours, X = earlier neighbours, R = {v}.
-///
-/// Exposed at crate level so the parallel enumerator can partition the
-/// outer loop.
-pub(crate) fn top_level_subproblem(
-    g: &Graph,
-    v: NodeId,
-    rank: &[u32],
-    kernel: Kernel,
-    scratch: &mut BitsetScratch,
-    out: &mut CliqueSet,
-) {
-    let _ = top_level_visit_with(g, v, rank, kernel, scratch, &mut |clique| {
-        out.push(clique);
-        ControlFlow::Continue(())
-    });
 }
 
 /// Kernel dispatch for one top-level subproblem: the bitset kernel when
@@ -245,8 +222,9 @@ where
     }
 }
 
-/// Visitor form of [`top_level_subproblem`]: cliques are passed to
-/// `visit` instead of collected.
+/// The top-level subproblem of the degeneracy variant for vertex `v`
+/// (P = later neighbours, X = earlier neighbours, R = {v}) on the merge
+/// kernel: cliques are passed to `visit` as they are found.
 pub(crate) fn top_level_visit<F>(
     g: &Graph,
     v: NodeId,

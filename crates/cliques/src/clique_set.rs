@@ -1,5 +1,6 @@
 //! Result container for clique enumeration.
 
+use crate::sink::CliqueConsumer;
 use asgraph::NodeId;
 use std::collections::BTreeMap;
 
@@ -167,6 +168,14 @@ impl CliqueSet {
         for c in other.iter() {
             self.push(c);
         }
+    }
+}
+
+/// Collecting is one way to consume the stream: each clique is appended
+/// as [`CliqueSet::push`] would.
+impl CliqueConsumer for CliqueSet {
+    fn consume(&mut self, clique: &[NodeId]) {
+        self.push(clique);
     }
 }
 

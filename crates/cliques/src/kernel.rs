@@ -33,7 +33,7 @@ use std::str::FromStr;
 
 /// Which set representation the clique enumeration hot path uses.
 ///
-/// Parsed from the CLI `--kernel` flag (`auto | bitset | merge`).
+/// Parses from `auto | bitset | merge`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
     /// Per-subproblem choice: bitset when the local vertex set fits

@@ -12,10 +12,12 @@
 //! subproblems dominate the total work; the static round-robin stripe
 //! this replaced would leave every other worker idle while one finished
 //! its oversized stripe, whereas dynamic claiming keeps all workers
-//! busy to the tail. Each claimed chunk produces its own [`CliqueSet`],
-//! and chunks are merged in ascending chunk order, so the output is
-//! *identical to the sequential enumeration* — independent of thread
-//! count and scheduling races.
+//! busy to the tail. Each claimed chunk produces one flat batch, and an
+//! [`OrderedAbsorber`] feeds the batches to a [`CliqueConsumer`] in
+//! ascending chunk order, so the stream is *identical to the sequential
+//! enumeration* — independent of thread count and scheduling races.
+//! There is one parallel enumeration loop: [`max_cliques_parallel`]
+//! and its siblings run it with a [`CliqueSet`] as the consumer.
 //!
 //! Two things distinguish this from the per-call `crossbeam::scope`
 //! version it replaced: workers are warm pool threads (woken, not
@@ -26,14 +28,13 @@
 //! threshold to the sequential path, so tiny substrates never pay
 //! parallel overhead at all.
 
-use crate::bron_kerbosch::{top_level_subproblem, top_level_visit_with};
+use crate::bron_kerbosch::top_level_visit_with;
 use crate::clique_set::CliqueSet;
 use crate::kernel::{BitsetScratch, Kernel};
 use crate::sink::{sorted_into, CliqueConsumer};
 use asgraph::{Graph, NodeId};
 use exec::{CancelToken, Cancelled, ChunkQueue, OrderedAbsorber, Pool, Threads};
 use std::ops::ControlFlow;
-use std::sync::Mutex;
 
 /// Outer vertices claimed per queue chunk. Small enough that the heavy
 /// hub subproblems of an AS-like graph cannot hide behind one claim,
@@ -82,8 +83,9 @@ pub fn max_cliques_parallel_with(
     threads: impl Into<Threads>,
     kernel: Kernel,
 ) -> CliqueSet {
-    max_cliques_parallel_impl(g, threads.into(), kernel, None)
-        .expect("uncancellable enumeration cannot be cancelled")
+    let mut set = CliqueSet::new();
+    consume_max_cliques_parallel(g, threads, kernel, &mut set);
+    set
 }
 
 /// [`max_cliques_parallel_with`] polling a [`CancelToken`] at every
@@ -104,76 +106,9 @@ pub fn max_cliques_parallel_cancellable(
     kernel: Kernel,
     cancel: &CancelToken,
 ) -> Result<CliqueSet, Cancelled> {
-    max_cliques_parallel_impl(g, threads.into(), kernel, Some(cancel))
-}
-
-fn max_cliques_parallel_impl(
-    g: &Graph,
-    threads: Threads,
-    kernel: Kernel,
-    cancel: Option<&CancelToken>,
-) -> Result<CliqueSet, Cancelled> {
-    let mut workers = threads.resolve(g.edge_count(), AUTO_EDGES_PER_WORKER);
-    if g.node_count() < 2 * workers {
-        workers = 1;
-    }
-    let ordering = asgraph::ordering::degeneracy_order(g);
-    let order = ordering.order.as_slice();
-    let rank = ordering.rank.as_slice();
-    let pool = Pool::global();
-
-    if workers == 1 {
-        return pool.leader(|mut w| {
-            let scratch = w.scratch_with(BitsetScratch::default);
-            let mut out = CliqueSet::new();
-            // Same cancellation granularity as the parallel path: one
-            // poll per STEAL_CHUNK outer vertices.
-            for chunk in order.chunks(STEAL_CHUNK) {
-                if let Some(token) = cancel {
-                    token.check()?;
-                }
-                for &v in chunk {
-                    top_level_subproblem(g, v, rank, kernel, scratch, &mut out);
-                }
-            }
-            Ok(out)
-        });
-    }
-
-    // Each worker contributes (chunk start, cliques of that chunk)
-    // pairs; reassembly sorts by start, so the result is the sequential
-    // enumeration order whatever the scheduling races did.
-    let queue = ChunkQueue::new(order.len(), STEAL_CHUNK);
-    let chunks: Mutex<Vec<(usize, CliqueSet)>> = Mutex::new(Vec::new());
-    pool.run(workers, |mut w| {
-        let scratch = w.scratch_with(BitsetScratch::default);
-        let mut local: Vec<(usize, CliqueSet)> = Vec::new();
-        let claim = || match cancel {
-            Some(token) => queue.claim_unless(token),
-            None => queue.claim(),
-        };
-        while let Some(range) = claim() {
-            let mut set = CliqueSet::new();
-            for &v in &order[range.clone()] {
-                top_level_subproblem(g, v, rank, kernel, scratch, &mut set);
-            }
-            local.push((range.start, set));
-        }
-        chunks.lock().expect("clique worker panicked").extend(local);
-    });
-    if let Some(token) = cancel {
-        token.check()?;
-    }
-
-    let mut chunks = chunks.into_inner().expect("clique worker panicked");
-    chunks.sort_unstable_by_key(|&(start, _)| start);
-    let total: usize = chunks.iter().map(|(_, s)| s.total_members()).sum();
-    let count: usize = chunks.iter().map(|(_, s)| s.len()).sum();
-    let mut out = CliqueSet::with_capacity(count, total);
-    for (_, set) in &chunks {
-        out.merge(set);
-    }
-    Ok(out)
+    let mut set = CliqueSet::new();
+    consume_max_cliques_parallel_cancellable(g, threads, kernel, cancel, &mut set)?;
+    Ok(set)
 }
 
 /// Buffered batches the [`OrderedAbsorber`] may hold before producers

@@ -356,7 +356,13 @@ impl Strata {
             if self.by_level.len() <= level {
                 self.by_level.resize_with(level + 1, Vec::new);
             }
-            self.by_level[level].append(&mut pairs);
+            let dst = &mut self.by_level[level];
+            if dst.is_empty() {
+                // First pairs at this level: take the buffer, no copy.
+                *dst = pairs;
+            } else {
+                dst.append(&mut pairs);
+            }
         }
     }
 
@@ -400,17 +406,14 @@ struct AlmostFused {
     big_postings: Vec<Vec<u32>>,
     strata: Strata,
     /// Per-detection-level components found by the finish-time
-    /// prepasses — big-involving pairs union straight in here instead
-    /// of materialising millions of `(y, x)` entries, and the sweep
-    /// merges each level's partition exactly like `dsu2`/`dsu3`. The
-    /// ordinal universe is small enough that these stay cache-resident.
-    level_dsus: Vec<Option<Dsu>>,
-    /// The lock-free twin of `level_dsus`, filled by the *parallel*
-    /// pairs pass ([`Self::finish_pairs_parallel`]): workers union
-    /// concurrently, and [`ConcurrentDsu`]'s order-free min-id
-    /// partition means the sweep merge sees the same components as the
-    /// sequential pass whatever the interleaving. Lazily created per
-    /// level by whichever worker first detects a pair there.
+    /// prepasses ([`Self::finish_pairs`]) — big-involving pairs union
+    /// straight in here instead of materialising millions of `(y, x)`
+    /// entries, and the sweep merges each level's partition exactly
+    /// like `dsu2`/`dsu3`. Pool workers union concurrently, and
+    /// [`ConcurrentDsu`]'s order-free min-id partition means the sweep
+    /// merge sees the same components whatever the interleaving.
+    /// Lazily created per level by whichever worker first detects a
+    /// pair there.
     level_cdsus: Vec<OnceLock<ConcurrentDsu>>,
     /// Transposed member store for extraction (ordinal-indexed CSR over
     /// the small cliques), built once at finish time from the posting
@@ -441,7 +444,6 @@ impl AlmostFused {
             big_members: Vec::new(),
             big_postings: Vec::new(),
             strata: Strata::default(),
-            level_dsus: Vec::new(),
             level_cdsus: Vec::new(),
             small_off: Vec::new(),
             small_mem: Vec::new(),
@@ -721,30 +723,17 @@ impl ExactFused {
         }
     }
 
-    /// The finish-time pair detection: index build plus the full
-    /// counting scan on the calling thread.
-    fn finish_pairs(&mut self, sizes: &[u32]) {
-        self.build_index(sizes);
-        let count = sizes.len();
-        let mut counter = vec![0u32; count];
-        let mut touched = Vec::new();
-        let mut out = Strata::default();
-        self.count_pairs_range(0..count, &mut counter, &mut touched, &mut out);
-        self.strata = out;
-    }
-
-    /// [`Self::finish_pairs`] over `workers` pool workers: chunks of
-    /// the ordinal range produce per-chunk [`Strata`] partials that an
-    /// [`OrderedAbsorber`] folds back in ascending chunk order, so the
-    /// strata — contents *and* order — equal the sequential scan's at
-    /// every worker count. Cancellation stops new claims; the partial
-    /// strata are discarded with the engine by the caller.
-    fn finish_pairs_parallel(
-        &mut self,
-        sizes: &[u32],
-        workers: usize,
-        cancel: Option<&CancelToken>,
-    ) {
+    /// The finish-time pair detection: index build plus the counting
+    /// scan over `workers` pool workers. Chunks of the ordinal range
+    /// produce [`Strata`] partials that an [`OrderedAbsorber`] folds
+    /// back in ascending chunk order, so the strata — contents *and*
+    /// order — are the same at every worker count. One worker claims
+    /// the chunks in ascending order with nobody to interleave, so it
+    /// counts them all into a single partial and submits that once:
+    /// no per-chunk partials to grow and copy again. Cancellation stops
+    /// new claims; the partial strata are discarded with the engine by
+    /// the caller.
+    fn finish_pairs(&mut self, sizes: &[u32], workers: usize, cancel: Option<&CancelToken>) {
         self.build_index(sizes);
         let count = sizes.len();
         let queue = ChunkQueue::new(count, EXACT_PAIRS_CHUNK);
@@ -753,14 +742,20 @@ impl ExactFused {
         Pool::global().run(workers, |_w| {
             let mut counter = vec![0u32; count];
             let mut touched = Vec::new();
+            let mut part = Strata::default();
             let claim = || match cancel {
                 Some(token) => queue.claim_unless(token),
                 None => queue.claim(),
             };
             while let Some(range) = claim() {
-                let mut part = Strata::default();
                 this.count_pairs_range(range.clone(), &mut counter, &mut touched, &mut part);
-                absorber.submit(range.start / EXACT_PAIRS_CHUNK, part, Strata::absorb);
+                if workers > 1 {
+                    let seq = range.start / EXACT_PAIRS_CHUNK;
+                    absorber.submit(seq, std::mem::take(&mut part), Strata::absorb);
+                }
+            }
+            if workers == 1 {
+                absorber.submit(0, part, Strata::absorb);
             }
         });
         self.strata = absorber.into_inner();
@@ -844,11 +839,11 @@ impl LevelSnapshotter {
     }
 }
 
-/// One partition to merge into the parallel sweep's concurrent DSU:
-/// either the parallel pairs pass's lock-free per-level partition
-/// (whose `find` is exact once that pass has quiesced) or a root array
-/// precomputed from a sequential [`Dsu`] (whose `find` needs `&mut`,
-/// which pool workers cannot share).
+/// One partition to merge into the sweep's concurrent DSU: either the
+/// pairs pass's lock-free per-level partition (whose `find` is exact
+/// once that pass has quiesced) or a root array precomputed from one of
+/// the almost engine's incremental key [`Dsu`]s (whose `find` needs
+/// `&mut`, which pool workers cannot share).
 enum MergeSrc<'a> {
     Par(&'a ConcurrentDsu),
     Seq(Vec<u32>),
@@ -865,7 +860,7 @@ impl MergeSrc<'_> {
 }
 
 /// Snapshots `sub`'s partition as a plain root array the sweep workers
-/// can read concurrently — `merge_dsu` without the `&mut` receiver.
+/// can read concurrently.
 fn roots_of(sub: &mut Dsu, count: usize) -> Vec<u32> {
     (0..count as u32).map(|i| sub.find(i)).collect()
 }
@@ -874,9 +869,10 @@ fn roots_of(sub: &mut Dsu, count: usize) -> Vec<u32> {
 /// members, each exactly once, deterministic order — the
 /// [`cliques::sink`] drivers guarantee this) to
 /// [`consume`](CliqueConsumer::consume), then call
-/// [`finish`](Self::finish) for the multi-level result or
-/// [`finish_at`](Self::finish_at) for a single level. At no point does
-/// a clique list exist: peak memory is the engines' working state.
+/// [`finish`](Self::finish) (or one of its pooled forms) for the
+/// multi-level result; a single level is its projection
+/// ([`CpmResult::cover`]). At no point does a clique list exist: peak
+/// memory is the engines' working state.
 pub struct FusedPercolator {
     sizes: Vec<u32>,
     k_max: usize,
@@ -968,7 +964,11 @@ impl FusedPercolator {
         self.finish_impl(threads.into(), Some(cancel), &mut phases, &mut |_| {})
     }
 
-    /// The phase-structured finish shared by every parallel entry.
+    /// The one finish behind every entry point, at every worker count:
+    /// pair detection, the descending-`k` sweep and member extraction,
+    /// one [`Pool::run`] per phase (at one worker the pool runs each
+    /// phase inline on the caller). Single-level callers project their
+    /// level out of the result ([`CpmResult::cover`]).
     ///
     /// Why the finish is bit-identical at every worker count:
     /// the final result depends only on the per-level *partitions* (the
@@ -1001,20 +1001,10 @@ impl FusedPercolator {
         let pairs_workers = self.pairs_workers(threads);
         match &mut self.engine {
             Engine::Almost(a) => {
-                if pairs_workers > 1 || cancel.is_some() {
-                    a.finish_pairs_parallel(&self.sizes, self.k_max, pairs_workers, cancel);
-                } else {
-                    a.finish_pairs(&self.sizes);
-                }
+                a.finish_pairs(&self.sizes, self.k_max, pairs_workers, cancel);
                 a.build_extract_index(&self.sizes);
             }
-            Engine::Exact(e) => {
-                if pairs_workers > 1 || cancel.is_some() {
-                    e.finish_pairs_parallel(&self.sizes, pairs_workers, cancel);
-                } else {
-                    e.finish_pairs(&self.sizes);
-                }
-            }
+            Engine::Exact(e) => e.finish_pairs(&self.sizes, pairs_workers, cancel),
         }
         if let Some(token) = cancel {
             token.check()?;
@@ -1083,17 +1073,10 @@ impl FusedPercolator {
         cancel: Option<&CancelToken>,
     ) -> Result<(Vec<KLevel>, Duration), Cancelled> {
         let count = self.sizes.len();
-        // Sequential-partition sources (the incremental key DSUs, plus
-        // per-level `Dsu`s when the pairs phase ran sequentially)
-        // become root arrays up front: `Dsu::find` needs `&mut`, which
-        // pool workers cannot share.
+        // The incremental key DSUs become root arrays up front:
+        // `Dsu::find` needs `&mut`, which pool workers cannot share.
         let mut root_parts: Vec<Vec<Vec<u32>>> = vec![Vec::new(); self.k_max + 1];
         if let Engine::Almost(a) = &mut self.engine {
-            for (k, parts) in root_parts.iter_mut().enumerate().skip(2) {
-                if let Some(Some(d)) = a.level_dsus.get_mut(k) {
-                    parts.push(roots_of(d, count));
-                }
-            }
             if self.k_max >= 3 {
                 root_parts[3].push(roots_of(&mut a.dsu3, count));
             }
@@ -1282,20 +1265,14 @@ impl FusedPercolator {
     /// flatten into one worklist, workers claim chunks and compute each
     /// community's canonical members independently (the per-community
     /// work never touches shared mutable state), and the buffers are
-    /// written back by index afterwards — the same members in the same
-    /// slots as the sequential loop.
+    /// written back by index afterwards, so every community gets the
+    /// same members whatever the worker count.
     fn extract_levels(
         &self,
         levels: &mut [KLevel],
         workers: usize,
         cancel: Option<&CancelToken>,
     ) -> Result<(), Cancelled> {
-        if workers <= 1 && cancel.is_none() {
-            for level in levels.iter_mut() {
-                self.fill_members(level);
-            }
-            return Ok(());
-        }
         let items: Vec<(u32, u32)> = levels
             .iter()
             .enumerate()
@@ -1331,59 +1308,14 @@ impl FusedPercolator {
         Ok(())
     }
 
-    /// Applies every union active at level `k` (strata replay plus, at
-    /// the keyed levels, the incremental key components).
-    fn union_level(&mut self, dsu: &mut Dsu, k: usize) {
-        match &mut self.engine {
-            Engine::Almost(a) => {
-                for &(x, y) in a.strata.at(k) {
-                    dsu.union(x, y);
-                }
-                if let Some(Some(d)) = a.level_dsus.get_mut(k) {
-                    merge_dsu(dsu, d);
-                }
-                if k == 3 {
-                    merge_dsu(dsu, &mut a.dsu3);
-                }
-                if k == 2 {
-                    merge_dsu(dsu, &mut a.dsu2);
-                }
-            }
-            Engine::Exact(e) => {
-                for &(x, y) in e.strata.at(k) {
-                    dsu.union(x, y);
-                }
-                if k == 2 {
-                    // Chain each posting list: any two cliques sharing
-                    // a vertex are adjacent at k = 2.
-                    for posts in &e.postings {
-                        if let Some((&first, rest)) = posts.split_first() {
-                            for &o in rest {
-                                dsu.union(first, o);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fills one snapshotted level's community members from the
-    /// engine's ordinal-indexed stores, then canonicalises them.
-    fn fill_members(&self, level: &mut KLevel) {
-        for c in &mut level.communities {
-            c.members = canonical_members(self.community_members(&c.clique_ids));
-        }
-    }
-
     /// The raw (unsorted, possibly duplicated) member union of the
     /// cliques in `ids`, fetched from the engine's ordinal-indexed
     /// stores ([`AlmostFused::build_extract_index`] / the exact arena
     /// CSR) — work proportional to the community's own membership, not
     /// to the whole census, which is what keeps the per-level
-    /// extraction cheap despite never holding a clique list. Shared by the sequential and the
-    /// pool-parallel extraction (`&self` only, so workers can run it
-    /// concurrently per community).
+    /// extraction cheap despite never holding a clique list. Takes
+    /// `&self` only, so extraction workers run it concurrently, one
+    /// community at a time.
     fn community_members(&self, ids: &[u32]) -> Vec<NodeId> {
         let mut members: Vec<NodeId> = Vec::new();
         match &self.engine {
@@ -1443,103 +1375,9 @@ impl FusedPercolator {
         }
         members
     }
-
-    /// Runs the sweep down to a single level `k` and returns its
-    /// communities as sorted member lists, sorted — the level-`k` cover
-    /// of [`finish`](Self::finish), without building the other levels.
-    pub fn finish_at(mut self, k: usize) -> Vec<Vec<NodeId>> {
-        if k < 2 || self.k_max < k {
-            return Vec::new();
-        }
-        match &mut self.engine {
-            Engine::Almost(a) => {
-                a.finish_pairs(&self.sizes);
-                a.build_extract_index(&self.sizes);
-            }
-            Engine::Exact(e) => e.finish_pairs(&self.sizes),
-        }
-        let clique_count = self.sizes.len();
-        let mut dsu = Dsu::new(clique_count);
-        for kk in (k.max(3)..=self.k_max).rev() {
-            match &mut self.engine {
-                Engine::Almost(a) => {
-                    for &(x, y) in a.strata.at(kk) {
-                        dsu.union(x, y);
-                    }
-                    if let Some(Some(d)) = a.level_dsus.get_mut(kk) {
-                        merge_dsu(&mut dsu, d);
-                    }
-                    if kk == 3 {
-                        merge_dsu(&mut dsu, &mut a.dsu3);
-                    }
-                }
-                Engine::Exact(e) => {
-                    for &(x, y) in e.strata.at(kk) {
-                        dsu.union(x, y);
-                    }
-                }
-            }
-        }
-        if k == 2 {
-            self.union_level(&mut dsu, 2);
-        }
-
-        // Root-indexed compaction over the active cliques; a synthetic
-        // one-community-per-root level reuses the member extraction
-        // machinery.
-        let mut group_of_root = vec![u32::MAX; clique_count];
-        let mut communities: Vec<Community> = Vec::new();
-        for (i, &s) in self.sizes.iter().enumerate() {
-            if (s as usize) < k {
-                continue;
-            }
-            let root = dsu.find(i as u32) as usize;
-            let gi = if group_of_root[root] == u32::MAX {
-                group_of_root[root] = communities.len() as u32;
-                communities.push(Community {
-                    members: Vec::new(),
-                    clique_ids: Vec::new(),
-                    parent: None,
-                });
-                communities.len() - 1
-            } else {
-                group_of_root[root] as usize
-            };
-            communities[gi].clique_ids.push(i as u32);
-        }
-        let mut level = KLevel {
-            k: k as u32,
-            communities,
-        };
-        self.fill_members(&mut level);
-        let mut out: Vec<Vec<NodeId>> = level.communities.into_iter().map(|c| c.members).collect();
-        out.sort_unstable();
-        out
-    }
-}
-
-/// Merges the components of `sub` into `main`: one union per element
-/// against its root reproduces `sub`'s partition inside `main`.
-fn merge_dsu(main: &mut Dsu, sub: &mut Dsu) {
-    for i in 0..main.len() as u32 {
-        let r = sub.find(i);
-        if r != i {
-            main.union(r, i);
-        }
-    }
 }
 
 impl AlmostFused {
-    /// The per-level finish-pass partition, created on first use —
-    /// `count` is the clique-ordinal universe (`sizes.len()`).
-    #[inline]
-    fn level_dsu(&mut self, level: usize, count: usize) -> &mut Dsu {
-        if self.level_dsus.len() <= level {
-            self.level_dsus.resize_with(level + 1, || None);
-        }
-        self.level_dsus[level].get_or_insert_with(|| Dsu::new(count))
-    }
-
     /// Builds the ordinal-indexed member CSR for the small cliques by
     /// transposing the per-vertex posting lists, plus the
     /// ordinal-sorted big-record index — the member stores the
@@ -1576,239 +1414,12 @@ impl AlmostFused {
         self.big_ord_idx.sort_unstable();
     }
 
-    /// The finish-time pair detection deferred by the streaming pass:
-    /// big×big and big×small on the hub-bitmap fast path, or the
-    /// bloom-guarded big×big scan in fallback, over the compressed big
-    /// records. `sizes` is the per-ordinal clique size array.
-    ///
-    /// Only cliques of ≥ 3 members can overlap in `m ≥ 3` (below that
-    /// the keys own the pair), and every member of a big clique lives in
-    /// the *hub vertex set* — tiny on Internet substrates (203 ASes on
-    /// the medium preset, against 10,000 nodes): hub cores nest, so the
-    /// big cliques are rungs of a ladder over the same few hub vertices.
-    /// *Big×big* records every near-containment (the smaller side
-    /// missing at most [`MISS_DEPTH`] of its own members); *big×small*
-    /// tests every small with ≥ 3 hub members against every big. What
-    /// this leaves out — a big×big pair with a mid-range overlap — is
-    /// where Internet substrates are densest in *chains* of
-    /// near-containments and hubby smalls, which is why the divergence
-    /// oracle measures zero on every preset.
-    fn finish_pairs(&mut self, sizes: &[u32]) {
-        if self.fallback {
-            self.finish_pairs_fallback(sizes);
-            return;
-        }
-        if self.bigs.is_empty() {
-            return;
-        }
-        // Descending size order (ordinal tie-break), so each pair's
-        // miss count is measured from its smaller side.
-        self.bigs
-            .sort_unstable_by_key(|r| (std::cmp::Reverse(r.size), r.ord));
-        let nb = self.bigs.len();
-        let w_big = nb.div_ceil(64);
-        let hubs = self.hub_inv.len();
-
-        // Transposed index — per hub vertex, a bitmap over the sorted
-        // bigs — shared by the big×big prefix-plane pass and the
-        // big×small pass below.
-        let mut trans = vec![0u64; hubs * w_big];
-        for (bi, rec) in self.bigs.iter().enumerate() {
-            for w in 0..4 {
-                let mut bits = rec.bm[w];
-                while bits != 0 {
-                    let b = (w << 6) | bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    trans[b * w_big + (bi >> 6)] |= 1u64 << (bi & 63);
-                }
-            }
-        }
-
-        let count = sizes.len();
-        // Big×big, bit-sliced on the *miss* count: a qualifying
-        // pair lacks at most `MISS_DEPTH` of x's hub rows, so per
-        // candidate word a 3-bit saturating counter of absences —
-        // kept in registers, rippled branch-free from the
-        // complemented rows — replaces one AND+popcount row per
-        // earlier big. Almost every word has all 64 candidates
-        // saturate (miss ≥ 8) after a handful of rows, and the
-        // sticky mask then short-circuits the rest of x's rows.
-        let mut rows: Vec<&[u64]> = Vec::new();
-        for xi in 1..nb {
-            let s = self.bigs[xi].size as usize;
-            let w_words = xi.div_ceil(64);
-            rows.clear();
-            for w4 in 0..4 {
-                let mut bits = self.bigs[xi].bm[w4];
-                while bits != 0 {
-                    let b = (w4 << 6) | bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    rows.push(&trans[b * w_big..][..w_words]);
-                }
-            }
-            debug_assert_eq!(rows.len(), s);
-            for w in 0..w_words {
-                let (mut c0, mut c1, mut c2, mut sat) = (0u64, 0u64, 0u64, 0u64);
-                for r in &rows {
-                    let mut v = !r[w];
-                    let t = c0 & v;
-                    c0 ^= v;
-                    v = t;
-                    let t = c1 & v;
-                    c1 ^= v;
-                    v = t;
-                    let t = c2 & v;
-                    c2 ^= v;
-                    v = t;
-                    sat |= v;
-                    if sat == u64::MAX {
-                        // Every candidate in the word already
-                        // misses ≥ 8 rows; no survivors possible.
-                        break;
-                    }
-                }
-                // Unsaturated candidates carry an exact 3-bit miss
-                // count; the `c2 & c1` term pre-cuts 6 and 7 so
-                // only genuine d ≤ MISS_DEPTH = 5 bits survive to
-                // the (defensive) per-hit check.
-                let mut hits = !(sat | (c2 & c1));
-                if w == xi >> 6 {
-                    hits &= (1u64 << (xi & 63)) - 1;
-                }
-                while hits != 0 {
-                    let i = hits.trailing_zeros() as usize;
-                    hits &= hits - 1;
-                    let yi = (w << 6) | i;
-                    let d = (((c0 >> i) & 1) | (((c1 >> i) & 1) << 1) | (((c2 >> i) & 1) << 2))
-                        as usize;
-                    if d > MISS_DEPTH {
-                        continue;
-                    }
-                    let level = (s - d + 1).min(s).max(2);
-                    let (a, b) = (self.bigs[yi].ord, self.bigs[xi].ord);
-                    self.level_dsu(level, count).union(a, b);
-                }
-            }
-        }
-
-        // Big×small, over the transposed per-hub-vertex bitmaps, for
-        // the hubby smalls (≥ 3 hub members); the smalls' hub
-        // memberships come back out of the posting lists (which hold
-        // exactly the 3 ≤ size ≤ SMALL_FULL cliques).
-        // CSR of hub bits per small clique, rebuilt from the postings.
-        let mut hub_off = vec![0u32; count + 1];
-        for b in 0..hubs {
-            let v = self.hub_inv[b] as usize;
-            for &x in &self.small_postings[v] {
-                hub_off[x as usize + 1] += 1;
-            }
-        }
-        for i in 0..count {
-            hub_off[i + 1] += hub_off[i];
-        }
-        let mut hub_rows = vec![0u32; hub_off[count] as usize];
-        let mut cursor = hub_off.clone();
-        for b in 0..hubs {
-            let v = self.hub_inv[b] as usize;
-            for &x in &self.small_postings[v] {
-                hub_rows[cursor[x as usize] as usize] = b as u32;
-                cursor[x as usize] += 1;
-            }
-        }
-        let mut rows: Vec<&[u64]> = Vec::new();
-        for x in 0..count {
-            let hub_bits = &hub_rows[hub_off[x] as usize..hub_off[x + 1] as usize];
-            if hub_bits.len() < 3 {
-                continue;
-            }
-            let s = sizes[x] as usize;
-            debug_assert!((3..=SMALL_FULL).contains(&s));
-            rows.clear();
-            rows.extend(
-                hub_bits
-                    .iter()
-                    .map(|&b| &trans[b as usize * w_big..][..w_big]),
-            );
-            if let [r0, r1, r2] = rows[..] {
-                // Exactly three hub members: m ≥ 3 forces m = 3 and
-                // the hit mask is one three-way AND per word. One x
-                // hits hundreds of bigs at this one level, so keep x's
-                // root cached and link each big against it directly —
-                // half the find work of a generic union per hit.
-                let level = 4.min(s).max(2);
-                if self.level_dsus.len() <= level {
-                    self.level_dsus.resize_with(level + 1, || None);
-                }
-                let dsu = self.level_dsus[level].get_or_insert_with(|| Dsu::new(count));
-                let mut rx = dsu.find(x as u32);
-                for w in 0..w_big {
-                    let mut hits = r0[w] & r1[w] & r2[w];
-                    while hits != 0 {
-                        let i = hits.trailing_zeros() as usize;
-                        hits &= hits - 1;
-                        let yi = (w << 6) | i;
-                        if dsu.union(self.bigs[yi].ord, rx) {
-                            rx = dsu.find(rx);
-                        }
-                    }
-                }
-                continue;
-            }
-            // Per-level cached root of `x` (levels here never exceed
-            // `SMALL_FULL + 1`), refreshed only when a union links —
-            // the same half-the-finds trick as the three-row case.
-            let mut rx = [u32::MAX; SMALL_FULL + 2];
-            for w in 0..w_big {
-                // Ripple-carry each row's 0/1 bits into four count
-                // registers; counts stay ≤ SMALL_FULL < 16, so four
-                // planes are exact and the top carry is always zero.
-                let (mut c0, mut c1, mut c2, mut c3) = (0u64, 0u64, 0u64, 0u64);
-                for r in &rows {
-                    let mut v = r[w];
-                    let t = c0 & v;
-                    c0 ^= v;
-                    v = t;
-                    let t = c1 & v;
-                    c1 ^= v;
-                    v = t;
-                    let t = c2 & v;
-                    c2 ^= v;
-                    v = t;
-                    c3 ^= v;
-                }
-                // count ≥ 3 ⟺ bit1∧bit0, or any higher plane bit.
-                let mut hits = c3 | c2 | (c1 & c0);
-                while hits != 0 {
-                    let i = hits.trailing_zeros() as usize;
-                    hits &= hits - 1;
-                    let yi = (w << 6) | i;
-                    let m = ((c0 >> i) & 1)
-                        | (((c1 >> i) & 1) << 1)
-                        | (((c2 >> i) & 1) << 2)
-                        | (((c3 >> i) & 1) << 3);
-                    let level = ((m as usize) + 1).min(s).max(2);
-                    let a = self.bigs[yi].ord;
-                    if self.level_dsus.len() <= level {
-                        self.level_dsus.resize_with(level + 1, || None);
-                    }
-                    let dsu = self.level_dsus[level].get_or_insert_with(|| Dsu::new(count));
-                    let r = if rx[level] == u32::MAX {
-                        dsu.find(x as u32)
-                    } else {
-                        rx[level]
-                    };
-                    rx[level] = if dsu.union(a, r) { dsu.find(r) } else { r };
-                }
-            }
-        }
-    }
-
     /// The fallback big×big scan (hub space > 256): 256-bit member
     /// blooms guard an early-abort sorted merge — a member of x absent
     /// from y contributes at most one bit to `sig(x) & !sig(y)`, so the
     /// stray-bit test never rejects a qualifying pair (big×small was
     /// already counted by the streaming mixed scan).
-    fn finish_pairs_fallback(&mut self, _sizes: &[u32]) {
+    fn finish_pairs_fallback(&mut self) {
         let nb = self.big_ords.len();
         if nb < 2 {
             return;
@@ -1851,25 +1462,37 @@ impl AlmostFused {
         }
     }
 
-    /// [`Self::finish_pairs`] chunked over `workers` pool workers.
+    /// The finish-time pair detection deferred by the streaming pass:
+    /// big×big and big×small on the hub-bitmap fast path, or the
+    /// bloom-guarded big×big scan in fallback, over the compressed big
+    /// records. `sizes` is the per-ordinal clique size array.
     ///
-    /// The sequential prologue is unchanged (descending-size big sort,
-    /// transposed per-hub bitmaps, hub-membership CSR — all linear);
-    /// the two quadratic scans then drain two [`ChunkQueue`]s: big×big
-    /// over sorted-big rows, big×small over ordinals. Hits union into
-    /// per-level [`ConcurrentDsu`]s instead of the sequential pass's
-    /// `level_dsus`: the pair *set* per level is identical (each chunk
-    /// runs the same arithmetic over the same planes), and a level's
-    /// partition is fully determined by its pair set, so the sweep
-    /// merge — and with it the final result — is bit-identical to the
-    /// sequential pass at every worker count. The sequential pass's
-    /// cached-root trick is dropped here (roots move under concurrent
-    /// unions); `ConcurrentDsu::union` resolves both sides itself.
+    /// Only cliques of ≥ 3 members can overlap in `m ≥ 3` (below that
+    /// the keys own the pair), and every member of a big clique lives in
+    /// the *hub vertex set* — tiny on Internet substrates (203 ASes on
+    /// the medium preset, against 10,000 nodes): hub cores nest, so the
+    /// big cliques are rungs of a ladder over the same few hub vertices.
+    /// *Big×big* records every near-containment (the smaller side
+    /// missing at most [`MISS_DEPTH`] of its own members); *big×small*
+    /// tests every small with ≥ 3 hub members against every big. What
+    /// this leaves out — a big×big pair with a mid-range overlap — is
+    /// where Internet substrates are densest in *chains* of
+    /// near-containments and hubby smalls, which is why the divergence
+    /// oracle measures zero on every preset.
     ///
-    /// The > 256-hub fallback delegates to the sequential pass: it is
-    /// rare and emits into ordered strata, which parallel workers could
-    /// not do without a reassembly stage of their own.
-    fn finish_pairs_parallel(
+    /// A linear prologue (descending-size big sort, transposed per-hub
+    /// bitmaps, hub-membership CSR) runs on the caller; the two
+    /// quadratic scans then drain two [`ChunkQueue`]s over `workers`
+    /// pool workers: big×big over sorted-big rows, big×small over
+    /// ordinals. Hits union into the per-level [`ConcurrentDsu`]s of
+    /// `level_cdsus`: a level's partition is fully determined by its
+    /// pair set, whatever the interleaving, so the result is the same
+    /// at every worker count.
+    ///
+    /// The > 256-hub fallback runs on the caller alone: it is rare and
+    /// emits into ordered strata, which parallel workers could not do
+    /// without a reassembly stage of their own.
+    fn finish_pairs(
         &mut self,
         sizes: &[u32],
         k_max: usize,
@@ -1877,7 +1500,7 @@ impl AlmostFused {
         cancel: Option<&CancelToken>,
     ) {
         if self.fallback {
-            self.finish_pairs(sizes);
+            self.finish_pairs_fallback();
             return;
         }
         if self.bigs.is_empty() {
@@ -1888,6 +1511,8 @@ impl AlmostFused {
         let nb = self.bigs.len();
         let w_big = nb.div_ceil(64);
         let hubs = self.hub_inv.len();
+        // Transposed index — per hub vertex, a bitmap over the sorted
+        // bigs — shared by the big×big and big×small scans below.
         let mut trans = vec![0u64; hubs * w_big];
         for (bi, rec) in self.bigs.iter().enumerate() {
             for w in 0..4 {
@@ -1899,6 +1524,8 @@ impl AlmostFused {
                 }
             }
         }
+        // CSR of hub bits per small clique, rebuilt from the posting
+        // lists (which hold exactly the 3 ≤ size ≤ SMALL_FULL cliques).
         let count = sizes.len();
         let mut hub_off = vec![0u32; count + 1];
         for b in 0..hubs {
@@ -1934,8 +1561,14 @@ impl AlmostFused {
         let queue_bs = ChunkQueue::new(count, PAIRS_SMALL_CHUNK);
         Pool::global().run(workers, |_w| {
             let mut rows: Vec<&[u64]> = Vec::new();
-            // Big×big: same bit-sliced miss counting as the sequential
-            // pass, per claimed row range.
+            // Big×big, bit-sliced on the *miss* count: a qualifying
+            // pair lacks at most `MISS_DEPTH` of x's hub rows, so per
+            // candidate word a 3-bit saturating counter of absences —
+            // kept in registers, rippled branch-free from the
+            // complemented rows — replaces one AND+popcount row per
+            // earlier big. Almost every word has all 64 candidates
+            // saturate (miss ≥ 8) after a handful of rows, and the
+            // sticky mask then short-circuits the rest of x's rows.
             let claim = || match cancel {
                 Some(token) => queue_bb.claim_unless(token),
                 None => queue_bb.claim(),
@@ -1972,9 +1605,15 @@ impl AlmostFused {
                             v = t;
                             sat |= v;
                             if sat == u64::MAX {
+                                // Every candidate in the word already
+                                // misses ≥ 8 rows; no survivors.
                                 break;
                             }
                         }
+                        // Unsaturated candidates carry an exact 3-bit
+                        // miss count; the `c2 & c1` term pre-cuts 6
+                        // and 7 so only genuine d ≤ MISS_DEPTH = 5 bits
+                        // survive to the (defensive) per-hit check.
                         let mut hits = !(sat | (c2 & c1));
                         if w == xi >> 6 {
                             hits &= (1u64 << (xi & 63)) - 1;
@@ -1995,8 +1634,8 @@ impl AlmostFused {
                     }
                 }
             }
-            // Big×small: same plane arithmetic as the sequential pass,
-            // per claimed ordinal range.
+            // Big×small, over the transposed per-hub-vertex bitmaps,
+            // for the hubby smalls (≥ 3 hub members).
             let claim = || match cancel {
                 Some(token) => queue_bs.claim_unless(token),
                 None => queue_bs.claim(),
@@ -2016,6 +1655,8 @@ impl AlmostFused {
                             .map(|&b| &trans[b as usize * w_big..][..w_big]),
                     );
                     if let [r0, r1, r2] = rows[..] {
+                        // Exactly three hub members: m ≥ 3 forces m = 3
+                        // and the hit mask is one three-way AND per word.
                         let level = 4.min(s).max(2);
                         let dsu = dsu_at(level);
                         for w in 0..w_big {
@@ -2030,6 +1671,10 @@ impl AlmostFused {
                         continue;
                     }
                     for w in 0..w_big {
+                        // Ripple-carry each row's 0/1 bits into four
+                        // count registers; counts stay ≤ SMALL_FULL <
+                        // 16, so four planes are exact and the top
+                        // carry is always zero.
                         let (mut c0, mut c1, mut c2, mut c3) = (0u64, 0u64, 0u64, 0u64);
                         for r in &rows {
                             let mut v = r[w];
@@ -2044,6 +1689,7 @@ impl AlmostFused {
                             v = t;
                             c3 ^= v;
                         }
+                        // count ≥ 3 ⟺ bit1∧bit0, or any higher plane bit.
                         let mut hits = c3 | c2 | (c1 & c0);
                         while hits != 0 {
                             let i = hits.trailing_zeros() as usize;
@@ -2086,9 +1732,10 @@ pub fn percolate(g: &Graph) -> CpmResult {
     percolate_parallel(g, 1, Mode::Exact)
 }
 
-/// The exact k-clique communities of a single level, without building
-/// the other levels. Returns sorted member lists, sorted; empty when
-/// `k < 2` or no clique reaches size `k`.
+/// The exact k-clique communities of a single level: [`percolate`]
+/// projected onto level `k` ([`CpmResult::cover`]). Returns sorted
+/// member lists, sorted; empty when `k < 2` or no clique reaches size
+/// `k`.
 ///
 /// # Example
 ///
@@ -2100,12 +1747,10 @@ pub fn percolate(g: &Graph) -> CpmResult {
 /// assert_eq!(comms, vec![vec![0, 1, 2], vec![2, 3, 4]]);
 /// ```
 pub fn percolate_at(g: &Graph, k: usize) -> Vec<Vec<NodeId>> {
-    if k < 2 {
-        return Vec::new();
+    match u32::try_from(k) {
+        Ok(k) if k >= 2 => percolate(g).cover(k),
+        _ => Vec::new(),
     }
-    let mut p = FusedPercolator::new(g.node_count(), Mode::Exact);
-    cliques::consume_max_cliques(g, Kernel::Auto, &mut p);
-    p.finish_at(k)
 }
 
 /// Percolation in `mode` with pool-parallel enumeration *and* finish:
@@ -2244,24 +1889,6 @@ mod tests {
         p.finish()
     }
 
-    /// The single-level path in `mode`.
-    fn run_at(g: &Graph, k: usize, mode: Mode) -> Vec<Vec<NodeId>> {
-        let mut p = FusedPercolator::new(g.node_count(), mode);
-        cliques::consume_max_cliques(g, Kernel::Auto, &mut p);
-        p.finish_at(k)
-    }
-
-    /// Sorted member lists of level `k`, sorted — the order-independent
-    /// view the oracles produce.
-    fn cover_at(r: &CpmResult, k: usize) -> Vec<Vec<NodeId>> {
-        let mut ms: Vec<_> = r
-            .level(k as u32)
-            .map(|l| l.communities.iter().map(|c| c.members.clone()).collect())
-            .unwrap_or_default();
-        ms.sort_unstable();
-        ms
-    }
-
     /// Every community's parent at the level below contains it, and
     /// every community's clique ids are sorted, non-empty ordinals.
     #[track_caller]
@@ -2287,9 +1914,9 @@ mod tests {
     }
 
     /// Both modes agree with the literal definition at every level (and
-    /// one above the top), through the all-k sweep and the single-level
-    /// path alike, and the almost result refines the exact one with
-    /// zero divergence.
+    /// one above the top), [`percolate_at`] projects the same covers,
+    /// and the almost result refines the exact one with zero
+    /// divergence.
     #[track_caller]
     fn assert_matches_naive(g: &Graph) {
         let exact = run(g, Kernel::Auto, Mode::Exact);
@@ -2301,23 +1928,21 @@ mod tests {
         for k in 2..=exact.k_max().unwrap_or(1) as usize + 1 {
             let expected = naive_communities(g, k);
             for (mode, r) in [(Mode::Exact, &exact), (Mode::Almost, &almost)] {
-                assert_eq!(cover_at(r, k), expected, "{mode} k = {k}");
-                assert_eq!(run_at(g, k, mode), expected, "{mode} single k = {k}");
+                assert_eq!(r.cover(k as u32), expected, "{mode} k = {k}");
             }
+            assert_eq!(percolate_at(g, k), expected, "single k = {k}");
         }
     }
 
-    /// The all-k sweep and the single-level path in `mode` against
-    /// covers known by construction (the literal definition is too slow
-    /// on K15+).
+    /// Every level in `mode` against covers known by construction (the
+    /// literal definition is too slow on K15+).
     #[track_caller]
     fn assert_covers(g: &Graph, mode: Mode, expected: &[(usize, Vec<Vec<NodeId>>)]) {
         let r = run(g, Kernel::Auto, mode);
         assert_well_formed(&r);
         assert_eq!(r.k_max(), expected.last().map(|(k, _)| *k as u32));
         for (k, cover) in expected {
-            assert_eq!(&cover_at(&r, *k), cover, "{mode} k = {k}");
-            assert_eq!(&run_at(g, *k, mode), cover, "{mode} single k = {k}");
+            assert_eq!(&r.cover(*k as u32), cover, "{mode} k = {k}");
         }
     }
 
@@ -2428,15 +2053,17 @@ mod tests {
             let r = run(&isolated, Kernel::Auto, mode);
             assert_eq!(r.clique_count, 3);
             assert!(r.levels.is_empty());
-            assert!(run_at(&isolated, 2, mode).is_empty());
+            assert!(r.cover(2).is_empty());
 
             let r = run(&one_edge, Kernel::Auto, mode);
             assert_eq!(r.clique_count, 1);
-            assert_eq!(cover_at(&r, 2), vec![vec![0, 1]]);
-
-            assert!(run_at(&one_edge, 0, mode).is_empty());
-            assert!(run_at(&one_edge, 1, mode).is_empty());
+            assert_eq!(r.cover(2), vec![vec![0, 1]]);
+            assert!(r.cover(0).is_empty());
+            assert!(r.cover(1).is_empty());
         }
+        assert!(percolate_at(&isolated, 2).is_empty());
+        assert!(percolate_at(&one_edge, 0).is_empty());
+        assert!(percolate_at(&one_edge, 1).is_empty());
     }
 
     #[test]
@@ -2527,7 +2154,7 @@ mod tests {
 
     proptest! {
         /// Both modes ≡ the literal definition on random graphs, every
-        /// level, through the all-k sweep and the single-level path.
+        /// level, and [`percolate_at`] projects the same covers.
         #[test]
         fn fused_matches_definition_on_soups(edges in edge_soup(16, 60)) {
             let g = Graph::from_edges(16, edges);
@@ -2535,8 +2162,10 @@ mod tests {
                 let r = run(&g, Kernel::Auto, mode);
                 for k in 2..=r.k_max().unwrap_or(1) as usize + 1 {
                     let expected = naive_communities(&g, k);
-                    prop_assert_eq!(&cover_at(&r, k), &expected, "mode {} k {}", mode, k);
-                    prop_assert_eq!(&run_at(&g, k, mode), &expected, "mode {} k {}", mode, k);
+                    prop_assert_eq!(&r.cover(k as u32), &expected, "mode {} k {}", mode, k);
+                    if mode == Mode::Exact {
+                        prop_assert_eq!(&percolate_at(&g, k), &expected, "single k {}", k);
+                    }
                 }
             }
         }

@@ -16,7 +16,6 @@
 //! it at **zero** on every InternetModel preset.
 
 use crate::result::CpmResult;
-use asgraph::NodeId;
 use std::fmt;
 use std::str::FromStr;
 
@@ -149,16 +148,8 @@ pub fn divergence(exact: &CpmResult, almost: &CpmResult) -> Divergence {
     let k_hi = exact.k_max().unwrap_or(1).max(almost.k_max().unwrap_or(1));
     let mut levels = Vec::new();
     for k in 2..=k_hi {
-        let cover = |r: &CpmResult| -> Vec<Vec<NodeId>> {
-            let mut c: Vec<Vec<NodeId>> = r
-                .level(k)
-                .map(|l| l.communities.iter().map(|c| c.members.clone()).collect())
-                .unwrap_or_default();
-            c.sort_unstable();
-            c
-        };
-        let e = cover(exact);
-        let a = cover(almost);
+        let e = exact.cover(k);
+        let a = almost.cover(k);
         // Sorted two-pointer set difference over member lists.
         let (mut i, mut j) = (0usize, 0usize);
         let (mut ue, mut ua, mut moved) = (0usize, 0usize, 0usize);

@@ -133,6 +133,29 @@ impl CpmResult {
         self.levels.get(i)
     }
 
+    /// The level-`k` cover in canonical order: each community's sorted
+    /// member list, the lists sorted — the single-level view, empty
+    /// when there is no level `k`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use asgraph::Graph;
+    ///
+    /// let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]);
+    /// let result = cpm::percolate(&g);
+    /// assert_eq!(result.cover(3), vec![vec![0, 1, 2], vec![2, 3, 4]]);
+    /// assert!(result.cover(4).is_empty());
+    /// ```
+    pub fn cover(&self, k: u32) -> Vec<Vec<NodeId>> {
+        let mut cover: Vec<Vec<NodeId>> = self
+            .level(k)
+            .map(|l| l.communities.iter().map(|c| c.members.clone()).collect())
+            .unwrap_or_default();
+        cover.sort_unstable();
+        cover
+    }
+
     /// The community designated by `id`.
     pub fn community(&self, id: CommunityId) -> Option<&Community> {
         self.level(id.k)?.communities.get(id.idx as usize)

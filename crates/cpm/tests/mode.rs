@@ -10,7 +10,7 @@
 //! `cargo test --release -p cpm --test mode -- --ignored --nocapture`.
 
 use asgraph::{Graph, NodeId};
-use cpm::{divergence, CpmResult, FusedPercolator, Mode};
+use cpm::{divergence, CpmResult, Mode};
 use proptest::prelude::*;
 
 /// All-k percolation in `mode` on the worker pool.
@@ -18,25 +18,14 @@ fn percolate_mode(g: &Graph, mode: Mode) -> CpmResult {
     cpm::percolate_parallel(g, exec::Threads::Auto, mode)
 }
 
-/// Single-level percolation in `mode`: sorted member lists, sorted.
+/// Single-level percolation in `mode`: the level-`k` projection of
+/// the all-k result.
 fn percolate_at_mode(g: &Graph, k: usize, mode: Mode) -> Vec<Vec<NodeId>> {
-    let mut p = FusedPercolator::new(g.node_count(), mode);
-    cliques::consume_max_cliques(g, cliques::Kernel::Auto, &mut p);
-    p.finish_at(k)
+    percolate_mode(g, mode).cover(k as u32)
 }
 
 fn edge_soup(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(NodeId, NodeId)>> {
     prop::collection::vec((0..n, 0..n), 0..max_edges)
-}
-
-/// Canonically sorted member lists of the level-k cover.
-fn cover_at(result: &CpmResult, k: u32) -> Vec<Vec<NodeId>> {
-    let mut cover: Vec<Vec<NodeId>> = result
-        .level(k)
-        .map(|l| l.communities.iter().map(|c| c.members.clone()).collect())
-        .unwrap_or_default();
-    cover.sort_unstable();
-    cover
 }
 
 fn assert_zero_divergence(g: &Graph, label: &str) {
@@ -48,8 +37,8 @@ fn assert_zero_divergence(g: &Graph, label: &str) {
     assert_eq!(exact.levels.len(), almost.levels.len(), "{label}");
     for level in &exact.levels {
         assert_eq!(
-            cover_at(&exact, level.k),
-            cover_at(&almost, level.k),
+            exact.cover(level.k),
+            almost.cover(level.k),
             "{label}: k = {}",
             level.k
         );
@@ -71,8 +60,8 @@ proptest! {
         prop_assert!(d.is_zero(), "almost diverged from exact: {}", d);
         for level in &exact.levels {
             prop_assert_eq!(
-                cover_at(&exact, level.k),
-                cover_at(&almost, level.k),
+                exact.cover(level.k),
+                almost.cover(level.k),
                 "k = {}", level.k
             );
         }

@@ -43,13 +43,7 @@ proptest! {
     fn single_level_matches_full_sweep(edges in edge_soup(14, 50), k in 2u32..7) {
         let g = Graph::from_edges(14, edges);
         let single = cpm::percolate_at(&g, k as usize);
-        let full = cpm::percolate(&g);
-        let mut level: Vec<Vec<NodeId>> = full
-            .level(k)
-            .map(|l| l.communities.iter().map(|c| c.members.clone()).collect())
-            .unwrap_or_default();
-        level.sort_unstable();
-        prop_assert_eq!(single, level);
+        prop_assert_eq!(single, cpm::percolate(&g).cover(k));
     }
 
     /// Covers shrink with k: every (k+1)-community is inside some

@@ -3,21 +3,11 @@
 
 use asgraph::{Graph, NodeId};
 use cpm::naive::naive_communities;
-use cpm::{percolate, CpmResult, Mode};
+use cpm::{percolate, Mode};
 use proptest::prelude::*;
 
 fn edge_soup(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(NodeId, NodeId)>> {
     prop::collection::vec((0..n, 0..n), 0..max_edges)
-}
-
-/// The fast result's level-k cover as canonically sorted member lists.
-fn cover_at(result: &CpmResult, k: u32) -> Vec<Vec<NodeId>> {
-    let mut cover: Vec<Vec<NodeId>> = result
-        .level(k)
-        .map(|l| l.communities.iter().map(|c| c.members.clone()).collect())
-        .unwrap_or_default();
-    cover.sort_unstable();
-    cover
 }
 
 proptest! {
@@ -30,7 +20,7 @@ proptest! {
         let k_hi = fast.k_max().unwrap_or(2).min(7);
         for k in 2..=k_hi {
             let expected = naive_communities(&g, k as usize);
-            let got = cover_at(&fast, k);
+            let got = fast.cover(k);
             prop_assert_eq!(got, expected, "k = {}", k);
         }
         // Above k_max there must be nothing.
@@ -118,7 +108,7 @@ proptest! {
             .filter(|m| m.len() >= 2)
             .collect();
         expected.sort_unstable();
-        prop_assert_eq!(cover_at(&result, 2), expected);
+        prop_assert_eq!(result.cover(2), expected);
     }
 
     /// The independently-derived SCP engine agrees with the
@@ -158,7 +148,7 @@ proptest! {
         let single = cpm::percolate_at(&g, k);
         let mut sorted = single.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(&sorted, &cover_at(&percolate(&g), k as u32));
+        prop_assert_eq!(&sorted, &percolate(&g).cover(k as u32));
         prop_assert_eq!(&sorted, &naive_communities(&g, k));
     }
 }

@@ -59,7 +59,9 @@ impl Format {
         // LineReader strips a leading UTF-8 BOM before parsing; sniff
         // the same bytes the parser will see, or a BOM'd AS-links file
         // misdetects (first field becomes BOM+tag).
-        let head = head.strip_prefix(b"\xEF\xBB\xBF".as_slice()).unwrap_or(head);
+        let head = head
+            .strip_prefix(b"\xEF\xBB\xBF".as_slice())
+            .unwrap_or(head);
         for line in head.split(|&b| b == b'\n') {
             let line = trim_ascii(line);
             if line.is_empty() || line[0] == b'#' {

@@ -14,16 +14,6 @@ fn edge_soup(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(NodeId, Nod
     prop::collection::vec((0..n, 0..n), 0..max_edges)
 }
 
-/// Canonically sorted batch cover at level `k`.
-fn batch_cover(result: &cpm::CpmResult, k: u32) -> Vec<Vec<NodeId>> {
-    let mut cover: Vec<Vec<NodeId>> = result
-        .level(k)
-        .map(|l| l.communities.iter().map(|c| c.members.clone()).collect())
-        .unwrap_or_default();
-    cover.sort_unstable();
-    cover
-}
-
 /// Canonically sorted streaming cover at level `k`.
 fn stream_cover(result: &cpm_stream::StreamCpmResult, k: u32) -> Vec<Vec<NodeId>> {
     let mut cover: Vec<Vec<NodeId>> = result
@@ -41,11 +31,7 @@ fn assert_stream_matches_batch(g: &Graph) {
     let stream = stream_percolate(&mut GraphSource::new(g)).expect("in-memory source");
     assert_eq!(stream.k_max(), batch.k_max());
     for k in 2..=batch.k_max().unwrap_or(1) {
-        assert_eq!(
-            stream_cover(&stream, k),
-            batch_cover(&batch, k),
-            "level {k}"
-        );
+        assert_eq!(stream_cover(&stream, k), batch.cover(k), "level {k}");
     }
     for (i, level) in stream.levels.iter().enumerate() {
         for c in &level.communities {

@@ -7,7 +7,7 @@
 
 use cliques::Kernel;
 use cpm::naive::naive_communities;
-use cpm::{CpmResult, FusedPercolator, Mode};
+use cpm::{FusedPercolator, Mode};
 use exec::CancelToken;
 use proptest::prelude::*;
 
@@ -25,17 +25,6 @@ fn random_graph(n: u32, p: f64, seed: u64) -> asgraph::Graph {
     b.build()
 }
 
-/// Sorted member lists of level `k`, sorted — the view the literal
-/// definition produces.
-fn cover_at(r: &CpmResult, k: usize) -> Vec<Vec<asgraph::NodeId>> {
-    let mut ms: Vec<_> = r
-        .level(k as u32)
-        .map(|l| l.communities.iter().map(|c| c.members.clone()).collect())
-        .unwrap_or_default();
-    ms.sort_unstable();
-    ms
-}
-
 /// The parallel driver reassembles work-stolen chunks in order, so the
 /// result is *strictly equal* — ordinals, parents, everything — to the
 /// sequential run at 1, 2, 4, and 7 workers, for both modes and every
@@ -47,7 +36,7 @@ fn fused_parallel_is_bit_identical_at_every_worker_count() {
         let sequential = consumed(&g, mode).finish();
         for k in 2..=sequential.k_max().unwrap_or(1) as usize + 1 {
             assert_eq!(
-                cover_at(&sequential, k),
+                sequential.cover(k as u32),
                 naive_communities(&g, k),
                 "{mode}: k = {k}"
             );
@@ -109,7 +98,7 @@ fn book_graph(m: u32) -> asgraph::Graph {
 }
 
 /// Builds the percolator by the *sequential* sink so the engine state
-/// is identical across runs; only the finish path under test varies.
+/// is identical across runs; only the finish's worker count varies.
 fn consumed(g: &asgraph::Graph, mode: Mode) -> FusedPercolator {
     let mut p = FusedPercolator::new(g.node_count(), mode);
     cliques::consume_max_cliques(g, Kernel::Auto, &mut p);
@@ -119,9 +108,8 @@ fn consumed(g: &asgraph::Graph, mode: Mode) -> FusedPercolator {
 /// The finish-time phases (pair detection, sweep, extraction) on the
 /// pool are strictly equal — ordinals, parents, members, everything —
 /// to the one-worker `finish()` at 1, 2, 4, and 7 workers, plain and
-/// cancellable (which always takes the chunked pairs scan), for both
-/// modes, on a substrate whose k = 3 stratum crosses the parallel
-/// sweep's chunk-queue threshold.
+/// cancellable, for both modes, on a substrate whose k = 3 stratum
+/// crosses the parallel sweep's chunk-queue threshold.
 #[test]
 fn parallel_finish_is_bit_identical_to_sequential_finish() {
     for g in [random_graph(70, 0.12, 23), book_graph(150)] {
@@ -177,7 +165,7 @@ fn edge_soup(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>>
 
 proptest! {
     /// Both modes ≡ the literal definition at every level on random
-    /// soups, through the all-k sweep and the single-level path, with
+    /// soups (and `percolate_at` projects the same covers), with
     /// the parallel driver strictly equal to the sequential one at
     /// 2/4/7 workers.
     #[test]
@@ -188,12 +176,10 @@ proptest! {
             prop_assert_eq!(fused.clique_count, cliques::max_cliques(&g).len());
             for k in 2..=fused.k_max().unwrap_or(1) as usize + 1 {
                 let expected = naive_communities(&g, k);
-                prop_assert_eq!(&cover_at(&fused, k), &expected, "mode {} k {}", mode, k);
-                prop_assert_eq!(
-                    &consumed(&g, mode).finish_at(k),
-                    &expected,
-                    "mode {} single k {}", mode, k
-                );
+                prop_assert_eq!(&fused.cover(k as u32), &expected, "mode {} k {}", mode, k);
+                if mode == Mode::Exact {
+                    prop_assert_eq!(&cpm::percolate_at(&g, k), &expected, "single k {}", k);
+                }
             }
             for threads in [2usize, 4, 7] {
                 prop_assert_eq!(
