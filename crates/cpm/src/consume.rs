@@ -10,7 +10,8 @@
 //! Hence the k-clique communities are the components of the clique
 //! overlap graph thresholded at k−1, restricted to cliques of size ≥ k —
 //! `crates/cpm/tests/oracle.rs` checks this against the literal
-//! definition ([`crate::naive`]).
+//! definition ([`crate::naive`]), and `crates/cpm/tests/certify.rs`
+//! implements it literally over planted big cliques.
 //!
 //! **One descending sweep.** As `k` decreases, the set of active cliques
 //! (size ≥ k) and active overlaps (≥ k−1) only grows, so a single
@@ -23,33 +24,50 @@
 //! Baudin et al.'s memory-efficient almost-exact CPM both fold each
 //! clique in **as it is emitted**; [`FusedPercolator`] does the same.
 //! The Bron–Kerbosch kernels stream cliques straight into it (via
-//! [`cliques::sink`]), it folds each one into per-mode working state,
-//! and [`FusedPercolator::finish`] runs the descending-`k` sweep from
-//! that state alone. No clique list ever exists:
+//! [`cliques::sink`]), it folds each one into the engine's working
+//! state, and [`FusedPercolator::finish`] runs the descending-`k` sweep
+//! from that state alone. No clique list ever exists. The engine keeps
+//! the level-2/level-3 key unions *incremental* (a per-vertex last-owner
+//! chain for vertex keys, a persistent last-owner table keyed by the
+//! packed edge for edge keys — chains and first-seen stars have the same
+//! connected components), streams an exact small×small counting pass
+//! against per-vertex posting lists of earlier small cliques, and
+//! compresses each big clique to a 256-bit hub bitmap (40 bytes, vs. the
+//! full member list) from which the big×big and big×small prepasses —
+//! and the big cliques' members themselves — are reconstructed at
+//! [`finish`] time. When a substrate overflows 256 hub vertices the
+//! engine switches to a counting + bloom-guarded fallback. Everything
+//! from `k = 4` up thus comes from the prepass *strata*, which record
+//! each detected pair at its exact detection level `m + 1` (`m` =
+//! overlap size); the persistent union–find carries every detection to
+//! all lower levels for free.
 //!
-//! * **Almost mode** keeps the level-2/level-3 key unions *incremental*
-//!   (a per-vertex last-owner chain for vertex keys, a persistent
-//!   last-owner table for edge keys — chains and first-seen stars have
-//!   the same connected components), streams an exact small×small
-//!   counting pass against per-vertex posting lists of earlier small
-//!   cliques, and compresses each big clique to a 256-bit hub bitmap
-//!   (40 bytes, vs. the full member list) from which the big×big and
-//!   big×small prepasses — and the big cliques' members themselves — are
-//!   reconstructed at [`finish`] time. When a substrate overflows 256 hub
-//!   vertices the engine switches to a counting + bloom-guarded
-//!   fallback. Everything from `k = 4` up thus comes from the prepass
-//!   *strata*, which record each detected pair at its exact detection
-//!   level `m + 1` (`m` = overlap size); the persistent union–find
-//!   carries every detection to all lower levels for free.
-//! * **Exact mode** appends each clique's members to a forward arena at
-//!   push time and defers the pairwise overlap counting to finish time:
-//!   each ordinal counts against the below-`x` prefixes of the posting
-//!   lists (rebuilt by transposing the arena), which lets the scan chunk
-//!   over pool workers while reproducing a streamed scan's pairs — and
-//!   their order — exactly. Pairs land in their detection stratum,
-//!   `k = 2` is chained off the postings during the sweep, and the arena
-//!   doubles as the ordinal-indexed member store for community-first
-//!   extraction.
+//! **Exact = almost + certification.** Every union above is witnessed by
+//! a real overlap, so [`Mode::Almost`] only ever *refines* the exact
+//! communities. The clique pairs it does not count are:
+//!
+//! * big×big pairs (both sizes > [`SMALL_FULL`]) whose overlap is not a
+//!   near-containment (the smaller side misses more than [`MISS_DEPTH`]
+//!   of its own members);
+//! * overlap-2 pairs involving a clique of more than 91 members, which
+//!   emits no edge keys;
+//! * overlap-1 pairs involving a clique of more than [`SUBSET_CAP`]
+//!   members, which emits no vertex keys.
+//!
+//! Small×small and big×small are counted exactly, so every missed pair
+//! contains a big clique — and every member of a big clique is a *hub*
+//! vertex, so the vertices a missed pair shares are hubs. [`Mode::Exact`]
+//! therefore runs the same engine and adds one certification pass per
+//! level of the sweep, after that level's unions quiesce and before its
+//! snapshot: every component holding an active big clique gets a hub
+//! summary (the OR of its active cliques' hub bits); component pairs
+//! whose summaries share ≥ k−1 hubs keep only the cliques with ≥ k−1
+//! hubs in the partner's summary; those clique pairs (at least one side
+//! big) are tested by popcount, and the first hit unions the pair. No
+//! fixed point is needed: adjacency is a relation between cliques, so
+//! every missing union already joins two of the level's original
+//! candidate components. The hub-bitmap width follows the hub count, so
+//! the same pass serves the > 256-hub fallback.
 //!
 //! The finish ([`finish_parallel`](FusedPercolator::finish_parallel);
 //! [`finish`] is its one-worker form) runs on the worker pool: its
@@ -69,7 +87,7 @@ use crate::result::{canonical_members, Community, CpmResult, KLevel};
 use asgraph::{Graph, NodeId};
 use cliques::kclique::binomial;
 use cliques::{CliqueConsumer, Kernel};
-use exec::{CancelToken, Cancelled, ChunkQueue, OrderedAbsorber, Pool, Threads};
+use exec::{CancelToken, Cancelled, ChunkQueue, Pool, Threads};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -77,14 +95,16 @@ use std::time::{Duration, Instant};
 /// per-phase rows: `consume` covers enumeration plus all streaming
 /// fold-in work (they are one pass — that is the point), `pairs` the
 /// finish-time big-clique prepasses, `sweep` the descending-`k`
-/// unions, `extract` level snapshots and member extraction.
+/// unions (with exact mode's per-level certification), `extract` level
+/// snapshots and member extraction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusedPhases {
     /// Enumeration fused with per-clique streaming state updates.
     pub consume: std::time::Duration,
     /// Finish-time pair detection (big×big / big×small prepasses).
     pub pairs: std::time::Duration,
-    /// Descending-`k` union replay.
+    /// Descending-`k` union replay, including exact mode's
+    /// certification pass.
     pub sweep: std::time::Duration,
     /// Level snapshotting and member extraction.
     pub extract: std::time::Duration,
@@ -102,7 +122,7 @@ pub const SUBSET_CAP: u64 = 4096;
 /// counting pass, whose posting lists hold small cliques only — hub
 /// posting lists are dominated by large cliques, so the restriction
 /// turns the quadratic pairwise phase into a cache-resident pass an
-/// order of magnitude cheaper than the exact engine's.
+/// order of magnitude cheaper than counting every pair.
 pub const SMALL_FULL: usize = 14;
 
 /// The per-level key emission bound: shared vertices (`l = 1`, exact
@@ -112,18 +132,9 @@ pub const SMALL_FULL: usize = 14;
 /// `k = 4` up is covered by the prepass strata instead.
 pub const KEY_MAX_L: usize = 2;
 
-/// Polynomial base for the key hash (odd, so powers never vanish).
-const R: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// SplitMix64 finalizer: decorrelates member ids before they enter the
-/// polynomial, so consecutive ids don't produce near-collisions.
-#[inline]
-fn mix(v: NodeId) -> u64 {
-    let mut z = (v as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// Fibonacci hashing's multiplier: the top bits of `key × FIB` spread
+/// consecutive keys evenly (edge-table slots, fallback member blooms).
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The emission gate: whether a clique of size `s` keys its
 /// `l`-subsets (see [`KEY_MAX_L`] / [`SUBSET_CAP`]).
@@ -182,7 +193,7 @@ pub const UNION_CHUNK: usize = 2048;
 const PAR_UNION_MIN: usize = 4 * UNION_CHUNK;
 
 /// The `Threads::Auto` work-volume grain for the *end-to-end*
-/// almost-mode percolate entry points: graph edges per worker before
+/// percolate entry points (both modes): graph edges per worker before
 /// the whole pipeline's fan-out amortises. Individual phases have
 /// their own (smaller) grains, but the committed `BENCH_pool.json`
 /// shows every sub-crossover substrate (sparse300 at ~2.3k edges,
@@ -190,29 +201,20 @@ const PAR_UNION_MIN: usize = 4 * UNION_CHUNK;
 /// fixed multi-worker count — so below `2 × grain` edges, `auto`
 /// snaps the entire run to one worker instead of letting a single
 /// phase fan out.
-pub const ALMOST_AUTO_EDGES_PER_WORKER: usize = 8_192;
+pub const AUTO_EDGES_PER_WORKER: usize = 8_192;
 
-/// Applies [`ALMOST_AUTO_EDGES_PER_WORKER`] at an almost-mode
-/// percolate entry point: `Threads::Auto` below the crossover becomes
-/// an explicit one-worker run (fixed counts pass through untouched;
-/// above the crossover `auto` keeps its per-phase sizing).
-fn almost_auto_threads(threads: Threads, g: &Graph) -> Threads {
-    if threads.is_auto() && threads.resolve(g.edge_count(), ALMOST_AUTO_EDGES_PER_WORKER) == 1 {
+/// Applies [`AUTO_EDGES_PER_WORKER`] at a percolate entry point, in
+/// either mode (both run one engine): `Threads::Auto` below the
+/// crossover becomes an explicit one-worker run (fixed counts pass
+/// through untouched; above the crossover `auto` keeps its per-phase
+/// sizing).
+fn entry_threads(threads: Threads, g: &Graph) -> Threads {
+    if threads.is_auto() && threads.resolve(g.edge_count(), AUTO_EDGES_PER_WORKER) == 1 {
         Threads::Fixed(1)
     } else {
         threads
     }
 }
-
-/// Ordinals per claim of the exact engine's parallel finish-time
-/// counting scan. The per-ordinal cost varies with the posting-prefix
-/// lengths, so chunks stay small enough for stealing to level the load.
-const EXACT_PAIRS_CHUNK: usize = 256;
-
-/// Out-of-order chunks the exact pairs [`OrderedAbsorber`] may buffer
-/// before producers stall — bounds the reassembly memory to a handful
-/// of chunk-sized `Strata` partials.
-const PAIRS_ABSORB_WINDOW: usize = 8;
 
 /// Sorted-big rows per claim of the parallel big×big SWAR scan (each
 /// row scans up to `nb/64` candidate words).
@@ -221,18 +223,10 @@ const PAIRS_BIG_CHUNK: usize = 64;
 /// Ordinals per claim of the parallel big×small plane scan.
 const PAIRS_SMALL_CHUNK: usize = 256;
 
-/// Posting lists (vertices) per claim of the exact `k = 2` chain drain.
-const FUSED_CHAIN_CHUNK: usize = 256;
-
 /// Communities per claim of the parallel member extraction.
 const FUSED_EXTRACT_CHUNK: usize = 16;
 
-/// `Threads::Auto` grain of the exact pairs phase: arena members per
-/// worker before fan-out pays (each membership triggers one
-/// posting-prefix scan).
-const FUSED_PAIRS_AUTO_MEMBERS_PER_WORKER: usize = 8_192;
-
-/// `Threads::Auto` grain of the almost pairs phase, in candidate units:
+/// `Threads::Auto` grain of the pairs phase, in candidate units:
 /// the big×big triangle (`nb²/2`) plus one unit per ordinal for the
 /// big×small scan.
 const FUSED_PAIRS_AUTO_CANDIDATES_PER_WORKER: usize = 65_536;
@@ -241,77 +235,84 @@ const FUSED_PAIRS_AUTO_CANDIDATES_PER_WORKER: usize = 65_536;
 /// ordinals per worker before fan-out pays.
 const FUSED_EXTRACT_AUTO_CLIQUES_PER_WORKER: usize = 4_096;
 
-/// Persistent open-addressed `edge-key → last owner` table. The engine
+/// Persistent open-addressed `edge → last owner` table. The engine
 /// only ever has *one* edge-keyed level (k = 3), so a single persistent
 /// table with last-owner *chaining* reaches the same connected
 /// components as a per-level first-seen table would (a chain and a
-/// first-seen star over the same key class connect the same cliques —
-/// including classes formed by 64-bit hash collisions).
+/// first-seen star over the same key class connect the same cliques).
+/// The key is the packed edge itself, `u << 32 | v` with `u < v` —
+/// never 0, so 0 marks an empty slot — so distinct edges never share a
+/// key and no union is ever invented.
 struct EdgeTable {
-    /// `(fp, owner)`; `fp == 0` marks an empty slot (key 0 remaps to 1).
+    /// `(key, owner)`; `key == 0` marks an empty slot.
     slots: Vec<EdgeSlot>,
-    mask: usize,
+    /// `64 − log₂(capacity)`: the home slot is the top bits of the
+    /// key's Fibonacci product (the low key bits are just `v`).
+    shift: u32,
     used: usize,
 }
 
 #[derive(Clone, Copy, Default)]
 struct EdgeSlot {
-    fp: u64,
+    key: u64,
     owner: u32,
 }
 
 impl EdgeTable {
     fn new() -> Self {
-        let cap = 1 << 12;
+        let bits = 12;
         EdgeTable {
-            slots: vec![EdgeSlot::default(); cap],
-            mask: cap - 1,
+            slots: vec![EdgeSlot::default(); 1 << bits],
+            shift: 64 - bits,
             used: 0,
         }
     }
 
-    /// Records `clique` as the current owner of `key`, returning the
-    /// previous owner if the key was already present.
     #[inline]
-    fn exchange(&mut self, key: u64, clique: u32) -> Option<u32> {
-        let fp = if key == 0 { 1 } else { key };
-        if 2 * (self.used + 1) > self.mask + 1 {
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(FIB) >> self.shift) as usize
+    }
+
+    /// Records `clique` as the current owner of the edge `{u, v}`
+    /// (`u < v`), returning the previous owner if the edge was already
+    /// present.
+    #[inline]
+    fn exchange(&mut self, u: NodeId, v: NodeId, clique: u32) -> Option<u32> {
+        debug_assert!(u < v);
+        let key = (u as u64) << 32 | v as u64;
+        if 2 * (self.used + 1) > self.slots.len() {
             self.grow();
         }
-        let mut i = (fp as usize) & self.mask;
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
         loop {
             let s = &mut self.slots[i];
-            if s.fp == 0 {
-                *s = EdgeSlot { fp, owner: clique };
+            if s.key == 0 {
+                *s = EdgeSlot { key, owner: clique };
                 self.used += 1;
                 return None;
             }
-            if s.fp == fp {
-                let prev = s.owner;
-                s.owner = clique;
-                return Some(prev);
+            if s.key == key {
+                return Some(std::mem::replace(&mut s.owner, clique));
             }
-            i = (i + 1) & self.mask;
+            i = (i + 1) & mask;
         }
     }
 
     fn grow(&mut self) {
-        let cap = (self.mask + 1) * 2;
-        let mut next = EdgeTable {
-            slots: vec![EdgeSlot::default(); cap],
-            mask: cap - 1,
-            used: self.used,
-        };
-        for s in &self.slots {
-            if s.fp != 0 {
-                let mut j = (s.fp as usize) & next.mask;
-                while next.slots[j].fp != 0 {
-                    j = (j + 1) & next.mask;
+        let old = std::mem::take(&mut self.slots);
+        self.shift -= 1;
+        self.slots = vec![EdgeSlot::default(); old.len() * 2];
+        let mask = self.slots.len() - 1;
+        for s in old {
+            if s.key != 0 {
+                let mut j = self.home(s.key);
+                while self.slots[j].key != 0 {
+                    j = (j + 1) & mask;
                 }
-                next.slots[j] = *s;
+                self.slots[j] = s;
             }
         }
-        *self = next;
     }
 }
 
@@ -345,34 +346,13 @@ impl Strata {
         self.by_level.get(level).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Appends every stratum of `other` onto this one. Called in
-    /// ascending chunk order this reproduces the sequential emission
-    /// order exactly — the reassembly step of the parallel exact scan.
-    fn absorb(&mut self, other: Strata) {
-        for (level, mut pairs) in other.by_level.into_iter().enumerate() {
-            if pairs.is_empty() {
-                continue;
-            }
-            if self.by_level.len() <= level {
-                self.by_level.resize_with(level + 1, Vec::new);
-            }
-            let dst = &mut self.by_level[level];
-            if dst.is_empty() {
-                // First pairs at this level: take the buffer, no copy.
-                *dst = pairs;
-            } else {
-                dst.append(&mut pairs);
-            }
-        }
-    }
-
     /// The largest single stratum — the sweep's per-level work bound.
     fn max_len(&self) -> usize {
         self.by_level.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
 
-/// The almost-mode fused engine state (see the module docs).
+/// The engine state (see the module docs).
 struct AlmostFused {
     /// Per-vertex last clique that emitted this vertex's key
     /// (`u32::MAX` = none yet); chains into `dsu2`.
@@ -468,19 +448,15 @@ impl AlmostFused {
                 }
             }
         }
-        // Level-3 edge keys: `Σ_t mix(mᵗ)·Rᵗ` over each member pair, so
-        // a shared edge hashes the same in every clique; last-owner
-        // chaining.
+        // Level-3 edge keys: the member pair itself (members are
+        // sorted, so `c[i] < v`); last-owner chaining.
         if (3..=EDGE_KEY_MAX_S).contains(&s) {
             debug_assert!(emits(s, 2));
             for i in 0..s - 1 {
-                let h0 = mix(c[i]);
+                let u = c[i];
                 for &v in &c[i + 1..] {
-                    let key = h0.wrapping_add(mix(v).wrapping_mul(R));
-                    if let Some(prev) = self.edges.exchange(key, x) {
-                        if prev != x {
-                            self.dsu3.union(prev, x);
-                        }
+                    if let Some(prev) = self.edges.exchange(u, v, x) {
+                        self.dsu3.union(prev, x);
                     }
                 }
             }
@@ -626,150 +602,6 @@ impl AlmostFused {
     }
 }
 
-/// The exact-mode fused engine: consume-time work is a bare append of
-/// each clique's members to a forward arena; the pairwise overlap
-/// counting runs at finish time ([`Self::finish_pairs`]), where it can
-/// chunk over pool workers. The rebuilt posting lists double as the
-/// `k = 2` chain index, and the arena as the ordinal-indexed member
-/// store for community-first extraction.
-struct ExactFused {
-    /// Flat member arena in stream-ordinal order; cliques of size < 2
-    /// contribute nothing (they are inert at every level ≥ 2).
-    mem: Vec<NodeId>,
-    /// Ordinal → arena offset CSR (`count + 1` entries), built at
-    /// finish time from the size array.
-    off: Vec<u32>,
-    /// Per-vertex posting lists (vertex → ordinals, ascending), rebuilt
-    /// at finish time by transposing the arena.
-    postings: Vec<Vec<u32>>,
-    /// Vertex universe size.
-    n: usize,
-    strata: Strata,
-}
-
-impl ExactFused {
-    fn new(n: usize) -> Self {
-        ExactFused {
-            mem: Vec::new(),
-            off: Vec::new(),
-            postings: Vec::new(),
-            n,
-            strata: Strata::default(),
-        }
-    }
-
-    fn consume(&mut self, c: &[NodeId]) {
-        if c.len() >= 2 {
-            self.mem.extend_from_slice(c);
-        }
-    }
-
-    /// Builds the ordinal CSR and the transposed posting lists from the
-    /// arena. Ordinals are visited ascending, so each vertex's postings
-    /// come out ascending — the invariant both the prefix scan and the
-    /// `k = 2` chain rely on.
-    fn build_index(&mut self, sizes: &[u32]) {
-        let count = sizes.len();
-        let mut off = vec![0u32; count + 1];
-        for (i, &s) in sizes.iter().enumerate() {
-            off[i + 1] = off[i] + if s >= 2 { s } else { 0 };
-        }
-        debug_assert_eq!(off[count] as usize, self.mem.len());
-        let mut postings = vec![Vec::new(); self.n];
-        for x in 0..count {
-            for &v in &self.mem[off[x] as usize..off[x + 1] as usize] {
-                postings[v as usize].push(x as u32);
-            }
-        }
-        self.off = off;
-        self.postings = postings;
-    }
-
-    /// Counts the overlap of every clique in `range` against all
-    /// earlier cliques off the posting lists and emits `m ≥ 2` pairs
-    /// into `out` (detection stratum `m + 1`). For each `x` the counted
-    /// partners and their order equal the PR 8 streaming scan's
-    /// exactly: the below-`x` prefix of `postings[v]` is precisely what
-    /// the streaming pass had accumulated when `x` arrived. `m = 1`
-    /// pairs are left for the `k = 2` posting chain.
-    fn count_pairs_range(
-        &self,
-        range: std::ops::Range<usize>,
-        counter: &mut [u32],
-        touched: &mut Vec<u32>,
-        out: &mut Strata,
-    ) {
-        for x in range {
-            let (b, e) = (self.off[x] as usize, self.off[x + 1] as usize);
-            for &v in &self.mem[b..e] {
-                for &y in &self.postings[v as usize] {
-                    if y as usize >= x {
-                        break;
-                    }
-                    if counter[y as usize] == 0 {
-                        touched.push(y);
-                    }
-                    counter[y as usize] += 1;
-                }
-            }
-            for &y in touched.iter() {
-                let m = counter[y as usize] as usize;
-                counter[y as usize] = 0;
-                if m >= 2 {
-                    out.push(m + 1, (y, x as u32));
-                }
-            }
-            touched.clear();
-        }
-    }
-
-    /// The finish-time pair detection: index build plus the counting
-    /// scan over `workers` pool workers. Chunks of the ordinal range
-    /// produce [`Strata`] partials that an [`OrderedAbsorber`] folds
-    /// back in ascending chunk order, so the strata — contents *and*
-    /// order — are the same at every worker count. One worker claims
-    /// the chunks in ascending order with nobody to interleave, so it
-    /// counts them all into a single partial and submits that once:
-    /// no per-chunk partials to grow and copy again. Cancellation stops
-    /// new claims; the partial strata are discarded with the engine by
-    /// the caller.
-    fn finish_pairs(&mut self, sizes: &[u32], workers: usize, cancel: Option<&CancelToken>) {
-        self.build_index(sizes);
-        let count = sizes.len();
-        let queue = ChunkQueue::new(count, EXACT_PAIRS_CHUNK);
-        let absorber = OrderedAbsorber::new(PAIRS_ABSORB_WINDOW, Strata::default());
-        let this = &*self;
-        Pool::global().run(workers, |_w| {
-            let mut counter = vec![0u32; count];
-            let mut touched = Vec::new();
-            let mut part = Strata::default();
-            let claim = || match cancel {
-                Some(token) => queue.claim_unless(token),
-                None => queue.claim(),
-            };
-            while let Some(range) = claim() {
-                this.count_pairs_range(range.clone(), &mut counter, &mut touched, &mut part);
-                if workers > 1 {
-                    let seq = range.start / EXACT_PAIRS_CHUNK;
-                    absorber.submit(seq, std::mem::take(&mut part), Strata::absorb);
-                }
-            }
-            if workers == 1 {
-                absorber.submit(0, part, Strata::absorb);
-            }
-        });
-        self.strata = absorber.into_inner();
-    }
-}
-
-// Boxed: `FusedPercolator` lives on the stack at every entry point and
-// the almost engine's inline state (key tables, planes, caches) is two
-// orders larger than the exact one's.
-enum Engine {
-    Almost(Box<AlmostFused>),
-    Exact(ExactFused),
-}
-
 /// Level construction for the sweep: groups the active cliques of one
 /// level by union–find root and wires the Theorem-1 parent links of the
 /// level above. A root-indexed `Vec` plus an epoch stamp gives one
@@ -777,7 +609,7 @@ enum Engine {
 /// Community indices are assigned first-seen-root in ascending ordinal
 /// order, which keeps the result independent of union order, DSU root
 /// identity, and thread count. Driven by the per-ordinal size array;
-/// members are extracted afterwards from the engines' stores.
+/// members are extracted afterwards from the engine's stores.
 struct LevelSnapshotter {
     idx_of_root: Vec<u32>,
     stamp: Vec<u32>,
@@ -839,10 +671,203 @@ impl LevelSnapshotter {
     }
 }
 
+/// Per-clique hub membership, a CSR over clique ordinals: the hub ids
+/// (bit positions) of each clique's hub members. A big clique's row is
+/// its whole member list (every big member is a hub); a small's is the
+/// part of it inside the hub set. Built once at finish time
+/// ([`AlmostFused::hub_rows`]) for the big×small prepass and exact
+/// mode's certification.
+struct HubRows {
+    /// Hub vertices indexed: the bitmap width in bits.
+    hubs: usize,
+    off: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl HubRows {
+    #[inline]
+    fn of(&self, x: u32) -> &[u32] {
+        &self.rows[self.off[x as usize] as usize..self.off[x as usize + 1] as usize]
+    }
+}
+
+/// How many of `row`'s hub ids are set in the hub bitmap `bm`.
+#[inline]
+fn hits(row: &[u32], bm: &[u64]) -> usize {
+    row.iter()
+        .filter(|&&b| bm[(b >> 6) as usize] >> (b & 63) & 1 != 0)
+        .count()
+}
+
+/// Exact mode's per-level certification pass (see the module docs):
+/// every union the engine misses involves a big clique and shares only
+/// hub vertices, so hub-bitmap tests between the level's components
+/// find them all. Runs on the sweep leader against the quiescent
+/// partition; the unions it adds depend only on that partition, so the
+/// result stays bit-identical at every worker count.
+struct Certifier {
+    /// Hub-bitmap width in words (`⌈hubs / 64⌉`).
+    width: usize,
+    /// `(top, ordinal)` for every clique with a hub member, by
+    /// descending `top` = min(size, hub members + 1): the highest level
+    /// at which the clique is active with ≥ k−1 hub members, so each
+    /// level's participants are a prefix.
+    cands: Vec<(u32, u32)>,
+    /// The candidates' hub rows ([`HubRows`]) laid out in `cands` order,
+    /// so each level streams through a prefix.
+    off: Vec<u32>,
+    rows: Vec<u32>,
+    /// The largest big-clique size: above it no big clique is active,
+    /// so no union can be missing.
+    big_max: usize,
+    /// Root ordinal → the level's component index, valid where `stamp`
+    /// equals `epoch`.
+    comp_of_root: Vec<u32>,
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl Certifier {
+    fn new(hub: &HubRows, sizes: &[u32]) -> Self {
+        let count = sizes.len();
+        let mut cands: Vec<(u32, u32)> = (0..count as u32)
+            .filter(|&x| !hub.of(x).is_empty())
+            .map(|x| (sizes[x as usize].min(hub.of(x).len() as u32 + 1), x))
+            .collect();
+        cands.sort_unstable_by_key(|&(top, x)| (std::cmp::Reverse(top), x));
+        let mut off = Vec::with_capacity(cands.len() + 1);
+        let mut rows = Vec::with_capacity(hub.rows.len());
+        off.push(0);
+        for &(_, x) in &cands {
+            rows.extend_from_slice(hub.of(x));
+            off.push(rows.len() as u32);
+        }
+        let big_max = sizes
+            .iter()
+            .map(|&s| s as usize)
+            .filter(|&s| s > SMALL_FULL)
+            .max()
+            .unwrap_or(0);
+        Certifier {
+            width: hub.hubs.div_ceil(64),
+            cands,
+            off,
+            rows,
+            big_max,
+            comp_of_root: vec![0; count],
+            stamp: vec![u32::MAX; count],
+            epoch: 0,
+        }
+    }
+
+    /// The hub row of candidate `i`.
+    #[inline]
+    fn row(&self, i: usize) -> &[u32] {
+        &self.rows[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
+    /// Certifies level `k` of the quiescent sweep partition `dsu`:
+    /// unions every component pair that a missed clique adjacency
+    /// joins.
+    fn certify_level(&mut self, sizes: &[u32], k: usize, dsu: &ConcurrentDsu) {
+        if k > self.big_max {
+            return;
+        }
+        let need = k - 1;
+        let w = self.width;
+        // A missed pair shares ≥ k−1 hubs, so only active cliques with
+        // that many hub members take part: group them by component and
+        // OR each component's hub summary.
+        let active = self.cands.partition_point(|&(top, _)| top as usize >= k);
+        self.epoch += 1;
+        let mut comp: Vec<u32> = Vec::with_capacity(active);
+        let mut has_big: Vec<bool> = Vec::new();
+        let mut bigs: Vec<usize> = Vec::new();
+        let mut summary: Vec<u64> = Vec::new();
+        for i in 0..active {
+            let x = self.cands[i].1;
+            let r = dsu.find(x) as usize;
+            if self.stamp[r] != self.epoch {
+                self.stamp[r] = self.epoch;
+                self.comp_of_root[r] = has_big.len() as u32;
+                has_big.push(false);
+                summary.resize(summary.len() + w, 0);
+            }
+            let c = self.comp_of_root[r] as usize;
+            if sizes[x as usize] as usize > SMALL_FULL {
+                has_big[c] = true;
+                bigs.push(i);
+            }
+            let acc = &mut summary[c * w..][..w];
+            for &b in self.row(i) {
+                acc[(b >> 6) as usize] |= 1 << (b & 63);
+            }
+            comp.push(c as u32);
+        }
+        let summary_of = |c: usize| &summary[c * w..][..w];
+        // The candidates of component `c` (only its bigs, or all) with
+        // ≥ k−1 hubs in `partner`'s summary: only these can be adjacent
+        // to a clique of `partner`.
+        let side = |c: usize, partner: usize, big_only: bool| -> Vec<usize> {
+            let pick = |&i: &usize| {
+                comp[i] as usize == c && hits(self.row(i), summary_of(partner)) >= need
+            };
+            if big_only {
+                bigs.iter().copied().filter(pick).collect()
+            } else {
+                (0..active).filter(pick).collect()
+            }
+        };
+        // Tests `from`'s bigs against `to`'s candidates by popcount (a
+        // big's members are all hubs, so its bitmap against a hub row
+        // counts the overlap exactly) and unions the first pair sharing
+        // ≥ k−1 vertices. Small×small pairs need no test: the engine
+        // counts them exactly, so every missed pair has a big side.
+        let mut scratch = vec![0u64; w];
+        let mut join = |from: usize, to: usize| -> bool {
+            let from_bigs = side(from, to, true);
+            let partners = if from_bigs.is_empty() {
+                Vec::new()
+            } else {
+                side(to, from, false)
+            };
+            for &i in &from_bigs {
+                for &b in self.row(i) {
+                    scratch[(b >> 6) as usize] |= 1 << (b & 63);
+                }
+                let hit = partners
+                    .iter()
+                    .find(|&&j| hits(self.row(j), &scratch) >= need);
+                scratch.fill(0);
+                if let Some(&j) = hit {
+                    dsu.union(self.cands[i].1, self.cands[j].1);
+                    return true;
+                }
+            }
+            false
+        };
+        let n = has_big.len();
+        for a in (0..n).filter(|&a| has_big[a]) {
+            // Big×big component pairs are visited once, from the lower
+            // index.
+            for b in (0..n).filter(|&b| b != a && !(has_big[b] && b < a)) {
+                let shared: u32 = summary_of(a)
+                    .iter()
+                    .zip(summary_of(b))
+                    .map(|(p, q)| (p & q).count_ones())
+                    .sum();
+                if shared as usize >= need {
+                    let _ = join(a, b) || join(b, a);
+                }
+            }
+        }
+    }
+}
+
 /// One partition to merge into the sweep's concurrent DSU: either the
 /// pairs pass's lock-free per-level partition (whose `find` is exact
 /// once that pass has quiesced) or a root array precomputed from one of
-/// the almost engine's incremental key [`Dsu`]s (whose `find` needs
+/// the engine's incremental key [`Dsu`]s (whose `find` needs
 /// `&mut`, which pool workers cannot share).
 enum MergeSrc<'a> {
     Par(&'a ConcurrentDsu),
@@ -872,11 +897,13 @@ fn roots_of(sub: &mut Dsu, count: usize) -> Vec<u32> {
 /// [`finish`](Self::finish) (or one of its pooled forms) for the
 /// multi-level result; a single level is its projection
 /// ([`CpmResult::cover`]). At no point does a clique list exist: peak
-/// memory is the engines' working state.
+/// memory is the engine's working state.
 pub struct FusedPercolator {
     sizes: Vec<u32>,
     k_max: usize,
-    engine: Engine,
+    engine: AlmostFused,
+    /// Whether the sweep certifies each level ([`Mode::Exact`]).
+    certify: bool,
 }
 
 impl CliqueConsumer for FusedPercolator {
@@ -892,10 +919,8 @@ impl FusedPercolator {
         FusedPercolator {
             sizes: Vec::new(),
             k_max: 0,
-            engine: match mode {
-                Mode::Almost => Engine::Almost(Box::new(AlmostFused::new(n))),
-                Mode::Exact => Engine::Exact(ExactFused::new(n)),
-            },
+            engine: AlmostFused::new(n),
+            certify: mode == Mode::Exact,
         }
     }
 
@@ -909,10 +934,7 @@ impl FusedPercolator {
         debug_assert!(clique.windows(2).all(|w| w[0] < w[1]));
         self.sizes.push(clique.len() as u32);
         self.k_max = self.k_max.max(clique.len());
-        match &mut self.engine {
-            Engine::Almost(a) => a.consume(clique),
-            Engine::Exact(e) => e.consume(clique),
-        }
+        self.engine.consume(clique);
     }
 
     /// Cliques consumed so far.
@@ -977,10 +999,10 @@ impl FusedPercolator {
     /// source contributes the same pair set in every schedule, and
     /// [`ConcurrentDsu`]'s unions commute partition-wise. So chunking
     /// unions over workers — in any interleaving — cannot change the
-    /// output. The one order-sensitive structure, the exact engine's
-    /// strata, is reassembled in ascending chunk order by an
-    /// [`OrderedAbsorber`]. Phase transitions are reported to `observe`
-    /// (the bench's per-phase memory hook).
+    /// output; exact mode's certification runs on the leader between a
+    /// level's union barrier and its snapshot, and depends only on that
+    /// partition. Phase transitions are reported to `observe` (the
+    /// bench's per-phase memory hook).
     fn finish_impl(
         mut self,
         threads: Threads,
@@ -999,13 +1021,10 @@ impl FusedPercolator {
         observe("pairs");
         let t = Instant::now();
         let pairs_workers = self.pairs_workers(threads);
-        match &mut self.engine {
-            Engine::Almost(a) => {
-                a.finish_pairs(&self.sizes, self.k_max, pairs_workers, cancel);
-                a.build_extract_index(&self.sizes);
-            }
-            Engine::Exact(e) => e.finish_pairs(&self.sizes, pairs_workers, cancel),
-        }
+        let hubs = self.engine.hub_rows(clique_count);
+        self.engine
+            .finish_pairs(&self.sizes, self.k_max, pairs_workers, cancel, &hubs);
+        self.engine.build_extract_index(&self.sizes);
         if let Some(token) = cancel {
             token.check()?;
         }
@@ -1013,8 +1032,10 @@ impl FusedPercolator {
 
         observe("sweep");
         let t = Instant::now();
+        let certifier = self.certify.then(|| Certifier::new(&hubs, &self.sizes));
+        drop(hubs);
         let sweep_workers = threads.resolve(self.sweep_work(), PAR_UNION_MIN);
-        let (mut levels_desc, snap_time) = self.sweep_levels(sweep_workers, cancel)?;
+        let (mut levels_desc, snap_time) = self.sweep_levels(sweep_workers, cancel, certifier)?;
         phases.sweep += t.elapsed().saturating_sub(snap_time);
 
         observe("extract");
@@ -1031,39 +1052,29 @@ impl FusedPercolator {
     }
 
     /// `Threads::Auto` resolution of the pairs phase against its own
-    /// work volume (candidate pairs for the almost prepass, arena
-    /// members for the exact scan).
+    /// work volume (candidate pairs of the big-clique prepasses).
     fn pairs_workers(&self, threads: Threads) -> usize {
-        match &self.engine {
-            Engine::Almost(a) => {
-                let nb = a.bigs.len();
-                let work = nb * nb / 2 + self.sizes.len();
-                threads.resolve(work, FUSED_PAIRS_AUTO_CANDIDATES_PER_WORKER)
-            }
-            Engine::Exact(e) => threads.resolve(e.mem.len(), FUSED_PAIRS_AUTO_MEMBERS_PER_WORKER),
-        }
+        let nb = self.engine.bigs.len();
+        let work = nb * nb / 2 + self.sizes.len();
+        threads.resolve(work, FUSED_PAIRS_AUTO_CANDIDATES_PER_WORKER)
     }
 
     /// The sweep's work bound: the largest single stratum or the
     /// ordinal universe (each keyed/partition merge replays one union
     /// per ordinal), whichever dominates.
     fn sweep_work(&self) -> usize {
-        let strata_max = match &self.engine {
-            Engine::Almost(a) => a.strata.max_len(),
-            Engine::Exact(e) => e.strata.max_len(),
-        };
-        strata_max.max(self.sizes.len())
+        self.engine.strata.max_len().max(self.sizes.len())
     }
 
     /// The pool-parallel descending-`k` sweep: per level, workers drain
-    /// the stratum pairs, the partition merges and (exact, `k = 2`) the
-    /// posting chain into one shared [`ConcurrentDsu`], then a barrier
-    /// separates the unions from the leader's level snapshot (taken
-    /// from the quiescent DSU, where `find` is the exact min-id root),
-    /// and a second barrier separates the snapshot from the next
-    /// level's unions. Sources smaller than [`PAR_UNION_MIN`] get an
-    /// empty queue and are replayed leader-inline, so tiny levels never
-    /// pay claim traffic.
+    /// the stratum pairs and the partition merges into one shared
+    /// [`ConcurrentDsu`], then a barrier separates the unions from the
+    /// leader's certification (exact mode, `certifier`) and level
+    /// snapshot (both read the quiescent DSU, where `find` is the exact
+    /// min-id root), and a second barrier separates the snapshot from
+    /// the next level's unions. Sources smaller than [`PAR_UNION_MIN`]
+    /// get an empty queue and are replayed leader-inline, so tiny levels
+    /// never pay claim traffic.
     ///
     /// Returns the levels in descending `k` plus the wall time spent
     /// snapshotting (attributed to the extract phase).
@@ -1071,17 +1082,13 @@ impl FusedPercolator {
         &mut self,
         workers: usize,
         cancel: Option<&CancelToken>,
+        certifier: Option<Certifier>,
     ) -> Result<(Vec<KLevel>, Duration), Cancelled> {
         let count = self.sizes.len();
         // The incremental key DSUs become root arrays up front:
         // `Dsu::find` needs `&mut`, which pool workers cannot share.
-        let mut root_parts: Vec<Vec<Vec<u32>>> = vec![Vec::new(); self.k_max + 1];
-        if let Engine::Almost(a) = &mut self.engine {
-            if self.k_max >= 3 {
-                root_parts[3].push(roots_of(&mut a.dsu3, count));
-            }
-            root_parts[2].push(roots_of(&mut a.dsu2, count));
-        }
+        let mut roots3 = (self.k_max >= 3).then(|| roots_of(&mut self.engine.dsu3, count));
+        let mut roots2 = Some(roots_of(&mut self.engine.dsu2, count));
 
         struct MergeJob<'a> {
             src: MergeSrc<'a>,
@@ -1092,7 +1099,6 @@ impl FusedPercolator {
             pairs: &'a [(u32, u32)],
             pairs_queue: ChunkQueue,
             merges: Vec<MergeJob<'a>>,
-            chain: Option<(&'a [Vec<u32>], ChunkQueue)>,
         }
 
         let engine = &self.engine;
@@ -1108,47 +1114,40 @@ impl FusedPercolator {
         };
         let mut plans: Vec<LevelPlan> = Vec::with_capacity(self.k_max - 1);
         for k in (2..=self.k_max).rev() {
-            let pairs = match engine {
-                Engine::Almost(a) => a.strata.at(k),
-                Engine::Exact(e) => e.strata.at(k),
-            };
+            let pairs = engine.strata.at(k);
             let mut merges: Vec<MergeJob> = Vec::new();
-            if let Engine::Almost(a) = engine {
-                if let Some(cd) = a.level_cdsus.get(k).and_then(OnceLock::get) {
-                    merges.push(MergeJob {
-                        src: MergeSrc::Par(cd),
-                        queue: ChunkQueue::new(gate(count, count), UNION_CHUNK),
-                    });
-                }
+            if let Some(cd) = engine.level_cdsus.get(k).and_then(OnceLock::get) {
+                merges.push(MergeJob {
+                    src: MergeSrc::Par(cd),
+                    queue: ChunkQueue::new(gate(count, count), UNION_CHUNK),
+                });
             }
-            for roots in root_parts[k].drain(..) {
+            let keyed = match k {
+                3 => roots3.take(),
+                2 => roots2.take(),
+                _ => None,
+            };
+            if let Some(roots) = keyed {
                 merges.push(MergeJob {
                     src: MergeSrc::Seq(roots),
                     queue: ChunkQueue::new(gate(count, count), UNION_CHUNK),
                 });
             }
-            let chain = match engine {
-                Engine::Exact(e) if k == 2 => Some((
-                    &e.postings[..],
-                    ChunkQueue::new(gate(e.postings.len(), e.mem.len()), FUSED_CHAIN_CHUNK),
-                )),
-                _ => None,
-            };
             plans.push(LevelPlan {
                 k,
                 pairs,
                 pairs_queue: ChunkQueue::new(gate(pairs.len(), pairs.len()), UNION_CHUNK),
                 merges,
-                chain,
             });
         }
 
         let cdsu = ConcurrentDsu::new(count);
-        type SnapParts = (LevelSnapshotter, Vec<KLevel>, Duration);
+        type SnapParts = (LevelSnapshotter, Vec<KLevel>, Duration, Option<Certifier>);
         let snap_parts: Mutex<SnapParts> = Mutex::new((
             LevelSnapshotter::new(count),
             Vec::with_capacity(self.k_max - 1),
             Duration::ZERO,
+            certifier,
         ));
         Pool::global().run(workers, |w| {
             let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
@@ -1206,44 +1205,16 @@ impl FusedPercolator {
                         }
                     }
                 }
-                if let Some((postings, queue)) = &plan.chain {
-                    let chain_list = |posts: &[u32]| {
-                        if let Some((&first, rest)) = posts.split_first() {
-                            for &o in rest {
-                                cdsu.union(first, o);
-                            }
-                        }
-                    };
-                    if queue.is_empty() {
-                        if w.is_leader() && !cancelled() {
-                            for chunk in postings.chunks(FUSED_CHAIN_CHUNK) {
-                                if cancelled() {
-                                    break;
-                                }
-                                for posts in chunk {
-                                    chain_list(posts);
-                                }
-                            }
-                        }
-                    } else {
-                        let claim = || match cancel {
-                            Some(token) => queue.claim_unless(token),
-                            None => queue.claim(),
-                        };
-                        while let Some(range) = claim() {
-                            for posts in &postings[range] {
-                                chain_list(posts);
-                            }
-                        }
-                    }
-                }
-                // Quiesce, snapshot from the settled partition, then
-                // release everyone into the next level.
+                // Quiesce, certify and snapshot the settled partition,
+                // then release everyone into the next level.
                 w.barrier();
                 if w.is_leader() && !cancelled() {
-                    let t = Instant::now();
                     let mut guard = snap_parts.lock().expect("fused sweep worker panicked");
-                    let (snap, levels, snap_time) = &mut *guard;
+                    let (snap, levels, snap_time, certifier) = &mut *guard;
+                    if let Some(certifier) = certifier {
+                        certifier.certify_level(sizes, plan.k, &cdsu);
+                    }
+                    let t = Instant::now();
                     let level =
                         snap.snapshot(sizes, plan.k, &mut |x| cdsu.find(x), levels.last_mut());
                     levels.push(level);
@@ -1255,7 +1226,7 @@ impl FusedPercolator {
         if let Some(token) = cancel {
             token.check()?;
         }
-        let (_, levels, snap_time) = snap_parts
+        let (_, levels, snap_time, _) = snap_parts
             .into_inner()
             .expect("fused sweep worker panicked");
         Ok((levels, snap_time))
@@ -1310,67 +1281,56 @@ impl FusedPercolator {
 
     /// The raw (unsorted, possibly duplicated) member union of the
     /// cliques in `ids`, fetched from the engine's ordinal-indexed
-    /// stores ([`AlmostFused::build_extract_index`] / the exact arena
-    /// CSR) — work proportional to the community's own membership, not
-    /// to the whole census, which is what keeps the per-level
-    /// extraction cheap despite never holding a clique list. Takes
-    /// `&self` only, so extraction workers run it concurrently, one
-    /// community at a time.
+    /// stores ([`AlmostFused::build_extract_index`]) — work
+    /// proportional to the community's own membership, not to the whole
+    /// census, which is what keeps the per-level extraction cheap
+    /// despite never holding a clique list. Takes `&self` only, so
+    /// extraction workers run it concurrently, one community at a time.
     fn community_members(&self, ids: &[u32]) -> Vec<NodeId> {
+        let a = &self.engine;
         let mut members: Vec<NodeId> = Vec::new();
-        match &self.engine {
-            Engine::Almost(a) => {
-                // Bitmap-compressed bigs OR into one accumulator and
-                // decode once per community: every big member is a hub
-                // vertex, so a community's bigs — however many —
-                // contribute at most 256 member pushes.
-                let mut bm = [0u64; 4];
-                for &x in ids {
-                    let s = self.sizes[x as usize] as usize;
-                    if s == 2 {
-                        let i = a
-                            .pairs2
-                            .binary_search_by_key(&x, |&(o, _)| o)
-                            .expect("size-2 ordinal is in pairs2");
-                        members.extend_from_slice(&a.pairs2[i].1);
-                    } else if s <= SMALL_FULL {
-                        let (b, e) = (
-                            a.small_off[x as usize] as usize,
-                            a.small_off[x as usize + 1] as usize,
-                        );
-                        members.extend_from_slice(&a.small_mem[b..e]);
-                    } else if !a.fallback {
-                        let i = a
-                            .big_ord_idx
-                            .binary_search_by_key(&x, |&(o, _)| o)
-                            .expect("big ordinal is indexed");
-                        let rec = &a.bigs[a.big_ord_idx[i].1 as usize];
-                        for (acc, &word) in bm.iter_mut().zip(&rec.bm) {
-                            *acc |= word;
-                        }
-                    } else {
-                        let bi = a
-                            .big_ords
-                            .binary_search(&x)
-                            .expect("fallback big ordinal is recorded");
-                        let m = &a.big_members[a.big_offsets[bi]..a.big_offsets[bi + 1]];
-                        members.extend_from_slice(m);
-                    }
+        // Bitmap-compressed bigs OR into one accumulator and decode once
+        // per community: every big member is a hub vertex, so a
+        // community's bigs — however many — contribute at most 256
+        // member pushes.
+        let mut bm = [0u64; 4];
+        for &x in ids {
+            let s = self.sizes[x as usize] as usize;
+            if s == 2 {
+                let i = a
+                    .pairs2
+                    .binary_search_by_key(&x, |&(o, _)| o)
+                    .expect("size-2 ordinal is in pairs2");
+                members.extend_from_slice(&a.pairs2[i].1);
+            } else if s <= SMALL_FULL {
+                let (b, e) = (
+                    a.small_off[x as usize] as usize,
+                    a.small_off[x as usize + 1] as usize,
+                );
+                members.extend_from_slice(&a.small_mem[b..e]);
+            } else if !a.fallback {
+                let i = a
+                    .big_ord_idx
+                    .binary_search_by_key(&x, |&(o, _)| o)
+                    .expect("big ordinal is indexed");
+                let rec = &a.bigs[a.big_ord_idx[i].1 as usize];
+                for (acc, &word) in bm.iter_mut().zip(&rec.bm) {
+                    *acc |= word;
                 }
-                for (w, &word) in bm.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let b = (w << 6) | bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        members.push(a.hub_inv[b]);
-                    }
-                }
+            } else {
+                let bi = a
+                    .big_ords
+                    .binary_search(&x)
+                    .expect("fallback big ordinal is recorded");
+                members.extend_from_slice(&a.big_members[a.big_offsets[bi]..a.big_offsets[bi + 1]]);
             }
-            Engine::Exact(e) => {
-                for &x in ids {
-                    let (b, en) = (e.off[x as usize] as usize, e.off[x as usize + 1] as usize);
-                    members.extend_from_slice(&e.mem[b..en]);
-                }
+        }
+        for (w, &word) in bm.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let b = (w << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                members.push(a.hub_inv[b]);
             }
         }
         members
@@ -1378,6 +1338,65 @@ impl FusedPercolator {
 }
 
 impl AlmostFused {
+    /// Indexes every clique's hub members ([`HubRows`]): smalls from
+    /// the hub vertices' posting lists, bigs from their bitmaps (or, on
+    /// the fallback path, the big posting lists), size-2 cliques from
+    /// their two members. On the fallback path the hub ids are first
+    /// extended to every big member — the hub set stays "all members of
+    /// big cliques", only wider than 256.
+    fn hub_rows(&mut self, count: usize) -> HubRows {
+        if self.fallback {
+            for &v in &self.big_members {
+                if self.hub_bit[v as usize] == u32::MAX {
+                    self.hub_bit[v as usize] = self.hub_inv.len() as u32;
+                    self.hub_inv.push(v);
+                }
+            }
+        }
+        let visit = |f: &mut dyn FnMut(u32, u32)| {
+            for (b, &v) in self.hub_inv.iter().enumerate() {
+                let v = v as usize;
+                let bigs = self.big_postings.get(v).map_or(&[][..], Vec::as_slice);
+                for &x in self.small_postings[v].iter().chain(bigs) {
+                    f(x, b as u32);
+                }
+            }
+            for rec in &self.bigs {
+                for (w, &word) in rec.bm.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        f(rec.ord, (w << 6) as u32 | bits.trailing_zeros());
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            for &(x, pair) in &self.pairs2 {
+                for v in pair {
+                    let b = self.hub_bit[v as usize];
+                    if b != u32::MAX {
+                        f(x, b);
+                    }
+                }
+            }
+        };
+        let mut off = vec![0u32; count + 1];
+        visit(&mut |x, _| off[x as usize + 1] += 1);
+        for i in 0..count {
+            off[i + 1] += off[i];
+        }
+        let mut rows = vec![0u32; off[count] as usize];
+        let mut cursor = off.clone();
+        visit(&mut |x, b| {
+            rows[cursor[x as usize] as usize] = b;
+            cursor[x as usize] += 1;
+        });
+        HubRows {
+            hubs: self.hub_inv.len(),
+            off,
+            rows,
+        }
+    }
+
     /// Builds the ordinal-indexed member CSR for the small cliques by
     /// transposing the per-vertex posting lists, plus the
     /// ordinal-sorted big-record index — the member stores the
@@ -1432,7 +1451,7 @@ impl AlmostFused {
             .map(|&bi| {
                 let mut sig = [0u64; 4];
                 for &v in &self.big_members[self.big_offsets[bi]..self.big_offsets[bi + 1]] {
-                    let h = mix(v) & 255;
+                    let h = (v as u64).wrapping_mul(FIB) >> 56;
                     sig[(h >> 6) as usize] |= 1u64 << (h & 63);
                 }
                 sig
@@ -1481,7 +1500,8 @@ impl AlmostFused {
     /// oracle measures zero on every preset.
     ///
     /// A linear prologue (descending-size big sort, transposed per-hub
-    /// bitmaps, hub-membership CSR) runs on the caller; the two
+    /// bitmaps) runs on the caller; `hubs` is the hub-membership CSR
+    /// ([`Self::hub_rows`]). The two
     /// quadratic scans then drain two [`ChunkQueue`]s over `workers`
     /// pool workers: big×big over sorted-big rows, big×small over
     /// ordinals. Hits union into the per-level [`ConcurrentDsu`]s of
@@ -1498,6 +1518,7 @@ impl AlmostFused {
         k_max: usize,
         workers: usize,
         cancel: Option<&CancelToken>,
+        hubs: &HubRows,
     ) {
         if self.fallback {
             self.finish_pairs_fallback();
@@ -1510,10 +1531,9 @@ impl AlmostFused {
             .sort_unstable_by_key(|r| (std::cmp::Reverse(r.size), r.ord));
         let nb = self.bigs.len();
         let w_big = nb.div_ceil(64);
-        let hubs = self.hub_inv.len();
         // Transposed index — per hub vertex, a bitmap over the sorted
         // bigs — shared by the big×big and big×small scans below.
-        let mut trans = vec![0u64; hubs * w_big];
+        let mut trans = vec![0u64; self.hub_inv.len() * w_big];
         for (bi, rec) in self.bigs.iter().enumerate() {
             for w in 0..4 {
                 let mut bits = rec.bm[w];
@@ -1524,28 +1544,7 @@ impl AlmostFused {
                 }
             }
         }
-        // CSR of hub bits per small clique, rebuilt from the posting
-        // lists (which hold exactly the 3 ≤ size ≤ SMALL_FULL cliques).
         let count = sizes.len();
-        let mut hub_off = vec![0u32; count + 1];
-        for b in 0..hubs {
-            let v = self.hub_inv[b] as usize;
-            for &x in &self.small_postings[v] {
-                hub_off[x as usize + 1] += 1;
-            }
-        }
-        for i in 0..count {
-            hub_off[i + 1] += hub_off[i];
-        }
-        let mut hub_rows = vec![0u32; hub_off[count] as usize];
-        let mut cursor = hub_off.clone();
-        for b in 0..hubs {
-            let v = self.hub_inv[b] as usize;
-            for &x in &self.small_postings[v] {
-                hub_rows[cursor[x as usize] as usize] = b as u32;
-                cursor[x as usize] += 1;
-            }
-        }
         // Levels never exceed the largest clique size, so `k_max + 2`
         // slots cover every detection level with room for the `.min(s)`
         // clamp's upper bound.
@@ -1635,19 +1634,19 @@ impl AlmostFused {
                 }
             }
             // Big×small, over the transposed per-hub-vertex bitmaps,
-            // for the hubby smalls (≥ 3 hub members).
+            // for the hubby smalls (≥ 3 hub members; the size-2 rows
+            // have fewer, the big rows are skipped).
             let claim = || match cancel {
                 Some(token) => queue_bs.claim_unless(token),
                 None => queue_bs.claim(),
             };
             while let Some(range) = claim() {
                 for x in range {
-                    let hub_bits = &hub_rows[hub_off[x] as usize..hub_off[x + 1] as usize];
-                    if hub_bits.len() < 3 {
+                    let hub_bits = hubs.of(x as u32);
+                    let s = sizes[x] as usize;
+                    if hub_bits.len() < 3 || s > SMALL_FULL {
                         continue;
                     }
-                    let s = sizes[x] as usize;
-                    debug_assert!((3..=SMALL_FULL).contains(&s));
                     rows.clear();
                     rows.extend(
                         hub_bits
@@ -1774,7 +1773,7 @@ pub fn percolate_at(g: &Graph, k: usize) -> Vec<Vec<NodeId>> {
 /// assert_eq!(cpm::percolate(&g), cpm::percolate_parallel(&g, 4, Mode::Exact));
 /// ```
 pub fn percolate_parallel(g: &Graph, threads: impl Into<Threads>, mode: Mode) -> CpmResult {
-    let threads = entry_threads(threads.into(), g, mode);
+    let threads = entry_threads(threads.into(), g);
     let mut p = FusedPercolator::new(g.node_count(), mode);
     cliques::parallel::consume_max_cliques_parallel(g, threads, Kernel::Auto, &mut p);
     p.finish_parallel(threads)
@@ -1808,7 +1807,7 @@ pub fn percolate_fused_phases_probed(
     mode: Mode,
     observe: &mut dyn FnMut(&'static str),
 ) -> (CpmResult, FusedPhases) {
-    let threads = entry_threads(threads.into(), g, mode);
+    let threads = entry_threads(threads.into(), g);
     let mut phases = FusedPhases::default();
     let mut p = FusedPercolator::new(g.node_count(), mode);
     observe("consume");
@@ -1819,18 +1818,6 @@ pub fn percolate_fused_phases_probed(
         .finish_impl(threads, None, &mut phases, observe)
         .expect("uncancellable finish cannot be cancelled");
     (result, phases)
-}
-
-/// The shared `Threads::Auto` work-volume grain of the percolate entry
-/// points ([`ALMOST_AUTO_EDGES_PER_WORKER`]): below the crossover,
-/// `auto` runs the whole almost-mode pipeline on one worker instead of
-/// letting the enumerator fan out for a graph whose percolation cannot
-/// amortise it.
-fn entry_threads(threads: Threads, g: &Graph, mode: Mode) -> Threads {
-    match mode {
-        Mode::Almost => almost_auto_threads(threads, g),
-        Mode::Exact => threads,
-    }
 }
 
 /// [`percolate_parallel`] with an explicit enumeration [`Kernel`] and a
@@ -1853,7 +1840,7 @@ pub fn percolate_fused_cancellable(
     cancel: &CancelToken,
     mode: Mode,
 ) -> Result<CpmResult, Cancelled> {
-    let threads = entry_threads(threads.into(), g, mode);
+    let threads = entry_threads(threads.into(), g);
     let mut p = FusedPercolator::new(g.node_count(), mode);
     cliques::parallel::consume_max_cliques_parallel_cancellable(
         g, threads, kernel, cancel, &mut p,
@@ -2084,36 +2071,21 @@ mod tests {
     #[test]
     fn auto_never_fans_out_below_the_percolate_crossover() {
         // Sub-crossover substrate (sparse300-sized): auto must snap to
-        // one worker at the entry point, while fixed counts are always
-        // honoured and a super-crossover graph keeps auto's per-phase
-        // sizing.
+        // one worker at the entry point — in both modes, which run one
+        // engine — while fixed counts are always honoured and a
+        // super-crossover graph keeps auto's per-phase sizing.
         let small = random_graph(300, 0.05, 7);
-        assert!(small.edge_count() < 2 * ALMOST_AUTO_EDGES_PER_WORKER);
-        assert_eq!(
-            almost_auto_threads(Threads::Auto, &small),
-            Threads::Fixed(1)
-        );
-        assert_eq!(
-            almost_auto_threads(Threads::Fixed(4), &small),
-            Threads::Fixed(4)
-        );
-        // Exact mode never applies the almost-mode clamp.
-        assert_eq!(
-            entry_threads(Threads::Auto, &small, Mode::Exact),
-            Threads::Auto
-        );
-        assert_eq!(
-            entry_threads(Threads::Auto, &small, Mode::Almost),
-            Threads::Fixed(1)
-        );
+        assert!(small.edge_count() < 2 * AUTO_EDGES_PER_WORKER);
+        assert_eq!(entry_threads(Threads::Auto, &small), Threads::Fixed(1));
+        assert_eq!(entry_threads(Threads::Fixed(4), &small), Threads::Fixed(4));
         let big = random_graph(300, 0.4, 7);
-        assert!(big.edge_count() >= 2 * ALMOST_AUTO_EDGES_PER_WORKER);
+        assert!(big.edge_count() >= 2 * AUTO_EDGES_PER_WORKER);
         if exec::available_parallelism() > 1 {
-            assert_eq!(almost_auto_threads(Threads::Auto, &big), Threads::Auto);
+            assert_eq!(entry_threads(Threads::Auto, &big), Threads::Auto);
         } else {
             // One hardware thread: auto resolves to one worker above
             // the crossover too, and the clamp just makes it explicit.
-            assert_eq!(almost_auto_threads(Threads::Auto, &big), Threads::Fixed(1));
+            assert_eq!(entry_threads(Threads::Auto, &big), Threads::Fixed(1));
         }
     }
 

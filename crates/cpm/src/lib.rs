@@ -15,9 +15,11 @@
 //! with the nesting links (see [`consume`]). [`percolate`] runs it on
 //! the calling thread, [`percolate_parallel`] on the persistent worker
 //! pool (the companion "Lightweight Parallel CPM" paper's insight:
-//! enumeration and pair detection parallelise, the sweep is cheap), and
-//! [`Mode::Almost`] swaps pairwise overlap counting for hashed
-//! (k−1)-clique keys. The literal definition is also implemented
+//! enumeration and pair detection parallelise, the sweep is cheap).
+//! Both modes run that engine: [`Mode::Almost`] unions cliques through
+//! shared (k−1)-clique keys and a big-clique prepass, and
+//! [`Mode::Exact`] adds a per-level certification pass that makes the
+//! communities exact. The literal definition is also implemented
 //! ([`naive`]) and used as a cross-validation oracle in the property
 //! tests.
 //!

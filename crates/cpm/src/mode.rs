@@ -1,19 +1,23 @@
 //! The percolation mode vocabulary and the almost-mode divergence
 //! oracle.
 //!
-//! [`Mode::Exact`] is the maximal-clique reduction with definitional
-//! pairwise overlap counting. [`Mode::Almost`] follows Baudin, Magnien
-//! & Tabourier's memory-efficient CPM (arXiv:2110.01213): two k-cliques
-//! are adjacent iff they share a (k−1)-clique, so hashing shared
-//! vertices and edges into first-seen-owner keys reaches the low levels
-//! without any overlap counting, and a one-shot subsumption prepass
-//! covers everything from `k = 4` up (see [`crate::consume`] for the
-//! engine). Every almost-mode union is witnessed by an overlap ≥ k−1,
-//! so a miss can only *split* a community, never invent one: almost
-//! covers are always refinements of exact ones (up to the ~2⁻⁶⁴ chance
-//! of a 64-bit key collision). [`divergence`] quantifies the residual
-//! gap, and the property tests plus the CI `mode-cross-check` job hold
-//! it at **zero** on every InternetModel preset.
+//! Both modes run one engine ([`crate::consume`]). [`Mode::Almost`]
+//! follows Baudin, Magnien & Tabourier's memory-efficient CPM
+//! (arXiv:2110.01213): two k-cliques are adjacent iff they share a
+//! (k−1)-clique, so keying shared vertices and edges to last-seen owners
+//! reaches the low levels without any overlap counting, while exact
+//! small-clique counting and a one-shot subsumption prepass over the
+//! big cliques cover everything from `k = 4` up. Every almost-mode
+//! union is witnessed by an overlap ≥ k−1 (the keys are the vertices
+//! and edges themselves, so no two keys collide), so a miss can only
+//! *split* a community, never invent one: almost covers are always
+//! refinements of exact ones. [`Mode::Exact`] is almost mode plus a
+//! per-level certification pass that finds every pair the engine does
+//! not count — each involves a big clique and shares only hub vertices
+//! — so its covers are the exact k-clique communities by construction.
+//! [`divergence`] quantifies the gap between the two, and the property
+//! tests plus the CI `mode-cross-check` job hold it at **zero** on every
+//! InternetModel preset.
 
 use crate::result::CpmResult;
 use std::fmt;
@@ -24,14 +28,15 @@ use std::str::FromStr;
 /// re-exports this type).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
-    /// The exact maximal-clique reduction: pairwise overlap counting
-    /// (batch) or per-node postings (streaming).
+    /// The exact k-clique communities: the almost engine plus its
+    /// certification pass (batch), or per-node postings (streaming).
     #[default]
     Exact,
-    /// Almost-exact (k−1)-clique-key unions: first-seen-owner keys plus
-    /// the subsumption prepass, no pairwise phase. May split (never
-    /// merge) communities relative to [`Mode::Exact`]; see the module
-    /// docs for the bound and [`divergence`] for measurement.
+    /// Almost-exact (k−1)-clique-key unions: last-owner keys, exact
+    /// small-clique counting and the subsumption prepass, without the
+    /// certification pass. May split (never merge) communities relative
+    /// to [`Mode::Exact`]; see the module docs for the bound and
+    /// [`divergence`] for measurement.
     Almost,
 }
 

@@ -1,0 +1,229 @@
+//! Exact mode against a reference that reaches big cliques.
+//!
+//! `cpm::naive` enumerates k-cliques, which it cannot do inside a
+//! 99-clique. The reference here is the maximal-clique reduction stated
+//! literally (see the `consume` module docs): per k, the components of
+//! the overlap graph of the maximal cliques of size ≥ k, thresholded at
+//! k−1, with every pair's overlap taken by a sorted merge. Planted big
+//! cliques with mid-range overlaps put the pairs the almost engine does
+//! not count — big×big overlaps that are not near-containments, and
+//! edges shared with a clique of more than 91 members — in front of
+//! exact mode's certification pass, on both the 256-hub bitmap path
+//! and the wider fallback.
+
+use asgraph::{Graph, GraphBuilder, NodeId};
+use cliques::CliqueSet;
+use cpm::consume::SMALL_FULL;
+use cpm::{divergence, CpmResult, Dsu, FusedPercolator, Mode};
+use proptest::prelude::*;
+use rand::prelude::*;
+
+/// `|a ∩ b|` of two sorted member lists.
+fn overlap(a: &[NodeId], b: &[NodeId]) -> usize {
+    let (mut i, mut j, mut m) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                m += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    m
+}
+
+/// The cover of every level from 2 to one above the largest clique, by
+/// the literal reduction: all-pairs overlaps over the maximal cliques,
+/// one union–find per level.
+fn reference(set: &CliqueSet) -> Vec<Vec<Vec<NodeId>>> {
+    let n = set.len();
+    let mut pairs: Vec<(u32, u32, usize)> = Vec::new();
+    for i in 0..n {
+        for j in i + 1..n {
+            let m = overlap(set.get(i), set.get(j));
+            if m > 0 {
+                pairs.push((i as u32, j as u32, m));
+            }
+        }
+    }
+    (2..=set.max_size() + 1)
+        .map(|k| {
+            let mut dsu = Dsu::new(n);
+            for &(i, j, m) in &pairs {
+                if m + 1 >= k && set.size(i as usize) >= k && set.size(j as usize) >= k {
+                    dsu.union(i, j);
+                }
+            }
+            let mut by_root: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+            for i in (0..n).filter(|&i| set.size(i) >= k) {
+                let r = dsu.find(i as u32) as usize;
+                by_root[r].extend_from_slice(set.get(i));
+            }
+            let mut cover: Vec<Vec<NodeId>> = by_root
+                .into_iter()
+                .filter(|m| !m.is_empty())
+                .map(|mut m| {
+                    m.sort_unstable();
+                    m.dedup();
+                    m
+                })
+                .collect();
+            cover.sort();
+            cover
+        })
+        .collect()
+}
+
+/// Percolates the enumerated cliques of an `n`-vertex graph in `mode`
+/// over `threads` workers (one enumeration serves every run).
+fn percolate(n: usize, set: &CliqueSet, mode: Mode, threads: usize) -> CpmResult {
+    let mut p = FusedPercolator::new(n, mode);
+    for c in set {
+        p.push(c);
+    }
+    p.finish_parallel(threads)
+}
+
+/// Between `count.0` and `count.1` cliques of sizes in `sizes` planted
+/// over a hub pool of `pool` vertices, each drawn from a window half
+/// again its size, the windows spread evenly across the pool (so
+/// neighbouring cliques overlap in mid-range and together cover most of
+/// it), plus a few pendant vertices each joined to 2 or 3 members of one
+/// planted clique (small cliques sharing an edge or a triangle with a
+/// big one).
+fn planted(seed: u64, pool: u32, sizes: (usize, usize), count: (usize, usize)) -> Graph {
+    const PENDANTS: u32 = 6;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = GraphBuilder::with_nodes((pool + PENDANTS) as usize);
+    let n = rng.random_range(count.0..=count.1);
+    let mut cliques: Vec<Vec<NodeId>> = Vec::new();
+    for i in 0..n {
+        let s = rng.random_range(sizes.0..=sizes.1);
+        let span = (s + s / 2).min(pool as usize) as u32;
+        let start = (pool - span) * i as u32 / (n as u32 - 1);
+        let window: Vec<NodeId> = (start..start + span).collect();
+        let members: Vec<NodeId> = window.choose_multiple(&mut rng, s).copied().collect();
+        for (i, &u) in members.iter().enumerate() {
+            for &v in &members[i + 1..] {
+                b.add_edge(u, v);
+            }
+        }
+        cliques.push(members);
+    }
+    for p in 0..PENDANTS {
+        let c = &cliques[rng.random_range(0..cliques.len())];
+        let t = rng.random_range(2..=3usize);
+        for &v in c.choose_multiple(&mut rng, t) {
+            b.add_edge(pool + p, v);
+        }
+    }
+    b.build()
+}
+
+/// The fast-path substrate: 40 hub vertices, cliques of 15–30.
+fn small_pool(seed: u64) -> Graph {
+    planted(seed, 40, (15, 30), (2, 4))
+}
+
+/// The fallback substrate: cliques of 15–99 over 300 hub vertices, so
+/// the hub set usually outgrows the 256-bit bitmaps and the largest
+/// cliques emit no edge keys.
+fn wide_pool(seed: u64) -> Graph {
+    planted(seed, 300, (15, 99), (6, 10))
+}
+
+/// Exact mode at 1 and 4 workers equals the reference at every level;
+/// returns the clique set and the exact result.
+fn check_exact(g: &Graph) -> Result<(CliqueSet, CpmResult), TestCaseError> {
+    let set = cliques::max_cliques(g);
+    let expected = reference(&set);
+    let one = percolate(g.node_count(), &set, Mode::Exact, 1);
+    let four = percolate(g.node_count(), &set, Mode::Exact, 4);
+    prop_assert!(one == four, "exact is not worker-count invariant");
+    // `expected` runs from k = 2 to one above the largest clique.
+    prop_assert_eq!(one.k_max(), Some(expected.len() as u32));
+    for (i, cover) in expected.iter().enumerate() {
+        let k = i as u32 + 2;
+        prop_assert_eq!(&one.cover(k), cover, "k = {}", k);
+    }
+    Ok((set, one))
+}
+
+/// Vertices in cliques above the small-clique threshold: the engine's
+/// hub set.
+fn hub_count(set: &CliqueSet) -> usize {
+    let mut hubs: Vec<NodeId> = set
+        .iter()
+        .filter(|c| c.len() > SMALL_FULL)
+        .flat_map(|c| c.iter().copied())
+        .collect();
+    hubs.sort_unstable();
+    hubs.dedup();
+    hubs.len()
+}
+
+proptest! {
+    /// One case in four draws from the wide pool.
+    #[test]
+    fn exact_equals_the_reduction_on_planted_big_cliques(seed in 0u64..1 << 32, pool in 0u32..4) {
+        check_exact(&if pool == 0 { wide_pool(seed) } else { small_pool(seed) })?;
+    }
+}
+
+/// The planted substrates really exercise certification: on a fixed
+/// seed range almost mode (no certification) splits at least one exact
+/// community on each pool while exact mode equals the reference, and
+/// only the wide pool overflows the 256-hub bitmap.
+#[test]
+fn almost_diverges_where_exact_certifies() {
+    for (name, wide, seeds) in [("40-hub pool", false, 40), ("300-hub pool", true, 12)] {
+        let (mut diverged, mut overflowed) = (0, 0);
+        for seed in 0..seeds {
+            let g = if wide {
+                wide_pool(seed)
+            } else {
+                small_pool(seed)
+            };
+            let (set, exact) =
+                check_exact(&g).unwrap_or_else(|e| panic!("{name} seed {seed}: {e:?}"));
+            let almost = percolate(g.node_count(), &set, Mode::Almost, 1);
+            if !divergence(&exact, &almost).is_zero() {
+                diverged += 1;
+            }
+            if hub_count(&set) > 256 {
+                overflowed += 1;
+            }
+        }
+        assert!(diverged > 0, "{name}: almost never diverged");
+        assert_eq!(overflowed > 0, wide, "{name}: hub budget overflow");
+    }
+}
+
+/// A missed pair found only from the partner component's side: K99 `X`
+/// absorbs the 4-clique `x` (three shared vertices, counted exactly),
+/// while the 92-clique `Y` shares the edge `{98, 200}` with `x` and one
+/// vertex with `X`. `Y` emits no edge keys, so almost mode leaves it
+/// out of `X`'s level-3 community; certification must test `Y` against
+/// the members of `X`'s component, since `X` itself is not adjacent to
+/// `Y` at level 3.
+#[test]
+fn certification_tests_both_sides_of_a_component_pair() {
+    let x: Vec<NodeId> = (0..99).collect();
+    let y: Vec<NodeId> = [98, 200].into_iter().chain(300..390).collect();
+    let mut b = GraphBuilder::with_nodes(390);
+    for c in [&x, &y, &vec![96, 97, 98, 200]] {
+        for (i, &u) in c.iter().enumerate() {
+            for &v in &c[i + 1..] {
+                b.add_edge(u, v);
+            }
+        }
+    }
+    let g = b.build();
+    let (set, exact) = check_exact(&g).unwrap();
+    assert_eq!(exact.cover(3).len(), 1);
+    let almost = percolate(g.node_count(), &set, Mode::Almost, 1);
+    assert_eq!(almost.cover(3).len(), 2);
+}

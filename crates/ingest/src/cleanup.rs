@@ -277,8 +277,10 @@ mod tests {
 
     #[test]
     fn node_cap_trips() {
-        let mut limits = Limits::default();
-        limits.max_nodes = 3;
+        let limits = Limits {
+            max_nodes: 3,
+            ..Limits::default()
+        };
         let err = cleanup(vec![(1, 2), (3, 4)], false, &limits).unwrap_err();
         assert!(
             matches!(

@@ -677,8 +677,10 @@ mod tests {
 
     #[test]
     fn aslinks_set_cap_and_empty_set() {
-        let mut limits = Limits::default();
-        limits.max_moas_set = 3;
+        let limits = Limits {
+            max_moas_set: 3,
+            ..Limits::default()
+        };
         let mut budget = RunBudget::new(&limits);
         let mut pairs = Vec::new();
         let err = parse_source(
@@ -736,8 +738,10 @@ mod tests {
 
     #[test]
     fn record_cap_aborts_even_lenient() {
-        let mut limits = Limits::default();
-        limits.max_edge_records = 2;
+        let limits = Limits {
+            max_edge_records: 2,
+            ..Limits::default()
+        };
         let mut budget = RunBudget::new(&limits);
         let mut pairs = Vec::new();
         let err = parse_source(
@@ -769,8 +773,10 @@ mod tests {
 
     #[test]
     fn budgets_span_sources() {
-        let mut limits = Limits::default();
-        limits.max_lines = 3;
+        let limits = Limits {
+            max_lines: 3,
+            ..Limits::default()
+        };
         let mut budget = RunBudget::new(&limits);
         let mut pairs = Vec::new();
         parse_source(

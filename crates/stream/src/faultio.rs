@@ -269,7 +269,7 @@ mod tests {
 
     #[test]
     fn faulty_reader_kill_after_yields_exact_prefix_then_errors() {
-        let data = vec![7u8; 100];
+        let data = [7u8; 100];
         let mut r = FaultyReader::kill_after(&data[..], 33);
         let mut out = Vec::new();
         let err = r.read_to_end(&mut out).unwrap_err();
