@@ -1,64 +1,29 @@
-//! Wall-time comparison of the batch and streaming percolation
-//! pipelines (the peak-memory half of the comparison lives in the
-//! `stream-mem` binary, which needs the `memprof` allocator).
+//! Wall time of a clique-log rebuild: one replay of the tiny preset's
+//! log into the percolation engine, every level.
 
-use cpm_stream::{GraphSource, LogSource};
+use cpm::Mode;
+use cpm_stream::LogSource;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-fn stream_vs_batch(c: &mut Criterion) {
+fn log_rebuild(c: &mut Criterion) {
     let topo = bench::tiny_internet(7);
-    let g = &topo.graph;
-
     let dir = std::env::temp_dir().join(format!("kclique_bench_stream_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let log = dir.join("tiny.cliquelog");
-    cpm_stream::write_clique_log(g, &log).expect("log build");
+    cpm_stream::write_clique_log(&topo.graph, &log).expect("log build");
 
     let mut group = c.benchmark_group("stream/tiny-internet");
-    group.bench_function("batch_percolate_all_k", |b| {
-        b.iter(|| cpm::percolate(black_box(g)));
-    });
-    group.bench_function("stream_percolate_all_k", |b| {
-        b.iter(|| {
-            cpm_stream::stream_percolate(&mut GraphSource::new(black_box(g)))
-                .expect("in-memory source")
-        });
-    });
     group.bench_function("stream_percolate_all_k_from_log", |b| {
         b.iter(|| {
             let mut src = LogSource::open(black_box(&log)).expect("log open");
-            cpm_stream::stream_percolate(&mut src).expect("log replay")
+            cpm_stream::stream_percolate_parallel_mode(&mut src, 1, Mode::Exact)
+                .expect("log replay")
         });
     });
-    group.bench_function("batch_percolate_at_k4", |b| {
-        b.iter(|| cpm::percolate_at(black_box(g), 4));
-    });
-    group.bench_function("stream_percolate_at_k4", |b| {
-        b.iter(|| {
-            cpm_stream::stream_percolate_at(&mut GraphSource::new(black_box(g)), 4)
-                .expect("in-memory source")
-        });
-    });
-    // The set kernel only accelerates the enumeration half of the
-    // stream; the log bytes (and every community) stay identical.
-    for kernel in [cpm_stream::Kernel::Merge, cpm_stream::Kernel::Bitset] {
-        group.bench_function(format!("stream_percolate_all_k/{kernel}"), |b| {
-            b.iter(|| {
-                cpm_stream::stream_percolate(&mut GraphSource::with_kernel(black_box(g), kernel))
-                    .expect("in-memory source")
-            });
-        });
-        group.bench_function(format!("clique_log_build/{kernel}"), |b| {
-            let path = dir.join(format!("rebuild-{kernel}.cliquelog"));
-            b.iter(|| {
-                cpm_stream::write_clique_log_with(black_box(g), kernel, &path).expect("log build")
-            });
-        });
-    }
     group.finish();
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
-criterion_group!(benches, stream_vs_batch);
+criterion_group!(benches, log_rebuild);
 criterion_main!(benches);

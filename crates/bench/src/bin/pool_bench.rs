@@ -14,7 +14,10 @@
 //! through the same persistent `exec::Pool`. The engine additionally
 //! gets phase rows (`fused-consume`, `fused-pairs`, `fused-sweep`,
 //! `fused-extract`) at 1 and 4 workers — every phase chunks over the
-//! pool — so the end-to-end numbers decompose along both axes. The JSON
+//! pool — so the end-to-end numbers decompose along both axes — and one
+//! `rebuild-log` row (`exact`, `auto`): the substrate's clique log
+//! replayed into the engine, the rebuild `serve --snapshot x.cliquelog`
+//! runs at start-up and on every reload. The JSON
 //! written to `--out` is the record committed as `BENCH_pool.json`;
 //! with `--features memprof` every row also carries the peak heap
 //! growth of one run in a `peak_bytes` column (0 when the feature is
@@ -130,6 +133,28 @@ fn bench_substrate(name: &str, g: &asgraph::Graph, iters: usize, records: &mut V
             );
         }
     }
+
+    // The clique-log rebuild: one replay into the engine, as the daemon
+    // runs it.
+    let dir = std::env::temp_dir().join(format!("kclique_pool_bench_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let log = dir.join(format!("{name}.cliquelog"));
+    cpm_stream::write_clique_log(g, &log).expect("log build");
+    let (median_ns, min_ns, peak_bytes) = measure(iters, || {
+        let mut source = cpm_stream::LogSource::open(&log).expect("log open");
+        cpm_stream::stream_percolate_parallel_mode(&mut source, Threads::Auto, cpm::Mode::Exact)
+            .expect("log replay")
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    records.push(Record {
+        substrate: name.to_owned(),
+        op: "rebuild-log",
+        mode: "exact",
+        threads: Threads::Auto,
+        median_ns,
+        min_ns,
+        peak_bytes,
+    });
 
     // The engine's phase breakdown at 1 and 4 workers: `consume` is the
     // enumerate-while-percolating front (Bron–Kerbosch driving the

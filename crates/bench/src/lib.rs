@@ -1,8 +1,8 @@
 //! Shared fixtures for the Criterion benchmarks.
 //!
 //! With the `memprof` feature the crate additionally exposes
-//! [`memprof`], a counting global allocator used by the `stream-mem`
-//! binary to compare peak heap usage of batch vs streaming percolation.
+//! [`memprof`], the counting global allocator behind the `peak_bytes`
+//! columns of `kernel-bench` and `pool-bench`.
 
 // memprof implements GlobalAlloc, which is inherently unsafe; the rest
 // of the crate stays forbidden.

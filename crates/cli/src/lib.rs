@@ -158,8 +158,8 @@ pub enum Command {
         /// Edge-list file.
         input: PathBuf,
     },
-    /// Streaming CPM: percolate without materialising the clique set or
-    /// overlap graph (optionally replaying an on-disk clique log).
+    /// Percolate a clique stream — live enumeration of an edge list or
+    /// a replayed clique log — through the one engine.
     StreamPercolate {
         /// Edge-list file (mutually exclusive with `log`).
         input: Option<PathBuf>,
@@ -169,10 +169,9 @@ pub enum Command {
         k: Option<u32>,
         /// Sweep every level and print the summary table.
         all_k: bool,
-        /// Percolation mode (`exact` | `almost`), shared vocabulary
-        /// with the batch engine.
+        /// Percolation mode (`exact` | `almost`), as in `communities`.
         mode: cpm::Mode,
-        /// Worker-count policy for the multi-k wave sweep.
+        /// Worker-count policy for the engine's finish.
         threads: exec::Threads,
         /// Cancel the run after this many seconds (exit
         /// [`EXIT_INTERRUPTED`]).
@@ -286,13 +285,12 @@ USAGE:
                           [--largest-cc] [--json] [--deadline <secs>]
   kclique-cli help
 
-The percolation mode (--mode) picks the community engine: `exact`
-(default) adjoins cliques by definitional pairwise overlap counting,
-`almost` unions them through hashed (k−1)-clique keys — typically 5× or
-more faster on Internet-like topologies, identical output there, and
-never over-merged (divergence can only split communities). In
-`stream-percolate` the almost engine is the O(nodes) last-clique-seen
-form.
+The percolation mode (--mode) means the same in `communities`,
+`stream-percolate` and `serve`: `almost` unions cliques through shared
+(k−1)-clique keys and a big-clique prepass — identical output on
+Internet-like topologies and never over-merged (divergence can only
+split communities); `exact` (default) runs the same engine plus a
+per-level certification pass that makes every community exact.
 
 The worker count (--threads) sizes the persistent thread pool: a fixed
 `<n>` forces that many workers, `auto` (default) scales with the input
@@ -603,31 +601,7 @@ impl Command {
                     *mode,
                 )
                 .map_err(|_| interrupted_no_durable_state())?;
-                if *all_k {
-                    let mut table = Table::new(vec!["k", "communities", "largest"]);
-                    for level in &result.levels {
-                        let largest = level
-                            .communities
-                            .iter()
-                            .map(cpm::Community::size)
-                            .max()
-                            .unwrap_or(0);
-                        table.row(vec![
-                            level.k.to_string(),
-                            level.communities.len().to_string(),
-                            largest.to_string(),
-                        ]);
-                    }
-                    print!("{}", table.render());
-                } else {
-                    let k = k.expect("parse guarantees k for non-all-k");
-                    let comms = result.cover(k);
-                    println!("# {} {k}-clique communities", comms.len());
-                    for (i, c) in comms.iter().enumerate() {
-                        let ids: Vec<String> = c.iter().map(ToString::to_string).collect();
-                        println!("{i}\t{}", ids.join(" "));
-                    }
-                }
+                print_communities(&result, *k, *all_k);
                 Ok(())
             }
             Command::Tree { input, min_k } => {
@@ -788,8 +762,8 @@ impl Command {
             } => {
                 // Both source kinds funnel through the same dyn-dispatch
                 // path; the graph (if any) must outlive the source. The
-                // token rides inside the source, so every replay of the
-                // sweep polls it.
+                // token rides inside the source, so the replay and the
+                // engine's finish both poll it.
                 let token = cancel_token(deadline);
                 let graph;
                 let mut graph_src;
@@ -805,45 +779,9 @@ impl Command {
                         .with_cancel(token.clone());
                     &mut log_src
                 };
-                if *all_k {
-                    let result =
-                        cpm_stream::stream_percolate_parallel_mode(source, *threads, *mode)
-                            .map_err(|e| CliFailure::stream("stream-percolate", &e))?;
-                    let mut table = Table::new(vec!["k", "communities", "largest"]);
-                    for level in &result.levels {
-                        let largest = level
-                            .communities
-                            .iter()
-                            .map(cpm::Community::size)
-                            .max()
-                            .unwrap_or(0);
-                        table.row(vec![
-                            level.k.to_string(),
-                            level.communities.len().to_string(),
-                            largest.to_string(),
-                        ]);
-                    }
-                    print!("{}", table.render());
-                } else {
-                    let k = k.expect("parse guarantees k for non-all-k") as usize;
-                    let mut p =
-                        cpm_stream::StreamPercolator::with_mode(source.node_count(), k, *mode);
-                    source
-                        .replay(&mut |clique| p.push(clique))
-                        .map_err(|e| CliFailure::stream("stream-percolate", &e))?;
-                    let mut comms: Vec<Vec<asgraph::NodeId>> =
-                        p.finish().into_iter().map(|c| c.members).collect();
-                    comms.sort_unstable();
-                    let tag = match mode {
-                        cpm::Mode::Almost => " (almost)",
-                        cpm::Mode::Exact => "",
-                    };
-                    println!("# {} {k}-clique communities{tag}", comms.len());
-                    for (i, c) in comms.iter().enumerate() {
-                        let ids: Vec<String> = c.iter().map(ToString::to_string).collect();
-                        println!("{i}\t{}", ids.join(" "));
-                    }
-                }
+                let result = cpm_stream::stream_percolate_parallel_mode(source, *threads, *mode)
+                    .map_err(|e| CliFailure::stream("stream-percolate", &e))?;
+                print_communities(&result, *k, *all_k);
                 Ok(())
             }
             Command::CliqueLogBuild {
@@ -1152,6 +1090,36 @@ fn ingest_failure(e: ingest::IngestFailure) -> CliFailure {
         ingest::IngestFailure::Interrupted => CliFailure::interrupted(
             "interrupted during ingestion; no output was written, rerun to restart",
         ),
+    }
+}
+
+/// Prints a percolation the way `communities` and `stream-percolate`
+/// both do: the per-level table with `--all-k`, else level `k`'s cover.
+fn print_communities(result: &cpm::CpmResult, k: Option<u32>, all_k: bool) {
+    if all_k {
+        let mut table = Table::new(vec!["k", "communities", "largest"]);
+        for level in &result.levels {
+            let largest = level
+                .communities
+                .iter()
+                .map(cpm::Community::size)
+                .max()
+                .unwrap_or(0);
+            table.row(vec![
+                level.k.to_string(),
+                level.communities.len().to_string(),
+                largest.to_string(),
+            ]);
+        }
+        print!("{}", table.render());
+    } else {
+        let k = k.expect("parse guarantees k for non-all-k");
+        let comms = result.cover(k);
+        println!("# {} {k}-clique communities", comms.len());
+        for (i, c) in comms.iter().enumerate() {
+            let ids: Vec<String> = c.iter().map(ToString::to_string).collect();
+            println!("{i}\t{}", ids.join(" "));
+        }
     }
 }
 

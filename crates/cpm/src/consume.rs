@@ -88,7 +88,7 @@ use asgraph::{Graph, NodeId};
 use cliques::kclique::binomial;
 use cliques::{CliqueConsumer, Kernel};
 use exec::{CancelToken, Cancelled, ChunkQueue, Pool, Threads};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// Wall-clock attribution of one fused percolation, for the bench
@@ -342,10 +342,6 @@ impl Strata {
         self.by_level[level].push(pair);
     }
 
-    fn at(&self, level: usize) -> &[(u32, u32)] {
-        self.by_level.get(level).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// The largest single stratum — the sweep's per-level work bound.
     fn max_len(&self) -> usize {
         self.by_level.iter().map(Vec::len).max().unwrap_or(0)
@@ -393,8 +389,13 @@ struct AlmostFused {
     /// [`ConcurrentDsu`]'s order-free min-id partition means the sweep
     /// merge sees the same components whatever the interleaving.
     /// Lazily created per level by whichever worker first detects a
-    /// pair there.
+    /// pair there. Level `L`'s partition is over *size ranks*
+    /// `0..n_L` ([`Self::by_size`]), not ordinals: both cliques of a
+    /// level-`L` pair have at least `L` members.
     level_cdsus: Vec<OnceLock<ConcurrentDsu>>,
+    /// Size rank → ordinal: every ordinal by descending size, ties by
+    /// ordinal, so the cliques of size ≥ `L` are the ranks `0..n_L`.
+    by_size: Vec<u32>,
     /// Transposed member store for extraction (ordinal-indexed CSR over
     /// the small cliques), built once at finish time from the posting
     /// lists — see [`Self::build_extract_index`].
@@ -425,6 +426,7 @@ impl AlmostFused {
             big_postings: Vec::new(),
             strata: Strata::default(),
             level_cdsus: Vec::new(),
+            by_size: Vec::new(),
             small_off: Vec::new(),
             small_mem: Vec::new(),
             big_ord_idx: Vec::new(),
@@ -600,6 +602,19 @@ impl AlmostFused {
         }
         self.bigs.clear();
     }
+
+    /// Frees what only the streaming pass reads — the edge-key table,
+    /// the per-vertex key owners and the overlap counter — and trims
+    /// the strata to their length: the finish starts from the rest.
+    fn end_consume(&mut self) {
+        self.edges.slots = Vec::new();
+        self.last2 = Vec::new();
+        self.counter = Vec::new();
+        self.touched = Vec::new();
+        for stratum in &mut self.strata.by_level {
+            stratum.shrink_to_fit();
+        }
+    }
 }
 
 /// Level construction for the sweep: groups the active cliques of one
@@ -653,6 +668,11 @@ impl LevelSnapshotter {
                 idx
             };
             communities[idx as usize].clique_ids.push(i as u32);
+        }
+        // The levels are the result: keep them at exact length.
+        communities.shrink_to_fit();
+        for c in &mut communities {
+            c.clique_ids.shrink_to_fit();
         }
         if let Some(prev) = prev {
             for pc in &mut prev.communities {
@@ -713,10 +733,8 @@ struct Certifier {
     /// at which the clique is active with ≥ k−1 hub members, so each
     /// level's participants are a prefix.
     cands: Vec<(u32, u32)>,
-    /// The candidates' hub rows ([`HubRows`]) laid out in `cands` order,
-    /// so each level streams through a prefix.
-    off: Vec<u32>,
-    rows: Vec<u32>,
+    /// Every clique's hub members.
+    hub: HubRows,
     /// The largest big-clique size: above it no big clique is active,
     /// so no union can be missing.
     big_max: usize,
@@ -728,20 +746,13 @@ struct Certifier {
 }
 
 impl Certifier {
-    fn new(hub: &HubRows, sizes: &[u32]) -> Self {
+    fn new(hub: HubRows, sizes: &[u32]) -> Self {
         let count = sizes.len();
         let mut cands: Vec<(u32, u32)> = (0..count as u32)
             .filter(|&x| !hub.of(x).is_empty())
             .map(|x| (sizes[x as usize].min(hub.of(x).len() as u32 + 1), x))
             .collect();
         cands.sort_unstable_by_key(|&(top, x)| (std::cmp::Reverse(top), x));
-        let mut off = Vec::with_capacity(cands.len() + 1);
-        let mut rows = Vec::with_capacity(hub.rows.len());
-        off.push(0);
-        for &(_, x) in &cands {
-            rows.extend_from_slice(hub.of(x));
-            off.push(rows.len() as u32);
-        }
         let big_max = sizes
             .iter()
             .map(|&s| s as usize)
@@ -751,8 +762,7 @@ impl Certifier {
         Certifier {
             width: hub.hubs.div_ceil(64),
             cands,
-            off,
-            rows,
+            hub,
             big_max,
             comp_of_root: vec![0; count],
             stamp: vec![u32::MAX; count],
@@ -763,7 +773,7 @@ impl Certifier {
     /// The hub row of candidate `i`.
     #[inline]
     fn row(&self, i: usize) -> &[u32] {
-        &self.rows[self.off[i] as usize..self.off[i + 1] as usize]
+        self.hub.of(self.cands[i].1)
     }
 
     /// Certifies level `k` of the quiescent sweep partition `dsu`:
@@ -865,29 +875,39 @@ impl Certifier {
 }
 
 /// One partition to merge into the sweep's concurrent DSU: either the
-/// pairs pass's lock-free per-level partition (whose `find` is exact
-/// once that pass has quiesced) or a root array precomputed from one of
-/// the engine's incremental key [`Dsu`]s (whose `find` needs
-/// `&mut`, which pool workers cannot share).
+/// pairs pass's lock-free per-level partition over size ranks (whose
+/// `find` is exact once that pass has quiesced; the slice maps rank →
+/// ordinal) or the root array of one of the engine's incremental key
+/// [`Dsu`]s (whose `find` needs `&mut`, which pool workers cannot
+/// share).
 enum MergeSrc<'a> {
-    Par(&'a ConcurrentDsu),
-    Seq(Vec<u32>),
+    Ranked(ConcurrentDsu, &'a [u32]),
+    Roots(Vec<u32>),
 }
 
 impl MergeSrc<'_> {
-    #[inline]
-    fn root(&self, i: u32) -> u32 {
+    fn len(&self) -> usize {
         match self {
-            MergeSrc::Par(d) => d.find(i),
-            MergeSrc::Seq(r) => r[i as usize],
+            MergeSrc::Ranked(d, _) => d.len(),
+            MergeSrc::Roots(r) => r.len(),
         }
     }
-}
 
-/// Snapshots `sub`'s partition as a plain root array the sweep workers
-/// can read concurrently.
-fn roots_of(sub: &mut Dsu, count: usize) -> Vec<u32> {
-    (0..count as u32).map(|i| sub.find(i)).collect()
+    /// The union element `i` contributes: itself and its root, as
+    /// ordinals (`None` for a root).
+    #[inline]
+    fn edge(&self, i: u32) -> Option<(u32, u32)> {
+        match self {
+            MergeSrc::Ranked(d, by_size) => {
+                let r = d.find(i);
+                (r != i).then(|| (by_size[r as usize], by_size[i as usize]))
+            }
+            MergeSrc::Roots(roots) => {
+                let r = roots[i as usize];
+                (r != i).then_some((r, i))
+            }
+        }
+    }
 }
 
 /// Percolation as a clique sink: feed every maximal clique (sorted
@@ -1020,6 +1040,7 @@ impl FusedPercolator {
 
         observe("pairs");
         let t = Instant::now();
+        self.engine.end_consume();
         let pairs_workers = self.pairs_workers(threads);
         let hubs = self.engine.hub_rows(clique_count);
         self.engine
@@ -1032,8 +1053,7 @@ impl FusedPercolator {
 
         observe("sweep");
         let t = Instant::now();
-        let certifier = self.certify.then(|| Certifier::new(&hubs, &self.sizes));
-        drop(hubs);
+        let certifier = self.certify.then(|| Certifier::new(hubs, &self.sizes));
         let sweep_workers = threads.resolve(self.sweep_work(), PAR_UNION_MIN);
         let (mut levels_desc, snap_time) = self.sweep_levels(sweep_workers, cancel, certifier)?;
         phases.sweep += t.elapsed().saturating_sub(snap_time);
@@ -1074,7 +1094,9 @@ impl FusedPercolator {
     /// min-id root), and a second barrier separates the snapshot from
     /// the next level's unions. Sources smaller than [`PAR_UNION_MIN`]
     /// get an empty queue and are replayed leader-inline, so tiny levels
-    /// never pay claim traffic.
+    /// never pay claim traffic. Between the barriers the leader also
+    /// frees the level's spent sources, so the sweep never holds the
+    /// strata and partitions of levels it has already settled.
     ///
     /// Returns the levels in descending `k` plus the wall time spent
     /// snapshotting (attributed to the extract phase).
@@ -1085,61 +1107,66 @@ impl FusedPercolator {
         certifier: Option<Certifier>,
     ) -> Result<(Vec<KLevel>, Duration), Cancelled> {
         let count = self.sizes.len();
-        // The incremental key DSUs become root arrays up front:
-        // `Dsu::find` needs `&mut`, which pool workers cannot share.
-        let mut roots3 = (self.k_max >= 3).then(|| roots_of(&mut self.engine.dsu3, count));
-        let mut roots2 = Some(roots_of(&mut self.engine.dsu2, count));
+        // The sweep takes every union source out of the engine and frees
+        // each level's as soon as that level has quiesced. The
+        // incremental key DSUs become root arrays: `Dsu::find` needs
+        // `&mut`, which pool workers cannot share.
+        let engine = &mut self.engine;
+        let mut strata = std::mem::take(&mut engine.strata.by_level);
+        let mut ranked = std::mem::take(&mut engine.level_cdsus);
+        let by_size = std::mem::take(&mut engine.by_size);
+        let mut roots3 = Some(std::mem::replace(&mut engine.dsu3, Dsu::new(0)).into_roots());
+        let mut roots2 = Some(std::mem::replace(&mut engine.dsu2, Dsu::new(0)).into_roots());
 
-        struct MergeJob<'a> {
-            src: MergeSrc<'a>,
-            queue: ChunkQueue,
+        /// One level's union sources: its stratum pairs and the
+        /// partitions it merges.
+        #[derive(Default)]
+        struct LevelWork<'a> {
+            pairs: Vec<(u32, u32)>,
+            merges: Vec<MergeSrc<'a>>,
         }
         struct LevelPlan<'a> {
             k: usize,
-            pairs: &'a [(u32, u32)],
+            /// Read by every worker while the level unions, emptied by
+            /// the leader once they are done.
+            work: RwLock<LevelWork<'a>>,
             pairs_queue: ChunkQueue,
-            merges: Vec<MergeJob<'a>>,
+            merge_queues: Vec<ChunkQueue>,
         }
 
-        let engine = &self.engine;
         let sizes = &self.sizes[..];
         // Only sources worth stealing get a live queue; `gate` returns
         // the queue length (0 = leader-inline).
-        let gate = |len: usize, work: usize| {
-            if workers > 1 && work >= PAR_UNION_MIN {
+        let gate = |len: usize| {
+            let len = if workers > 1 && len >= PAR_UNION_MIN {
                 len
             } else {
                 0
-            }
+            };
+            ChunkQueue::new(len, UNION_CHUNK)
         };
         let mut plans: Vec<LevelPlan> = Vec::with_capacity(self.k_max - 1);
         for k in (2..=self.k_max).rev() {
-            let pairs = engine.strata.at(k);
-            let mut merges: Vec<MergeJob> = Vec::new();
-            if let Some(cd) = engine.level_cdsus.get(k).and_then(OnceLock::get) {
-                merges.push(MergeJob {
-                    src: MergeSrc::Par(cd),
-                    queue: ChunkQueue::new(gate(count, count), UNION_CHUNK),
-                });
-            }
+            let pairs = strata.get_mut(k).map(std::mem::take).unwrap_or_default();
+            let ranked = ranked.get_mut(k).and_then(OnceLock::take);
             let keyed = match k {
                 3 => roots3.take(),
                 2 => roots2.take(),
                 _ => None,
             };
-            if let Some(roots) = keyed {
-                merges.push(MergeJob {
-                    src: MergeSrc::Seq(roots),
-                    queue: ChunkQueue::new(gate(count, count), UNION_CHUNK),
-                });
-            }
+            let merges: Vec<MergeSrc> = ranked
+                .map(|cd| MergeSrc::Ranked(cd, &by_size))
+                .into_iter()
+                .chain(keyed.map(MergeSrc::Roots))
+                .collect();
             plans.push(LevelPlan {
                 k,
-                pairs,
-                pairs_queue: ChunkQueue::new(gate(pairs.len(), pairs.len()), UNION_CHUNK),
-                merges,
+                pairs_queue: gate(pairs.len()),
+                merge_queues: merges.iter().map(|m| gate(m.len())).collect(),
+                work: RwLock::new(LevelWork { pairs, merges }),
             });
         }
+        drop((strata, ranked));
 
         let cdsu = ConcurrentDsu::new(count);
         type SnapParts = (LevelSnapshotter, Vec<KLevel>, Duration, Option<Certifier>);
@@ -1152,9 +1179,10 @@ impl FusedPercolator {
         Pool::global().run(workers, |w| {
             let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
             for plan in &plans {
+                let work = plan.work.read().expect("fused sweep worker panicked");
                 if plan.pairs_queue.is_empty() {
                     if w.is_leader() && !cancelled() {
-                        for chunk in plan.pairs.chunks(UNION_CHUNK) {
+                        for chunk in work.pairs.chunks(UNION_CHUNK) {
                             if cancelled() {
                                 break;
                             }
@@ -1169,56 +1197,60 @@ impl FusedPercolator {
                         None => plan.pairs_queue.claim(),
                     };
                     while let Some(range) = claim() {
-                        for &(a, b) in &plan.pairs[range] {
+                        for &(a, b) in &work.pairs[range] {
                             cdsu.union(a, b);
                         }
                     }
                 }
-                for job in &plan.merges {
-                    if job.queue.is_empty() {
+                for (src, queue) in work.merges.iter().zip(&plan.merge_queues) {
+                    if queue.is_empty() {
                         if w.is_leader() && !cancelled() {
-                            for start in (0..count).step_by(UNION_CHUNK) {
+                            let len = src.len();
+                            for start in (0..len).step_by(UNION_CHUNK) {
                                 if cancelled() {
                                     break;
                                 }
-                                let end = (start + UNION_CHUNK).min(count);
+                                let end = (start + UNION_CHUNK).min(len);
                                 for i in start as u32..end as u32 {
-                                    let r = job.src.root(i);
-                                    if r != i {
-                                        cdsu.union(r, i);
+                                    if let Some((a, b)) = src.edge(i) {
+                                        cdsu.union(a, b);
                                     }
                                 }
                             }
                         }
                     } else {
                         let claim = || match cancel {
-                            Some(token) => job.queue.claim_unless(token),
-                            None => job.queue.claim(),
+                            Some(token) => queue.claim_unless(token),
+                            None => queue.claim(),
                         };
                         while let Some(range) = claim() {
                             for i in range.start as u32..range.end as u32 {
-                                let r = job.src.root(i);
-                                if r != i {
-                                    cdsu.union(r, i);
+                                if let Some((a, b)) = src.edge(i) {
+                                    cdsu.union(a, b);
                                 }
                             }
                         }
                     }
                 }
-                // Quiesce, certify and snapshot the settled partition,
-                // then release everyone into the next level.
+                drop(work);
+                // Quiesce, free the spent sources, certify and snapshot
+                // the settled partition, then release everyone into the
+                // next level.
                 w.barrier();
-                if w.is_leader() && !cancelled() {
-                    let mut guard = snap_parts.lock().expect("fused sweep worker panicked");
-                    let (snap, levels, snap_time, certifier) = &mut *guard;
-                    if let Some(certifier) = certifier {
-                        certifier.certify_level(sizes, plan.k, &cdsu);
+                if w.is_leader() {
+                    *plan.work.write().expect("fused sweep worker panicked") = LevelWork::default();
+                    if !cancelled() {
+                        let mut guard = snap_parts.lock().expect("fused sweep worker panicked");
+                        let (snap, levels, snap_time, certifier) = &mut *guard;
+                        if let Some(certifier) = certifier {
+                            certifier.certify_level(sizes, plan.k, &cdsu);
+                        }
+                        let t = Instant::now();
+                        let level =
+                            snap.snapshot(sizes, plan.k, &mut |x| cdsu.find(x), levels.last_mut());
+                        levels.push(level);
+                        *snap_time += t.elapsed();
                     }
-                    let t = Instant::now();
-                    let level =
-                        snap.snapshot(sizes, plan.k, &mut |x| cdsu.find(x), levels.last_mut());
-                    levels.push(level);
-                    *snap_time += t.elapsed();
                 }
                 w.barrier();
             }
@@ -1390,6 +1422,10 @@ impl AlmostFused {
             rows[cursor[x as usize] as usize] = b;
             cursor[x as usize] += 1;
         });
+        // Hub ids are assigned for good; only extraction's `hub_inv`
+        // still maps them back.
+        self.hub_bit = Vec::new();
+        self.big_postings = Vec::new();
         HubRows {
             hubs: self.hub_inv.len(),
             off,
@@ -1505,9 +1541,9 @@ impl AlmostFused {
     /// quadratic scans then drain two [`ChunkQueue`]s over `workers`
     /// pool workers: big×big over sorted-big rows, big×small over
     /// ordinals. Hits union into the per-level [`ConcurrentDsu`]s of
-    /// `level_cdsus`: a level's partition is fully determined by its
-    /// pair set, whatever the interleaving, so the result is the same
-    /// at every worker count.
+    /// `level_cdsus`, over size ranks ([`Self::by_size`]): a level's
+    /// partition is fully determined by its pair set, whatever the
+    /// interleaving, so the result is the same at every worker count.
     ///
     /// The > 256-hub fallback runs on the caller alone: it is rare and
     /// emits into ordered strata, which parallel workers could not do
@@ -1551,11 +1587,30 @@ impl AlmostFused {
         self.level_cdsus = std::iter::repeat_with(OnceLock::new)
             .take(k_max + 2)
             .collect();
+        // Every hit at level L joins two cliques of ≥ L members, so
+        // level L's partition spans only the first n_L size ranks. The
+        // sorted bigs are ranks `0..nb` (same order), so only smalls
+        // need a rank lookup.
+        let mut by_size: Vec<u32> = (0..count as u32).collect();
+        by_size.sort_by_key(|&x| std::cmp::Reverse(sizes[x as usize]));
+        debug_assert!(self.bigs.iter().zip(&by_size).all(|(r, &x)| r.ord == x));
+        let mut rank = vec![0u32; count];
+        for (r, &x) in by_size.iter().enumerate() {
+            rank[x as usize] = r as u32;
+        }
+        self.by_size = by_size;
 
         let bigs = &self.bigs[..];
         let cdsus = &self.level_cdsus[..];
         let trans = &trans[..];
-        let dsu_at = |level: usize| cdsus[level].get_or_init(|| ConcurrentDsu::new(count));
+        let by_size = &self.by_size[..];
+        let dsu_at = |level: usize| {
+            cdsus[level].get_or_init(|| {
+                ConcurrentDsu::new(
+                    by_size.partition_point(|&x| sizes[x as usize] as usize >= level),
+                )
+            })
+        };
         let queue_bb = ChunkQueue::new(nb, PAIRS_BIG_CHUNK);
         let queue_bs = ChunkQueue::new(count, PAIRS_SMALL_CHUNK);
         Pool::global().run(workers, |_w| {
@@ -1628,7 +1683,7 @@ impl AlmostFused {
                                 continue;
                             }
                             let level = (s - d + 1).min(s).max(2);
-                            dsu_at(level).union(bigs[yi].ord, bigs[xi].ord);
+                            dsu_at(level).union(yi as u32, xi as u32);
                         }
                     }
                 }
@@ -1658,13 +1713,14 @@ impl AlmostFused {
                         // and the hit mask is one three-way AND per word.
                         let level = 4.min(s).max(2);
                         let dsu = dsu_at(level);
+                        let rx = rank[x];
                         for w in 0..w_big {
                             let mut hits = r0[w] & r1[w] & r2[w];
                             while hits != 0 {
                                 let i = hits.trailing_zeros() as usize;
                                 hits &= hits - 1;
                                 let yi = (w << 6) | i;
-                                dsu.union(bigs[yi].ord, x as u32);
+                                dsu.union(yi as u32, rx);
                             }
                         }
                         continue;
@@ -1699,7 +1755,7 @@ impl AlmostFused {
                                 | (((c2 >> i) & 1) << 2)
                                 | (((c3 >> i) & 1) << 3);
                             let level = ((m as usize) + 1).min(s).max(2);
-                            dsu_at(level).union(bigs[yi].ord, x as u32);
+                            dsu_at(level).union(yi as u32, rank[x]);
                         }
                     }
                 }

@@ -2,12 +2,10 @@
 
 use asgraph::NodeId;
 
-/// Canonicalises a community member list: sorts ascending and removes
+/// Canonicalises a community member list: sorts ascending, removes
 /// duplicates (a node appears once however many of the community's
-/// cliques contain it).
-///
-/// Shared by the batch sweep and the `cpm-stream` online percolator so
-/// both produce byte-identical member lists.
+/// cliques contain it) and drops the spare capacity the duplicates
+/// left, so a result holds its members at exact length.
 ///
 /// # Example
 ///
@@ -17,6 +15,7 @@ use asgraph::NodeId;
 pub fn canonical_members(mut members: Vec<NodeId>) -> Vec<NodeId> {
     members.sort_unstable();
     members.dedup();
+    members.shrink_to_fit();
     members
 }
 

@@ -78,9 +78,10 @@ pub struct SnapLevel {
 
 /// An immutable, query-shaped snapshot of one full percolation sweep.
 ///
-/// Build it from any multi-k result ([`SnapshotIndex::from_levels`]
-/// accepts both `cpm::CpmResult::levels` and the streaming
-/// `StreamCpmResult::levels`), serialise it with
+/// Build it from a multi-k result's levels
+/// ([`SnapshotIndex::from_levels`] over `cpm::CpmResult::levels`,
+/// whether the engine was fed by live enumeration or a clique-log
+/// replay), serialise it with
 /// [`SnapshotIndex::to_bytes`], and answer queries in microseconds via
 /// [`membership`](SnapshotIndex::membership) /
 /// [`community`](SnapshotIndex::community) /

@@ -51,4 +51,4 @@ mod server;
 mod snapshot;
 
 pub use server::{ServeConfig, ServeError, Server, Stats, ACCEPT_POLL, READ_POLL};
-pub use snapshot::{index_from_graph, load_index, load_snapshot, LoadError, Snapshot};
+pub use snapshot::{load_index, load_snapshot, LoadError, Snapshot};

@@ -101,9 +101,9 @@ pub struct ServeConfig {
     pub request_deadline: Duration,
     /// Thread budget for snapshot (re)builds from a clique log.
     pub rebuild_threads: Threads,
-    /// Percolation engine for snapshot (re)builds from a clique log
-    /// (`cpm::Mode::Almost` bounds per-level rebuild state); reported
-    /// by `/stats` alongside the build duration.
+    /// Percolation mode for snapshot (re)builds from a clique log, as
+    /// in `communities --mode`; reported by `/stats` alongside the
+    /// build duration.
     pub mode: cpm::Mode,
 }
 

@@ -5,16 +5,18 @@
 //! disk in either of two self-identifying formats, sniffed by magic:
 //!
 //! * a **clique log v2** (`clique-log build` output) — the log is
-//!   replayed through the streaming percolator, one full descending-`k`
-//!   sweep, and the resulting levels are frozen into an index. This is
-//!   the path `POST /reload` takes after a fresh enumeration rewrites
-//!   the log;
+//!   replayed once into the percolation engine
+//!   ([`cpm_stream::stream_percolate_parallel_mode`]), whose pooled
+//!   finish yields every level, and the levels are frozen into an
+//!   index. This is the path `POST /reload` takes after a fresh
+//!   enumeration rewrites the log;
 //! * a **serialised snapshot** ([`cpm::SnapshotIndex::to_bytes`]) — a
 //!   straight checksummed decode, for pre-baked indexes.
 //!
-//! Loading is cancellable: the replay polls the [`CancelToken`] it is
-//! given, so a shutdown mid-rebuild abandons the work within one poll
-//! interval instead of pinning the process.
+//! Loading is cancellable: the replay and the engine's finish both poll
+//! the [`CancelToken`] they are given, so a shutdown mid-rebuild
+//! abandons the work within one poll interval or finish chunk instead
+//! of pinning the process.
 
 use cpm::{Mode, SnapshotIndex};
 use cpm_stream::{CliqueSource, LogSource, StreamError};
@@ -88,10 +90,10 @@ impl From<StreamError> for LoadError {
 /// Builds a [`SnapshotIndex`] from `path`, sniffing the format by
 /// magic.
 ///
-/// `threads` sizes the multi-k percolation waves of the clique-log
-/// path (the serialised path is single-threaded decode either way),
-/// and `mode` selects the percolation engine for that same path —
-/// [`Mode::Almost`] rebuilds with bounded per-level state.
+/// `threads` sizes the engine's pooled finish on the clique-log path
+/// (the serialised path is single-threaded decode either way), and
+/// `mode` selects the percolation mode for that same path — the same
+/// [`Mode`] `communities --mode` runs.
 ///
 /// # Errors
 ///
@@ -129,32 +131,6 @@ pub fn load_index(
     let node_count = source.node_count();
     let result = cpm_stream::stream_percolate_parallel_mode(&mut source, threads, mode)?;
     Ok(SnapshotIndex::from_levels(node_count, &result.levels))
-}
-
-/// Builds a [`SnapshotIndex`] straight from a live graph through the
-/// fused clique pipeline: Bron–Kerbosch streams each maximal clique
-/// into the percolation engine ([`cpm::percolate_fused_cancellable`]),
-/// so the rebuild never materialises a clique set — peak memory is the
-/// engine's working state, the property that lets the daemon rebuild
-/// big topologies in place.
-///
-/// `threads` sizes the pool-parallel enumeration (chunk-ordered
-/// reassembly keeps the index bit-identical at every worker count);
-/// `cancel` is polled between enumeration chunks.
-///
-/// # Errors
-///
-/// [`LoadError::Interrupted`] when `cancel` trips mid-build.
-pub fn index_from_graph(
-    g: &asgraph::Graph,
-    cancel: &CancelToken,
-    threads: Threads,
-    mode: Mode,
-) -> Result<SnapshotIndex, LoadError> {
-    let result =
-        cpm::percolate_fused_cancellable(g, threads, cpm_stream::Kernel::Auto, cancel, mode)
-            .map_err(|_| LoadError::Interrupted)?;
-    Ok(SnapshotIndex::from_levels(g.node_count(), &result.levels))
 }
 
 /// [`load_index`] wrapped into a generation-stamped, build-timed
@@ -226,25 +202,31 @@ mod tests {
 
     #[test]
     fn graph_rebuild_routes_through_the_fused_pipeline() {
-        // The from-graph index must equal the log-replay index (same
-        // covers frozen the same way), at one worker and several, and a
-        // tripped token must interrupt it.
+        // A log rebuild freezes exactly the index the graph path gives,
+        // at one worker and several, in both modes, and a tripped token
+        // must interrupt it.
         let g = fixture();
+        let log = tmp("fused.cliquelog");
+        cpm_stream::write_clique_log(&g, &log).unwrap();
         let token = CancelToken::new();
-        let fused = index_from_graph(&g, &token, Threads::Fixed(1), Mode::Almost).unwrap();
-        let expected = SnapshotIndex::from_levels(
-            g.node_count(),
-            &cpm::percolate_parallel(&g, 1, Mode::Almost).levels,
-        );
-        assert_eq!(fused.to_bytes(), expected.to_bytes());
-        for threads in [2usize, 4] {
-            let par = index_from_graph(&g, &token, Threads::Fixed(threads), Mode::Almost).unwrap();
-            assert_eq!(par.to_bytes(), expected.to_bytes(), "threads {threads}");
+        for mode in [Mode::Exact, Mode::Almost] {
+            for threads in [1usize, 2, 4] {
+                let expected = SnapshotIndex::from_levels(
+                    g.node_count(),
+                    &cpm::percolate_parallel(&g, threads, mode).levels,
+                );
+                let got = load_index(&log, &token, Threads::Fixed(threads), mode).unwrap();
+                assert_eq!(
+                    got.to_bytes(),
+                    expected.to_bytes(),
+                    "{mode}: threads {threads}"
+                );
+            }
         }
         let tripped = CancelToken::new();
         tripped.cancel();
         assert!(matches!(
-            index_from_graph(&g, &tripped, Threads::Fixed(2), Mode::Almost),
+            load_index(&log, &tripped, Threads::Fixed(2), Mode::Almost),
             Err(LoadError::Interrupted)
         ));
     }

@@ -1,36 +1,34 @@
-//! Memory-bounded streaming clique percolation.
+//! Clique logs and clique sources for the percolation engine.
 //!
-//! The batch engine (`cpm::percolate`) keeps per-clique state for the
-//! whole census until its sweep runs — on AS-level topology graphs the
-//! exact overlap strata are the peak-memory term. This crate runs the
-//! same analysis as a stream: cliques flow out of the enumerator (or off
-//! an on-disk log) one at a time and fold directly into an online
-//! union–find per level, so no clique set and no overlap graph is ever
-//! materialised.
+//! Enumerating the maximal cliques of an AS graph is the expensive half
+//! of a percolation; this crate lets it run once. [`build_clique_log`]
+//! writes the clique stream to a crash-safe, checksummed on-disk log,
+//! and [`stream_percolate_parallel_mode`] replays any clique source
+//! once into the one percolation engine, [`cpm::FusedPercolator`] — the
+//! same engine `cpm::percolate_parallel` drives from live enumeration,
+//! so a log rebuild is bit-identical to percolating the graph.
 //!
-//! The three moving parts:
+//! The moving parts:
 //!
-//! - [`StreamPercolator`] — the online single-`k` engine
-//!   ([`Mode::Exact`] per-node postings, or Baudin-style
-//!   [`Mode::Almost`] with O(nodes) percolation state — the [`Mode`]
-//!   vocabulary is `cpm::Mode`, shared with the batch engine);
 //! - [`CliqueSource`] — replayable clique streams: [`GraphSource`]
-//!   re-enumerates per pass, [`LogSource`] replays a clique log written
-//!   once by [`CliqueLogWriter`];
-//! - [`stream_percolate`] / [`stream_percolate_at`] — the descending-`k`
-//!   sweep (community tree included) and the single-level pass;
-//! - [`stream_percolate_parallel`] — the same sweep with adjacent `k`
-//!   levels percolated in waves on the persistent [`exec::Pool`], one
-//!   source replay per wave, bit-identical at every worker count.
+//!   enumerates the graph on each replay, [`LogSource`] decodes a clique
+//!   log written once by [`CliqueLogWriter`]; both poll an optional
+//!   [`CancelToken`];
+//! - [`CliqueLogWriter`] / [`CliqueLogReader`] — the v2 log format
+//!   (sealed segments, resumable builds, [`CliqueLogReader::recover`]);
+//! - [`stream_percolate_parallel_mode`] — one replay, then the engine's
+//!   pooled finish, returning a [`cpm::CpmResult`].
 //!
 //! ```
 //! use asgraph::Graph;
-//! use cpm_stream::{stream_percolate_at, GraphSource};
+//! use cpm::Mode;
+//! use cpm_stream::GraphSource;
 //!
 //! // Two triangles glued on an edge form one k=3 community.
 //! let g = Graph::from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
-//! let covers = stream_percolate_at(&mut GraphSource::new(&g), 3).unwrap();
-//! assert_eq!(covers, vec![vec![0, 1, 2, 3]]);
+//! let mut source = GraphSource::new(&g);
+//! let result = cpm_stream::stream_percolate_parallel_mode(&mut source, 1, Mode::Exact).unwrap();
+//! assert_eq!(result.cover(3), vec![vec![0, 1, 2, 3]]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,10 +44,7 @@ pub use log::{
     CliqueLogInfo, CliqueLogReader, CliqueLogWriter, LogSink, RecoveryReport,
     DEFAULT_CHECKPOINT_CLIQUES, TORN_LOG_MSG,
 };
-pub use percolate::{
-    stream_percolate, stream_percolate_at, stream_percolate_parallel,
-    stream_percolate_parallel_mode, Mode, StreamCpmResult, StreamPercolator,
-};
+pub use percolate::stream_percolate_parallel_mode;
 pub use source::{
     consume_source, CliqueSource, GraphSource, LogSource, StreamError, CANCEL_POLL_CLIQUES,
 };

@@ -1,21 +1,22 @@
 //! Where the clique stream comes from: live enumeration or a log replay.
 //!
-//! The descending-`k` sweep in [`crate::stream_percolate`] needs the
-//! same maximal-clique stream several times. [`CliqueSource`] abstracts
-//! over the two ways to get it:
+//! [`CliqueSource`] abstracts over the two ways to get a maximal-clique
+//! stream:
 //!
-//! - [`GraphSource`] re-runs Bron–Kerbosch over the in-memory graph on
-//!   every replay — zero extra memory, enumeration cost paid per level;
+//! - [`GraphSource`] runs Bron–Kerbosch over the in-memory graph on
+//!   every replay;
 //! - [`LogSource`] replays the compact on-disk clique log written by
 //!   [`crate::CliqueLogWriter`], so the (often much more expensive)
-//!   enumeration runs exactly once and every further pass is a
+//!   enumeration runs exactly once and every later percolation is a
 //!   sequential decode.
 //!
 //! Both sources support **cooperative cancellation**: handed a
 //! [`CancelToken`], a replay polls it every [`CANCEL_POLL_CLIQUES`]
-//! cliques and bails out with [`StreamError::Interrupted`], which the
-//! engines above propagate unchanged — a long percolation stops within
-//! one poll interval of Ctrl-C or a deadline. [`GraphSource`] can also
+//! cliques and bails out with [`StreamError::Interrupted`], and
+//! [`crate::stream_percolate_parallel_mode`] hands the same token
+//! ([`CliqueSource::cancel_token`]) to the engine's finish — a long
+//! percolation stops within one poll interval or one finish chunk of
+//! Ctrl-C or a deadline. [`GraphSource`] can also
 //! **resume**: because every kernel emits the identical clique stream
 //! (the PR 2 invariant), [`GraphSource::resume_after`] deterministically
 //! skips the first `n` cliques, which is how `clique-log build --resume`
@@ -84,8 +85,7 @@ impl From<exec::Cancelled> for StreamError {
 ///
 /// Each [`replay`](CliqueSource::replay) call must deliver every maximal
 /// clique exactly once, members sorted strictly ascending, in the same
-/// order on every call (the multi-`k` sweep relies on stable stream
-/// ordinals to link parents across levels).
+/// order on every call (clique ids in the result are stream ordinals).
 pub trait CliqueSource {
     /// Size of the vertex id space: every member id is `< node_count()`.
     fn node_count(&self) -> usize;
@@ -97,13 +97,18 @@ pub trait CliqueSource {
     /// Propagates I/O failures from on-disk sources, or
     /// [`StreamError::Interrupted`] when a cancel token trips.
     fn replay(&mut self, visit: &mut dyn FnMut(&[NodeId])) -> Result<(), StreamError>;
+
+    /// The token this source polls during replays, if any — the
+    /// percolation entry polls it through the finish as well.
+    fn cancel_token(&self) -> Option<&CancelToken> {
+        None
+    }
 }
 
 /// Replays `source` into any [`cliques::CliqueConsumer`] — the bridge
 /// between the replayable sources of this crate and the sink-driven
-/// clique pipeline. [`StreamPercolator`](crate::StreamPercolator), the
-/// fused percolator in `cpm`, and the log-build sink all consume the
-/// stream through this one surface.
+/// clique pipeline. The percolation engine in `cpm` and the log-build
+/// sink both consume the stream through this one surface.
 ///
 /// # Errors
 ///
@@ -203,6 +208,10 @@ impl CliqueSource for GraphSource<'_> {
         }
         Ok(())
     }
+
+    fn cancel_token(&self) -> Option<&CancelToken> {
+        self.cancel.as_ref()
+    }
 }
 
 /// On-disk [`CliqueSource`]: replays a finished clique log, opening a
@@ -260,6 +269,10 @@ impl CliqueSource for LogSource {
             visit(&buf);
         }
         Ok(())
+    }
+
+    fn cancel_token(&self) -> Option<&CancelToken> {
+        self.cancel.as_ref()
     }
 }
 

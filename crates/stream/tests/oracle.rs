@@ -1,12 +1,12 @@
-//! The streaming engine against the batch oracle: identical communities
-//! at every `k`, on random graphs and on a seeded synthetic Internet,
-//! plus round-trip and refinement properties of the clique log and the
-//! last-seen approximation.
+//! Replaying a clique source into the engine against the graph path:
+//! bit-identical results in both modes, on random graphs and on a seeded
+//! synthetic Internet, plus the clique log's round trip.
 
 use asgraph::{Graph, NodeId};
+use cpm::{CpmResult, Mode};
 use cpm_stream::{
-    stream_percolate, stream_percolate_at, CliqueLogReader, CliqueLogWriter, CliqueSource,
-    GraphSource, LogSource, Mode, StreamPercolator,
+    stream_percolate_parallel_mode, CliqueLogReader, CliqueLogWriter, CliqueSource, GraphSource,
+    LogSource,
 };
 use proptest::prelude::*;
 
@@ -14,57 +14,50 @@ fn edge_soup(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(NodeId, Nod
     prop::collection::vec((0..n, 0..n), 0..max_edges)
 }
 
-/// Canonically sorted streaming cover at level `k`.
-fn stream_cover(result: &cpm_stream::StreamCpmResult, k: u32) -> Vec<Vec<NodeId>> {
-    let mut cover: Vec<Vec<NodeId>> = result
-        .level(k)
-        .map(|l| l.communities.iter().map(|c| c.members.clone()).collect())
-        .unwrap_or_default();
-    cover.sort_unstable();
-    cover
+fn replay<S: CliqueSource>(source: &mut S, mode: Mode) -> CpmResult {
+    stream_percolate_parallel_mode(source, 1, mode).expect("source replays")
 }
 
-/// Asserts the full streaming sweep equals batch percolation level by
-/// level, and that parent links point at true containers.
+/// Asserts that replaying `g`'s clique stream equals percolating `g`
+/// bit for bit in both modes, and that parent links point at true
+/// containers.
 fn assert_stream_matches_batch(g: &Graph) {
-    let batch = cpm::percolate(g);
-    let stream = stream_percolate(&mut GraphSource::new(g)).expect("in-memory source");
-    assert_eq!(stream.k_max(), batch.k_max());
-    for k in 2..=batch.k_max().unwrap_or(1) {
-        assert_eq!(stream_cover(&stream, k), batch.cover(k), "level {k}");
-    }
-    for (i, level) in stream.levels.iter().enumerate() {
-        for c in &level.communities {
-            if level.k == 2 {
-                assert!(c.parent.is_none());
-            } else {
-                let parent =
-                    &stream.levels[i - 1].communities[c.parent.expect("k>2 has parent") as usize];
-                assert!(
-                    c.members.iter().all(|&v| parent.contains(v)),
-                    "level {} parent does not contain child",
-                    level.k
-                );
+    for mode in [Mode::Exact, Mode::Almost] {
+        let stream = replay(&mut GraphSource::new(g), mode);
+        assert_eq!(stream, cpm::percolate_parallel(g, 1, mode), "{mode}");
+        for (i, level) in stream.levels.iter().enumerate() {
+            for c in &level.communities {
+                if level.k == 2 {
+                    assert!(c.parent.is_none());
+                } else {
+                    let parent = &stream.levels[i - 1].communities
+                        [c.parent.expect("k>2 has parent") as usize];
+                    assert!(
+                        c.members.iter().all(|&v| parent.contains(v)),
+                        "level {} parent does not contain child",
+                        level.k
+                    );
+                }
             }
         }
     }
 }
 
 proptest! {
-    /// Streaming percolation is community-equivalent to `cpm::percolate`
-    /// for every k on random graphs.
+    /// Replaying the clique stream is the graph path, bit for bit, on
+    /// random graphs.
     #[test]
     fn stream_sweep_matches_batch(edges in edge_soup(14, 50)) {
         let g = Graph::from_edges(14, edges);
         assert_stream_matches_batch(&g);
     }
 
-    /// The single-k entry point agrees with `cpm::percolate_at`.
+    /// A single level of the replay is `cpm::percolate_at`.
     #[test]
-    fn stream_at_matches_batch_at(edges in edge_soup(14, 50), k in 2usize..6) {
+    fn stream_at_matches_batch_at(edges in edge_soup(14, 50), k in 2u32..6) {
         let g = Graph::from_edges(14, edges);
-        let got = stream_percolate_at(&mut GraphSource::new(&g), k).expect("in-memory source");
-        prop_assert_eq!(got, cpm::percolate_at(&g, k));
+        let got = replay(&mut GraphSource::new(&g), Mode::Exact).cover(k);
+        prop_assert_eq!(got, cpm::percolate_at(&g, k as usize));
     }
 
     /// Percolating off a clique log gives the same result as live
@@ -76,14 +69,10 @@ proptest! {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("soup.cliquelog");
         cpm_stream::write_clique_log(&g, &path).expect("log build");
-        let via_graph = stream_percolate(&mut GraphSource::new(&g)).expect("graph source");
-        let mut log = LogSource::open(&path).expect("log open");
-        let via_log = stream_percolate(&mut log).expect("log source");
+        let via_graph = replay(&mut GraphSource::new(&g), Mode::Exact);
+        let via_log = replay(&mut LogSource::open(&path).expect("log open"), Mode::Exact);
         std::fs::remove_file(&path).ok();
-        prop_assert_eq!(via_graph.k_max(), via_log.k_max());
-        for k in 2..=via_graph.k_max().unwrap_or(1) {
-            prop_assert_eq!(stream_cover(&via_graph, k), stream_cover(&via_log, k));
-        }
+        prop_assert_eq!(via_graph, via_log);
     }
 
     /// The clique log round-trips arbitrary valid clique streams bit-for-bit.
@@ -115,28 +104,6 @@ proptest! {
         r.for_each(|c| decoded.push(c.to_vec())).expect("decode");
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(decoded, cliques);
-    }
-
-    /// The last-seen approximation never over-merges: every approximate
-    /// community is contained in some exact community (it may split
-    /// exact communities, never fuse them).
-    #[test]
-    fn last_seen_refines_exact(edges in edge_soup(14, 50), k in 3usize..6) {
-        let g = Graph::from_edges(14, edges);
-        let exact = stream_percolate_at(&mut GraphSource::new(&g), k).expect("exact pass");
-        let mut approx = StreamPercolator::with_mode(g.node_count(), k, Mode::Almost);
-        GraphSource::new(&g)
-            .replay(&mut |c| approx.push(c))
-            .expect("in-memory source");
-        for c in approx.finish() {
-            let containers = exact
-                .iter()
-                .filter(|e| c.members.iter().all(|m| e.binary_search(m).is_ok()))
-                .count();
-            // Exact communities may overlap, so a small approximate
-            // community can sit inside more than one — but never zero.
-            prop_assert!(containers >= 1, "approx community {:?} not nested in exact cover", c.members);
-        }
     }
 }
 

@@ -76,7 +76,7 @@ pub mod analysis {
     pub use kclique_core::*;
 }
 
-/// Memory-bounded streaming percolation (re-export of `cpm-stream`).
+/// Clique logs and clique sources for the engine (re-export of `cpm-stream`).
 pub mod stream {
     pub use cpm_stream::*;
 }

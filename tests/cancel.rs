@@ -6,7 +6,9 @@
 
 use cliques::Kernel;
 use cpm::Mode;
-use cpm_stream::{stream_percolate, CliqueSource, GraphSource, LogBuildOptions, LogSource};
+use cpm_stream::{
+    stream_percolate_parallel_mode, CliqueSource, GraphSource, LogBuildOptions, LogSource,
+};
 use exec::CancelToken;
 
 fn random_graph(n: u32, p: f64, seed: u64) -> asgraph::Graph {
@@ -61,7 +63,7 @@ fn cancel_then_resume_matches_uninterrupted() {
     };
     let dir = scratch_dir("resume");
     let path = dir.join("log.cliquelog");
-    let reference = stream_percolate(&mut GraphSource::new(&g)).unwrap();
+    let reference = cpm::percolate(&g);
 
     // Interruption points: immediately, mid-segment, at a segment
     // boundary, one short of the end.
@@ -119,8 +121,10 @@ fn cancel_then_resume_matches_uninterrupted() {
         src.replay(&mut |c| replayed.push(c.to_vec())).unwrap();
         assert_eq!(replayed, full, "cut {cut}");
 
-        let from_log = stream_percolate(&mut LogSource::open(&path).unwrap()).unwrap();
-        assert_eq!(from_log.levels, reference.levels, "cut {cut}");
+        let from_log =
+            stream_percolate_parallel_mode(&mut LogSource::open(&path).unwrap(), 1, Mode::Exact)
+                .unwrap();
+        assert_eq!(from_log, reference, "cut {cut}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

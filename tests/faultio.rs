@@ -6,9 +6,15 @@
 
 use cpm_stream::faultio::{FaultPlan, FaultyWriter};
 use cpm_stream::{
-    stream_percolate, CliqueLogReader, CliqueLogWriter, CliqueSource, GraphSource, LogBuildOptions,
-    LogSource,
+    stream_percolate_parallel_mode, CliqueLogReader, CliqueLogWriter, CliqueSource, GraphSource,
+    LogBuildOptions, LogSource,
 };
+
+/// The engine's result replayed from the clique log at `path`.
+fn percolate_log(path: &std::path::Path) -> cpm::CpmResult {
+    stream_percolate_parallel_mode(&mut LogSource::open(path).unwrap(), 1, cpm::Mode::Exact)
+        .unwrap()
+}
 
 /// Checkpoint cadence for these tests: small enough that a kill lands
 /// well inside the stream, large enough to span several pushes.
@@ -123,10 +129,8 @@ fn kill_mid_write_recover_resume_is_bit_identical() {
     assert_eq!(std::fs::read(&torn_path).unwrap(), baseline_bytes);
 
     // And the percolation results downstream are identical to the
-    // live-graph sweep.
-    let from_log = stream_percolate(&mut LogSource::open(&torn_path).unwrap()).unwrap();
-    let from_graph = stream_percolate(&mut GraphSource::new(&g)).unwrap();
-    assert_eq!(from_log.levels, from_graph.levels);
+    // live-graph percolation.
+    assert_eq!(percolate_log(&torn_path), cpm::percolate(&g));
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -199,9 +203,11 @@ fn kill_at_every_interesting_budget_stays_recoverable() {
             cliques.len() as u64,
             "budget {budget}"
         );
-        let from_log = stream_percolate(&mut LogSource::open(&torn_path).unwrap()).unwrap();
-        let from_graph = stream_percolate(&mut GraphSource::new(&g)).unwrap();
-        assert_eq!(from_log.levels, from_graph.levels, "budget {budget}");
+        assert_eq!(
+            percolate_log(&torn_path),
+            cpm::percolate(&g),
+            "budget {budget}"
+        );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -5,8 +5,8 @@
 //! oracle is the seeded `InternetModel` — power-law degrees, dense IXP
 //! cores, deep overlap strata — and the assertion is full bit-identity
 //! of the `CpmResult` (community tree parents included) across kernels
-//! and thread counts, plus the same invariance for the streaming wave
-//! sweep.
+//! and thread counts, plus the same invariance for a clique-stream
+//! replay into the engine.
 
 use kclique::cliques::Kernel;
 use kclique::cpm::{self, Mode};
@@ -55,14 +55,23 @@ fn pooled_sweep_is_thread_count_invariant() {
 }
 
 #[test]
-fn streaming_waves_are_thread_count_invariant() {
+fn log_replay_is_thread_count_invariant() {
+    // Replaying the clique stream into the engine is the graph path at
+    // every worker count, both modes.
     let g = internet_graph(5);
-    let seq = stream::stream_percolate_parallel(&mut GraphSource::new(&g), 1)
-        .expect("in-memory replay cannot fail");
-    for threads in [Threads::Fixed(2), Threads::Fixed(4), Threads::Auto] {
-        let par = stream::stream_percolate_parallel(&mut GraphSource::new(&g), threads)
-            .expect("in-memory replay cannot fail");
-        assert_eq!(seq.levels, par.levels, "{threads} threads");
+    for mode in [Mode::Exact, Mode::Almost] {
+        let reference = cpm::percolate_parallel(&g, 1, mode);
+        for threads in [
+            Threads::Fixed(1),
+            Threads::Fixed(2),
+            Threads::Fixed(4),
+            Threads::Auto,
+        ] {
+            let replayed =
+                stream::stream_percolate_parallel_mode(&mut GraphSource::new(&g), threads, mode)
+                    .expect("in-memory replay cannot fail");
+            assert_eq!(reference, replayed, "{mode}: {threads} threads");
+        }
+        assert!(reference.k_max().unwrap_or(0) >= 3, "fixture too sparse");
     }
-    assert!(seq.k_max().unwrap_or(0) >= 3, "fixture too sparse");
 }
