@@ -1,4 +1,4 @@
-//! Benchmarks for the extension subsystems: Louvain, SCP, weighted CPM,
+//! Benchmarks for the extension subsystems: Louvain, weighted CPM,
 //! rewiring, and evolution matching.
 
 use bench::{random_graph, tiny_internet};
@@ -13,19 +13,6 @@ fn louvain(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("internet400", |b| {
         b.iter(|| black_box(baselines::louvain::louvain(&topo.graph)))
-    });
-    group.finish();
-}
-
-fn scp(c: &mut Criterion) {
-    let g = random_graph(80, 0.12, 3);
-    let mut group = c.benchmark_group("scp");
-    group.sample_size(10);
-    group.bench_function("stream_k3/er80", |b| {
-        b.iter(|| black_box(cpm::scp::scp_communities(&g, 3)))
-    });
-    group.bench_function("stream_k4/er80", |b| {
-        b.iter(|| black_box(cpm::scp::scp_communities(&g, 4)))
     });
     group.finish();
 }
@@ -80,5 +67,5 @@ fn evolution(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, louvain, scp, weighted, rewiring, evolution);
+criterion_group!(benches, louvain, weighted, rewiring, evolution);
 criterion_main!(benches);

@@ -2,7 +2,7 @@
 //!
 //! - sequential vs multi-worker Lightweight Parallel CPM (the paper's
 //!   companion-algorithm claim, P.CPM in DESIGN.md);
-//! - the fast maximal-clique reduction vs SCP vs the literal definition.
+//! - the fast maximal-clique reduction vs the literal definition.
 
 use bench::{random_graph, small_internet, tiny_internet};
 use cpm::Mode;
@@ -38,9 +38,6 @@ fn definition_vs_reduction(c: &mut Criterion) {
     });
     group.bench_function("maximal_clique_reduction_k4_only", |b| {
         b.iter(|| black_box(cpm::percolate_at(&g, 4)))
-    });
-    group.bench_function("scp_k4_only", |b| {
-        b.iter(|| black_box(cpm::scp::scp_communities(&g, 4)))
     });
     group.bench_function("literal_definition_k4_only", |b| {
         b.iter(|| black_box(cpm::naive::naive_communities(&g, 4)))

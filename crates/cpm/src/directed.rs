@@ -6,17 +6,17 @@
 //! restricted to the set is an acyclic (transitive-tournament-like)
 //! pattern. In AS terms: a strict customer→provider hierarchy. Two
 //! directed k-cliques are adjacent when they share k−1 nodes; communities
-//! are the percolation components, exactly as in the undirected method.
+//! are the percolation components, exactly as in the undirected method,
+//! so this module is an acyclicity filter over the definitional
+//! percolator ([`crate::naive::communities_where`]) run on the underlying
+//! undirected graph.
 //!
 //! On the customer→provider orientation of the AS graph this separates
 //! hierarchical structures (transit chains) from flat peering meshes —
 //! the `directed_cpm` experiment contrasts the two covers.
 
-use crate::dsu::Dsu;
 use asgraph::digraph::DiGraph;
 use asgraph::NodeId;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// The directed k-clique communities of `g`.
 ///
@@ -41,60 +41,9 @@ use std::collections::HashMap;
 /// assert!(directed_communities(&cyclic, 3).is_empty());
 /// ```
 pub fn directed_communities(g: &DiGraph, k: usize) -> Vec<Vec<NodeId>> {
-    if k < 2 {
-        return Vec::new();
-    }
-    let underlying = g.to_undirected();
-    let mut qualifying: Vec<Vec<NodeId>> = Vec::new();
-    cliques::kclique::for_each_k_clique(&underlying, k, |members| {
-        if is_acyclic_complete(g, members) {
-            qualifying.push(members.to_vec());
-        }
-    });
-    if qualifying.is_empty() {
-        return Vec::new();
-    }
-
-    let mut dsu = Dsu::new(qualifying.len());
-    let mut owner: HashMap<Vec<NodeId>, u32> = HashMap::new();
-    let mut subset = Vec::with_capacity(k - 1);
-    for (i, c) in qualifying.iter().enumerate() {
-        for skip in 0..k {
-            subset.clear();
-            subset.extend(
-                c.iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != skip)
-                    .map(|(_, &v)| v),
-            );
-            match owner.entry(subset.clone()) {
-                Entry::Occupied(e) => {
-                    dsu.union(*e.get(), i as u32);
-                }
-                Entry::Vacant(e) => {
-                    e.insert(i as u32);
-                }
-            }
-        }
-    }
-
-    let mut groups: HashMap<u32, Vec<NodeId>> = HashMap::new();
-    for (i, c) in qualifying.iter().enumerate() {
-        groups
-            .entry(dsu.find(i as u32))
-            .or_default()
-            .extend_from_slice(c);
-    }
-    let mut out: Vec<Vec<NodeId>> = groups
-        .into_values()
-        .map(|mut m| {
-            m.sort_unstable();
-            m.dedup();
-            m
-        })
-        .collect();
-    out.sort_unstable();
-    out
+    crate::naive::communities_where(&g.to_undirected(), k, |members| {
+        is_acyclic_complete(g, members)
+    })
 }
 
 /// Whether the complete node set `members` carries an acyclic

@@ -19,9 +19,10 @@
 //! Both modes run that engine: [`Mode::Almost`] unions cliques through
 //! shared (k−1)-clique keys and a big-clique prepass, and
 //! [`Mode::Exact`] adds a per-level certification pass that makes the
-//! communities exact. The literal definition is also implemented
-//! ([`naive`]) and used as a cross-validation oracle in the property
-//! tests.
+//! communities exact. The literal definition is implemented once, in
+//! [`naive`]: it is the cross-validation oracle of the property tests,
+//! and the [`weighted`] (intensity-thresholded) and [`directed`]
+//! (acyclic-orientation) variants are k-clique filters over it.
 //!
 //! # Example
 //!
@@ -53,7 +54,6 @@ mod dsu_concurrent;
 mod mode;
 pub mod naive;
 mod result;
-pub mod scp;
 mod snapshot;
 pub mod weighted;
 

@@ -23,13 +23,13 @@ use crate::result::CpmResult;
 use std::fmt;
 use std::str::FromStr;
 
-/// Which percolation engine a pipeline runs — the single mode
-/// vocabulary across the batch and streaming paths (`cpm_stream`
-/// re-exports this type).
+/// How the one percolation engine ([`crate::consume`]) detects
+/// adjacent cliques — the single mode vocabulary of every path that runs
+/// it, graph or clique-log source alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
-    /// The exact k-clique communities: the almost engine plus its
-    /// certification pass (batch), or per-node postings (streaming).
+    /// The exact k-clique communities: almost mode plus the per-level
+    /// certification pass.
     #[default]
     Exact,
     /// Almost-exact (k−1)-clique-key unions: last-owner keys, exact

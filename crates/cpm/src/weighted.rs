@@ -8,19 +8,16 @@
 //!
 //! Intensity is not monotone under taking subcliques of maximal cliques,
 //! so the maximal-clique reduction of the unweighted engine does not
-//! apply; this module percolates over the k-cliques directly (like the
-//! definitional oracle), which is fine for the moderate `k` where the
-//! weighted variant is typically used. The AS-level reproduction itself
-//! is unweighted — this module exists because a production CPM library
-//! without the weighted mode would be incomplete, and it doubles as an
-//! extension experiment (`EXPERIMENTS.md` notes it as future-work
-//! coverage).
+//! apply; this module is an intensity filter over the definitional
+//! percolator ([`crate::naive::communities_where`]), which is fine for
+//! the moderate `k` where the weighted variant is typically used. The
+//! AS-level reproduction itself is unweighted — this module exists
+//! because a production CPM library without the weighted mode would be
+//! incomplete, and it doubles as an extension experiment
+//! (`EXPERIMENTS.md` notes it as future-work coverage).
 
-use crate::dsu::Dsu;
 use asgraph::weighted::WeightedGraph;
 use asgraph::NodeId;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// The weighted k-clique communities of `g` at a single `k`, keeping
 /// only k-cliques with intensity greater than `intensity_threshold`.
@@ -60,65 +57,12 @@ pub fn weighted_communities(
         intensity_threshold >= 0.0,
         "intensity threshold must be non-negative, got {intensity_threshold}"
     );
-    if k < 2 {
-        return Vec::new();
-    }
-
-    // Enumerate the k-cliques that pass the intensity filter.
-    let mut kept: Vec<Vec<NodeId>> = Vec::new();
-    cliques::kclique::for_each_k_clique(g.graph(), k, |c| {
+    crate::naive::communities_where(g.graph(), k, |c| {
         let intensity = g
             .clique_intensity(c)
             .expect("k-clique is a clique by construction");
-        if intensity > intensity_threshold {
-            kept.push(c.to_vec());
-        }
-    });
-    if kept.is_empty() {
-        return Vec::new();
-    }
-
-    // Percolate: cliques sharing a (k-1)-subset are adjacent.
-    let mut dsu = Dsu::new(kept.len());
-    let mut owner: HashMap<Vec<NodeId>, u32> = HashMap::new();
-    let mut subset = Vec::with_capacity(k - 1);
-    for (i, c) in kept.iter().enumerate() {
-        for skip in 0..k {
-            subset.clear();
-            subset.extend(
-                c.iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != skip)
-                    .map(|(_, &v)| v),
-            );
-            match owner.entry(subset.clone()) {
-                Entry::Occupied(e) => {
-                    dsu.union(*e.get(), i as u32);
-                }
-                Entry::Vacant(e) => {
-                    e.insert(i as u32);
-                }
-            }
-        }
-    }
-
-    let mut groups: HashMap<u32, Vec<NodeId>> = HashMap::new();
-    for (i, c) in kept.iter().enumerate() {
-        groups
-            .entry(dsu.find(i as u32))
-            .or_default()
-            .extend_from_slice(c);
-    }
-    let mut out: Vec<Vec<NodeId>> = groups
-        .into_values()
-        .map(|mut m| {
-            m.sort_unstable();
-            m.dedup();
-            m
-        })
-        .collect();
-    out.sort_unstable();
-    out
+        intensity > intensity_threshold
+    })
 }
 
 /// Sweeps the intensity threshold and reports `(threshold,
@@ -231,6 +175,14 @@ mod tests {
         let g = asgraph::Graph::complete(3);
         let wg = uniform(&g, 1.0);
         let _ = weighted_communities(&wg, 3, -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn nan_threshold_panics() {
+        let g = asgraph::Graph::complete(3);
+        let wg = uniform(&g, 1.0);
+        let _ = weighted_communities(&wg, 3, f64::NAN);
     }
 
     #[test]

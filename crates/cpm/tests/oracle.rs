@@ -111,14 +111,6 @@ proptest! {
         prop_assert_eq!(result.cover(2), expected);
     }
 
-    /// The independently-derived SCP engine agrees with the
-    /// maximal-clique reduction for every k.
-    #[test]
-    fn scp_agrees_with_reduction(edges in edge_soup(14, 50), k in 2usize..6) {
-        let g = Graph::from_edges(14, edges);
-        prop_assert_eq!(cpm::scp::scp_communities(&g, k), cpm::percolate_at(&g, k));
-    }
-
     /// The pooled parallel pipeline is bit-identical to the sequential
     /// one — full `CpmResult`, tree parents included — at every tested
     /// worker count, fixed or auto-resolved, in both modes.

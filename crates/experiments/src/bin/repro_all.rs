@@ -1,6 +1,8 @@
-//! Runs the entire reproduction in one process: every table and figure,
-//! sharing a single generation + percolation pass. Writes all artefacts
-//! when `--out` is given.
+//! Runs the entire reproduction: launches each experiment binary in
+//! [`BINARIES`] as a child process with the same flags, one after the
+//! other. Each child generates its own topology and percolates it
+//! afresh; nothing is shared between them. Writes all artefacts when
+//! `--out` is given.
 //!
 //! This is the binary behind `EXPERIMENTS.md`.
 

@@ -13,11 +13,11 @@ fn tiny() -> kclique::topology::AsTopology {
 }
 
 #[test]
-fn scp_and_reduction_agree_on_the_topology() {
+fn naive_and_reduction_agree_on_the_topology() {
     let topo = tiny();
     for k in [3usize, 4, 5] {
         assert_eq!(
-            cpm::scp::scp_communities(&topo.graph, k),
+            cpm::naive::naive_communities(&topo.graph, k),
             cpm::percolate_at(&topo.graph, k),
             "k = {k}"
         );
