@@ -1,7 +1,7 @@
 //! Ablation bench: the Bron–Kerbosch family.
 //!
 //! Pivoting vs no pivoting, degeneracy ordering vs plain recursion, and
-//! the striped parallel enumerator — the DESIGN.md ablation for why the
+//! the work-stealing parallel driver — the DESIGN.md ablation for why the
 //! degeneracy variant is the default on sparse AS-like graphs.
 
 use bench::{random_graph, tiny_internet};
@@ -22,7 +22,7 @@ fn bk_variants(c: &mut Criterion) {
         b.iter(|| black_box(cliques::bron_kerbosch::pivot(&sparse)))
     });
     group.bench_function("degeneracy/sparse300", |b| {
-        b.iter(|| black_box(cliques::bron_kerbosch::degeneracy(&sparse)))
+        b.iter(|| black_box(cliques::max_cliques(&sparse)))
     });
     group.bench_function("basic/dense60", |b| {
         b.iter(|| black_box(cliques::bron_kerbosch::basic(&dense)))
@@ -31,10 +31,10 @@ fn bk_variants(c: &mut Criterion) {
         b.iter(|| black_box(cliques::bron_kerbosch::pivot(&dense)))
     });
     group.bench_function("degeneracy/dense60", |b| {
-        b.iter(|| black_box(cliques::bron_kerbosch::degeneracy(&dense)))
+        b.iter(|| black_box(cliques::max_cliques(&dense)))
     });
     group.bench_function("degeneracy/internet400", |b| {
-        b.iter(|| black_box(cliques::bron_kerbosch::degeneracy(&internet.graph)))
+        b.iter(|| black_box(cliques::max_cliques(&internet.graph)))
     });
     for threads in [1usize, 2, 4] {
         group.bench_function(format!("parallel{threads}/internet400"), |b| {

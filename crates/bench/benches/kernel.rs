@@ -8,10 +8,28 @@
 //! machine-readable twin of this bench is the `kernel-bench` binary
 //! (which adds peak-heap via `memprof`).
 
-use cliques::Kernel;
+use cliques::{CliqueConsumer, CliqueSet, Kernel};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use exec::CancelToken;
 
 const KERNELS: [Kernel; 2] = [Kernel::Merge, Kernel::Bitset];
+
+/// The enumeration driver on `threads` workers with `kernel`.
+fn drive(
+    g: &asgraph::Graph,
+    threads: usize,
+    kernel: Kernel,
+    consumer: &mut (dyn CliqueConsumer + Send),
+) {
+    cliques::consume_max_cliques(g, threads, kernel, &CancelToken::new(), consumer)
+        .expect("a fresh token never trips");
+}
+
+fn collect(g: &asgraph::Graph, threads: usize, kernel: Kernel) -> CliqueSet {
+    let mut set = CliqueSet::new();
+    drive(g, threads, kernel, &mut set);
+    set
+}
 
 fn substrates() -> Vec<(&'static str, asgraph::Graph)> {
     vec![
@@ -28,7 +46,7 @@ fn enumerate(c: &mut Criterion) {
     for (name, g) in &substrates() {
         for kernel in KERNELS {
             group.bench_function(format!("{name}/{kernel}"), |b| {
-                b.iter(|| black_box(cliques::max_cliques_with(black_box(g), kernel)));
+                b.iter(|| black_box(collect(black_box(g), 1, kernel)));
             });
         }
     }
@@ -41,13 +59,7 @@ fn enumerate_parallel(c: &mut Criterion) {
     for (name, g) in &substrates() {
         for kernel in KERNELS {
             group.bench_function(format!("{name}/{kernel}"), |b| {
-                b.iter(|| {
-                    black_box(cliques::parallel::max_cliques_parallel_with(
-                        black_box(g),
-                        4,
-                        kernel,
-                    ))
-                });
+                b.iter(|| black_box(collect(black_box(g), 4, kernel)));
             });
         }
     }
@@ -62,7 +74,7 @@ fn percolate(c: &mut Criterion) {
             group.bench_function(format!("{name}/{kernel}"), |b| {
                 b.iter(|| {
                     let mut p = cpm::FusedPercolator::new(g.node_count(), cpm::Mode::Exact);
-                    cliques::consume_max_cliques(black_box(g), kernel, &mut p);
+                    drive(black_box(g), 1, kernel, &mut p);
                     black_box(p.finish())
                 });
             });

@@ -56,6 +56,14 @@ fn measure<T>(iters: usize, mut f: impl FnMut() -> T) -> (u128, usize) {
     (median_ns(samples), peak)
 }
 
+/// The enumeration driver on `threads` workers with `kernel`, collected.
+fn enumerate(g: &asgraph::Graph, threads: exec::Threads, kernel: Kernel) -> cliques::CliqueSet {
+    let mut set = cliques::CliqueSet::new();
+    cliques::consume_max_cliques(g, threads, kernel, &exec::CancelToken::new(), &mut set)
+        .expect("a token nobody cancels never trips");
+    set
+}
+
 /// The percolation engine at `threads` workers with an explicit kernel.
 fn percolate(
     g: &asgraph::Graph,
@@ -90,14 +98,12 @@ fn bench_substrate(
         push(
             "enumerate",
             sequential,
-            measure(iters, || cliques::max_cliques_with(g, kernel)),
+            measure(iters, || enumerate(g, sequential, kernel)),
         );
         push(
             "enumerate_par",
             threads,
-            measure(iters, || {
-                cliques::parallel::max_cliques_parallel_with(g, threads, kernel)
-            }),
+            measure(iters, || enumerate(g, threads, kernel)),
         );
         push(
             "percolate_fused",

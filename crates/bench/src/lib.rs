@@ -1,7 +1,7 @@
 //! Shared fixtures for the Criterion benchmarks.
 //!
 //! With the `memprof` feature the crate additionally exposes
-//! [`memprof`], the counting global allocator behind the `peak_bytes`
+//! `memprof`, the counting global allocator behind the `peak_bytes`
 //! columns of `kernel-bench` and `pool-bench`.
 
 // memprof implements GlobalAlloc, which is inherently unsafe; the rest

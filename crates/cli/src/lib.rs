@@ -588,19 +588,7 @@ impl Command {
                 threads,
                 deadline,
             } => {
-                let g = load_graph(input)?;
-                // Always the cancellable pipeline: a live token is
-                // bit-identical to the plain one, and Ctrl-C /
-                // --deadline then stop the run cooperatively.
-                let token = cancel_token(deadline);
-                let result = cpm::percolate_fused_cancellable(
-                    &g,
-                    *threads,
-                    cliques::Kernel::Auto,
-                    &token,
-                    *mode,
-                )
-                .map_err(|_| interrupted_no_durable_state())?;
+                let result = percolate_input(input, *threads, *mode, &cancel_token(deadline))?;
                 print_communities(&result, *k, *all_k);
                 Ok(())
             }
@@ -760,27 +748,24 @@ impl Command {
                 threads,
                 deadline,
             } => {
-                // Both source kinds funnel through the same dyn-dispatch
-                // path; the graph (if any) must outlive the source. The
-                // token rides inside the source, so the replay and the
-                // engine's finish both poll it.
+                // `--input` runs exactly what `communities` runs; `--log`
+                // replays the log into the same engine, the token riding
+                // inside the source so the replay and the finish both
+                // poll it. Neither arm keeps durable state.
                 let token = cancel_token(deadline);
-                let graph;
-                let mut graph_src;
-                let mut log_src;
-                let source: &mut dyn cpm_stream::CliqueSource = if let Some(input) = input {
-                    graph = load_graph(input)?;
-                    graph_src = cpm_stream::GraphSource::new(&graph).with_cancel(token.clone());
-                    &mut graph_src
+                let result = if let Some(input) = input {
+                    percolate_input(input, *threads, *mode, &token)?
                 } else {
                     let log = log.as_ref().expect("parse guarantees input xor log");
-                    log_src = cpm_stream::LogSource::open(log)
+                    let mut source = cpm_stream::LogSource::open(log)
                         .map_err(|e| CliFailure::stream(log.display(), &e))?
-                        .with_cancel(token.clone());
-                    &mut log_src
+                        .with_cancel(token);
+                    cpm_stream::stream_percolate_parallel_mode(&mut source, *threads, *mode)
+                        .map_err(|e| match e {
+                            StreamError::Interrupted => interrupted_no_durable_state(),
+                            e => CliFailure::stream("stream-percolate", &e),
+                        })?
                 };
-                let result = cpm_stream::stream_percolate_parallel_mode(source, *threads, *mode)
-                    .map_err(|e| CliFailure::stream("stream-percolate", &e))?;
                 print_communities(&result, *k, *all_k);
                 Ok(())
             }
@@ -797,7 +782,6 @@ impl Command {
                     checkpoint_cliques: *checkpoint_cliques,
                     resume: *resume,
                     cancel: Some(token),
-                    ..Default::default()
                 };
                 let outcome = cpm_stream::build_clique_log(&g, out, &options)
                     .map_err(|e| CliFailure::stream(format_args!("{}", out.display()), &e))?;
@@ -1078,6 +1062,21 @@ fn cancel_token(deadline: &Option<u64>) -> exec::CancelToken {
     };
     token.watch_sigint();
     token
+}
+
+/// Loads an edge list and percolates it — what `communities` and
+/// `stream-percolate --input` both run. Always the cancellable pipeline:
+/// a live token is bit-identical to the plain one, and Ctrl-C /
+/// `--deadline` then stop the run cooperatively.
+fn percolate_input(
+    input: &PathBuf,
+    threads: exec::Threads,
+    mode: cpm::Mode,
+    token: &exec::CancelToken,
+) -> Result<cpm::CpmResult, CliFailure> {
+    let g = load_graph(input)?;
+    cpm::percolate_fused_cancellable(&g, threads, cliques::Kernel::Auto, token, mode)
+        .map_err(|_| interrupted_no_durable_state())
 }
 
 /// Classifies an ingestion failure onto the exit-code contract: parse

@@ -1,6 +1,7 @@
 //! The Bron–Kerbosch family of maximal-clique enumerators.
 //!
-//! Three variants with identical output (asserted by property tests):
+//! Two whole-graph recursions, kept as set oracles for the driver
+//! (identical clique sets, asserted by property tests):
 //!
 //! - [`basic`] — the 1973 recursion, no pivoting. Exponentially slower on
 //!   dense neighbourhoods; kept as the ground-truth oracle and as an
@@ -8,10 +9,13 @@
 //! - [`pivot`] — Tomita–Tanaka–Takahashi pivoting: recurse only on
 //!   `P \ N(u)` for a pivot `u` maximising `|P ∩ N(u)|`, giving the
 //!   `O(3^{n/3})` worst-case optimum.
-//! - [`degeneracy`] — Eppstein–Löffler–Strash: the outermost level walks a
-//!   degeneracy ordering so each top-level subproblem has at most
-//!   `degeneracy(G)` candidate vertices. The right default for sparse
-//!   power-law graphs like the Internet AS topology.
+//!
+//! The production enumeration is Eppstein–Löffler–Strash: the outermost
+//! level walks a degeneracy ordering so each top-level subproblem has at
+//! most `degeneracy(G)` candidate vertices — the right default for sparse
+//! power-law graphs like the Internet AS topology. Its per-vertex
+//! subproblem lives here; the outer loop is the driver,
+//! [`crate::consume_max_cliques`].
 //!
 //! All sets (`P`, `X`, neighbour lists) are sorted vectors; intersections
 //! are linear merges.
@@ -58,8 +62,8 @@ fn intersect_count(a: &[NodeId], b: &[NodeId]) -> usize {
 
 /// Enumerates maximal cliques with the unpivoted Bron–Kerbosch recursion.
 ///
-/// Prefer [`degeneracy`] for anything but tiny graphs; this variant exists
-/// as an oracle and ablation baseline.
+/// Prefer [`crate::max_cliques`] for anything but tiny graphs; this
+/// variant exists as an oracle and ablation baseline.
 pub fn basic(g: &Graph) -> CliqueSet {
     let mut out = CliqueSet::new();
     if g.node_count() == 0 {
@@ -172,35 +176,6 @@ where
     ControlFlow::Continue(())
 }
 
-/// Enumerates maximal cliques with the degeneracy-ordered outer loop and
-/// pivoting inside — the recommended variant for sparse graphs.
-///
-/// # Example
-///
-/// ```
-/// use asgraph::Graph;
-/// use cliques::bron_kerbosch::degeneracy;
-///
-/// let g = Graph::complete(4);
-/// let cliques = degeneracy(&g);
-/// assert_eq!(cliques.len(), 1);
-/// assert_eq!(cliques.get(0), &[0, 1, 2, 3]);
-/// ```
-pub fn degeneracy(g: &Graph) -> CliqueSet {
-    degeneracy_with(g, Kernel::Auto)
-}
-
-/// [`degeneracy`] with an explicit set [`Kernel`].
-///
-/// All kernels produce identical cliques in identical order (the bitset
-/// kernel replicates the merge kernel's recursion tree exactly); `Auto`
-/// decides per subproblem from the local vertex-set size.
-pub fn degeneracy_with(g: &Graph, kernel: Kernel) -> CliqueSet {
-    let mut out = CliqueSet::new();
-    crate::consume_max_cliques(g, kernel, &mut out);
-    out
-}
-
 /// Kernel dispatch for one top-level subproblem: the bitset kernel when
 /// the local vertex set (all neighbours of `v`) fits the kernel's
 /// threshold, the merge kernel otherwise.
@@ -258,8 +233,20 @@ mod tests {
         s
     }
 
+    /// The driver on one worker with an explicit kernel.
+    fn enumerate_with(g: &Graph, kernel: Kernel) -> CliqueSet {
+        let mut out = CliqueSet::new();
+        crate::consume_max_cliques(g, 1, kernel, &exec::CancelToken::new(), &mut out)
+            .expect("a fresh token never trips");
+        out
+    }
+
     fn all_variants(g: &Graph) -> (CliqueSet, CliqueSet, CliqueSet) {
-        (sorted(basic(g)), sorted(pivot(g)), sorted(degeneracy(g)))
+        (
+            sorted(basic(g)),
+            sorted(pivot(g)),
+            sorted(crate::max_cliques(g)),
+        )
     }
 
     #[test]
@@ -267,7 +254,7 @@ mod tests {
         let g = Graph::empty(0);
         assert!(basic(&g).is_empty());
         assert!(pivot(&g).is_empty());
-        assert!(degeneracy(&g).is_empty());
+        assert!(crate::max_cliques(&g).is_empty());
     }
 
     #[test]
@@ -367,10 +354,10 @@ mod tests {
             ),
         ];
         for g in &graphs {
-            let merge = degeneracy_with(g, Kernel::Merge);
-            let bitset = degeneracy_with(g, Kernel::Bitset);
+            let merge = enumerate_with(g, Kernel::Merge);
+            let bitset = enumerate_with(g, Kernel::Bitset);
             assert_eq!(merge, bitset, "kernels diverged on {g:?}");
-            assert_eq!(merge, degeneracy_with(g, Kernel::Auto));
+            assert_eq!(merge, enumerate_with(g, Kernel::Auto));
         }
     }
 
@@ -389,7 +376,7 @@ mod tests {
                 (5, 6),
             ],
         );
-        let cliques = degeneracy(&g);
+        let cliques = crate::max_cliques(&g);
         for c in cliques.iter() {
             // clique: all pairs adjacent
             for (i, &u) in c.iter().enumerate() {

@@ -29,11 +29,10 @@
 use asgraph::{Graph, NodeId};
 use std::fmt;
 use std::ops::ControlFlow;
-use std::str::FromStr;
 
 /// Which set representation the clique enumeration hot path uses.
 ///
-/// Parses from `auto | bitset | merge`.
+/// `Display` prints `auto | bitset | merge`, the label of bench rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
     /// Per-subproblem choice: bitset when the local vertex set fits
@@ -64,21 +63,6 @@ impl Kernel {
             Kernel::Bitset => true,
             Kernel::Merge => false,
             Kernel::Auto => local <= AUTO_BITSET_MAX_LOCAL,
-        }
-    }
-}
-
-impl FromStr for Kernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(Kernel::Auto),
-            "bitset" => Ok(Kernel::Bitset),
-            "merge" => Ok(Kernel::Merge),
-            other => Err(format!(
-                "unknown kernel {other:?} (expected auto | bitset | merge)"
-            )),
         }
     }
 }
@@ -289,16 +273,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kernel_parses_and_displays() {
+    fn kernel_displays() {
         for (s, k) in [
             ("auto", Kernel::Auto),
             ("bitset", Kernel::Bitset),
             ("merge", Kernel::Merge),
         ] {
-            assert_eq!(s.parse::<Kernel>().unwrap(), k);
             assert_eq!(k.to_string(), s);
         }
-        assert!("popcount".parse::<Kernel>().is_err());
         assert_eq!(Kernel::default(), Kernel::Auto);
     }
 

@@ -1,4 +1,4 @@
-//! Multi-threaded maximal-clique enumeration.
+//! Multi-threaded maximal-clique enumeration: the one driver.
 //!
 //! The clique-enumeration half of the "Lightweight Parallel Clique
 //! Percolation Method" (Gregori, Lenzini, Mainardi, Orsini): the
@@ -14,19 +14,25 @@
 //! its oversized stripe, whereas dynamic claiming keeps all workers
 //! busy to the tail. Each claimed chunk produces one flat batch, and an
 //! [`OrderedAbsorber`] feeds the batches to a [`CliqueConsumer`] in
-//! ascending chunk order, so the stream is *identical to the sequential
+//! ascending chunk order, so the stream is *identical to the one-worker
 //! enumeration* — independent of thread count and scheduling races.
-//! There is one parallel enumeration loop: [`max_cliques_parallel`]
-//! and its siblings run it with a [`CliqueSet`] as the consumer.
+//! There is one enumeration loop, [`consume_max_cliques`]; on one worker
+//! it walks the same chunks inline on the calling thread, and that run
+//! is the sequential-order reference. [`max_cliques_parallel`] and
+//! [`crate::max_cliques`] run it with a [`CliqueSet`] as the consumer.
 //!
 //! Two things distinguish this from the per-call `crossbeam::scope`
 //! version it replaced: workers are warm pool threads (woken, not
-//! spawned), and each worker's [`BitsetScratch`] lives in its pool
+//! spawned), and each worker's bitset-kernel scratch lives in its pool
 //! arena, so the bitset row pool and local-index buffers persist across
 //! calls instead of being reallocated every time. [`Threads::Auto`]
 //! (the default for the CLI) additionally routes graphs below a work
-//! threshold to the sequential path, so tiny substrates never pay
+//! threshold to the one-worker path, so tiny substrates never pay
 //! parallel overhead at all.
+//!
+//! The one-worker path takes the pool's caller arena ([`Pool::leader`]),
+//! so the driver must not be called from inside a [`Pool::run`] job on
+//! the same pool.
 
 use crate::bron_kerbosch::top_level_visit_with;
 use crate::clique_set::CliqueSet;
@@ -52,8 +58,8 @@ const AUTO_EDGES_PER_WORKER: usize = 2_048;
 /// the default [`Kernel::Auto`] set kernel.
 ///
 /// Output is identical — same cliques, same order — to
-/// [`degeneracy`](crate::bron_kerbosch::degeneracy) for every thread
-/// count: work-stolen chunks are merged back in chunk order.
+/// [`max_cliques`](crate::max_cliques) for every thread count:
+/// work-stolen chunks are merged back in chunk order.
 ///
 /// # Panics
 ///
@@ -70,45 +76,10 @@ const AUTO_EDGES_PER_WORKER: usize = 2_048;
 /// assert_eq!(cliques.len(), 1);
 /// ```
 pub fn max_cliques_parallel(g: &Graph, threads: impl Into<Threads>) -> CliqueSet {
-    max_cliques_parallel_with(g, threads, Kernel::Auto)
-}
-
-/// [`max_cliques_parallel`] with an explicit set [`Kernel`].
-///
-/// # Panics
-///
-/// Panics if `threads` is a fixed count of 0.
-pub fn max_cliques_parallel_with(
-    g: &Graph,
-    threads: impl Into<Threads>,
-    kernel: Kernel,
-) -> CliqueSet {
     let mut set = CliqueSet::new();
-    consume_max_cliques_parallel(g, threads, kernel, &mut set);
+    consume_max_cliques(g, threads, Kernel::Auto, &CancelToken::new(), &mut set)
+        .expect("a fresh token never trips");
     set
-}
-
-/// [`max_cliques_parallel_with`] polling a [`CancelToken`] at every
-/// chunk claim: workers stop taking work at the next chunk boundary,
-/// run out through the job protocol (the pool stays reusable), partial
-/// results are discarded, and the call returns [`Cancelled`].
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] once the token trips.
-///
-/// # Panics
-///
-/// Panics if `threads` is a fixed count of 0.
-pub fn max_cliques_parallel_cancellable(
-    g: &Graph,
-    threads: impl Into<Threads>,
-    kernel: Kernel,
-    cancel: &CancelToken,
-) -> Result<CliqueSet, Cancelled> {
-    let mut set = CliqueSet::new();
-    consume_max_cliques_parallel_cancellable(g, threads, kernel, cancel, &mut set)?;
-    Ok(set)
 }
 
 /// Buffered batches the [`OrderedAbsorber`] may hold before producers
@@ -129,62 +100,57 @@ struct Batch {
 }
 
 /// Streams the maximal cliques of `g` into `consumer` using `threads`
-/// workers — the sink-driven counterpart of [`max_cliques_parallel`],
-/// with no [`CliqueSet`] materialised anywhere.
+/// workers and the set `kernel`, polling `cancel` at every chunk of
+/// [`STEAL_CHUNK`] outer vertices — the one maximal-clique driver.
+/// Callers with nothing to cancel pass `&CancelToken::new()`.
 ///
 /// The consumer sees the *sequential* stream — same cliques, same
-/// order, members sorted ascending — at every worker count: workers
-/// claim work-stolen chunks, enumerate them into flat batches, and hand
-/// them to an [`OrderedAbsorber`] that feeds the consumer in ascending
-/// chunk order, pausing producers that run too far ahead so at most a
-/// constant number of chunks is ever buffered.
-///
-/// # Panics
-///
-/// Panics if `threads` is a fixed count of 0.
-pub fn consume_max_cliques_parallel(
-    g: &Graph,
-    threads: impl Into<Threads>,
-    kernel: Kernel,
-    consumer: &mut (dyn CliqueConsumer + Send),
-) {
-    consume_max_cliques_parallel_impl(g, threads.into(), kernel, None, consumer)
-        .expect("uncancellable enumeration cannot be cancelled");
-}
-
-/// [`consume_max_cliques_parallel`] polling a [`CancelToken`] between
-/// emitted chunks: producers stop claiming work, the leader stops
-/// consuming, paused producers are released, and everyone runs out
-/// through the job protocol so the pool stays reusable.
+/// order, members sorted ascending — at every worker count and for
+/// every kernel: workers claim work-stolen chunks, enumerate them into
+/// flat batches, and hand them to an [`OrderedAbsorber`] that feeds
+/// the consumer in ascending chunk order, pausing producers that run
+/// too far ahead so at most a constant number of chunks is ever
+/// buffered. No [`CliqueSet`] is materialised anywhere.
 ///
 /// # Errors
 ///
-/// Returns [`Cancelled`] once the token trips. The consumer has then
-/// seen a prefix of the deterministic sequential stream (cut at a chunk
-/// boundary); callers that cannot resume from a prefix should discard
-/// the consumer's state.
+/// Returns [`Cancelled`] once the token trips: producers stop claiming
+/// work, paused producers are released, and everyone runs out through
+/// the job protocol so the pool stays reusable. The consumer has then
+/// seen a prefix of the deterministic stream (cut at a chunk boundary);
+/// callers that cannot resume from a prefix should discard the
+/// consumer's state. A token that trips during the last chunk of the
+/// one-worker run is not noticed: the stream completes and the call
+/// returns `Ok`.
 ///
 /// # Panics
 ///
 /// Panics if `threads` is a fixed count of 0.
-pub fn consume_max_cliques_parallel_cancellable(
+///
+/// # Example
+///
+/// ```
+/// use asgraph::{Graph, NodeId};
+/// use exec::CancelToken;
+///
+/// let g = Graph::from_edges(4, [(0, 3), (1, 3), (2, 3), (0, 1)]);
+/// let mut seen: Vec<Vec<NodeId>> = Vec::new();
+/// let mut consumer = |clique: &[NodeId]| seen.push(clique.to_vec());
+/// cliques::consume_max_cliques(&g, 2, cliques::Kernel::Auto, &CancelToken::new(), &mut consumer)
+///     .unwrap();
+/// seen.sort();
+/// assert_eq!(seen, vec![vec![0, 1, 3], vec![2, 3]]); // members ascending
+/// ```
+pub fn consume_max_cliques(
     g: &Graph,
     threads: impl Into<Threads>,
     kernel: Kernel,
     cancel: &CancelToken,
     consumer: &mut (dyn CliqueConsumer + Send),
 ) -> Result<(), Cancelled> {
-    consume_max_cliques_parallel_impl(g, threads.into(), kernel, Some(cancel), consumer)
-}
-
-fn consume_max_cliques_parallel_impl(
-    g: &Graph,
-    threads: Threads,
-    kernel: Kernel,
-    cancel: Option<&CancelToken>,
-    consumer: &mut (dyn CliqueConsumer + Send),
-) -> Result<(), Cancelled> {
-    let mut workers = threads.resolve(g.edge_count(), AUTO_EDGES_PER_WORKER);
+    let mut workers = threads
+        .into()
+        .resolve(g.edge_count(), AUTO_EDGES_PER_WORKER);
     if g.node_count() < 2 * workers {
         workers = 1;
     }
@@ -200,9 +166,7 @@ fn consume_max_cliques_parallel_impl(
             // Same cancellation granularity as the parallel path: one
             // poll per STEAL_CHUNK outer vertices.
             for chunk in order.chunks(STEAL_CHUNK) {
-                if let Some(token) = cancel {
-                    token.check()?;
-                }
+                cancel.check()?;
                 for &v in chunk {
                     let _ = top_level_visit_with(g, v, rank, kernel, scratch, &mut |clique| {
                         sorted_into(clique, &mut sorted);
@@ -228,11 +192,7 @@ fn consume_max_cliques_parallel_impl(
     pool.run(workers, |mut w| {
         let scratch = w.scratch_with(BitsetScratch::default);
         let mut sorted: Vec<NodeId> = Vec::new();
-        let claim = || match cancel {
-            Some(token) => queue.claim_unless(token),
-            None => queue.claim(),
-        };
-        while let Some(range) = claim() {
+        while let Some(range) = queue.claim_unless(cancel) {
             let mut batch = Batch {
                 lens: Vec::new(),
                 members: Vec::new(),
@@ -254,20 +214,25 @@ fn consume_max_cliques_parallel_impl(
             });
         }
     });
-    if let Some(token) = cancel {
-        token.check()?;
-    }
-    Ok(())
+    cancel.check()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bron_kerbosch::{degeneracy, degeneracy_with};
+    use crate::bron_kerbosch::pivot;
 
     fn canonical(mut s: CliqueSet) -> CliqueSet {
         s.sort_canonical();
         s
+    }
+
+    /// The driver collected into a set, with a token nobody trips.
+    fn enumerate(g: &Graph, threads: impl Into<Threads>, kernel: Kernel) -> CliqueSet {
+        let mut set = CliqueSet::new();
+        consume_max_cliques(g, threads, kernel, &CancelToken::new(), &mut set)
+            .expect("a fresh token never trips");
+        set
     }
 
     #[test]
@@ -287,33 +252,22 @@ mod tests {
                 (7, 5),
             ],
         );
-        let seq = canonical(degeneracy(&g));
+        let oracle = canonical(pivot(&g));
         for threads in 1..=4 {
             let par = canonical(max_cliques_parallel(&g, threads));
-            assert_eq!(seq, par, "thread count {threads}");
+            assert_eq!(oracle, par, "thread count {threads}");
         }
     }
 
     #[test]
     fn work_stealing_preserves_sequential_order() {
-        use rand::prelude::*;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let n = 120u32;
-        let mut b = asgraph::GraphBuilder::with_nodes(n as usize);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if rng.random_bool(0.1) {
-                    b.add_edge(u, v);
-                }
-            }
-        }
-        let g = b.build();
-        // Not just the same set: the exact same enumeration order, for
-        // every kernel and thread count.
+        let g = random_graph(11, 120, 0.1);
+        // Not just the same set: the exact same enumeration order as the
+        // one-worker run, for every kernel and thread count.
         for kernel in [Kernel::Auto, Kernel::Bitset, Kernel::Merge] {
-            let seq = degeneracy_with(&g, kernel);
+            let seq = enumerate(&g, 1, kernel);
             for threads in [2, 3, 4, 7] {
-                let par = max_cliques_parallel_with(&g, threads, kernel);
+                let par = enumerate(&g, threads, kernel);
                 assert_eq!(seq, par, "kernel {kernel}, threads {threads}");
             }
         }
@@ -321,40 +275,18 @@ mod tests {
 
     #[test]
     fn auto_threads_match_sequential() {
-        use rand::prelude::*;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let n = 80u32;
-        let mut b = asgraph::GraphBuilder::with_nodes(n as usize);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if rng.random_bool(0.12) {
-                    b.add_edge(u, v);
-                }
-            }
-        }
-        let g = b.build();
-        let seq = degeneracy(&g);
+        let g = random_graph(13, 80, 0.12);
+        let seq = crate::max_cliques(&g);
         let auto = max_cliques_parallel(&g, Threads::Auto);
         assert_eq!(seq, auto);
     }
 
     #[test]
     fn matches_sequential_on_random_graph() {
-        use rand::prelude::*;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let n = 60u32;
-        let mut b = asgraph::GraphBuilder::with_nodes(n as usize);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if rng.random_bool(0.15) {
-                    b.add_edge(u, v);
-                }
-            }
-        }
-        let g = b.build();
-        let seq = canonical(degeneracy(&g));
+        let g = random_graph(7, 60, 0.15);
+        let oracle = canonical(pivot(&g));
         let par = canonical(max_cliques_parallel(&g, 4));
-        assert_eq!(seq, par);
+        assert_eq!(oracle, par);
     }
 
     #[test]
@@ -367,21 +299,22 @@ mod tests {
     #[test]
     fn live_token_changes_nothing() {
         let g = Graph::from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
-        let token = exec::CancelToken::new();
+        let token = CancelToken::new();
         for threads in 1..=4 {
-            let got = max_cliques_parallel_cancellable(&g, threads, Kernel::Auto, &token)
+            let mut got = CliqueSet::new();
+            consume_max_cliques(&g, threads, Kernel::Auto, &token, &mut got)
                 .expect("token never trips");
-            assert_eq!(got, degeneracy(&g), "threads {threads}");
+            assert_eq!(got, crate::max_cliques(&g), "threads {threads}");
         }
     }
 
     #[test]
     fn tripped_token_cancels_at_every_worker_count() {
         let g = Graph::complete(8);
-        let token = exec::CancelToken::new();
+        let token = CancelToken::new();
         token.cancel();
         for threads in 1..=4 {
-            let err = max_cliques_parallel_cancellable(&g, threads, Kernel::Auto, &token);
+            let err = consume_max_cliques(&g, threads, Kernel::Auto, &token, &mut CliqueSet::new());
             assert!(err.is_err(), "threads {threads}");
         }
         // And the pool is still usable after the cancelled runs.
@@ -423,13 +356,14 @@ mod tests {
     fn sink_driver_streams_sequential_order_at_every_worker_count() {
         let g = random_graph(11, 120, 0.1);
         for kernel in [Kernel::Auto, Kernel::Bitset, Kernel::Merge] {
-            let seq: Vec<Vec<NodeId>> = degeneracy_with(&g, kernel)
+            let seq: Vec<Vec<NodeId>> = crate::max_cliques(&g)
                 .iter()
                 .map(<[NodeId]>::to_vec)
                 .collect();
             for threads in [1, 2, 3, 4, 7] {
                 let mut sink = Record::default();
-                consume_max_cliques_parallel(&g, threads, kernel, &mut sink);
+                consume_max_cliques(&g, threads, kernel, &CancelToken::new(), &mut sink)
+                    .expect("a fresh token never trips");
                 assert_eq!(seq, sink.0, "kernel {kernel}, threads {threads}");
             }
         }
@@ -438,26 +372,20 @@ mod tests {
     #[test]
     fn sink_driver_tripped_token_cancels_and_pool_stays_reusable() {
         let g = random_graph(17, 100, 0.15);
-        let token = exec::CancelToken::new();
+        let token = CancelToken::new();
         token.cancel();
         for threads in 1..=4 {
             let mut sink = Record::default();
-            let err = consume_max_cliques_parallel_cancellable(
-                &g,
-                threads,
-                Kernel::Auto,
-                &token,
-                &mut sink,
-            );
+            let err = consume_max_cliques(&g, threads, Kernel::Auto, &token, &mut sink);
             assert!(err.is_err(), "threads {threads}");
             assert!(sink.0.is_empty(), "threads {threads}");
         }
         // The pool runs out through the job protocol and stays both
         // reusable and resumable: a fresh token completes the stream.
-        let fresh = exec::CancelToken::new();
+        let fresh = CancelToken::new();
         let mut sink = Record::default();
-        consume_max_cliques_parallel_cancellable(&g, 4, Kernel::Auto, &fresh, &mut sink)
+        consume_max_cliques(&g, 4, Kernel::Auto, &fresh, &mut sink)
             .expect("fresh token never trips");
-        assert_eq!(sink.0.len(), degeneracy(&g).len());
+        assert_eq!(sink.0.len(), crate::max_cliques(&g).len());
     }
 }

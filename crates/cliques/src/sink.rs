@@ -1,32 +1,24 @@
-//! Sink-driven clique enumeration: cliques flow straight into a
-//! consumer as Bron–Kerbosch emits them.
+//! The consumer side of clique enumeration: cliques flow straight into
+//! a [`CliqueConsumer`] as Bron–Kerbosch emits them.
 //!
-//! The staged pipeline materialises every maximal clique into a
-//! [`CliqueSet`](crate::CliqueSet) before percolation looks at the
-//! first one — two passes over the same data with the full clique
-//! census resident in between. The sink API inverts that: the
-//! enumerator pushes each clique into a [`CliqueConsumer`] the moment
-//! it exists, so a downstream engine (the fused percolator in `cpm`,
-//! the clique-log writer in `cpm-stream`) can fold it into its own
-//! state and let the members go.
+//! The driver ([`crate::consume_max_cliques`]) pushes each maximal
+//! clique into its consumer the moment it exists, so a downstream
+//! engine (the fused percolator in `cpm`, the clique-log writer in
+//! `cpm-stream`, or a [`CliqueSet`](crate::CliqueSet) that collects the
+//! census) folds it into its own state and lets the members go.
 //!
-//! The drivers guarantee the *sequential enumeration contract*: every
+//! The driver guarantees the *sequential enumeration contract*: every
 //! maximal clique exactly once, members sorted strictly ascending, in
-//! the order the sequential degeneracy enumeration produces — for every
-//! kernel, thread count, and scheduling race. The parallel driver
-//! ([`crate::parallel::consume_max_cliques_parallel`]) keeps the
-//! contract by reassembling work-stolen chunks in chunk order before
-//! the consumer sees them.
+//! the order of the one-worker degeneracy enumeration — for every
+//! kernel, thread count, and scheduling race.
 
-use crate::kernel::Kernel;
-use asgraph::{Graph, NodeId};
-use std::ops::ControlFlow;
+use asgraph::NodeId;
 
 /// A sink for a stream of maximal cliques.
 ///
 /// [`consume`](Self::consume) is called once per maximal clique, with
 /// the members sorted strictly ascending; the slice is only valid for
-/// the duration of the call. Drivers deliver the cliques in the
+/// the duration of the call. The driver delivers the cliques in the
 /// sequential enumeration order, so a consumer may rely on the stream
 /// being deterministic and exactly-once (the same contract as
 /// `cpm_stream`'s `CliqueSource::replay`).
@@ -39,44 +31,6 @@ impl<F: FnMut(&[NodeId])> CliqueConsumer for F {
     fn consume(&mut self, clique: &[NodeId]) {
         self(clique);
     }
-}
-
-/// Enumerates the maximal cliques of `g` straight into `consumer`,
-/// without materialising a clique set.
-///
-/// The stream (contents and order) is identical to
-/// [`crate::max_cliques_with`] for every kernel; only the peak memory
-/// differs — the recursion stack plus one sort scratch.
-pub fn consume_max_cliques(g: &Graph, kernel: Kernel, consumer: &mut dyn CliqueConsumer) {
-    let mut scratch: Vec<NodeId> = Vec::new();
-    let _ = crate::for_each_max_clique_with(g, kernel, |clique| {
-        sorted_into(clique, &mut scratch);
-        consumer.consume(&scratch);
-        ControlFlow::Continue(())
-    });
-}
-
-/// [`consume_max_cliques`] polling a [`exec::CancelToken`] between
-/// emitted cliques (at every top-level subproblem boundary, exactly
-/// like [`crate::for_each_max_clique_cancellable`]).
-///
-/// # Errors
-///
-/// Returns [`exec::Cancelled`] once the token trips. The consumer has
-/// then seen a prefix of the deterministic stream; callers that cannot
-/// resume from a prefix should discard it.
-pub fn consume_max_cliques_cancellable(
-    g: &Graph,
-    kernel: Kernel,
-    cancel: &exec::CancelToken,
-    consumer: &mut dyn CliqueConsumer,
-) -> Result<(), exec::Cancelled> {
-    let mut scratch: Vec<NodeId> = Vec::new();
-    crate::for_each_max_clique_cancellable(g, kernel, cancel, |clique| {
-        sorted_into(clique, &mut scratch);
-        consumer.consume(&scratch);
-        ControlFlow::Continue(())
-    })
 }
 
 /// Copies `clique` into `scratch` sorted ascending. The enumerator
@@ -92,6 +46,9 @@ pub(crate) fn sorted_into(clique: &[NodeId], scratch: &mut Vec<NodeId>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{consume_max_cliques, Kernel};
+    use asgraph::Graph;
+    use exec::CancelToken;
 
     fn fixture() -> Graph {
         Graph::from_edges(
@@ -124,13 +81,13 @@ mod tests {
     #[test]
     fn sink_stream_matches_staged_set_per_kernel() {
         let g = fixture();
+        let staged: Vec<Vec<NodeId>> = crate::max_cliques(&g)
+            .iter()
+            .map(<[NodeId]>::to_vec)
+            .collect();
         for kernel in [Kernel::Auto, Kernel::Bitset, Kernel::Merge] {
-            let staged: Vec<Vec<NodeId>> = crate::max_cliques_with(&g, kernel)
-                .iter()
-                .map(<[NodeId]>::to_vec)
-                .collect();
             let mut sink = Collect(Vec::new());
-            consume_max_cliques(&g, kernel, &mut sink);
+            consume_max_cliques(&g, 1, kernel, &CancelToken::new(), &mut sink).unwrap();
             assert_eq!(staged, sink.0, "kernel {kernel}");
         }
     }
@@ -139,27 +96,27 @@ mod tests {
     fn closures_are_consumers() {
         let g = fixture();
         let mut count = 0usize;
-        consume_max_cliques(&g, Kernel::Auto, &mut |_: &[NodeId]| count += 1);
+        let mut consumer = |_: &[NodeId]| count += 1;
+        consume_max_cliques(&g, 1, Kernel::Auto, &CancelToken::new(), &mut consumer).unwrap();
         assert_eq!(count, crate::max_cliques(&g).len());
     }
 
     #[test]
     fn cancellable_with_live_token_sees_the_full_stream() {
         let g = fixture();
-        let token = exec::CancelToken::new();
+        let token = CancelToken::new();
         let mut sink = Collect(Vec::new());
-        consume_max_cliques_cancellable(&g, Kernel::Auto, &token, &mut sink)
-            .expect("token never trips");
+        consume_max_cliques(&g, 1, Kernel::Auto, &token, &mut sink).expect("token never trips");
         assert_eq!(sink.0.len(), crate::max_cliques(&g).len());
     }
 
     #[test]
     fn tripped_token_stops_the_stream() {
         let g = fixture();
-        let token = exec::CancelToken::new();
+        let token = CancelToken::new();
         token.cancel();
         let mut sink = Collect(Vec::new());
-        let err = consume_max_cliques_cancellable(&g, Kernel::Auto, &token, &mut sink);
+        let err = consume_max_cliques(&g, 1, Kernel::Auto, &token, &mut sink);
         assert!(err.is_err());
         assert!(sink.0.is_empty());
     }

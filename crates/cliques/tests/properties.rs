@@ -2,12 +2,12 @@
 //! definition of maximal cliques.
 
 use asgraph::{Graph, NodeId};
-use cliques::bron_kerbosch::{basic, degeneracy, pivot};
+use cliques::bron_kerbosch::{basic, pivot};
 use cliques::kclique::{count_k_cliques, enumerate_k_cliques};
-use cliques::parallel::{max_cliques_parallel, max_cliques_parallel_with};
-use cliques::{max_cliques_with, CliqueSet, Kernel};
+use cliques::parallel::max_cliques_parallel;
+use cliques::{max_cliques, CliqueSet, Kernel};
+use exec::CancelToken;
 use proptest::prelude::*;
-use std::ops::ControlFlow;
 
 fn edge_soup(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(NodeId, NodeId)>> {
     prop::collection::vec((0..n, 0..n), 0..max_edges)
@@ -18,14 +18,23 @@ fn canonical(mut s: CliqueSet) -> CliqueSet {
     s
 }
 
+/// The driver collected into a set, with a token nobody trips.
+fn enumerate(g: &Graph, threads: usize, kernel: Kernel) -> CliqueSet {
+    let mut set = CliqueSet::new();
+    cliques::consume_max_cliques(g, threads, kernel, &CancelToken::new(), &mut set)
+        .expect("a fresh token never trips");
+    set
+}
+
 proptest! {
-    /// basic == pivot == degeneracy == parallel on arbitrary small graphs.
+    /// basic == pivot == driver (one worker and three) on arbitrary
+    /// small graphs.
     #[test]
     fn variants_agree(edges in edge_soup(18, 80)) {
         let g = Graph::from_edges(18, edges);
         let b = canonical(basic(&g));
         let p = canonical(pivot(&g));
-        let d = canonical(degeneracy(&g));
+        let d = canonical(max_cliques(&g));
         let par = canonical(max_cliques_parallel(&g, 3));
         prop_assert_eq!(&b, &p);
         prop_assert_eq!(&b, &d);
@@ -34,30 +43,20 @@ proptest! {
 
     /// The bitset and merge set kernels are interchangeable: identical
     /// cliques in the identical emission order (not merely set-equal),
-    /// through every front-end — collecting, visitor, and parallel —
-    /// and both agree with the kernel-free textbook recursion.
+    /// on one worker and on three, and both agree with the kernel-free
+    /// textbook recursion.
     #[test]
     fn set_kernels_equivalent(edges in edge_soup(20, 90)) {
         let g = Graph::from_edges(20, edges);
-        let merge = max_cliques_with(&g, Kernel::Merge);
-        let bitset = max_cliques_with(&g, Kernel::Bitset);
-        let auto = max_cliques_with(&g, Kernel::Auto);
+        let merge = enumerate(&g, 1, Kernel::Merge);
+        let bitset = enumerate(&g, 1, Kernel::Bitset);
+        let auto = enumerate(&g, 1, Kernel::Auto);
         prop_assert_eq!(&merge, &bitset);
         prop_assert_eq!(&merge, &auto);
 
-        // The streaming visitor path sees the same stream.
-        for kernel in [Kernel::Bitset, Kernel::Merge] {
-            let mut streamed = CliqueSet::new();
-            let _ = cliques::for_each_max_clique_with(&g, kernel, |c| {
-                streamed.push(c);
-                ControlFlow::Continue(())
-            });
-            prop_assert_eq!(&streamed, &merge);
-        }
-
         // Work stealing keeps the sequential order under every kernel.
         for kernel in [Kernel::Bitset, Kernel::Merge] {
-            let par = max_cliques_parallel_with(&g, 3, kernel);
+            let par = enumerate(&g, 3, kernel);
             prop_assert_eq!(&par, &merge);
         }
 
@@ -70,7 +69,7 @@ proptest! {
     #[test]
     fn outputs_are_maximal_cliques(edges in edge_soup(16, 70)) {
         let g = Graph::from_edges(16, edges);
-        let cliques = degeneracy(&g);
+        let cliques = max_cliques(&g);
         let mut covered = vec![false; g.node_count()];
         for c in cliques.iter() {
             for (i, &u) in c.iter().enumerate() {
@@ -92,7 +91,7 @@ proptest! {
     #[test]
     fn no_duplicates(edges in edge_soup(16, 70)) {
         let g = Graph::from_edges(16, edges);
-        let cliques = canonical(degeneracy(&g));
+        let cliques = canonical(max_cliques(&g));
         let mut all: Vec<Vec<NodeId>> = cliques.iter().map(<[NodeId]>::to_vec).collect();
         let before = all.len();
         all.dedup();
@@ -104,7 +103,7 @@ proptest! {
     #[test]
     fn kcliques_consistent_with_maximal(edges in edge_soup(12, 40), k in 2usize..5) {
         let g = Graph::from_edges(12, edges);
-        let maximal = degeneracy(&g);
+        let maximal = max_cliques(&g);
         for c in enumerate_k_cliques(&g, k) {
             let inside_some = maximal
                 .iter()
@@ -123,7 +122,7 @@ proptest! {
     #[test]
     fn max_clique_size_agrees(edges in edge_soup(12, 40)) {
         let g = Graph::from_edges(12, edges);
-        let maximal = degeneracy(&g);
+        let maximal = max_cliques(&g);
         let omega = maximal.max_size();
         if g.node_count() > 0 {
             prop_assert!(count_k_cliques(&g, omega) > 0);

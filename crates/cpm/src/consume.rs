@@ -23,10 +23,10 @@
 //! **One pass over the cliques.** Kumpula et al.'s sequential CPM and
 //! Baudin et al.'s memory-efficient almost-exact CPM both fold each
 //! clique in **as it is emitted**; [`FusedPercolator`] does the same.
-//! The Bron–Kerbosch kernels stream cliques straight into it (via
-//! [`cliques::sink`]), it folds each one into the engine's working
-//! state, and [`FusedPercolator::finish`] runs the descending-`k` sweep
-//! from that state alone. No clique list ever exists. The engine keeps
+//! The enumeration driver ([`cliques::consume_max_cliques`]) streams
+//! cliques straight into it, it folds each one into the engine's
+//! working state, and [`FusedPercolator::finish`] runs the
+//! descending-`k` sweep from that state alone. No clique list ever exists. The engine keeps
 //! the level-2/level-3 key unions *incremental* (a per-vertex last-owner
 //! chain for vertex keys, a persistent last-owner table keyed by the
 //! packed edge for edge keys — chains and first-seen stars have the same
@@ -912,7 +912,7 @@ impl MergeSrc<'_> {
 
 /// Percolation as a clique sink: feed every maximal clique (sorted
 /// members, each exactly once, deterministic order — the
-/// [`cliques::sink`] drivers guarantee this) to
+/// [`cliques::consume_max_cliques`] driver guarantees this) to
 /// [`consume`](CliqueConsumer::consume), then call
 /// [`finish`](Self::finish) (or one of its pooled forms) for the
 /// multi-level result; a single level is its projection
@@ -1831,7 +1831,8 @@ pub fn percolate_at(g: &Graph, k: usize) -> Vec<Vec<NodeId>> {
 pub fn percolate_parallel(g: &Graph, threads: impl Into<Threads>, mode: Mode) -> CpmResult {
     let threads = entry_threads(threads.into(), g);
     let mut p = FusedPercolator::new(g.node_count(), mode);
-    cliques::parallel::consume_max_cliques_parallel(g, threads, Kernel::Auto, &mut p);
+    cliques::consume_max_cliques(g, threads, Kernel::Auto, &CancelToken::new(), &mut p)
+        .expect("a fresh token never trips");
     p.finish_parallel(threads)
 }
 
@@ -1868,7 +1869,8 @@ pub fn percolate_fused_phases_probed(
     let mut p = FusedPercolator::new(g.node_count(), mode);
     observe("consume");
     let t = Instant::now();
-    cliques::parallel::consume_max_cliques_parallel(g, threads, Kernel::Auto, &mut p);
+    cliques::consume_max_cliques(g, threads, Kernel::Auto, &CancelToken::new(), &mut p)
+        .expect("a fresh token never trips");
     phases.consume = t.elapsed();
     let result = p
         .finish_impl(threads, None, &mut phases, observe)
@@ -1898,9 +1900,7 @@ pub fn percolate_fused_cancellable(
 ) -> Result<CpmResult, Cancelled> {
     let threads = entry_threads(threads.into(), g);
     let mut p = FusedPercolator::new(g.node_count(), mode);
-    cliques::parallel::consume_max_cliques_parallel_cancellable(
-        g, threads, kernel, cancel, &mut p,
-    )?;
+    cliques::consume_max_cliques(g, threads, kernel, cancel, &mut p)?;
     p.finish_cancellable(threads, cancel)
 }
 
@@ -1928,7 +1928,8 @@ mod tests {
     /// The sequential engine with an explicit kernel.
     fn run(g: &Graph, kernel: Kernel, mode: Mode) -> CpmResult {
         let mut p = FusedPercolator::new(g.node_count(), mode);
-        cliques::consume_max_cliques(g, kernel, &mut p);
+        cliques::consume_max_cliques(g, 1, kernel, &CancelToken::new(), &mut p)
+            .expect("a fresh token never trips");
         p.finish()
     }
 

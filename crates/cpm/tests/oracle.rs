@@ -64,9 +64,9 @@ proptest! {
         // Clique ids are stream ordinals — positions in the sequential
         // enumeration order — recovered here by one more sequential pass.
         let mut stream: Vec<Vec<NodeId>> = Vec::new();
-        cliques::consume_max_cliques(&g, cliques::Kernel::Auto, &mut |c: &[NodeId]| {
-            stream.push(c.to_vec())
-        });
+        let mut collect = |c: &[NodeId]| stream.push(c.to_vec());
+        cliques::consume_max_cliques(&g, 1, cliques::Kernel::Auto, &exec::CancelToken::new(), &mut collect)
+            .expect("a fresh token never trips");
         prop_assert_eq!(stream.len(), result.clique_count);
         for (id, c) in result.iter() {
             let k = id.k as usize;

@@ -49,7 +49,6 @@ pub use source::{
     consume_source, CliqueSource, GraphSource, LogSource, StreamError, CANCEL_POLL_CLIQUES,
 };
 
-pub use cliques::Kernel;
 pub use exec::{CancelToken, Threads};
 
 use asgraph::Graph;
@@ -80,38 +79,13 @@ use std::path::Path;
 /// std::fs::remove_file(&path).ok();
 /// ```
 pub fn write_clique_log(g: &Graph, path: impl AsRef<Path>) -> Result<CliqueLogInfo, StreamError> {
-    write_clique_log_with(g, cliques::Kernel::Auto, path)
-}
-
-/// [`write_clique_log`] with an explicit set [`cliques::Kernel`] for the
-/// single enumeration pass. The log bytes are identical whatever the
-/// kernel — only the enumeration speed differs.
-///
-/// # Errors
-///
-/// Propagates I/O failures from writing the log.
-pub fn write_clique_log_with(
-    g: &Graph,
-    kernel: cliques::Kernel,
-    path: impl AsRef<Path>,
-) -> Result<CliqueLogInfo, StreamError> {
-    let outcome = build_clique_log(
-        g,
-        path,
-        &LogBuildOptions {
-            kernel,
-            ..LogBuildOptions::default()
-        },
-    )?;
+    let outcome = build_clique_log(g, path, &LogBuildOptions::default())?;
     Ok(outcome.info)
 }
 
 /// How [`build_clique_log`] should run.
 #[derive(Debug, Clone, Default)]
 pub struct LogBuildOptions {
-    /// Set kernel for the enumeration pass (stream is identical for
-    /// every kernel).
-    pub kernel: Kernel,
     /// Checkpoint cadence: cliques per sealed segment
     /// (0 means [`DEFAULT_CHECKPOINT_CLIQUES`]).
     pub checkpoint_cliques: usize,
@@ -200,7 +174,7 @@ pub fn build_clique_log(
         )
     };
 
-    let mut source = GraphSource::with_kernel(g, options.kernel).resume_after(resumed_from);
+    let mut source = GraphSource::new(g).resume_after(resumed_from);
     if let Some(token) = &options.cancel {
         source = source.with_cancel(token.clone());
     }

@@ -176,7 +176,7 @@ mod tests {
             self.inner.node_count()
         }
 
-        fn replay(&mut self, visit: &mut dyn FnMut(&[NodeId])) -> Result<(), StreamError> {
+        fn replay(&mut self, visit: &mut (dyn FnMut(&[NodeId]) + Send)) -> Result<(), StreamError> {
             self.inner.replay(visit)?;
             self.token.cancel();
             Ok(())

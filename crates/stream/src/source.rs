@@ -11,14 +11,15 @@
 //!   sequential decode.
 //!
 //! Both sources support **cooperative cancellation**: handed a
-//! [`CancelToken`], a replay polls it every [`CANCEL_POLL_CLIQUES`]
-//! cliques and bails out with [`StreamError::Interrupted`], and
+//! [`CancelToken`], a replay polls it ([`GraphSource`] through the
+//! enumeration driver's per-chunk poll, [`LogSource`] every
+//! [`CANCEL_POLL_CLIQUES`] cliques) and bails out with
+//! [`StreamError::Interrupted`], and
 //! [`crate::stream_percolate_parallel_mode`] hands the same token
 //! ([`CliqueSource::cancel_token`]) to the engine's finish — a long
 //! percolation stops within one poll interval or one finish chunk of
-//! Ctrl-C or a deadline. [`GraphSource`] can also
-//! **resume**: because every kernel emits the identical clique stream
-//! (the PR 2 invariant), [`GraphSource::resume_after`] deterministically
+//! Ctrl-C or a deadline. [`GraphSource`] can also **resume**: because
+//! the enumeration stream is deterministic, [`GraphSource::resume_after`]
 //! skips the first `n` cliques, which is how `clique-log build --resume`
 //! continues a salvaged log instead of restarting the enumeration.
 
@@ -26,13 +27,14 @@ use crate::log::CliqueLogReader;
 use asgraph::{Graph, NodeId};
 use exec::CancelToken;
 use std::fmt;
-use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
-/// How many cliques a cancellable replay emits between token polls. A
-/// poll is one relaxed atomic load (plus a clock read under
-/// `--deadline`), so this mainly bounds cancellation latency: at most
-/// this many cliques flow after the token trips.
+/// How many cliques a cancellable [`LogSource`] replay decodes between
+/// token polls. A poll is one relaxed atomic load (plus a clock read
+/// under `--deadline`), so this mainly bounds cancellation latency: at
+/// most this many cliques flow after the token trips. ([`GraphSource`]
+/// polls once per enumeration chunk instead, inside
+/// [`cliques::consume_max_cliques`].)
 pub const CANCEL_POLL_CLIQUES: u64 = 64;
 
 /// Errors surfaced while pulling cliques out of a source.
@@ -96,7 +98,7 @@ pub trait CliqueSource {
     ///
     /// Propagates I/O failures from on-disk sources, or
     /// [`StreamError::Interrupted`] when a cancel token trips.
-    fn replay(&mut self, visit: &mut dyn FnMut(&[NodeId])) -> Result<(), StreamError>;
+    fn replay(&mut self, visit: &mut (dyn FnMut(&[NodeId]) + Send)) -> Result<(), StreamError>;
 
     /// The token this source polls during replays, if any — the
     /// percolation entry polls it through the finish as well.
@@ -116,18 +118,16 @@ pub trait CliqueSource {
 /// [`StreamError::Interrupted`] on cancellation).
 pub fn consume_source<S: CliqueSource + ?Sized>(
     source: &mut S,
-    consumer: &mut dyn cliques::CliqueConsumer,
+    consumer: &mut (dyn cliques::CliqueConsumer + Send),
 ) -> Result<(), StreamError> {
     source.replay(&mut |clique| consumer.consume(clique))
 }
 
 /// Live [`CliqueSource`]: re-enumerates the graph's maximal cliques on
-/// every replay via [`cliques::for_each_max_clique`].
+/// every replay through [`cliques::consume_max_cliques`] on one worker.
 #[derive(Debug)]
 pub struct GraphSource<'g> {
     graph: &'g Graph,
-    kernel: cliques::Kernel,
-    scratch: Vec<NodeId>,
     skip: u64,
     cancel: Option<CancelToken>,
 }
@@ -135,17 +135,8 @@ pub struct GraphSource<'g> {
 impl<'g> GraphSource<'g> {
     /// Wraps a graph as a replayable clique source.
     pub fn new(graph: &'g Graph) -> Self {
-        Self::with_kernel(graph, cliques::Kernel::Auto)
-    }
-
-    /// [`GraphSource::new`] with an explicit set [`cliques::Kernel`] for
-    /// the per-replay Bron–Kerbosch runs. The clique stream (contents and
-    /// order) is identical whatever the kernel.
-    pub fn with_kernel(graph: &'g Graph, kernel: cliques::Kernel) -> Self {
         GraphSource {
             graph,
-            kernel,
-            scratch: Vec::new(),
             skip: 0,
             cancel: None,
         }
@@ -156,16 +147,16 @@ impl<'g> GraphSource<'g> {
     /// start (the skipped prefix is the replay window the checkpoint
     /// cadence bounds), but nothing is emitted until clique `n`.
     ///
-    /// Sound because enumeration order is deterministic and identical
-    /// for every kernel: clique `n` of this run is clique `n` of the
-    /// run that was interrupted.
+    /// Sound because enumeration order is deterministic: clique `n` of
+    /// this run is clique `n` of the run that was interrupted.
     pub fn resume_after(mut self, n: u64) -> Self {
         self.skip = n;
         self
     }
 
     /// Polls `token` during replays; a tripped token aborts the
-    /// enumeration with [`StreamError::Interrupted`].
+    /// enumeration with [`StreamError::Interrupted`]. The cliques
+    /// emitted before that are a prefix of the full stream.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -177,35 +168,18 @@ impl CliqueSource for GraphSource<'_> {
         self.graph.node_count()
     }
 
-    fn replay(&mut self, visit: &mut dyn FnMut(&[NodeId])) -> Result<(), StreamError> {
-        let scratch = &mut self.scratch;
+    fn replay(&mut self, visit: &mut (dyn FnMut(&[NodeId]) + Send)) -> Result<(), StreamError> {
+        let fresh = CancelToken::new();
+        let cancel = self.cancel.as_ref().unwrap_or(&fresh);
         let skip = self.skip;
-        let cancel = self.cancel.as_ref();
         let mut seen = 0u64;
-        let mut interrupted = false;
-        let _ = cliques::for_each_max_clique_with(self.graph, self.kernel, |clique| {
-            if let Some(token) = cancel {
-                if seen.is_multiple_of(CANCEL_POLL_CLIQUES) && token.is_cancelled() {
-                    interrupted = true;
-                    return ControlFlow::Break(());
-                }
+        let mut emit = |clique: &[NodeId]| {
+            if seen >= skip {
+                visit(clique);
             }
-            let ordinal = seen;
             seen += 1;
-            if ordinal < skip {
-                return ControlFlow::Continue(());
-            }
-            // Bron–Kerbosch emits members in recursion order; sources
-            // promise ascending order, so sort into a reused scratch.
-            scratch.clear();
-            scratch.extend_from_slice(clique);
-            scratch.sort_unstable();
-            visit(scratch);
-            ControlFlow::Continue(())
-        });
-        if interrupted {
-            return Err(StreamError::Interrupted);
-        }
+        };
+        cliques::consume_max_cliques(self.graph, 1, cliques::Kernel::Auto, cancel, &mut emit)?;
         Ok(())
     }
 
@@ -255,7 +229,7 @@ impl CliqueSource for LogSource {
         self.node_count
     }
 
-    fn replay(&mut self, visit: &mut dyn FnMut(&[NodeId])) -> Result<(), StreamError> {
+    fn replay(&mut self, visit: &mut (dyn FnMut(&[NodeId]) + Send)) -> Result<(), StreamError> {
         let mut reader = CliqueLogReader::open(&self.path)?;
         let mut buf = Vec::new();
         let mut seen = 0u64;
@@ -317,6 +291,48 @@ mod tests {
         let mut src = GraphSource::new(&g).with_cancel(token);
         let err = src.replay(&mut |_| {}).unwrap_err();
         assert!(matches!(err, StreamError::Interrupted), "{err}");
+    }
+
+    /// A token tripped mid-replay cuts the stream at the driver's next
+    /// chunk boundary: the replay reports `Interrupted`, what it emitted
+    /// is a prefix of the full stream, and resuming after that prefix
+    /// supplies exactly the rest.
+    #[test]
+    fn mid_stream_cancel_then_resume_completes_the_stream() {
+        use rand::prelude::*;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let n = 200u32;
+        let mut b = asgraph::GraphBuilder::with_nodes(n as usize);
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if rng.random_bool(0.06) {
+                    b.add_edge(u, v);
+                }
+            }
+        }
+        let g = b.build();
+        let full = collect(&mut GraphSource::new(&g));
+        assert!(full.len() > 400, "fixture too small: {}", full.len());
+        for trip_after in [1, 7, 64, 200] {
+            let token = CancelToken::new();
+            let mut prefix: Vec<Vec<NodeId>> = Vec::new();
+            let mut src = GraphSource::new(&g).with_cancel(token.clone());
+            let err = src
+                .replay(&mut |c| {
+                    prefix.push(c.to_vec());
+                    if prefix.len() == trip_after {
+                        token.cancel();
+                    }
+                })
+                .unwrap_err();
+            assert!(matches!(err, StreamError::Interrupted), "{err}");
+            assert!(prefix.len() >= trip_after, "trip after {trip_after}");
+            assert!(prefix.len() < full.len(), "trip after {trip_after}");
+            assert_eq!(prefix, full[..prefix.len()], "trip after {trip_after}");
+
+            let rest = collect(&mut GraphSource::new(&g).resume_after(prefix.len() as u64));
+            assert_eq!(rest, full[prefix.len()..], "trip after {trip_after}");
+        }
     }
 
     #[test]

@@ -147,11 +147,12 @@ fn cancelled_runs_leave_the_pool_reusable() {
             "threads {threads}"
         );
         assert!(
-            cliques::parallel::max_cliques_parallel_cancellable(
+            cliques::consume_max_cliques(
                 &g,
                 threads,
                 Kernel::Auto,
-                &tripped
+                &tripped,
+                &mut cliques::CliqueSet::new()
             )
             .is_err(),
             "threads {threads}"

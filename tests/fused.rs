@@ -101,7 +101,8 @@ fn book_graph(m: u32) -> asgraph::Graph {
 /// is identical across runs; only the finish's worker count varies.
 fn consumed(g: &asgraph::Graph, mode: Mode) -> FusedPercolator {
     let mut p = FusedPercolator::new(g.node_count(), mode);
-    cliques::consume_max_cliques(g, Kernel::Auto, &mut p);
+    cliques::consume_max_cliques(g, 1, Kernel::Auto, &CancelToken::new(), &mut p)
+        .expect("a fresh token never trips");
     p
 }
 

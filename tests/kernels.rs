@@ -7,9 +7,9 @@
 //! full pipelines: enumeration, streaming and percolation (thread-count
 //! invariance of the percolation is pinned in `tests/sweep.rs`).
 
-use kclique::cliques::{self, Kernel};
+use kclique::cliques::{self, CliqueSet, Kernel};
 use kclique::cpm;
-use kclique::stream::{CliqueSource, GraphSource};
+use kclique::stream::{CancelToken, CliqueSource, GraphSource};
 use kclique::topology::{generate, ModelConfig};
 
 fn internet_graph(seed: u64) -> kclique::graph::Graph {
@@ -18,10 +18,28 @@ fn internet_graph(seed: u64) -> kclique::graph::Graph {
         .graph
 }
 
+/// Streams the one-worker enumeration with an explicit kernel into
+/// `consumer`.
+fn enumerate_into(
+    g: &kclique::graph::Graph,
+    kernel: Kernel,
+    consumer: &mut (dyn cliques::CliqueConsumer + Send),
+) {
+    cliques::consume_max_cliques(g, 1, kernel, &CancelToken::new(), consumer)
+        .expect("a fresh token never trips");
+}
+
+/// The enumeration on one worker with an explicit kernel, collected.
+fn enumerate_with(g: &kclique::graph::Graph, kernel: Kernel) -> CliqueSet {
+    let mut set = CliqueSet::new();
+    enumerate_into(g, kernel, &mut set);
+    set
+}
+
 /// The percolation engine on one worker with an explicit kernel.
 fn percolate_with_kernel(g: &kclique::graph::Graph, kernel: Kernel) -> cpm::CpmResult {
     let mut p = cpm::FusedPercolator::new(g.node_count(), cpm::Mode::Exact);
-    cliques::consume_max_cliques(g, kernel, &mut p);
+    enumerate_into(g, kernel, &mut p);
     p.finish()
 }
 
@@ -29,9 +47,9 @@ fn percolate_with_kernel(g: &kclique::graph::Graph, kernel: Kernel) -> cpm::CpmR
 fn kernels_agree_on_internet_model_enumeration() {
     for seed in [7, 23] {
         let g = internet_graph(seed);
-        let merge = cliques::max_cliques_with(&g, Kernel::Merge);
-        let bitset = cliques::max_cliques_with(&g, Kernel::Bitset);
-        let auto = cliques::max_cliques_with(&g, Kernel::Auto);
+        let merge = enumerate_with(&g, Kernel::Merge);
+        let bitset = enumerate_with(&g, Kernel::Bitset);
+        let auto = enumerate_with(&g, Kernel::Auto);
         // Order-exact, not merely set-equal: the kernels replicate the
         // same recursion tree.
         assert_eq!(merge, bitset, "seed {seed}");
@@ -40,19 +58,24 @@ fn kernels_agree_on_internet_model_enumeration() {
     }
 }
 
+/// The streaming source (which runs `Kernel::Auto`) emits exactly the
+/// stream each forced kernel emits.
 #[test]
 fn kernels_agree_through_streaming_source() {
     let g = internet_graph(11);
-    let mut streams = Vec::new();
+    let mut source: Vec<Vec<u32>> = Vec::new();
+    GraphSource::new(&g)
+        .replay(&mut |c| source.push(c.to_vec()))
+        .expect("in-memory replay cannot fail");
+    assert!(!source.is_empty());
     for kernel in [Kernel::Merge, Kernel::Bitset] {
         let mut out: Vec<Vec<u32>> = Vec::new();
-        GraphSource::with_kernel(&g, kernel)
-            .replay(&mut |c| out.push(c.to_vec()))
-            .expect("in-memory replay cannot fail");
-        streams.push(out);
+        enumerate_into(&g, kernel, &mut |c: &[u32]| out.push(c.to_vec()));
+        assert_eq!(
+            source, out,
+            "{kernel}: clique stream diverges from the source"
+        );
     }
-    assert_eq!(streams[0], streams[1], "clique streams diverge by kernel");
-    assert!(!streams[0].is_empty());
 }
 
 #[test]

@@ -42,7 +42,8 @@ fn book_graph(m: u32) -> asgraph::Graph {
 /// A percolator fed by the sequential sink, ready to finish.
 fn consumed(g: &asgraph::Graph, mode: Mode) -> FusedPercolator {
     let mut p = FusedPercolator::new(g.node_count(), mode);
-    cliques::consume_max_cliques(g, Kernel::Auto, &mut p);
+    cliques::consume_max_cliques(g, 1, Kernel::Auto, &CancelToken::new(), &mut p)
+        .expect("a fresh token never trips");
     p
 }
 
@@ -77,11 +78,12 @@ fn the_pool_stops_growing_and_survives_cancellation() {
             );
         }
         assert!(
-            cliques::parallel::max_cliques_parallel_cancellable(
+            cliques::consume_max_cliques(
                 &g,
                 threads,
                 Kernel::Auto,
-                &tripped
+                &tripped,
+                &mut cliques::CliqueSet::new()
             )
             .is_err(),
             "threads {threads}"
