@@ -20,27 +20,31 @@
 //! level `k−1` is its unique parent in the k-clique community tree
 //! (Theorem 1 of the paper), so the tree falls out of the sweep.
 //!
-//! **One pass over the cliques.** Kumpula et al.'s sequential CPM and
-//! Baudin et al.'s memory-efficient almost-exact CPM both fold each
-//! clique in **as it is emitted**; [`FusedPercolator`] does the same.
-//! The enumeration driver ([`cliques::consume_max_cliques`]) streams
-//! cliques straight into it, it folds each one into the engine's
-//! working state, and [`FusedPercolator::finish`] runs the
-//! descending-`k` sweep from that state alone. No clique list ever exists. The engine keeps
-//! the level-2/level-3 key unions *incremental* (a per-vertex last-owner
-//! chain for vertex keys, a persistent last-owner table keyed by the
-//! packed edge for edge keys — chains and first-seen stars have the same
-//! connected components), streams an exact small×small counting pass
-//! against per-vertex posting lists of earlier small cliques, and
-//! compresses each big clique to a 256-bit hub bitmap (40 bytes, vs. the
-//! full member list) from which the big×big and big×small prepasses —
-//! and the big cliques' members themselves — are reconstructed at
-//! [`finish`] time. When a substrate overflows 256 hub vertices the
-//! engine switches to a counting + bloom-guarded fallback. Everything
-//! from `k = 4` up thus comes from the prepass *strata*, which record
-//! each detected pair at its exact detection level `m + 1` (`m` =
-//! overlap size); the persistent union–find carries every detection to
-//! all lower levels for free.
+//! **The sink records, the finish counts.** The enumeration driver
+//! ([`cliques::consume_max_cliques`]) streams cliques straight into
+//! [`FusedPercolator`] in one deterministic order, and no clique list
+//! ever exists. The sink keeps only what needs that order: ordinals and
+//! sizes, the level-2 vertex keys (a per-vertex last-owner chain), the
+//! level-3 edge keys of the small cliques (a persistent last-owner table
+//! keyed by the packed edge — chains and first-seen stars have the same
+//! connected components), per-vertex posting lists of the small
+//! cliques, and each big clique compressed to a 256-bit hub bitmap (40
+//! bytes, vs. the full member list). Kumpula et al. fold each clique in
+//! as it arrives only to avoid keeping a clique list; the posting lists
+//! and hub bitmaps already stand in for that list, and the work they
+//! feed gives the same partitions in any order. So the heavy passes run
+//! in the pooled [`finish`]: the big cliques' edge keys (per hub pair,
+//! chained to the pair's last small owner), the exact small×small
+//! overlap counting over the posting lists (split across workers, as
+//! Pollner & Palla split it), and the big×big and big×small prepasses
+//! over the hub bitmaps, from which the big cliques' members are also
+//! reconstructed. When a substrate overflows 256 hub vertices the
+//! engine stores big cliques explicitly instead, the counting pass adds
+//! the small×big pairs, and a bloom-guarded scan finds big×big.
+//! Everything from `k = 4` up thus comes from the prepass *strata*,
+//! which record each detected pair at its exact detection level `m + 1`
+//! (`m` = overlap size); the persistent union–find carries every
+//! detection to all lower levels for free.
 //!
 //! **Exact = almost + certification.** Every union above is witnessed by
 //! a real overlap, so [`Mode::Almost`] only ever *refines* the exact
@@ -92,16 +96,18 @@ use std::sync::{Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// Wall-clock attribution of one fused percolation, for the bench
-/// per-phase rows: `consume` covers enumeration plus all streaming
-/// fold-in work (they are one pass — that is the point), `pairs` the
-/// finish-time big-clique prepasses, `sweep` the descending-`k`
-/// unions (with exact mode's per-level certification), `extract` level
-/// snapshots and member extraction.
+/// per-phase rows: `consume` covers enumeration plus the sink's
+/// recording (they are one pass), `pairs` the finish-time pair
+/// detection, `sweep` the descending-`k` unions (with exact mode's
+/// per-level certification), `extract` level snapshots and member
+/// extraction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusedPhases {
-    /// Enumeration fused with per-clique streaming state updates.
+    /// Enumeration fused with the sink's per-clique recording (keys,
+    /// posting lists, hub bitmaps).
     pub consume: std::time::Duration,
-    /// Finish-time pair detection (big×big / big×small prepasses).
+    /// Finish-time pair detection: the big cliques' edge keys, the
+    /// overlap-counting pass and the big×big / big×small prepasses.
     pub pairs: std::time::Duration,
     /// Descending-`k` union replay, including exact mode's
     /// certification pass.
@@ -118,7 +124,7 @@ pub struct FusedPhases {
 pub const SUBSET_CAP: u64 = 4096;
 
 /// Cliques at or below this size are *small*: every pair involving a
-/// small clique gets its overlap counted exactly by the streaming
+/// small clique gets its overlap counted exactly, by the finish's
 /// counting pass, whose posting lists hold small cliques only — hub
 /// posting lists are dominated by large cliques, so the restriction
 /// turns the quadratic pairwise phase into a cache-resident pass an
@@ -223,6 +229,10 @@ const PAIRS_BIG_CHUNK: usize = 64;
 /// Ordinals per claim of the parallel big×small plane scan.
 const PAIRS_SMALL_CHUNK: usize = 256;
 
+/// Counted pairs a pairs-phase worker buffers before moving them into
+/// the shared strata.
+const STRATA_BATCH: usize = 4096;
+
 /// Communities per claim of the parallel member extraction.
 const FUSED_EXTRACT_CHUNK: usize = 16;
 
@@ -231,9 +241,10 @@ const FUSED_EXTRACT_CHUNK: usize = 16;
 /// big×small scan.
 const FUSED_PAIRS_AUTO_CANDIDATES_PER_WORKER: usize = 65_536;
 
-/// `Threads::Auto` grain of the member-extraction phase: clique
+/// `Threads::Auto` grain of the per-clique finish passes (the big
+/// cliques' edge keys, overlap counting, member extraction): clique
 /// ordinals per worker before fan-out pays.
-const FUSED_EXTRACT_AUTO_CLIQUES_PER_WORKER: usize = 4_096;
+const FUSED_AUTO_CLIQUES_PER_WORKER: usize = 4_096;
 
 /// Persistent open-addressed `edge → last owner` table. The engine
 /// only ever has *one* edge-keyed level (k = 3), so a single persistent
@@ -242,7 +253,9 @@ const FUSED_EXTRACT_AUTO_CLIQUES_PER_WORKER: usize = 4_096;
 /// first-seen star over the same key class connect the same cliques).
 /// The key is the packed edge itself, `u << 32 | v` with `u < v` —
 /// never 0, so 0 marks an empty slot — so distinct edges never share a
-/// key and no union is ever invented.
+/// key and no union is ever invented. The default table is empty and
+/// allocates on its first insert.
+#[derive(Default)]
 struct EdgeTable {
     /// `(key, owner)`; `key == 0` marks an empty slot.
     slots: Vec<EdgeSlot>,
@@ -259,15 +272,6 @@ struct EdgeSlot {
 }
 
 impl EdgeTable {
-    fn new() -> Self {
-        let bits = 12;
-        EdgeTable {
-            slots: vec![EdgeSlot::default(); 1 << bits],
-            shift: 64 - bits,
-            used: 0,
-        }
-    }
-
     #[inline]
     fn home(&self, key: u64) -> usize {
         (key.wrapping_mul(FIB) >> self.shift) as usize
@@ -299,10 +303,32 @@ impl EdgeTable {
         }
     }
 
+    /// The current owner of the edge `{u, v}` (`u < v`), if any.
+    fn get(&self, u: NodeId, v: NodeId) -> Option<u32> {
+        debug_assert!(u < v);
+        if self.slots.is_empty() {
+            return None;
+        }
+        let key = (u as u64) << 32 | v as u64;
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let s = self.slots[i];
+            if s.key == key {
+                return Some(s.owner);
+            }
+            if s.key == 0 {
+                return None;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
     fn grow(&mut self) {
         let old = std::mem::take(&mut self.slots);
-        self.shift -= 1;
-        self.slots = vec![EdgeSlot::default(); old.len() * 2];
+        let len = (old.len() * 2).max(1 << 12);
+        self.shift = 64 - len.trailing_zeros();
+        self.slots = vec![EdgeSlot::default(); len];
         let mask = self.slots.len() - 1;
         for s in old {
             if s.key != 0 {
@@ -327,7 +353,7 @@ struct BigRec {
 }
 
 /// Level-stratified `(earlier, later)` union pairs, grown on demand and
-/// filled incrementally by the streaming passes.
+/// filled by the finish's counting pass and the fallback big×big scan.
 #[derive(Default)]
 struct Strata {
     by_level: Vec<Vec<(u32, u32)>>,
@@ -355,17 +381,15 @@ struct AlmostFused {
     last2: Vec<u32>,
     /// Level-2 (vertex-key) components over clique ordinals.
     dsu2: Dsu,
-    /// Persistent edge-key table chaining into `dsu3`.
+    /// Persistent edge-key table of the small cliques, chaining into
+    /// `dsu3`; the finish chains the big cliques to its owners.
     edges: EdgeTable,
     /// Level-3 (edge-key) components over clique ordinals.
     dsu3: Dsu,
-    /// Per-vertex posting lists of earlier *small* cliques
-    /// (3 ≤ size ≤ [`SMALL_FULL`]) — the streaming small×small counting
-    /// pass, and the transposed member store for extraction.
+    /// Per-vertex posting lists of the *small* cliques
+    /// (3 ≤ size ≤ [`SMALL_FULL`]), ascending — the finish's counting
+    /// pass and the transposed member store for extraction.
     small_postings: Vec<Vec<u32>>,
-    /// Dense per-partner overlap counter (counts ≤ [`SMALL_FULL`]).
-    counter: Vec<u8>,
-    touched: Vec<u32>,
     /// Size-2 cliques (ordinal, members) — active only at `k = 2`.
     pairs2: Vec<(u32, [NodeId; 2])>,
     /// Hub-bit assignment, in hub-vertex *arrival* order.
@@ -410,11 +434,9 @@ impl AlmostFused {
         AlmostFused {
             last2: vec![u32::MAX; n],
             dsu2: Dsu::new(0),
-            edges: EdgeTable::new(),
+            edges: EdgeTable::default(),
             dsu3: Dsu::new(0),
             small_postings: vec![Vec::new(); n],
-            counter: Vec::new(),
-            touched: Vec::new(),
             pairs2: Vec::new(),
             hub_bit: vec![u32::MAX; n],
             hub_inv: Vec::new(),
@@ -433,10 +455,14 @@ impl AlmostFused {
         }
     }
 
-    fn consume(&mut self, c: &[NodeId]) {
-        let x = self.counter.len() as u32;
+    /// Records clique `x` (the next ordinal): only what needs stream
+    /// order happens here — the vertex-key and small edge-key chains,
+    /// the small posting lists and the big-clique hub bitmaps (or the
+    /// fallback member store). All overlap counting and the big
+    /// cliques' edge keys wait for the finish
+    /// ([`Self::count_overlaps`]).
+    fn consume(&mut self, c: &[NodeId], x: u32) {
         let s = c.len();
-        self.counter.push(0);
         self.dsu2.push();
         self.dsu3.push();
 
@@ -450,51 +476,28 @@ impl AlmostFused {
                 }
             }
         }
-        // Level-3 edge keys: the member pair itself (members are
-        // sorted, so `c[i] < v`); last-owner chaining.
-        if (3..=EDGE_KEY_MAX_S).contains(&s) {
-            debug_assert!(emits(s, 2));
-            for i in 0..s - 1 {
-                let u = c[i];
-                for &v in &c[i + 1..] {
-                    if let Some(prev) = self.edges.exchange(u, v, x) {
-                        self.dsu3.union(prev, x);
-                    }
-                }
-            }
-        }
 
         match s {
             0 | 1 => {}
             2 => self.pairs2.push((x, [c[0], c[1]])),
-            _ if s <= SMALL_FULL => self.consume_small(c, x),
-            _ => self.consume_big(c, x),
-        }
-    }
-
-    /// Streaming small×small (and, on the fallback path, small×big)
-    /// exact counting: per-vertex posting lists of the earlier cliques
-    /// and a dense counter accumulating `|x ∩ y|` per partner.
-    fn consume_small(&mut self, c: &[NodeId], x: u32) {
-        for &v in c {
-            for &y in &self.small_postings[v as usize] {
-                if self.counter[y as usize] == 0 {
-                    self.touched.push(y);
-                }
-                self.counter[y as usize] += 1;
-            }
-            if self.fallback {
-                for &y in &self.big_postings[v as usize] {
-                    if self.counter[y as usize] == 0 {
-                        self.touched.push(y);
+            _ if s <= SMALL_FULL => {
+                // Level-3 edge keys of the small cliques: the member
+                // pair itself (members are sorted, so `c[i] < v`);
+                // last-owner chaining. Big cliques key theirs at finish.
+                debug_assert!(emits(s, 2));
+                for i in 0..s - 1 {
+                    let u = c[i];
+                    for &v in &c[i + 1..] {
+                        if let Some(prev) = self.edges.exchange(u, v, x) {
+                            self.dsu3.union(prev, x);
+                        }
                     }
-                    self.counter[y as usize] += 1;
+                }
+                for &v in c {
+                    self.small_postings[v as usize].push(x);
                 }
             }
-        }
-        self.flush_counts(x);
-        for &v in c {
-            self.small_postings[v as usize].push(x);
+            _ => self.consume_big(c, x),
         }
     }
 
@@ -525,19 +528,12 @@ impl AlmostFused {
             }
             self.switch_to_fallback();
         }
-        // Fallback: store members, count against earlier smalls (bigs
-        // scan small postings, smalls scan big postings, so each mixed
-        // pair is counted exactly once),
-        // defer big×big to the finish-time bloom pass.
-        for &v in c {
-            for &y in &self.small_postings[v as usize] {
-                if self.counter[y as usize] == 0 {
-                    self.touched.push(y);
-                }
-                self.counter[y as usize] += 1;
-            }
-        }
-        self.flush_counts(x);
+        self.push_fallback_big(c, x);
+    }
+
+    /// Stores a big clique explicitly (the fallback path): its members
+    /// and its entries in the big posting lists.
+    fn push_fallback_big(&mut self, c: &[NodeId], x: u32) {
         self.big_ords.push(x);
         self.big_members.extend_from_slice(c);
         self.big_offsets.push(self.big_members.len());
@@ -546,73 +542,27 @@ impl AlmostFused {
         }
     }
 
-    /// Drains the touched counters into the strata (`m >` [`KEY_MAX_L`]
-    /// ⇒ detection level `m + 1`; `m ≤ 2` is owned by the keys).
-    fn flush_counts(&mut self, x: u32) {
-        for &y in &self.touched {
-            let m = self.counter[y as usize] as usize;
-            self.counter[y as usize] = 0;
-            if m > KEY_MAX_L {
-                self.strata.push(m + 1, (y, x));
-            }
-        }
-        self.touched.clear();
-    }
-
-    /// The 256-hub-vertex overflow switch: reconstruct the members of
-    /// every bitmap-compressed big (their hub bits are all assigned),
-    /// count each one against every small seen so far (no mixed pair
-    /// involving them has been counted yet — the fast path defers all
-    /// big-involving pairs to finish), and seed the big posting lists
-    /// so later smalls find them.
+    /// The 256-hub-vertex overflow switch: every bitmap-compressed big
+    /// so far (their hub bits are all assigned) moves to the explicit
+    /// fallback store.
     fn switch_to_fallback(&mut self) {
         self.fallback = true;
         self.big_postings = vec![Vec::new(); self.small_postings.len()];
-        for bi in 0..self.bigs.len() {
-            let start = self.big_members.len();
+        let mut members: Vec<NodeId> = Vec::new();
+        for rec in std::mem::take(&mut self.bigs) {
+            members.clear();
             for w in 0..4 {
-                let mut bits = self.bigs[bi].bm[w];
+                let mut bits = rec.bm[w];
                 while bits != 0 {
                     let b = (w << 6) | bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    self.big_members.push(self.hub_inv[b]);
+                    members.push(self.hub_inv[b]);
                 }
             }
             // Hub bits are in arrival order, not id order; members
             // must stay sorted ascending.
-            self.big_members[start..].sort_unstable();
-            self.big_offsets.push(self.big_members.len());
-            let ord = self.bigs[bi].ord;
-            self.big_ords.push(ord);
-            for mi in start..self.big_members.len() {
-                let v = self.big_members[mi] as usize;
-                for yi in 0..self.small_postings[v].len() {
-                    let y = self.small_postings[v][yi];
-                    if self.counter[y as usize] == 0 {
-                        self.touched.push(y);
-                    }
-                    self.counter[y as usize] += 1;
-                }
-            }
-            self.flush_counts(ord);
-            for mi in start..self.big_members.len() {
-                let v = self.big_members[mi] as usize;
-                self.big_postings[v].push(ord);
-            }
-        }
-        self.bigs.clear();
-    }
-
-    /// Frees what only the streaming pass reads — the edge-key table,
-    /// the per-vertex key owners and the overlap counter — and trims
-    /// the strata to their length: the finish starts from the rest.
-    fn end_consume(&mut self) {
-        self.edges.slots = Vec::new();
-        self.last2 = Vec::new();
-        self.counter = Vec::new();
-        self.touched = Vec::new();
-        for stratum in &mut self.strata.by_level {
-            stratum.shrink_to_fit();
+            members.sort_unstable();
+            self.push_fallback_big(&members, rec.ord);
         }
     }
 }
@@ -695,8 +645,8 @@ impl LevelSnapshotter {
 /// (bit positions) of each clique's hub members. A big clique's row is
 /// its whole member list (every big member is a hub); a small's is the
 /// part of it inside the hub set. Built once at finish time
-/// ([`AlmostFused::hub_rows`]) for the big×small prepass and exact
-/// mode's certification.
+/// ([`AlmostFused::hub_rows`]) for the big cliques' edge keys, the
+/// big×small prepass and exact mode's certification.
 struct HubRows {
     /// Hub vertices indexed: the bitmap width in bits.
     hubs: usize,
@@ -709,6 +659,53 @@ impl HubRows {
     fn of(&self, x: u32) -> &[u32] {
         &self.rows[self.off[x as usize] as usize..self.off[x as usize + 1] as usize]
     }
+}
+
+/// Hub id → the ascending ordinals of the big cliques containing it
+/// that emit edge keys ([`SMALL_FULL`] < size ≤ [`EDGE_KEY_MAX_S`]): a
+/// CSR transposed from the [`HubRows`], for the big-clique edge pass
+/// ([`AlmostFused::key_big_edges`]).
+struct KeyedBigs {
+    off: Vec<u32>,
+    ords: Vec<u32>,
+}
+
+impl KeyedBigs {
+    fn new(sizes: &[u32], hubs: &HubRows) -> Self {
+        let (off, ords) = csr(hubs.hubs, |f| {
+            for x in 0..sizes.len() as u32 {
+                if (SMALL_FULL + 1..=EDGE_KEY_MAX_S).contains(&(sizes[x as usize] as usize)) {
+                    for &b in hubs.of(x) {
+                        f(b, x);
+                    }
+                }
+            }
+        });
+        KeyedBigs { off, ords }
+    }
+
+    #[inline]
+    fn of(&self, hub: usize) -> &[u32] {
+        &self.ords[self.off[hub] as usize..self.off[hub + 1] as usize]
+    }
+}
+
+/// A CSR over `rows` rows from the `(row, value)` entries `visit`
+/// reports to its callback: offsets, then values. `visit` runs twice
+/// (count, then fill), so each row keeps its values in report order.
+fn csr(rows: usize, visit: impl Fn(&mut dyn FnMut(u32, u32))) -> (Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32; rows + 1];
+    visit(&mut |r, _| off[r as usize + 1] += 1);
+    for i in 0..rows {
+        off[i + 1] += off[i];
+    }
+    let mut values = vec![0u32; off[rows] as usize];
+    let mut cursor = off.clone();
+    visit(&mut |r, v| {
+        values[cursor[r as usize] as usize] = v;
+        cursor[r as usize] += 1;
+    });
+    (off, values)
 }
 
 /// How many of `row`'s hub ids are set in the hub bitmap `bm`.
@@ -952,9 +949,10 @@ impl FusedPercolator {
     /// May panic if a member id is `>= n` or the slice is unsorted.
     pub fn push(&mut self, clique: &[NodeId]) {
         debug_assert!(clique.windows(2).all(|w| w[0] < w[1]));
+        let x = self.sizes.len() as u32;
         self.sizes.push(clique.len() as u32);
         self.k_max = self.k_max.max(clique.len());
-        self.engine.consume(clique);
+        self.engine.consume(clique, x);
     }
 
     /// Cliques consumed so far.
@@ -1040,12 +1038,18 @@ impl FusedPercolator {
 
         observe("pairs");
         let t = Instant::now();
-        self.engine.end_consume();
+        // The per-vertex key owners are the stream's alone.
+        self.engine.last2 = Vec::new();
         let pairs_workers = self.pairs_workers(threads);
+        let count_workers = threads.resolve(clique_count, FUSED_AUTO_CLIQUES_PER_WORKER);
         let hubs = self.engine.hub_rows(clique_count);
         self.engine
+            .key_big_edges(&self.sizes, &hubs, count_workers, cancel);
+        self.engine.build_small_members(clique_count);
+        self.engine
+            .count_overlaps(&self.sizes, count_workers, cancel);
+        self.engine
             .finish_pairs(&self.sizes, self.k_max, pairs_workers, cancel, &hubs);
-        self.engine.build_extract_index(&self.sizes);
         if let Some(token) = cancel {
             token.check()?;
         }
@@ -1060,7 +1064,7 @@ impl FusedPercolator {
 
         observe("extract");
         let t = Instant::now();
-        let extract_workers = threads.resolve(clique_count, FUSED_EXTRACT_AUTO_CLIQUES_PER_WORKER);
+        let extract_workers = threads.resolve(clique_count, FUSED_AUTO_CLIQUES_PER_WORKER);
         self.extract_levels(&mut levels_desc, extract_workers, cancel)?;
         phases.extract += t.elapsed() + snap_time;
 
@@ -1335,11 +1339,7 @@ impl FusedPercolator {
                     .expect("size-2 ordinal is in pairs2");
                 members.extend_from_slice(&a.pairs2[i].1);
             } else if s <= SMALL_FULL {
-                let (b, e) = (
-                    a.small_off[x as usize] as usize,
-                    a.small_off[x as usize + 1] as usize,
-                );
-                members.extend_from_slice(&a.small_mem[b..e]);
+                members.extend_from_slice(a.small_members(x));
             } else if !a.fallback {
                 let i = a
                     .big_ord_idx
@@ -1350,11 +1350,7 @@ impl FusedPercolator {
                     *acc |= word;
                 }
             } else {
-                let bi = a
-                    .big_ords
-                    .binary_search(&x)
-                    .expect("fallback big ordinal is recorded");
-                members.extend_from_slice(&a.big_members[a.big_offsets[bi]..a.big_offsets[bi + 1]]);
+                members.extend_from_slice(a.fallback_members(x));
             }
         }
         for (w, &word) in bm.iter().enumerate() {
@@ -1411,21 +1407,10 @@ impl AlmostFused {
                 }
             }
         };
-        let mut off = vec![0u32; count + 1];
-        visit(&mut |x, _| off[x as usize + 1] += 1);
-        for i in 0..count {
-            off[i + 1] += off[i];
-        }
-        let mut rows = vec![0u32; off[count] as usize];
-        let mut cursor = off.clone();
-        visit(&mut |x, b| {
-            rows[cursor[x as usize] as usize] = b;
-            cursor[x as usize] += 1;
-        });
+        let (off, rows) = csr(count, visit);
         // Hub ids are assigned for good; only extraction's `hub_inv`
         // still maps them back.
         self.hub_bit = Vec::new();
-        self.big_postings = Vec::new();
         HubRows {
             hubs: self.hub_inv.len(),
             off,
@@ -1433,47 +1418,207 @@ impl AlmostFused {
         }
     }
 
-    /// Builds the ordinal-indexed member CSR for the small cliques by
-    /// transposing the per-vertex posting lists, plus the
-    /// ordinal-sorted big-record index — the member stores the
-    /// community-driven extraction reads. The posting lists are freed
-    /// afterwards: all counting passes are done by the time this runs.
-    fn build_extract_index(&mut self, sizes: &[u32]) {
+    /// Builds the ordinal-indexed member CSR of the small cliques by
+    /// transposing the per-vertex posting lists: the counting pass
+    /// reads each clique's members from it, and extraction afterwards.
+    fn build_small_members(&mut self, count: usize) {
+        (self.small_off, self.small_mem) = csr(count, |f| {
+            for (v, posts) in self.small_postings.iter().enumerate() {
+                for &x in posts {
+                    f(x, v as NodeId);
+                }
+            }
+        });
+    }
+
+    /// The members of small clique `x` ([`Self::build_small_members`]).
+    #[inline]
+    fn small_members(&self, x: u32) -> &[NodeId] {
+        let (b, e) = (self.small_off[x as usize], self.small_off[x as usize + 1]);
+        &self.small_mem[b as usize..e as usize]
+    }
+
+    /// The members of fallback big clique `x`.
+    fn fallback_members(&self, x: u32) -> &[NodeId] {
+        let bi = self
+            .big_ords
+            .binary_search(&x)
+            .expect("fallback big ordinal is recorded");
+        &self.big_members[self.big_offsets[bi]..self.big_offsets[bi + 1]]
+    }
+
+    /// The overlap-counting pass, pooled over `workers`. The stream
+    /// only recorded posting lists; here every clique `x` scans its
+    /// members' posting lists for *earlier* ordinals, accumulating
+    /// `|x ∩ y|` in a per-worker dense counter, so each pair is counted
+    /// once, from its later side: small×small always, and small×big
+    /// from either side on the > 256-hub fallback (the hub-bitmap path
+    /// counts big×small in [`Self::finish_pairs`]). Overlaps
+    /// `m >` [`KEY_MAX_L`] go to the strata at detection level `m + 1`
+    /// (`m ≤ 2` is owned by the keys). Workers claim ordinal chunks and
+    /// move their pairs into the shared strata in batches; the sweep
+    /// depends only on each level's pair *set*, so the result is the
+    /// same at every worker count. The posting lists are freed at the
+    /// end: nothing reads them afterwards.
+    fn count_overlaps(&mut self, sizes: &[u32], workers: usize, cancel: Option<&CancelToken>) {
         let count = sizes.len();
-        let mut off = vec![0u32; count + 1];
-        for (i, &s) in sizes.iter().enumerate() {
-            if (3..=SMALL_FULL as u32).contains(&s) {
-                off[i + 1] = s;
+        // Every stratum the pass can reach (`m ≤ SMALL_FULL`) gets its
+        // first allocation here, on the calling thread: a pool worker
+        // that grows it then reallocates inside the caller's malloc
+        // arena instead of starting the buffer in its own, where the
+        // memory would stay resident once freed.
+        let strata = Mutex::new(Strata {
+            by_level: (0..=SMALL_FULL + 1)
+                .map(|_| Vec::with_capacity(1))
+                .collect(),
+        });
+        // Workers batch their pairs, so the lock is taken once a batch.
+        let flush = |local: &mut Vec<(usize, (u32, u32))>| {
+            let mut strata = strata.lock().expect("fused pairs worker panicked");
+            for (level, pair) in local.drain(..) {
+                strata.push(level, pair);
             }
-        }
-        for i in 0..count {
-            off[i + 1] += off[i];
-        }
-        let mut mem = vec![0 as NodeId; off[count] as usize];
-        let mut cursor = off.clone();
-        for (v, posts) in self.small_postings.iter().enumerate() {
-            for &x in posts {
-                mem[cursor[x as usize] as usize] = v as NodeId;
-                cursor[x as usize] += 1;
+        };
+        let queue = ChunkQueue::new(count, PAIRS_SMALL_CHUNK);
+        let this = &*self;
+        Pool::global().run(workers, |_w| {
+            let mut counter = vec![0u8; count];
+            let mut touched: Vec<u32> = Vec::new();
+            let mut local: Vec<(usize, (u32, u32))> = Vec::new();
+            let claim = || match cancel {
+                Some(token) => queue.claim_unless(token),
+                None => queue.claim(),
+            };
+            while let Some(range) = claim() {
+                for x in range.start as u32..range.end as u32 {
+                    let s = sizes[x as usize] as usize;
+                    let mut tally = |posts: &[u32]| {
+                        for &y in posts.iter().take_while(|&&y| y < x) {
+                            if counter[y as usize] == 0 {
+                                touched.push(y);
+                            }
+                            counter[y as usize] += 1;
+                        }
+                    };
+                    if (3..=SMALL_FULL).contains(&s) {
+                        for &v in this.small_members(x) {
+                            tally(&this.small_postings[v as usize]);
+                            if this.fallback {
+                                tally(&this.big_postings[v as usize]);
+                            }
+                        }
+                    } else if this.fallback && s > SMALL_FULL {
+                        for &v in this.fallback_members(x) {
+                            tally(&this.small_postings[v as usize]);
+                        }
+                    } else {
+                        continue;
+                    }
+                    for &y in &touched {
+                        let m = std::mem::take(&mut counter[y as usize]) as usize;
+                        if m > KEY_MAX_L {
+                            local.push((m + 1, (y, x)));
+                        }
+                    }
+                    touched.clear();
+                    if local.len() >= STRATA_BATCH {
+                        flush(&mut local);
+                    }
+                }
             }
+            flush(&mut local);
+        });
+        debug_assert!(self.strata.by_level.is_empty());
+        self.strata = strata.into_inner().expect("fused pairs worker panicked");
+        for stratum in &mut self.strata.by_level {
+            stratum.shrink_to_fit();
         }
-        self.small_off = off;
-        self.small_mem = mem;
         self.small_postings = Vec::new();
-        self.big_ord_idx = self
-            .bigs
-            .iter()
-            .enumerate()
-            .map(|(bi, r)| (r.ord, bi as u32))
-            .collect();
-        self.big_ord_idx.sort_unstable();
+        self.big_postings = Vec::new();
+    }
+
+    /// The level-3 edge keys of the big cliques that emit them
+    /// ([`SMALL_FULL`] < size ≤ [`EDGE_KEY_MAX_S`]), over hub pairs:
+    /// every member of a big clique is a hub, so per hub `u` the keyed
+    /// bigs containing `u` visit their hubs `v > u`, and each hub pair
+    /// chains its bigs (ascending ordinals) to the pair's last small
+    /// owner in the edge table — one table probe per hub pair, none per
+    /// big edge. Chains and the stream's last-owner chains over the same
+    /// edge connect the same cliques. One path for the bitmap and the
+    /// > 256-hub case: both read the hub rows.
+    ///
+    /// Hubs `u` are claimed by `workers` pool workers, which union into
+    /// a shared [`ConcurrentDsu`] (its partition does not depend on the
+    /// interleaving); that partition is then folded into `dsu3`. The
+    /// edge table is freed on return: the stream's keys are all in.
+    fn key_big_edges(
+        &mut self,
+        sizes: &[u32],
+        hubs: &HubRows,
+        workers: usize,
+        cancel: Option<&CancelToken>,
+    ) {
+        let edges = std::mem::take(&mut self.edges);
+        let keyed = KeyedBigs::new(sizes, hubs);
+        let joined = ConcurrentDsu::new(self.dsu3.len());
+        // Hub rounds vary widely in cost: claim them one at a time.
+        let queue = ChunkQueue::new(hubs.hubs, 1);
+        let hub_inv = &self.hub_inv[..];
+        Pool::global().run(workers, |_w| {
+            // Per hub pair `(u, v)` of the claimed `u`: the last big
+            // chained.
+            let mut last = vec![u32::MAX; hubs.hubs];
+            let mut touched: Vec<u32> = Vec::new();
+            let claim = || match cancel {
+                Some(token) => queue.claim_unless(token),
+                None => queue.claim(),
+            };
+            while let Some(range) = claim() {
+                for u in range {
+                    let hub_u = hub_inv[u];
+                    for &x in keyed.of(u) {
+                        let row = hubs.of(x);
+                        // A clique's hub row is ascending, so its hubs
+                        // above `u` are a suffix; consecutive hubs mostly
+                        // share a partner.
+                        let mut partner_seen = u32::MAX;
+                        for &v in &row[row.partition_point(|&b| b as usize <= u)..] {
+                            let prev = std::mem::replace(&mut last[v as usize], x);
+                            let partner = if prev != u32::MAX {
+                                prev
+                            } else {
+                                touched.push(v);
+                                let hub_v = hub_inv[v as usize];
+                                match edges.get(hub_u.min(hub_v), hub_u.max(hub_v)) {
+                                    Some(owner) => owner,
+                                    None => continue,
+                                }
+                            };
+                            if partner != partner_seen {
+                                joined.union(partner, x);
+                                partner_seen = partner;
+                            }
+                        }
+                    }
+                    for v in touched.drain(..) {
+                        last[v as usize] = u32::MAX;
+                    }
+                }
+            }
+        });
+        for x in 0..joined.len() as u32 {
+            let root = joined.find(x);
+            if root != x {
+                self.dsu3.union(root, x);
+            }
+        }
     }
 
     /// The fallback big×big scan (hub space > 256): 256-bit member
     /// blooms guard an early-abort sorted merge — a member of x absent
     /// from y contributes at most one bit to `sig(x) & !sig(y)`, so the
     /// stray-bit test never rejects a qualifying pair (big×small was
-    /// already counted by the streaming mixed scan).
+    /// already counted by [`Self::count_overlaps`]).
     fn finish_pairs_fallback(&mut self) {
         let nb = self.big_ords.len();
         if nb < 2 {
@@ -1517,8 +1662,8 @@ impl AlmostFused {
         }
     }
 
-    /// The finish-time pair detection deferred by the streaming pass:
-    /// big×big and big×small on the hub-bitmap fast path, or the
+    /// The big-clique prepasses: big×big and big×small on the
+    /// hub-bitmap fast path, or the
     /// bloom-guarded big×big scan in fallback, over the compressed big
     /// records. `sizes` is the per-ordinal clique size array.
     ///
@@ -1565,6 +1710,14 @@ impl AlmostFused {
         }
         self.bigs
             .sort_unstable_by_key(|r| (std::cmp::Reverse(r.size), r.ord));
+        // Extraction finds a big's record by ordinal.
+        self.big_ord_idx = self
+            .bigs
+            .iter()
+            .enumerate()
+            .map(|(bi, r)| (r.ord, bi as u32))
+            .collect();
+        self.big_ord_idx.sort_unstable();
         let nb = self.bigs.len();
         let w_big = nb.div_ceil(64);
         // Transposed index — per hub vertex, a bitmap over the sorted
@@ -2042,8 +2195,8 @@ mod tests {
     fn fused_handles_hub_overflow_fallback() {
         // 25 K15 blocks, consecutive blocks sharing 3 vertices: 303
         // distinct big-clique members blow the 256-hub budget, so the
-        // almost engine must switch to the fallback arena mid-stream
-        // (retro-counting the bigs consumed before the switch).
+        // almost engine must switch to the fallback store mid-stream
+        // (moving the bigs consumed before the switch into it).
         let blocks = 25u32;
         let n = 12 * (blocks - 1) + 15;
         let mut b = asgraph::GraphBuilder::with_nodes(n as usize);
@@ -2157,7 +2310,7 @@ mod tests {
 
     #[test]
     fn key_gates_follow_the_emission_budget() {
-        // The streaming vertex/edge key gates are the emission gate
+        // The vertex/edge key gates are the emission gate
         // evaluated at l = 1 and l = 2; nothing above KEY_MAX_L is keyed.
         for s in 0..=200usize {
             assert_eq!(emits(s, 1), (1..=VERTEX_KEY_MAX_S).contains(&s), "s = {s}");
@@ -2175,7 +2328,7 @@ mod tests {
     }
 
     /// Small random soups keep proptest throughput high while still
-    /// exercising every streaming gate (vertex keys, edge keys, small
+    /// exercising every key gate (vertex keys, edge keys, small
     /// counting) — the fixtures above pin the big-clique paths.
     fn edge_soup(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
         proptest::collection::vec((0..n, 0..n), 0..max_edges)

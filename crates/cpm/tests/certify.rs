@@ -213,17 +213,46 @@ fn almost_diverges_where_exact_certifies() {
 fn certification_tests_both_sides_of_a_component_pair() {
     let x: Vec<NodeId> = (0..99).collect();
     let y: Vec<NodeId> = [98, 200].into_iter().chain(300..390).collect();
-    let mut b = GraphBuilder::with_nodes(390);
-    for c in [&x, &y, &vec![96, 97, 98, 200]] {
+    let g = union_of_cliques(390, &[x, y, vec![96, 97, 98, 200]]);
+    let (set, exact) = check_exact(&g).unwrap();
+    assert_eq!(exact.cover(3).len(), 1);
+    let almost = percolate(g.node_count(), &set, Mode::Almost, 1);
+    assert_eq!(almost.cover(3).len(), 2);
+}
+
+/// The 91-member edge-key bound on the big×big side: a K15 sharing one
+/// edge with a K91 joins it at level 3 through the big cliques' edge
+/// keys, which both emit; a K92 emits none, so almost mode keeps that
+/// pair apart and exact mode's certification joins it. (A 2-vertex
+/// overlap is no near-containment, so only the keys can see it.)
+#[test]
+fn big_edge_keys_stop_above_91_members() {
+    for (big, almost_components) in [(91u32, 1usize), (92, 2)] {
+        let k15: Vec<NodeId> = [big - 2, big - 1].into_iter().chain(200..213).collect();
+        let g = union_of_cliques(213, &[(0..big).collect(), k15]);
+        let (set, exact) = check_exact(&g).unwrap();
+        assert_eq!(exact.cover(3).len(), 1, "K{big} exact");
+        for threads in [1, 4] {
+            let almost = percolate(g.node_count(), &set, Mode::Almost, threads);
+            assert_eq!(
+                almost.cover(3).len(),
+                almost_components,
+                "K{big} almost, {threads} workers"
+            );
+        }
+    }
+}
+
+/// The graph on `n` vertices whose edges are those of the given
+/// cliques.
+fn union_of_cliques(n: usize, cliques: &[Vec<NodeId>]) -> Graph {
+    let mut b = GraphBuilder::with_nodes(n);
+    for c in cliques {
         for (i, &u) in c.iter().enumerate() {
             for &v in &c[i + 1..] {
                 b.add_edge(u, v);
             }
         }
     }
-    let g = b.build();
-    let (set, exact) = check_exact(&g).unwrap();
-    assert_eq!(exact.cover(3).len(), 1);
-    let almost = percolate(g.node_count(), &set, Mode::Almost, 1);
-    assert_eq!(almost.cover(3).len(), 2);
+    b.build()
 }

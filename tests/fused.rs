@@ -97,6 +97,43 @@ fn book_graph(m: u32) -> asgraph::Graph {
     b.build()
 }
 
+/// `blocks` K15 blocks, consecutive blocks sharing 3 vertices (at 25
+/// blocks, the hub-overflow substrate of the engine's unit tests: 303
+/// big-clique members overflow the 256-hub bitmaps; at 20, 243 fit),
+/// plus small cliques sharing an edge or a triangle with a block: a
+/// fringe of 600 pendant vertices, each joined to 2 or 3 members of one
+/// block, enough that the counting pass spans several ordinal chunks,
+/// and K4s of hub vertices, which the enumeration emits between the
+/// blocks, so small×big pairs are counted from both sides.
+fn blocks_graph(blocks: u32) -> asgraph::Graph {
+    const FRINGE: u32 = 600;
+    let n = 12 * (blocks - 1) + 15;
+    let mut b = asgraph::GraphBuilder::with_nodes((n + FRINGE) as usize);
+    for i in 0..blocks {
+        let base = 12 * i;
+        for u in base..base + 15 {
+            for v in (u + 1)..base + 15 {
+                b.add_edge(u, v);
+            }
+        }
+    }
+    for j in 0..FRINGE {
+        let base = 12 * (j % blocks);
+        // Offsets 0, 5 and 11 apart are distinct mod 15.
+        let picks = [j * 7 % 15, (j * 7 + 5) % 15, (j * 7 + 11) % 15];
+        for &p in &picks[..2 + (j % 2) as usize] {
+            b.add_edge(n + j, base + p);
+        }
+    }
+    // The hub K4s: a triangle of block i plus one vertex of block i + 2.
+    for i in 0..blocks - 2 {
+        for a in 12 * i + 3..12 * i + 6 {
+            b.add_edge(a, 12 * (i + 2) + 7);
+        }
+    }
+    b.build()
+}
+
 /// Builds the percolator by the *sequential* sink so the engine state
 /// is identical across runs; only the finish's worker count varies.
 fn consumed(g: &asgraph::Graph, mode: Mode) -> FusedPercolator {
@@ -109,11 +146,44 @@ fn consumed(g: &asgraph::Graph, mode: Mode) -> FusedPercolator {
 /// The finish-time phases (pair detection, sweep, extraction) on the
 /// pool are strictly equal — ordinals, parents, members, everything —
 /// to the one-worker `finish()` at 1, 2, 4, and 7 workers, plain and
-/// cancellable, for both modes, on a substrate whose k = 3 stratum
-/// crosses the parallel sweep's chunk-queue threshold.
+/// cancellable, for both modes: on a substrate whose k = 3 stratum
+/// crosses the parallel sweep's chunk-queue threshold, on the tiny
+/// Internet preset, and on the blocks substrate on either side of the
+/// 256-hub budget (hub bitmaps at 20 blocks, explicit big members at
+/// 25), where the pooled counting pass runs over several ordinal
+/// chunks. The blocks share three vertices, so level 3 is one community
+/// only if every big clique keys its edges, the one whose members
+/// overflow the hub budget included.
 #[test]
 fn parallel_finish_is_bit_identical_to_sequential_finish() {
-    for g in [random_graph(70, 0.12, 23), book_graph(150)] {
+    let tiny = topology::generate(&topology::ModelConfig::tiny(7))
+        .expect("preset is valid")
+        .graph;
+    let (bitmap, overflow) = (blocks_graph(20), blocks_graph(25));
+    for (g, overflows) in [(&bitmap, false), (&overflow, true)] {
+        let hubs: std::collections::BTreeSet<u32> = cliques::max_cliques(g)
+            .iter()
+            .filter(|c| c.len() > cpm::consume::SMALL_FULL)
+            .flat_map(|c| c.iter().copied())
+            .collect();
+        assert_eq!(hubs.len() > 256, overflows, "hub budget overflow");
+        for mode in [Mode::Exact, Mode::Almost] {
+            let level3 = consumed(g, mode).finish().cover(3);
+            assert_eq!(level3.len(), 1, "{mode}, overflow {overflows}");
+        }
+        // Almost mode misses the blocks' 3-vertex overlaps at k = 4, but
+        // counts every pendant K4 into its block.
+        let blocks = if overflows { 25 } else { 20 };
+        let level4 = consumed(g, Mode::Almost).finish().cover(4);
+        assert_eq!(level4.len(), blocks, "overflow {overflows}");
+    }
+    for g in [
+        random_graph(70, 0.12, 23),
+        book_graph(150),
+        tiny,
+        bitmap,
+        overflow,
+    ] {
         for mode in [Mode::Exact, Mode::Almost] {
             let sequential = consumed(&g, mode).finish();
             for threads in [1usize, 2, 4, 7] {
