@@ -2,11 +2,14 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin pool-bench -- \
-//!     [--substrate tiny|medium|sparse|dense|all] [--iters <n>] \
+//!     [--substrate tiny|medium|full|sparse|dense|all]... [--iters <n>] \
 //!     [--seed <u64>] [--out BENCH_pool.json] [--check]
 //! ```
 //!
-//! For each substrate this times the pool-backed operations —
+//! `--substrate` may be given more than once; without it (or with
+//! `all`) every substrate runs. `full` is the 35k-AS Internet preset,
+//! the paper-size graph, whose big cliques span more than 256 hub
+//! vertices. For each substrate this times the pool-backed operations —
 //! `enumerate` (work-stealing Bron–Kerbosch) and `percolate-fused` (the
 //! percolation engine, which percolates each clique as it is enumerated
 //! and never materialises the clique set, in both `exact` and `almost`
@@ -364,13 +367,25 @@ fn main() {
             .and_then(|i| args.get(i + 1).cloned())
     };
     let has = |flag: &str| args.iter().any(|a| a == flag);
-    let substrate = get("--substrate").unwrap_or_else(|| "all".to_owned());
+    let picked: Vec<&str> = args
+        .windows(2)
+        .filter(|w| w[0] == "--substrate")
+        .map(|w| w[1].as_str())
+        .collect();
+    const NAMES: [&str; 6] = ["sparse", "dense", "tiny", "medium", "full", "all"];
+    if let Some(bad) = picked.iter().find(|name| !NAMES.contains(name)) {
+        eprintln!(
+            "unknown --substrate {bad:?}; expected one of {}",
+            NAMES.join(" | ")
+        );
+        std::process::exit(2);
+    }
     let iters: usize = get("--iters").map_or(7, |v| v.parse().expect("bad --iters"));
     let seed: u64 = get("--seed").map_or(7, |v| v.parse().expect("bad --seed"));
     let out_path = get("--out").unwrap_or_else(|| "BENCH_pool.json".to_owned());
 
     let mut substrates: Vec<(&str, asgraph::Graph)> = Vec::new();
-    let want = |name: &str| substrate == "all" || substrate == name;
+    let want = |name: &str| picked.is_empty() || picked.contains(&"all") || picked.contains(&name);
     if want("sparse") {
         substrates.push(("sparse300", bench::random_graph(300, 0.05, seed)));
     }
@@ -383,11 +398,8 @@ fn main() {
     if want("medium") {
         substrates.push(("medium-internet", bench::medium_internet(seed).graph));
     }
-    if substrates.is_empty() {
-        eprintln!(
-            "unknown --substrate {substrate:?}; expected tiny | medium | sparse | dense | all"
-        );
-        std::process::exit(2);
+    if want("full") {
+        substrates.push(("full-internet", bench::full_internet(seed).graph));
     }
 
     eprintln!(

@@ -46,3 +46,9 @@ pub fn small_internet(seed: u64) -> topology::AsTopology {
 pub fn medium_internet(seed: u64) -> topology::AsTopology {
     topology::generate(&topology::ModelConfig::medium(seed)).expect("preset is valid")
 }
+
+/// The full-preset synthetic Internet (~35,000 ASes, the paper's
+/// scale): its big cliques span more than 256 hub vertices.
+pub fn full_internet(seed: u64) -> topology::AsTopology {
+    topology::generate(&topology::ModelConfig::full_scale(seed)).expect("preset is valid")
+}

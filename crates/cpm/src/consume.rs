@@ -28,20 +28,21 @@
 //! level-3 edge keys of the small cliques (a persistent last-owner table
 //! keyed by the packed edge — chains and first-seen stars have the same
 //! connected components), per-vertex posting lists of the small
-//! cliques, and each big clique compressed to a 256-bit hub bitmap (40
-//! bytes, vs. the full member list). Kumpula et al. fold each clique in
-//! as it arrives only to avoid keeping a clique list; the posting lists
-//! and hub bitmaps already stand in for that list, and the work they
-//! feed gives the same partitions in any order. So the heavy passes run
-//! in the pooled [`finish`]: the big cliques' edge keys (per hub pair,
-//! chained to the pair's last small owner), the exact small×small
-//! overlap counting over the posting lists (split across workers, as
-//! Pollner & Palla split it), and the big×big and big×small prepasses
-//! over the hub bitmaps, from which the big cliques' members are also
-//! reconstructed. When a substrate overflows 256 hub vertices the
-//! engine stores big cliques explicitly instead, the counting pass adds
-//! the small×big pairs, and a bloom-guarded scan finds big×big.
-//! Everything from `k = 4` up thus comes from the prepass *strata*,
+//! cliques, and each big clique as its ascending row of *hub ids*: every
+//! member of a big clique is a hub vertex, numbered in arrival order
+//! with no cap, so one CSR of `u32` rows stores all of them. Kumpula et
+//! al. fold each clique in as it arrives only to avoid keeping a clique
+//! list; the posting lists and hub rows already stand in for that list,
+//! and the work they feed gives the same partitions in any order. So
+//! the heavy passes run in the pooled [`finish`]: the big cliques' edge
+//! keys (per hub pair, chained to the pair's last small owner), the
+//! exact small×small overlap counting over the posting lists (split
+//! across workers, as Pollner & Palla split it), and the big×big and
+//! big×small prepasses over hub bitmaps `⌈hubs / 64⌉` words wide, built
+//! from the same rows that extraction later decodes the big cliques'
+//! members from. One store and one path serve every hub count: the
+//! 35k-AS preset's 263 hubs run the same scans as the medium preset's
+//! 201. Everything from `k = 4` up thus comes from the prepass *strata*,
 //! which record each detected pair at its exact detection level `m + 1`
 //! (`m` = overlap size); the persistent union–find carries every
 //! detection to all lower levels for free.
@@ -70,8 +71,8 @@
 //! big) are tested by popcount, and the first hit unions the pair. No
 //! fixed point is needed: adjacency is a relation between cliques, so
 //! every missing union already joins two of the level's original
-//! candidate components. The hub-bitmap width follows the hub count, so
-//! the same pass serves the > 256-hub fallback.
+//! candidate components. The summaries are `⌈hubs / 64⌉` words wide,
+//! like every hub bitmap in the engine.
 //!
 //! The finish ([`finish_parallel`](FusedPercolator::finish_parallel);
 //! [`finish`] is its one-worker form) runs on the worker pool: its
@@ -104,7 +105,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FusedPhases {
     /// Enumeration fused with the sink's per-clique recording (keys,
-    /// posting lists, hub bitmaps).
+    /// posting lists, hub rows).
     pub consume: std::time::Duration,
     /// Finish-time pair detection: the big cliques' edge keys, the
     /// overlap-counting pass and the big×big / big×small prepasses.
@@ -139,7 +140,7 @@ pub const SMALL_FULL: usize = 14;
 pub const KEY_MAX_L: usize = 2;
 
 /// Fibonacci hashing's multiplier: the top bits of `key × FIB` spread
-/// consecutive keys evenly (edge-table slots, fallback member blooms).
+/// consecutive keys evenly over the edge table's slots.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The emission gate: whether a clique of size `s` keys its
@@ -166,28 +167,6 @@ pub const MISS_DEPTH: usize = 5;
 // The big×big scan counts misses in 3-bit saturating registers, which
 // stay exact only up to a miss depth of 7.
 const _: () = assert!(MISS_DEPTH <= 7);
-
-/// How many members of sorted `a` are absent from sorted `b`, if at
-/// most `max_miss` — `None` as soon as one more is proven absent, so a
-/// non-qualifying candidate costs only a few merge steps.
-fn missing_at_most(a: &[NodeId], b: &[NodeId], max_miss: usize) -> Option<usize> {
-    let (mut i, mut j, mut miss) = (0usize, 0usize, 0usize);
-    while i < a.len() {
-        if j == b.len() || a[i] < b[j] {
-            miss += 1;
-            if miss > max_miss {
-                return None;
-            }
-            i += 1;
-        } else if a[i] == b[j] {
-            i += 1;
-            j += 1;
-        } else {
-            j += 1;
-        }
-    }
-    Some(miss)
-}
 
 /// Stratum pairs claimed per queue chunk while draining one stratum
 /// into the concurrent union–find. A union is a handful of atomic ops,
@@ -342,18 +321,8 @@ impl EdgeTable {
     }
 }
 
-/// A big clique compressed to its hub bitmap: every member of a big
-/// clique is a hub vertex, so 256 bits plus the global hub-id ↔ vertex
-/// map recover the full member list — 40 bytes per big clique instead
-/// of its member array.
-struct BigRec {
-    ord: u32,
-    size: u32,
-    bm: [u64; 4],
-}
-
 /// Level-stratified `(earlier, later)` union pairs, grown on demand and
-/// filled by the finish's counting pass and the fallback big×big scan.
+/// filled by the finish's counting pass.
 #[derive(Default)]
 struct Strata {
     by_level: Vec<Vec<(u32, u32)>>,
@@ -392,18 +361,16 @@ struct AlmostFused {
     small_postings: Vec<Vec<u32>>,
     /// Size-2 cliques (ordinal, members) — active only at `k = 2`.
     pairs2: Vec<(u32, [NodeId; 2])>,
-    /// Hub-bit assignment, in hub-vertex *arrival* order.
+    /// Hub-id assignment (`u32::MAX` = not a hub), in hub-vertex
+    /// *arrival* order and uncapped: every member of a big clique is a
+    /// hub.
     hub_bit: Vec<u32>,
     hub_inv: Vec<NodeId>,
-    /// Big cliques as hub bitmaps (fast path; drained on fallback).
-    bigs: Vec<BigRec>,
-    /// Fallback state (> 256 hub vertices): explicit big members and
-    /// big posting lists.
-    fallback: bool,
-    big_ords: Vec<u32>,
-    big_offsets: Vec<usize>,
-    big_members: Vec<NodeId>,
-    big_postings: Vec<Vec<u32>>,
+    /// The big cliques (more than [`SMALL_FULL`] members) in ordinal
+    /// order, each as its ascending row of hub ids: a CSR that
+    /// [`Self::hub_rows`] moves into the [`HubRows`].
+    big_off: Vec<u32>,
+    big_hubs: Vec<u32>,
     strata: Strata,
     /// Per-detection-level components found by the finish-time
     /// prepasses ([`Self::finish_pairs`]) — big-involving pairs union
@@ -422,11 +389,9 @@ struct AlmostFused {
     by_size: Vec<u32>,
     /// Transposed member store for extraction (ordinal-indexed CSR over
     /// the small cliques), built once at finish time from the posting
-    /// lists — see [`Self::build_extract_index`].
+    /// lists — see [`Self::build_small_members`].
     small_off: Vec<u32>,
     small_mem: Vec<NodeId>,
-    /// `(ord, index into bigs)` sorted by ordinal, for extraction.
-    big_ord_idx: Vec<(u32, u32)>,
 }
 
 impl AlmostFused {
@@ -440,27 +405,21 @@ impl AlmostFused {
             pairs2: Vec::new(),
             hub_bit: vec![u32::MAX; n],
             hub_inv: Vec::new(),
-            bigs: Vec::new(),
-            fallback: false,
-            big_ords: Vec::new(),
-            big_offsets: vec![0],
-            big_members: Vec::new(),
-            big_postings: Vec::new(),
+            big_off: vec![0],
+            big_hubs: Vec::new(),
             strata: Strata::default(),
             level_cdsus: Vec::new(),
             by_size: Vec::new(),
             small_off: Vec::new(),
             small_mem: Vec::new(),
-            big_ord_idx: Vec::new(),
         }
     }
 
     /// Records clique `x` (the next ordinal): only what needs stream
     /// order happens here — the vertex-key and small edge-key chains,
-    /// the small posting lists and the big-clique hub bitmaps (or the
-    /// fallback member store). All overlap counting and the big
-    /// cliques' edge keys wait for the finish
-    /// ([`Self::count_overlaps`]).
+    /// the small posting lists and the big cliques' hub rows. All
+    /// overlap counting and the big cliques' edge keys wait for the
+    /// finish ([`Self::count_overlaps`]).
     fn consume(&mut self, c: &[NodeId], x: u32) {
         let s = c.len();
         self.dsu2.push();
@@ -497,73 +456,26 @@ impl AlmostFused {
                     self.small_postings[v as usize].push(x);
                 }
             }
-            _ => self.consume_big(c, x),
+            _ => self.consume_big(c),
         }
     }
 
-    fn consume_big(&mut self, c: &[NodeId], x: u32) {
-        if !self.fallback {
-            let mut bm = [0u64; 4];
-            let mut fits = true;
-            for &v in c {
-                let mut b = self.hub_bit[v as usize];
-                if b == u32::MAX {
-                    if self.hub_inv.len() == 256 {
-                        fits = false;
-                        break;
-                    }
-                    b = self.hub_inv.len() as u32;
-                    self.hub_bit[v as usize] = b;
-                    self.hub_inv.push(v);
-                }
-                bm[(b >> 6) as usize] |= 1u64 << (b & 63);
-            }
-            if fits {
-                self.bigs.push(BigRec {
-                    ord: x,
-                    size: c.len() as u32,
-                    bm,
-                });
-                return;
-            }
-            self.switch_to_fallback();
-        }
-        self.push_fallback_big(c, x);
-    }
-
-    /// Stores a big clique explicitly (the fallback path): its members
-    /// and its entries in the big posting lists.
-    fn push_fallback_big(&mut self, c: &[NodeId], x: u32) {
-        self.big_ords.push(x);
-        self.big_members.extend_from_slice(c);
-        self.big_offsets.push(self.big_members.len());
+    /// Appends big clique `c`'s ascending row of hub ids, giving each
+    /// first-seen member the next hub id.
+    fn consume_big(&mut self, c: &[NodeId]) {
+        let start = self.big_hubs.len();
         for &v in c {
-            self.big_postings[v as usize].push(x);
-        }
-    }
-
-    /// The 256-hub-vertex overflow switch: every bitmap-compressed big
-    /// so far (their hub bits are all assigned) moves to the explicit
-    /// fallback store.
-    fn switch_to_fallback(&mut self) {
-        self.fallback = true;
-        self.big_postings = vec![Vec::new(); self.small_postings.len()];
-        let mut members: Vec<NodeId> = Vec::new();
-        for rec in std::mem::take(&mut self.bigs) {
-            members.clear();
-            for w in 0..4 {
-                let mut bits = rec.bm[w];
-                while bits != 0 {
-                    let b = (w << 6) | bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    members.push(self.hub_inv[b]);
-                }
+            let mut b = self.hub_bit[v as usize];
+            if b == u32::MAX {
+                b = self.hub_inv.len() as u32;
+                self.hub_bit[v as usize] = b;
+                self.hub_inv.push(v);
             }
-            // Hub bits are in arrival order, not id order; members
-            // must stay sorted ascending.
-            members.sort_unstable();
-            self.push_fallback_big(&members, rec.ord);
+            self.big_hubs.push(b);
         }
+        // Hub ids follow arrival, not vertex order.
+        self.big_hubs[start..].sort_unstable();
+        self.big_off.push(self.big_hubs.len() as u32);
     }
 }
 
@@ -642,13 +554,14 @@ impl LevelSnapshotter {
 }
 
 /// Per-clique hub membership, a CSR over clique ordinals: the hub ids
-/// (bit positions) of each clique's hub members. A big clique's row is
-/// its whole member list (every big member is a hub); a small's is the
-/// part of it inside the hub set. Built once at finish time
-/// ([`AlmostFused::hub_rows`]) for the big cliques' edge keys, the
-/// big×small prepass and exact mode's certification.
+/// of each clique's hub members. A big clique's row is its whole member
+/// list, ascending (every big member is a hub); a small's is the part
+/// of it inside the hub set. Built once at finish time
+/// ([`AlmostFused::hub_rows`]) and the one big-clique store from then
+/// on: the big cliques' edge keys, the big×big and big×small prepasses,
+/// exact mode's certification and member extraction all read it.
 struct HubRows {
-    /// Hub vertices indexed: the bitmap width in bits.
+    /// Hub vertices indexed: the width of a hub bitmap in bits.
     hubs: usize,
     off: Vec<u32>,
     rows: Vec<u32>,
@@ -722,7 +635,7 @@ fn hits(row: &[u32], bm: &[u64]) -> usize {
 /// find them all. Runs on the sweep leader against the quiescent
 /// partition; the unions it adds depend only on that partition, so the
 /// result stays bit-identical at every worker count.
-struct Certifier {
+struct Certifier<'h> {
     /// Hub-bitmap width in words (`⌈hubs / 64⌉`).
     width: usize,
     /// `(top, ordinal)` for every clique with a hub member, by
@@ -731,7 +644,7 @@ struct Certifier {
     /// level's participants are a prefix.
     cands: Vec<(u32, u32)>,
     /// Every clique's hub members.
-    hub: HubRows,
+    hub: &'h HubRows,
     /// The largest big-clique size: above it no big clique is active,
     /// so no union can be missing.
     big_max: usize,
@@ -742,8 +655,8 @@ struct Certifier {
     epoch: u32,
 }
 
-impl Certifier {
-    fn new(hub: HubRows, sizes: &[u32]) -> Self {
+impl<'h> Certifier<'h> {
+    fn new(hub: &'h HubRows, sizes: &[u32]) -> Self {
         let count = sizes.len();
         let mut cands: Vec<(u32, u32)> = (0..count as u32)
             .filter(|&x| !hub.of(x).is_empty())
@@ -1042,7 +955,7 @@ impl FusedPercolator {
         self.engine.last2 = Vec::new();
         let pairs_workers = self.pairs_workers(threads);
         let count_workers = threads.resolve(clique_count, FUSED_AUTO_CLIQUES_PER_WORKER);
-        let hubs = self.engine.hub_rows(clique_count);
+        let hubs = self.engine.hub_rows(&self.sizes);
         self.engine
             .key_big_edges(&self.sizes, &hubs, count_workers, cancel);
         self.engine.build_small_members(clique_count);
@@ -1057,7 +970,7 @@ impl FusedPercolator {
 
         observe("sweep");
         let t = Instant::now();
-        let certifier = self.certify.then(|| Certifier::new(hubs, &self.sizes));
+        let certifier = self.certify.then(|| Certifier::new(&hubs, &self.sizes));
         let sweep_workers = threads.resolve(self.sweep_work(), PAR_UNION_MIN);
         let (mut levels_desc, snap_time) = self.sweep_levels(sweep_workers, cancel, certifier)?;
         phases.sweep += t.elapsed().saturating_sub(snap_time);
@@ -1065,7 +978,7 @@ impl FusedPercolator {
         observe("extract");
         let t = Instant::now();
         let extract_workers = threads.resolve(clique_count, FUSED_AUTO_CLIQUES_PER_WORKER);
-        self.extract_levels(&mut levels_desc, extract_workers, cancel)?;
+        self.extract_levels(&hubs, &mut levels_desc, extract_workers, cancel)?;
         phases.extract += t.elapsed() + snap_time;
 
         levels_desc.reverse();
@@ -1076,9 +989,11 @@ impl FusedPercolator {
     }
 
     /// `Threads::Auto` resolution of the pairs phase against its own
-    /// work volume (candidate pairs of the big-clique prepasses).
+    /// work volume (candidate pairs of the big-clique prepasses). Reads
+    /// the big-clique count off the stored rows, so it runs before
+    /// [`AlmostFused::hub_rows`] moves them.
     fn pairs_workers(&self, threads: Threads) -> usize {
-        let nb = self.engine.bigs.len();
+        let nb = self.engine.big_off.len() - 1;
         let work = nb * nb / 2 + self.sizes.len();
         threads.resolve(work, FUSED_PAIRS_AUTO_CANDIDATES_PER_WORKER)
     }
@@ -1108,7 +1023,7 @@ impl FusedPercolator {
         &mut self,
         workers: usize,
         cancel: Option<&CancelToken>,
-        certifier: Option<Certifier>,
+        certifier: Option<Certifier<'_>>,
     ) -> Result<(Vec<KLevel>, Duration), Cancelled> {
         let count = self.sizes.len();
         // The sweep takes every union source out of the engine and frees
@@ -1173,7 +1088,12 @@ impl FusedPercolator {
         drop((strata, ranked));
 
         let cdsu = ConcurrentDsu::new(count);
-        type SnapParts = (LevelSnapshotter, Vec<KLevel>, Duration, Option<Certifier>);
+        type SnapParts<'h> = (
+            LevelSnapshotter,
+            Vec<KLevel>,
+            Duration,
+            Option<Certifier<'h>>,
+        );
         let snap_parts: Mutex<SnapParts> = Mutex::new((
             LevelSnapshotter::new(count),
             Vec::with_capacity(self.k_max - 1),
@@ -1271,11 +1191,12 @@ impl FusedPercolator {
     /// Pool-parallel member extraction: the communities of every level
     /// flatten into one worklist, workers claim chunks and compute each
     /// community's canonical members independently (the per-community
-    /// work never touches shared mutable state), and the buffers are
-    /// written back by index afterwards, so every community gets the
-    /// same members whatever the worker count.
+    /// work touches only the worker's own hub accumulator), and the
+    /// buffers are written back by index afterwards, so every community
+    /// gets the same members whatever the worker count.
     fn extract_levels(
         &self,
+        hubs: &HubRows,
         levels: &mut [KLevel],
         workers: usize,
         cancel: Option<&CancelToken>,
@@ -1291,6 +1212,7 @@ impl FusedPercolator {
         let levels_ref = &*levels;
         Pool::global().run(workers, |_w| {
             let mut local: Extracted = Vec::new();
+            let mut acc = vec![0u64; hubs.hubs.div_ceil(64)];
             let claim = || match cancel {
                 Some(token) => queue.claim_unless(token),
                 None => queue.claim(),
@@ -1299,7 +1221,8 @@ impl FusedPercolator {
                 for ii in range {
                     let (li, ci) = items[ii];
                     let ids = &levels_ref[li as usize].communities[ci as usize].clique_ids;
-                    local.push((li, ci, canonical_members(self.community_members(ids))));
+                    let members = self.community_members(hubs, ids, &mut acc);
+                    local.push((li, ci, canonical_members(members)));
                 }
             }
             done.lock()
@@ -1317,19 +1240,21 @@ impl FusedPercolator {
 
     /// The raw (unsorted, possibly duplicated) member union of the
     /// cliques in `ids`, fetched from the engine's ordinal-indexed
-    /// stores ([`AlmostFused::build_extract_index`]) — work
-    /// proportional to the community's own membership, not to the whole
-    /// census, which is what keeps the per-level extraction cheap
-    /// despite never holding a clique list. Takes `&self` only, so
-    /// extraction workers run it concurrently, one community at a time.
-    fn community_members(&self, ids: &[u32]) -> Vec<NodeId> {
+    /// stores ([`AlmostFused::build_small_members`]) and the big
+    /// cliques' hub rows — work proportional to the community's own
+    /// membership, not to the whole census, which is what keeps the
+    /// per-level extraction cheap despite never holding a clique list.
+    /// Takes `&self` only, so extraction workers run it concurrently,
+    /// one community at a time, each with its own zeroed hub bitmap
+    /// `acc`, which it leaves zeroed.
+    fn community_members(&self, hubs: &HubRows, ids: &[u32], acc: &mut [u64]) -> Vec<NodeId> {
         let a = &self.engine;
         let mut members: Vec<NodeId> = Vec::new();
-        // Bitmap-compressed bigs OR into one accumulator and decode once
+        // Big cliques' hub rows OR into one accumulator and decode once
         // per community: every big member is a hub vertex, so a
-        // community's bigs — however many — contribute at most 256
-        // member pushes.
-        let mut bm = [0u64; 4];
+        // community's bigs — however many — push each hub once. Only the
+        // words between the lowest and the highest hub seen are decoded.
+        let (mut lo, mut hi) = (usize::MAX, 0);
         for &x in ids {
             let s = self.sizes[x as usize] as usize;
             if s == 2 {
@@ -1340,25 +1265,21 @@ impl FusedPercolator {
                 members.extend_from_slice(&a.pairs2[i].1);
             } else if s <= SMALL_FULL {
                 members.extend_from_slice(a.small_members(x));
-            } else if !a.fallback {
-                let i = a
-                    .big_ord_idx
-                    .binary_search_by_key(&x, |&(o, _)| o)
-                    .expect("big ordinal is indexed");
-                let rec = &a.bigs[a.big_ord_idx[i].1 as usize];
-                for (acc, &word) in bm.iter_mut().zip(&rec.bm) {
-                    *acc |= word;
-                }
             } else {
-                members.extend_from_slice(a.fallback_members(x));
+                let row = hubs.of(x);
+                lo = lo.min(row[0] as usize >> 6);
+                hi = hi.max((row[row.len() - 1] as usize >> 6) + 1);
+                for &b in row {
+                    acc[(b >> 6) as usize] |= 1 << (b & 63);
+                }
             }
         }
-        for (w, &word) in bm.iter().enumerate() {
-            let mut bits = word;
+        let lo = lo.min(hi);
+        for (w, word) in (lo..).zip(&mut acc[lo..hi]) {
+            let mut bits = std::mem::take(word);
             while bits != 0 {
-                let b = (w << 6) | bits.trailing_zeros() as usize;
+                members.push(a.hub_inv[(w << 6) | bits.trailing_zeros() as usize]);
                 bits &= bits - 1;
-                members.push(a.hub_inv[b]);
             }
         }
         members
@@ -1367,35 +1288,22 @@ impl FusedPercolator {
 
 impl AlmostFused {
     /// Indexes every clique's hub members ([`HubRows`]): smalls from
-    /// the hub vertices' posting lists, bigs from their bitmaps (or, on
-    /// the fallback path, the big posting lists), size-2 cliques from
-    /// their two members. On the fallback path the hub ids are first
-    /// extended to every big member — the hub set stays "all members of
-    /// big cliques", only wider than 256.
-    fn hub_rows(&mut self, count: usize) -> HubRows {
-        if self.fallback {
-            for &v in &self.big_members {
-                if self.hub_bit[v as usize] == u32::MAX {
-                    self.hub_bit[v as usize] = self.hub_inv.len() as u32;
-                    self.hub_inv.push(v);
-                }
-            }
-        }
+    /// the hub vertices' posting lists, bigs by moving in their stored
+    /// rows, size-2 cliques from their two members. `sizes` is the
+    /// per-ordinal clique size array.
+    fn hub_rows(&mut self, sizes: &[u32]) -> HubRows {
+        let big_off = std::mem::take(&mut self.big_off);
+        let big_hubs = std::mem::take(&mut self.big_hubs);
         let visit = |f: &mut dyn FnMut(u32, u32)| {
             for (b, &v) in self.hub_inv.iter().enumerate() {
-                let v = v as usize;
-                let bigs = self.big_postings.get(v).map_or(&[][..], Vec::as_slice);
-                for &x in self.small_postings[v].iter().chain(bigs) {
+                for &x in &self.small_postings[v as usize] {
                     f(x, b as u32);
                 }
             }
-            for rec in &self.bigs {
-                for (w, &word) in rec.bm.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        f(rec.ord, (w << 6) as u32 | bits.trailing_zeros());
-                        bits &= bits - 1;
-                    }
+            let bigs = (0..sizes.len() as u32).filter(|&x| sizes[x as usize] as usize > SMALL_FULL);
+            for (x, span) in bigs.zip(big_off.windows(2)) {
+                for &b in &big_hubs[span[0] as usize..span[1] as usize] {
+                    f(x, b);
                 }
             }
             for &(x, pair) in &self.pairs2 {
@@ -1407,7 +1315,7 @@ impl AlmostFused {
                 }
             }
         };
-        let (off, rows) = csr(count, visit);
+        let (off, rows) = csr(sizes.len(), visit);
         // Hub ids are assigned for good; only extraction's `hub_inv`
         // still maps them back.
         self.hub_bit = Vec::new();
@@ -1438,22 +1346,12 @@ impl AlmostFused {
         &self.small_mem[b as usize..e as usize]
     }
 
-    /// The members of fallback big clique `x`.
-    fn fallback_members(&self, x: u32) -> &[NodeId] {
-        let bi = self
-            .big_ords
-            .binary_search(&x)
-            .expect("fallback big ordinal is recorded");
-        &self.big_members[self.big_offsets[bi]..self.big_offsets[bi + 1]]
-    }
-
     /// The overlap-counting pass, pooled over `workers`. The stream
     /// only recorded posting lists; here every clique `x` scans its
     /// members' posting lists for *earlier* ordinals, accumulating
-    /// `|x ∩ y|` in a per-worker dense counter, so each pair is counted
-    /// once, from its later side: small×small always, and small×big
-    /// from either side on the > 256-hub fallback (the hub-bitmap path
-    /// counts big×small in [`Self::finish_pairs`]). Overlaps
+    /// `|x ∩ y|` in a per-worker dense counter, so each small×small
+    /// pair is counted once, from its later side ([`Self::finish_pairs`]
+    /// counts big×small over the hub rows). Overlaps
     /// `m >` [`KEY_MAX_L`] go to the strata at detection level `m + 1`
     /// (`m ≤ 2` is owned by the keys). Workers claim ordinal chunks and
     /// move their pairs into the shared strata in batches; the sweep
@@ -1491,28 +1389,17 @@ impl AlmostFused {
             };
             while let Some(range) = claim() {
                 for x in range.start as u32..range.end as u32 {
-                    let s = sizes[x as usize] as usize;
-                    let mut tally = |posts: &[u32]| {
+                    if !(3..=SMALL_FULL).contains(&(sizes[x as usize] as usize)) {
+                        continue;
+                    }
+                    for &v in this.small_members(x) {
+                        let posts = &this.small_postings[v as usize];
                         for &y in posts.iter().take_while(|&&y| y < x) {
                             if counter[y as usize] == 0 {
                                 touched.push(y);
                             }
                             counter[y as usize] += 1;
                         }
-                    };
-                    if (3..=SMALL_FULL).contains(&s) {
-                        for &v in this.small_members(x) {
-                            tally(&this.small_postings[v as usize]);
-                            if this.fallback {
-                                tally(&this.big_postings[v as usize]);
-                            }
-                        }
-                    } else if this.fallback && s > SMALL_FULL {
-                        for &v in this.fallback_members(x) {
-                            tally(&this.small_postings[v as usize]);
-                        }
-                    } else {
-                        continue;
                     }
                     for &y in &touched {
                         let m = std::mem::take(&mut counter[y as usize]) as usize;
@@ -1534,7 +1421,6 @@ impl AlmostFused {
             stratum.shrink_to_fit();
         }
         self.small_postings = Vec::new();
-        self.big_postings = Vec::new();
     }
 
     /// The level-3 edge keys of the big cliques that emit them
@@ -1544,8 +1430,7 @@ impl AlmostFused {
     /// chains its bigs (ascending ordinals) to the pair's last small
     /// owner in the edge table — one table probe per hub pair, none per
     /// big edge. Chains and the stream's last-owner chains over the same
-    /// edge connect the same cliques. One path for the bitmap and the
-    /// > 256-hub case: both read the hub rows.
+    /// edge connect the same cliques.
     ///
     /// Hubs `u` are claimed by `workers` pool workers, which union into
     /// a shared [`ConcurrentDsu`] (its partition does not depend on the
@@ -1614,58 +1499,8 @@ impl AlmostFused {
         }
     }
 
-    /// The fallback big×big scan (hub space > 256): 256-bit member
-    /// blooms guard an early-abort sorted merge — a member of x absent
-    /// from y contributes at most one bit to `sig(x) & !sig(y)`, so the
-    /// stray-bit test never rejects a qualifying pair (big×small was
-    /// already counted by [`Self::count_overlaps`]).
-    fn finish_pairs_fallback(&mut self) {
-        let nb = self.big_ords.len();
-        if nb < 2 {
-            return;
-        }
-        let mut order: Vec<usize> = (0..nb).collect();
-        let size_of = |bi: usize| self.big_offsets[bi + 1] - self.big_offsets[bi];
-        order.sort_unstable_by_key(|&bi| (std::cmp::Reverse(size_of(bi)), self.big_ords[bi]));
-        let sigs: Vec<[u64; 4]> = order
-            .iter()
-            .map(|&bi| {
-                let mut sig = [0u64; 4];
-                for &v in &self.big_members[self.big_offsets[bi]..self.big_offsets[bi + 1]] {
-                    let h = (v as u64).wrapping_mul(FIB) >> 56;
-                    sig[(h >> 6) as usize] |= 1u64 << (h & 63);
-                }
-                sig
-            })
-            .collect();
-        for xi in 1..nb {
-            let bx = order[xi];
-            let members = &self.big_members[self.big_offsets[bx]..self.big_offsets[bx + 1]];
-            let s = members.len();
-            let sx = sigs[xi];
-            for (yi, sy) in sigs[..xi].iter().enumerate() {
-                let stray = (sx[0] & !sy[0]).count_ones()
-                    + (sx[1] & !sy[1]).count_ones()
-                    + (sx[2] & !sy[2]).count_ones()
-                    + (sx[3] & !sy[3]).count_ones();
-                if stray as usize > MISS_DEPTH {
-                    continue;
-                }
-                let by = order[yi];
-                let other = &self.big_members[self.big_offsets[by]..self.big_offsets[by + 1]];
-                if let Some(d) = missing_at_most(members, other, MISS_DEPTH) {
-                    let level = (s - d + 1).min(s).max(2);
-                    self.strata
-                        .push(level, (self.big_ords[by], self.big_ords[bx]));
-                }
-            }
-        }
-    }
-
-    /// The big-clique prepasses: big×big and big×small on the
-    /// hub-bitmap fast path, or the
-    /// bloom-guarded big×big scan in fallback, over the compressed big
-    /// records. `sizes` is the per-ordinal clique size array.
+    /// The big-clique prepasses, big×big and big×small, over the hub
+    /// rows. `sizes` is the per-ordinal clique size array.
     ///
     /// Only cliques of ≥ 3 members can overlap in `m ≥ 3` (below that
     /// the keys own the pair), and every member of a big clique lives in
@@ -1680,19 +1515,16 @@ impl AlmostFused {
     /// near-containments and hubby smalls, which is why the divergence
     /// oracle measures zero on every preset.
     ///
-    /// A linear prologue (descending-size big sort, transposed per-hub
-    /// bitmaps) runs on the caller; `hubs` is the hub-membership CSR
-    /// ([`Self::hub_rows`]). The two
+    /// A linear prologue (the descending-size rank order, whose first
+    /// `nb` ranks are the sorted bigs, and the transposed per-hub
+    /// bitmaps over them, `hubs × ⌈nb / 64⌉` words) runs on the caller;
+    /// `hubs` is the hub-membership CSR ([`Self::hub_rows`]). The two
     /// quadratic scans then drain two [`ChunkQueue`]s over `workers`
     /// pool workers: big×big over sorted-big rows, big×small over
     /// ordinals. Hits union into the per-level [`ConcurrentDsu`]s of
     /// `level_cdsus`, over size ranks ([`Self::by_size`]): a level's
     /// partition is fully determined by its pair set, whatever the
     /// interleaving, so the result is the same at every worker count.
-    ///
-    /// The > 256-hub fallback runs on the caller alone: it is rare and
-    /// emits into ordered strata, which parallel workers could not do
-    /// without a reassembly stage of their own.
     fn finish_pairs(
         &mut self,
         sizes: &[u32],
@@ -1701,37 +1533,8 @@ impl AlmostFused {
         cancel: Option<&CancelToken>,
         hubs: &HubRows,
     ) {
-        if self.fallback {
-            self.finish_pairs_fallback();
+        if !sizes.iter().any(|&s| s as usize > SMALL_FULL) {
             return;
-        }
-        if self.bigs.is_empty() {
-            return;
-        }
-        self.bigs
-            .sort_unstable_by_key(|r| (std::cmp::Reverse(r.size), r.ord));
-        // Extraction finds a big's record by ordinal.
-        self.big_ord_idx = self
-            .bigs
-            .iter()
-            .enumerate()
-            .map(|(bi, r)| (r.ord, bi as u32))
-            .collect();
-        self.big_ord_idx.sort_unstable();
-        let nb = self.bigs.len();
-        let w_big = nb.div_ceil(64);
-        // Transposed index — per hub vertex, a bitmap over the sorted
-        // bigs — shared by the big×big and big×small scans below.
-        let mut trans = vec![0u64; self.hub_inv.len() * w_big];
-        for (bi, rec) in self.bigs.iter().enumerate() {
-            for w in 0..4 {
-                let mut bits = rec.bm[w];
-                while bits != 0 {
-                    let b = (w << 6) | bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    trans[b * w_big + (bi >> 6)] |= 1u64 << (bi & 63);
-                }
-            }
         }
         let count = sizes.len();
         // Levels never exceed the largest clique size, so `k_max + 2`
@@ -1742,18 +1545,28 @@ impl AlmostFused {
             .collect();
         // Every hit at level L joins two cliques of ≥ L members, so
         // level L's partition spans only the first n_L size ranks. The
-        // sorted bigs are ranks `0..nb` (same order), so only smalls
-        // need a rank lookup.
+        // sort is stable, so the bigs, ranks `0..nb`, are sorted by
+        // descending size, ties by ordinal; only smalls need a rank
+        // lookup.
         let mut by_size: Vec<u32> = (0..count as u32).collect();
         by_size.sort_by_key(|&x| std::cmp::Reverse(sizes[x as usize]));
-        debug_assert!(self.bigs.iter().zip(&by_size).all(|(r, &x)| r.ord == x));
         let mut rank = vec![0u32; count];
         for (r, &x) in by_size.iter().enumerate() {
             rank[x as usize] = r as u32;
         }
+        let nb = by_size.partition_point(|&x| sizes[x as usize] as usize > SMALL_FULL);
         self.by_size = by_size;
+        let bigs = &self.by_size[..nb];
+        let w_big = nb.div_ceil(64);
+        // Transposed index — per hub vertex, a bitmap over the sorted
+        // bigs — shared by the big×big and big×small scans below.
+        let mut trans = vec![0u64; hubs.hubs * w_big];
+        for (bi, &x) in bigs.iter().enumerate() {
+            for &b in hubs.of(x) {
+                trans[b as usize * w_big + (bi >> 6)] |= 1u64 << (bi & 63);
+            }
+        }
 
-        let bigs = &self.bigs[..];
         let cdsus = &self.level_cdsus[..];
         let trans = &trans[..];
         let by_size = &self.by_size[..];
@@ -1785,18 +1598,11 @@ impl AlmostFused {
                     if xi == 0 {
                         continue;
                     }
-                    let s = bigs[xi].size as usize;
+                    let row = hubs.of(bigs[xi]);
+                    let s = row.len();
                     let w_words = xi.div_ceil(64);
                     rows.clear();
-                    for w4 in 0..4 {
-                        let mut bits = bigs[xi].bm[w4];
-                        while bits != 0 {
-                            let b = (w4 << 6) | bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            rows.push(&trans[b * w_big..][..w_words]);
-                        }
-                    }
-                    debug_assert_eq!(rows.len(), s);
+                    rows.extend(row.iter().map(|&b| &trans[b as usize * w_big..][..w_words]));
                     for w in 0..w_words {
                         let (mut c0, mut c1, mut c2, mut sat) = (0u64, 0u64, 0u64, 0u64);
                         for r in &rows {
@@ -2152,7 +1958,7 @@ mod tests {
 
     #[test]
     fn fused_handles_big_cliques() {
-        // Cliques above SMALL_FULL force the hub-bitmap big paths:
+        // Cliques above SMALL_FULL force the big-clique paths:
         // three K20s chained with 4-vertex overlaps, plus a halo of
         // triangles {2, v, v+1} (v = 52..57) and the edge {58, 59}.
         let mut b = asgraph::GraphBuilder::with_nodes(60);
@@ -2192,11 +1998,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_handles_hub_overflow_fallback() {
+    fn fused_handles_wide_hub_rows() {
         // 25 K15 blocks, consecutive blocks sharing 3 vertices: 303
-        // distinct big-clique members blow the 256-hub budget, so the
-        // almost engine must switch to the fallback store mid-stream
-        // (moving the bigs consumed before the switch into it).
+        // distinct big-clique members, so hub ids run past 256 and the
+        // hub bitmaps are five words wide.
         let blocks = 25u32;
         let n = 12 * (blocks - 1) + 15;
         let mut b = asgraph::GraphBuilder::with_nodes(n as usize);
@@ -2317,14 +2122,6 @@ mod tests {
             assert_eq!(emits(s, 2), (2..=EDGE_KEY_MAX_S).contains(&s), "s = {s}");
             assert!(!emits(s, KEY_MAX_L + 1), "s = {s}");
         }
-    }
-
-    #[test]
-    fn missing_at_most_stops_past_the_budget() {
-        assert_eq!(missing_at_most(&[1, 2, 3], &[1, 2, 3, 4], 0), Some(0));
-        assert_eq!(missing_at_most(&[1, 5, 9], &[1, 2, 3], 2), Some(2));
-        assert_eq!(missing_at_most(&[1, 5, 9], &[1, 2, 3], 1), None);
-        assert_eq!(missing_at_most(&[], &[1], 0), Some(0));
     }
 
     /// Small random soups keep proptest throughput high while still

@@ -142,3 +142,12 @@ fn almost_matches_exact_on_medium_internet() {
     let topo = topology::generate(&topology::ModelConfig::medium(42)).expect("valid preset");
     assert_zero_divergence(&topo.graph, "medium(42)");
 }
+
+/// The full preset (~35,000 ASes, the paper's scale), whose big cliques
+/// span more than 256 hub vertices: the same zero verdict.
+#[test]
+#[ignore = "experiment-scale; run in release mode"]
+fn almost_matches_exact_on_full_internet() {
+    let topo = topology::generate(&topology::ModelConfig::full_scale(7)).expect("valid preset");
+    assert_zero_divergence(&topo.graph, "full(7)");
+}

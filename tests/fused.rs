@@ -98,8 +98,9 @@ fn book_graph(m: u32) -> asgraph::Graph {
 }
 
 /// `blocks` K15 blocks, consecutive blocks sharing 3 vertices (at 25
-/// blocks, the hub-overflow substrate of the engine's unit tests: 303
-/// big-clique members overflow the 256-hub bitmaps; at 20, 243 fit),
+/// blocks, the wide-hub substrate of the engine's unit tests: 303
+/// big-clique members, so hub bitmaps take five words; at 20, 243 fit
+/// in four),
 /// plus small cliques sharing an edge or a triangle with a block: a
 /// fringe of 600 pendant vertices, each joined to 2 or 3 members of one
 /// block, enough that the counting pass spans several ordinal chunks,
@@ -134,6 +135,25 @@ fn blocks_graph(blocks: u32) -> asgraph::Graph {
     b.build()
 }
 
+/// `blocks` disjoint K15 blocks in a ring, each joined to the next by
+/// one bridge edge: every vertex is a hub, so at 300 blocks the hub
+/// bitmaps are 71 words wide, and the hub set is as sparse as it gets —
+/// no two blocks share a hub.
+fn ring_graph(blocks: u32) -> asgraph::Graph {
+    let n = 15 * blocks;
+    let mut b = asgraph::GraphBuilder::with_nodes(n as usize);
+    for i in 0..blocks {
+        let base = 15 * i;
+        for u in base..base + 15 {
+            for v in (u + 1)..base + 15 {
+                b.add_edge(u, v);
+            }
+        }
+        b.add_edge(base + 14, (base + 15) % n);
+    }
+    b.build()
+}
+
 /// Builds the percolator by the *sequential* sink so the engine state
 /// is identical across runs; only the finish's worker count varies.
 fn consumed(g: &asgraph::Graph, mode: Mode) -> FusedPercolator {
@@ -148,41 +168,55 @@ fn consumed(g: &asgraph::Graph, mode: Mode) -> FusedPercolator {
 /// to the one-worker `finish()` at 1, 2, 4, and 7 workers, plain and
 /// cancellable, for both modes: on a substrate whose k = 3 stratum
 /// crosses the parallel sweep's chunk-queue threshold, on the tiny
-/// Internet preset, and on the blocks substrate on either side of the
-/// 256-hub budget (hub bitmaps at 20 blocks, explicit big members at
-/// 25), where the pooled counting pass runs over several ordinal
-/// chunks. The blocks share three vertices, so level 3 is one community
-/// only if every big clique keys its edges, the one whose members
-/// overflow the hub budget included.
+/// Internet preset, on the blocks substrate at four- and five-word hub
+/// bitmaps (20 and 25 blocks), where the pooled counting pass runs over
+/// several ordinal chunks, and on a ring of 300 disjoint K15s, whose
+/// 4,500 hubs give extraction's and the certifier's accumulators 71
+/// words. The blocks share three vertices, so level 3 is one community
+/// only if every big clique keys its edges.
 #[test]
 fn parallel_finish_is_bit_identical_to_sequential_finish() {
     let tiny = topology::generate(&topology::ModelConfig::tiny(7))
         .expect("preset is valid")
         .graph;
-    let (bitmap, overflow) = (blocks_graph(20), blocks_graph(25));
-    for (g, overflows) in [(&bitmap, false), (&overflow, true)] {
+    let (narrow, wide) = (blocks_graph(20), blocks_graph(25));
+    for (g, blocks) in [(&narrow, 20), (&wide, 25)] {
         let hubs: std::collections::BTreeSet<u32> = cliques::max_cliques(g)
             .iter()
             .filter(|c| c.len() > cpm::consume::SMALL_FULL)
             .flat_map(|c| c.iter().copied())
             .collect();
-        assert_eq!(hubs.len() > 256, overflows, "hub budget overflow");
+        assert_eq!(
+            hubs.len() > 256,
+            blocks == 25,
+            "hub bitmaps past four words"
+        );
         for mode in [Mode::Exact, Mode::Almost] {
             let level3 = consumed(g, mode).finish().cover(3);
-            assert_eq!(level3.len(), 1, "{mode}, overflow {overflows}");
+            assert_eq!(level3.len(), 1, "{mode}, {blocks} blocks");
         }
         // Almost mode misses the blocks' 3-vertex overlaps at k = 4, but
         // counts every pendant K4 into its block.
-        let blocks = if overflows { 25 } else { 20 };
         let level4 = consumed(g, Mode::Almost).finish().cover(4);
-        assert_eq!(level4.len(), blocks, "overflow {overflows}");
+        assert_eq!(level4.len(), blocks, "{blocks} blocks");
+    }
+    let ring = ring_graph(300);
+    let each: Vec<Vec<u32>> = (0..300).map(|i| (15 * i..15 * i + 15).collect()).collect();
+    for mode in [Mode::Exact, Mode::Almost] {
+        let r = consumed(&ring, mode).finish();
+        assert_eq!(r.k_max(), Some(15), "{mode}");
+        assert_eq!(r.cover(2), vec![(0..4_500).collect::<Vec<u32>>()], "{mode}");
+        for k in 3..=15 {
+            assert_eq!(r.cover(k), each, "{mode} k = {k}");
+        }
     }
     for g in [
         random_graph(70, 0.12, 23),
         book_graph(150),
         tiny,
-        bitmap,
-        overflow,
+        narrow,
+        wide,
+        ring,
     ] {
         for mode in [Mode::Exact, Mode::Almost] {
             let sequential = consumed(&g, mode).finish();
