@@ -45,11 +45,17 @@
 //! 201. Everything from `k = 4` up thus comes from the prepass *strata*,
 //! which record each detected pair at its exact detection level `m + 1`
 //! (`m` = overlap size); the persistent union–find carries every
-//! detection to all lower levels for free.
+//! detection to all lower levels for free. That is also why big×small
+//! joins a small clique to a component of bigs once rather than to
+//! every big it hits: big×big runs first, and where all the bigs a
+//! small hits in one bitmap word are already one component at the top
+//! hit's level, one union with that component stands for all of them
+//! (`AlmostFused::finish_pairs`).
 //!
 //! **Exact = almost + certification.** Every union above is witnessed by
-//! a real overlap, so [`Mode::Almost`] only ever *refines* the exact
-//! communities. The clique pairs it does not count are:
+//! a real overlap, or by a chain of them at its level or above, so
+//! [`Mode::Almost`] only ever *refines* the exact communities. The
+//! clique pairs it does not count are:
 //!
 //! * big×big pairs (both sizes > [`SMALL_FULL`]) whose overlap is not a
 //!   near-containment (the smaller side misses more than [`MISS_DEPTH`]
@@ -627,6 +633,90 @@ fn hits(row: &[u32], bm: &[u64]) -> usize {
     row.iter()
         .filter(|&&b| bm[(b >> 6) as usize] >> (b & 63) & 1 != 0)
         .count()
+}
+
+/// The single-component words of the transposed big index, from the
+/// quiescent big×big partitions `cdsus` (per level, over size ranks;
+/// the first `nb` ranks are the bigs): per level `L` in
+/// `4..=SMALL_FULL + 1` and word `w`, the representative rank of the
+/// component holding all of the word's bigs once every big×big union
+/// at `L` or above is in, or `u32::MAX` when they span more than one.
+/// Folds the levels top-down into one union–find on the caller; `None`
+/// once `cancel` trips.
+fn single_component_words(
+    cdsus: &[OnceLock<ConcurrentDsu>],
+    nb: usize,
+    cancel: Option<&CancelToken>,
+) -> Option<Vec<Vec<u32>>> {
+    let mut dsu = Dsu::new(nb);
+    let mut reps = vec![Vec::new(); SMALL_FULL + 2];
+    for level in (4..cdsus.len()).rev() {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return None;
+        }
+        if let Some(cd) = cdsus[level].get() {
+            // Big×big joins bigs only, so past `nb` every rank is alone.
+            for r in 1..cd.len().min(nb) as u32 {
+                let root = cd.find(r);
+                if root != r {
+                    dsu.union(root, r);
+                }
+            }
+        }
+        if level <= SMALL_FULL + 1 {
+            reps[level] = (0..nb as u32)
+                .step_by(64)
+                .map(|lo| {
+                    let rep = dsu.find(lo);
+                    let hi = (lo + 64).min(nb as u32);
+                    if (lo + 1..hi).all(|r| dsu.find(r) == rep) {
+                        rep
+                    } else {
+                        u32::MAX
+                    }
+                })
+                .collect();
+        }
+    }
+    Some(reps)
+}
+
+/// Per small clique of the big×small scan, the highest level at which
+/// it has already been joined to each representative: a union at level
+/// `L` holds at every level below, so a second one at or under `L` is
+/// redundant. Reset per clique through the touched list.
+struct RepLevels {
+    level: Vec<u8>,
+    touched: Vec<u32>,
+}
+
+impl RepLevels {
+    fn new(nb: usize) -> Self {
+        RepLevels {
+            level: vec![0; nb],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Whether joining `rep` at `level` is new; records it if so.
+    #[inline]
+    fn first(&mut self, rep: u32, level: usize) -> bool {
+        let seen = &mut self.level[rep as usize];
+        if *seen as usize >= level {
+            return false;
+        }
+        if *seen == 0 {
+            self.touched.push(rep);
+        }
+        *seen = level as u8;
+        true
+    }
+
+    fn clear(&mut self) {
+        for rep in self.touched.drain(..) {
+            self.level[rep as usize] = 0;
+        }
+    }
 }
 
 /// Exact mode's per-level certification pass (see the module docs):
@@ -1509,22 +1599,35 @@ impl AlmostFused {
     /// big cliques are rungs of a ladder over the same few hub vertices.
     /// *Big×big* records every near-containment (the smaller side
     /// missing at most [`MISS_DEPTH`] of its own members); *big×small*
-    /// tests every small with ≥ 3 hub members against every big. What
-    /// this leaves out — a big×big pair with a mid-range overlap — is
-    /// where Internet substrates are densest in *chains* of
+    /// counts, for every small with ≥ 3 hub members, its overlap with
+    /// every big. What this leaves out — a big×big pair with a mid-range
+    /// overlap — is where Internet substrates are densest in *chains* of
     /// near-containments and hubby smalls, which is why the divergence
     /// oracle measures zero on every preset.
     ///
     /// A linear prologue (the descending-size rank order, whose first
     /// `nb` ranks are the sorted bigs, and the transposed per-hub
     /// bitmaps over them, `hubs × ⌈nb / 64⌉` words) runs on the caller;
-    /// `hubs` is the hub-membership CSR ([`Self::hub_rows`]). The two
-    /// quadratic scans then drain two [`ChunkQueue`]s over `workers`
-    /// pool workers: big×big over sorted-big rows, big×small over
-    /// ordinals. Hits union into the per-level [`ConcurrentDsu`]s of
-    /// `level_cdsus`, over size ranks ([`Self::by_size`]): a level's
-    /// partition is fully determined by its pair set, whatever the
-    /// interleaving, so the result is the same at every worker count.
+    /// `hubs` is the hub-membership CSR ([`Self::hub_rows`]). Big×big
+    /// then drains a [`ChunkQueue`] of sorted-big rows over `workers`
+    /// pool workers, unioning its hits into the per-level
+    /// [`ConcurrentDsu`]s of `level_cdsus`, over size ranks
+    /// ([`Self::by_size`]). Once it has quiesced, the caller folds those
+    /// partitions top-down ([`single_component_words`]): per level `L`
+    /// and 64-big word of the transposed index, whether all the word's
+    /// bigs are one component at `L`. Big×small then drains a queue of
+    /// ordinals. Per small `x` and word, it takes the top overlap `M`
+    /// among the word's hits; if the word is one component at `M + 1`,
+    /// one union joins `x` to it at `x`'s level for `M`, and the word's
+    /// other hits are skipped. They add nothing: each of those bigs is
+    /// already joined at `M + 1` to the top hit, which `x` really
+    /// overlaps in `M`, and each hit's own level is at most `x`'s
+    /// level for `M`, below which the sweep carries every union. Only
+    /// words spanning several components union hit by hit (on the
+    /// medium preset 6.79 M hits become about 130 k unions). Each
+    /// level's partition is fully determined by its pair set and the
+    /// quiescent big×big partitions, whatever the interleaving, so the
+    /// result is the same at every worker count.
     fn finish_pairs(
         &mut self,
         sizes: &[u32],
@@ -1578,7 +1681,6 @@ impl AlmostFused {
             })
         };
         let queue_bb = ChunkQueue::new(nb, PAIRS_BIG_CHUNK);
-        let queue_bs = ChunkQueue::new(count, PAIRS_SMALL_CHUNK);
         Pool::global().run(workers, |_w| {
             let mut rows: Vec<&[u64]> = Vec::new();
             // Big×big, bit-sliced on the *miss* count: a qualifying
@@ -1647,9 +1749,22 @@ impl AlmostFused {
                     }
                 }
             }
+        });
+        // Big×big has quiesced: its components decide which words of
+        // the transposed index big×small may treat as one big.
+        let Some(reps) = single_component_words(cdsus, nb, cancel) else {
+            return;
+        };
+        let queue_bs = ChunkQueue::new(count, PAIRS_SMALL_CHUNK);
+        Pool::global().run(workers, |_w| {
+            let mut rows: Vec<&[u64]> = Vec::new();
+            let mut joined = RepLevels::new(nb);
             // Big×small, over the transposed per-hub-vertex bitmaps,
             // for the hubby smalls (≥ 3 hub members; the size-2 rows
-            // have fewer, the big rows are skipped).
+            // have fewer, the big rows are skipped). A word whose bigs
+            // are one component at its top hit count + 1 takes one
+            // union with that component; only the other words union hit
+            // by hit.
             let claim = || match cancel {
                 Some(token) => queue_bs.claim_unless(token),
                 None => queue_bs.claim(),
@@ -1667,14 +1782,22 @@ impl AlmostFused {
                             .iter()
                             .map(|&b| &trans[b as usize * w_big..][..w_big]),
                     );
+                    let rx = rank[x];
+                    joined.clear();
                     if let [r0, r1, r2] = rows[..] {
                         // Exactly three hub members: m ≥ 3 forces m = 3
                         // and the hit mask is one three-way AND per word.
                         let level = 4.min(s).max(2);
                         let dsu = dsu_at(level);
-                        let rx = rank[x];
                         for w in 0..w_big {
                             let mut hits = r0[w] & r1[w] & r2[w];
+                            let rep = reps[4][w];
+                            if hits != 0 && rep != u32::MAX {
+                                if joined.first(rep, level) {
+                                    dsu.union(rep, rx);
+                                }
+                                continue;
+                            }
                             while hits != 0 {
                                 let i = hits.trailing_zeros() as usize;
                                 hits &= hits - 1;
@@ -1705,6 +1828,25 @@ impl AlmostFused {
                         }
                         // count ≥ 3 ⟺ bit1∧bit0, or any higher plane bit.
                         let mut hits = c3 | c2 | (c1 & c0);
+                        if hits == 0 {
+                            continue;
+                        }
+                        // The top count among the hits, plane by plane.
+                        let (mut top, mut m_top) = (hits, 0);
+                        for (bit, plane) in [(8, c3), (4, c2), (2, c1), (1, c0)] {
+                            if top & plane != 0 {
+                                top &= plane;
+                                m_top |= bit;
+                            }
+                        }
+                        let rep = reps[m_top + 1][w];
+                        if rep != u32::MAX {
+                            let level = (m_top + 1).min(s).max(2);
+                            if joined.first(rep, level) {
+                                dsu_at(level).union(rep, rx);
+                            }
+                            continue;
+                        }
                         while hits != 0 {
                             let i = hits.trailing_zeros() as usize;
                             hits &= hits - 1;
@@ -1714,7 +1856,7 @@ impl AlmostFused {
                                 | (((c2 >> i) & 1) << 2)
                                 | (((c3 >> i) & 1) << 3);
                             let level = ((m as usize) + 1).min(s).max(2);
-                            dsu_at(level).union(yi as u32, rank[x]);
+                            dsu_at(level).union(yi as u32, rx);
                         }
                     }
                 }

@@ -9,11 +9,13 @@
 //! not count — big×big overlaps that are not near-containments, and
 //! edges shared with a clique of more than 91 members — in front of
 //! exact mode's certification pass, with hub bitmaps of up to four
-//! words (at most 256 hubs) and wider.
+//! words (at most 256 hubs) and wider. Ladders of overlapping big
+//! cliques with hubby small ones hold almost mode itself to the
+//! reduction minus the pairs it documents as missed.
 
 use asgraph::{Graph, GraphBuilder, NodeId};
 use cliques::CliqueSet;
-use cpm::consume::SMALL_FULL;
+use cpm::consume::{MISS_DEPTH, SMALL_FULL};
 use cpm::{divergence, CpmResult, Dsu, FusedPercolator, Mode};
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -39,11 +41,36 @@ fn overlap(a: &[NodeId], b: &[NodeId]) -> usize {
 /// the literal reduction: all-pairs overlaps over the maximal cliques,
 /// one union–find per level.
 fn reference(set: &CliqueSet) -> Vec<Vec<Vec<NodeId>>> {
+    reduction(set, |_, _, m| m)
+}
+
+/// [`reference`] without the pairs almost mode does not count (the
+/// `consume` module docs): a big×big pair whose smaller side misses more
+/// than [`MISS_DEPTH`] of its own members is seen only through the edge
+/// keys, so it joins at levels 2 and 3 alone. Holds while no clique has
+/// more than 91 members (larger ones emit no edge keys).
+fn almost_reference(set: &CliqueSet) -> Vec<Vec<Vec<NodeId>>> {
+    reduction(set, |a, b, m| {
+        let smaller = a.min(b);
+        if smaller > SMALL_FULL && m > 2 && smaller - m > MISS_DEPTH {
+            2
+        } else {
+            m
+        }
+    })
+}
+
+/// The reduction with each pair of cliques (sizes `a`, `b`, overlap
+/// `m`) counted as overlapping in `counted(a, b, m)`.
+fn reduction(
+    set: &CliqueSet,
+    counted: impl Fn(usize, usize, usize) -> usize,
+) -> Vec<Vec<Vec<NodeId>>> {
     let n = set.len();
     let mut pairs: Vec<(u32, u32, usize)> = Vec::new();
     for i in 0..n {
         for j in i + 1..n {
-            let m = overlap(set.get(i), set.get(j));
+            let m = counted(set.size(i), set.size(j), overlap(set.get(i), set.get(j)));
             if m > 0 {
                 pairs.push((i as u32, j as u32, m));
             }
@@ -91,13 +118,19 @@ fn percolate(n: usize, set: &CliqueSet, mode: Mode, threads: usize) -> CpmResult
 /// over a hub pool of `pool` vertices, each drawn from a window half
 /// again its size, the windows spread evenly across the pool (so
 /// neighbouring cliques overlap in mid-range and together cover most of
-/// it), plus a few pendant vertices each joined to 2 or 3 members of one
-/// planted clique (small cliques sharing an edge or a triangle with a
-/// big one).
-fn planted(seed: u64, pool: u32, sizes: (usize, usize), count: (usize, usize)) -> Graph {
-    const PENDANTS: u32 = 6;
+/// it), plus `pendants` pendant vertices, each joined to `joins.0` to
+/// `joins.1` members of one planted clique (small cliques sharing an
+/// edge, a triangle or more with a big one).
+fn planted(
+    seed: u64,
+    pool: u32,
+    sizes: (usize, usize),
+    count: (usize, usize),
+    pendants: u32,
+    joins: (usize, usize),
+) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::with_nodes((pool + PENDANTS) as usize);
+    let mut b = GraphBuilder::with_nodes((pool + pendants) as usize);
     let n = rng.random_range(count.0..=count.1);
     let mut cliques: Vec<Vec<NodeId>> = Vec::new();
     for i in 0..n {
@@ -113,9 +146,9 @@ fn planted(seed: u64, pool: u32, sizes: (usize, usize), count: (usize, usize)) -
         }
         cliques.push(members);
     }
-    for p in 0..PENDANTS {
+    for p in 0..pendants {
         let c = &cliques[rng.random_range(0..cliques.len())];
-        let t = rng.random_range(2..=3usize);
+        let t = rng.random_range(joins.0..=joins.1);
         for &v in c.choose_multiple(&mut rng, t) {
             b.add_edge(pool + p, v);
         }
@@ -125,14 +158,22 @@ fn planted(seed: u64, pool: u32, sizes: (usize, usize), count: (usize, usize)) -
 
 /// The fast-path substrate: 40 hub vertices, cliques of 15–30.
 fn small_pool(seed: u64) -> Graph {
-    planted(seed, 40, (15, 30), (2, 4))
+    planted(seed, 40, (15, 30), (2, 4), 6, (2, 3))
 }
 
 /// The wide substrate: cliques of 15–99 over 300 hub vertices, so the
 /// hub set usually passes 256 (hub bitmaps of five words) and the
 /// largest cliques emit no edge keys.
 fn wide_pool(seed: u64) -> Graph {
-    planted(seed, 300, (15, 99), (6, 10))
+    planted(seed, 300, (15, 99), (6, 10), 6, (2, 3))
+}
+
+/// A ladder: `bigs` cliques of 15–20 members over a pool of `pool` hub
+/// vertices, on windows sliding along it, plus `pendants` pendant
+/// vertices each joined to 3–10 members of one planted clique (hubby
+/// small cliques).
+fn ladder(seed: u64, pool: u32, bigs: usize, pendants: u32) -> Graph {
+    planted(seed, pool, (15, 20), (bigs, bigs), pendants, (3, 10))
 }
 
 /// Exact mode at 1 and 4 workers equals the reference at every level;
@@ -176,7 +217,9 @@ proptest! {
 /// The planted substrates really exercise certification: on a fixed
 /// seed range almost mode (no certification) splits at least one exact
 /// community on each pool while exact mode equals the reference, and
-/// only the wide pool passes 256 hubs.
+/// only the wide pool passes 256 hubs. On the 40-hub pool (no clique
+/// past 91 members) almost mode splits exactly where
+/// [`almost_reference`] says.
 #[test]
 fn almost_diverges_where_exact_certifies() {
     for (name, wide, seeds) in [("40-hub pool", false, 40), ("300-hub pool", true, 12)] {
@@ -193,12 +236,61 @@ fn almost_diverges_where_exact_certifies() {
             if !divergence(&exact, &almost).is_zero() {
                 diverged += 1;
             }
+            if !wide {
+                assert_levels(
+                    &almost,
+                    &almost_reference(&set),
+                    &format!("{name} seed {seed}"),
+                );
+            }
             if hub_count(&set) > 256 {
                 past_256 += 1;
             }
         }
         assert!(diverged > 0, "{name}: almost never diverged");
         assert_eq!(past_256 > 0, wide, "{name}: more than 256 hubs");
+    }
+}
+
+/// Almost mode equals the reduction minus its documented misses on
+/// ladders of 500–570 big cliques (eight or nine words of the
+/// transposed big index) and 120 hubby smalls, at 1 and 4 workers and
+/// every level; exact mode equals the reduction. Big×small joins a
+/// small to a whole word of bigs at once where big×big has made the
+/// word one component, so a union dropped there, or made one level too
+/// low, shows up as a split community.
+#[test]
+fn almost_equals_the_reduction_minus_its_misses_on_ladders() {
+    for seed in 0..6 {
+        let g = ladder(seed, 400, 200, 120);
+        let (set, _) = check_exact(&g).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+        assert!(
+            set.max_size() <= 91,
+            "seed {seed}: a clique without edge keys"
+        );
+        let bigs = set.iter().filter(|c| c.len() > SMALL_FULL).count();
+        assert!(
+            bigs > 7 * 64,
+            "seed {seed}: {bigs} bigs fill fewer than eight words"
+        );
+        let expected = almost_reference(&set);
+        for threads in [1, 4] {
+            let almost = percolate(g.node_count(), &set, Mode::Almost, threads);
+            assert_levels(
+                &almost,
+                &expected,
+                &format!("seed {seed}, {threads} workers"),
+            );
+        }
+    }
+}
+
+/// `r` has the covers `expected` lists, from k = 2 to its last level.
+fn assert_levels(r: &CpmResult, expected: &[Vec<Vec<NodeId>>], what: &str) {
+    assert_eq!(r.k_max(), Some(expected.len() as u32), "{what}");
+    for (i, cover) in expected.iter().enumerate() {
+        let k = i as u32 + 2;
+        assert_eq!(&r.cover(k), cover, "{what}, k = {k}");
     }
 }
 
