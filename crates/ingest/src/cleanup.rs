@@ -14,6 +14,7 @@
 
 use crate::error::{CapKind, IngestError, IngestErrorKind};
 use crate::limits::Limits;
+use crate::parse::{pack, unpack};
 use asgraph::{Graph, GraphBuilder};
 
 /// Per-stage drop/keep counters for one cleanup run.
@@ -54,39 +55,47 @@ pub struct CleanedGraph {
     pub counters: CleanupCounters,
 }
 
-/// Runs the cleanup pipeline over raw endpoint pairs.
+/// Runs the cleanup pipeline over raw records, each an endpoint pair
+/// [`pack`]ed as the source wrote it.
 ///
-/// Consumes `pairs` (the raw, possibly huge vector) so its memory is
-/// reused for the sort instead of cloned.
+/// Consumes `keys` (the raw, possibly huge vector) so its memory is
+/// reused for the sort, and then for the ranked links, instead of
+/// cloned.
 pub(crate) fn cleanup(
-    mut pairs: Vec<(u32, u32)>,
+    mut keys: Vec<u64>,
     largest_cc: bool,
     limits: &Limits,
 ) -> Result<CleanedGraph, IngestError> {
     let mut counters = CleanupCounters {
-        raw_records: pairs.len() as u64,
+        raw_records: keys.len() as u64,
         ..CleanupCounters::default()
     };
 
     // Stage 1: self-loops out, orientation normalised to (min, max).
-    pairs.retain(|&(u, v)| u != v);
-    counters.self_loops_removed = counters.raw_records - pairs.len() as u64;
-    for pair in &mut pairs {
-        if pair.0 > pair.1 {
-            *pair = (pair.1, pair.0);
-        }
-    }
+    keys.retain_mut(|key| {
+        let (u, v) = unpack(*key);
+        *key = pack(u.min(v), u.max(v));
+        u != v
+    });
+    counters.self_loops_removed = counters.raw_records - keys.len() as u64;
 
-    // Stage 2: dedup.
-    pairs.sort_unstable();
-    let before = pairs.len();
-    pairs.dedup();
-    counters.duplicates_removed = (before - pairs.len()) as u64;
-    counters.edges = pairs.len() as u64;
+    // Stage 2: dedup. A packed key sorts as its (min, max) pair.
+    keys.sort_unstable();
+    let before = keys.len();
+    keys.dedup();
+    // Most raw records are duplicates in a multi-source merge: hand the
+    // slack back before the graph is built next to the keys.
+    keys.shrink_to_fit();
+    counters.duplicates_removed = (before - keys.len()) as u64;
+    counters.edges = keys.len() as u64;
 
-    // Stage 3: collect + rank the distinct endpoints.
-    let mut ids: Vec<u32> = Vec::with_capacity(pairs.len().min(limits.max_nodes as usize) * 2);
-    for &(u, v) in &pairs {
+    // Stage 3: collect the distinct endpoints, then rank each link's
+    // endpoints once. Ranking is monotone, so the ranked keys stay
+    // sorted and distinct. Low endpoints ascend with the keys and are
+    // ranked by a cursor; high ones by binary search.
+    let mut ids: Vec<u32> = Vec::with_capacity(keys.len().min(limits.max_nodes as usize) * 2);
+    for &key in &keys {
+        let (u, v) = unpack(key);
         ids.push(u);
         ids.push(v);
     }
@@ -104,50 +113,69 @@ pub(crate) fn cleanup(
             },
         ));
     }
-    let rank = |ids: &[u32], x: u32| -> u32 {
-        // `x` is guaranteed present: it came out of the same pairs.
-        ids.binary_search(&x).expect("endpoint was collected") as u32
-    };
+    let mut low = 0;
+    for key in &mut keys {
+        let (u, v) = unpack(*key);
+        while ids[low] != u {
+            low += 1;
+        }
+        let high = ids.binary_search(&v).expect("endpoint was collected");
+        *key = pack(low as u32, high as u32);
+    }
 
-    // Stage 4: connected components over the ranked ids.
+    // Stage 4: connected components over the ranks.
     let mut dsu = Dsu::new(ids.len());
-    for &(u, v) in &pairs {
-        dsu.union(rank(&ids, u) as usize, rank(&ids, v) as usize);
+    for &key in &keys {
+        let (u, v) = unpack(key);
+        dsu.union(u as usize, v as usize);
     }
     counters.components = dsu.component_count() as u64;
 
     // Stage 5: optionally keep only the largest component (size ties
-    // broken by the smallest root rank, deterministically).
+    // broken by the smallest root rank, deterministically). Kept ranks
+    // are renumbered in order, so the keys stay sorted.
     if largest_cc && counters.components > 1 {
         counters.largest_cc_applied = true;
+        let roots: Vec<u32> = (0..ids.len()).map(|i| dsu.find(i) as u32).collect();
         let mut size = vec![0u32; ids.len()];
-        for i in 0..ids.len() {
-            size[dsu.find(i)] += 1;
+        for &root in &roots {
+            size[root as usize] += 1;
         }
         let keep_root = (0..ids.len())
-            .filter(|&i| dsu.find(i) == i)
+            .filter(|&i| roots[i] as usize == i)
             .max_by_key(|&i| (size[i], std::cmp::Reverse(i)))
-            .expect("non-empty id set has a root");
-        let kept_edges_before = pairs.len();
-        pairs.retain(|&(u, _)| dsu_find_const(&dsu, rank(&ids, u) as usize) == keep_root);
-        counters.lcc_edges_dropped = (kept_edges_before - pairs.len()) as u64;
+            .expect("non-empty id set has a root") as u32;
         let nodes_before = ids.len();
-        let kept_ids: Vec<u32> = (0..ids.len())
-            .filter(|&i| dsu_find_const(&dsu, i) == keep_root)
-            .map(|i| ids[i])
-            .collect();
-        counters.lcc_nodes_dropped = (nodes_before - kept_ids.len()) as u64;
-        ids = kept_ids;
+        let mut new_rank = vec![0u32; nodes_before];
+        let mut kept = 0;
+        for i in 0..nodes_before {
+            if roots[i] == keep_root {
+                new_rank[i] = kept as u32;
+                ids[kept] = ids[i];
+                kept += 1;
+            }
+        }
+        ids.truncate(kept);
+        counters.lcc_nodes_dropped = (nodes_before - kept) as u64;
+        let edges_before = keys.len();
+        keys.retain_mut(|key| {
+            let (u, v) = unpack(*key);
+            let keep = roots[u as usize] == keep_root;
+            *key = pack(new_rank[u as usize], new_rank[v as usize]);
+            keep
+        });
+        counters.lcc_edges_dropped = (edges_before - keys.len()) as u64;
     } else if largest_cc {
         counters.largest_cc_applied = true;
     }
 
-    // Stage 6: densify and build.
+    // Stage 6: build over the ranks.
     // Sorted + distinct, so max id == n-1 implies ids are exactly 0..n.
     counters.identity_ids = ids.last().is_none_or(|&max| max as usize == ids.len() - 1);
-    let mut builder = GraphBuilder::with_capacity(ids.len(), pairs.len());
-    for &(u, v) in &pairs {
-        builder.add_edge(rank(&ids, u), rank(&ids, v));
+    let mut builder = GraphBuilder::with_capacity(ids.len(), keys.len());
+    for &key in &keys {
+        let (u, v) = unpack(key);
+        builder.add_edge(u, v);
     }
     let graph = builder.build();
     Ok(CleanedGraph {
@@ -155,15 +183,6 @@ pub(crate) fn cleanup(
         external_ids: ids,
         counters,
     })
-}
-
-/// Find without path compression, for use while `dsu` is borrowed
-/// immutably inside `retain`.
-fn dsu_find_const(dsu: &Dsu, mut x: usize) -> usize {
-    while dsu.parent[x] as usize != x {
-        x = dsu.parent[x] as usize;
-    }
-    x
 }
 
 /// Union-find with union by size and path halving.
@@ -212,9 +231,121 @@ impl Dsu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Endpoints the soups draw from: both ends of the 32-bit AS space
+    /// and a few clusters, so that small soups split into several
+    /// components and collide often enough to repeat links.
+    const POOL: [u32; 12] = [
+        0,
+        1,
+        2,
+        3,
+        7018,
+        7019,
+        65_535,
+        65_536,
+        4_200_000_000,
+        4_294_967_294,
+        u32::MAX - 2,
+        u32::MAX,
+    ];
+
+    /// What cleanup must produce, computed the plain way: a set of
+    /// `(min, max)` links, its endpoints ranked by sorting, components
+    /// by relabelling to a fixed point. With `largest_cc`, one of the
+    /// largest components is kept; which one, on a size tie, is the
+    /// pipeline's choice, so `pick` names a kept AS (if any) to follow.
+    fn reference(
+        pairs: &[(u32, u32)],
+        largest_cc: bool,
+        pick: Option<u32>,
+    ) -> (CleanupCounters, Vec<u32>, Vec<(u32, u32)>) {
+        let links: BTreeSet<(u32, u32)> = pairs
+            .iter()
+            .filter(|(u, v)| u != v)
+            .map(|&(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        let self_loops = pairs.iter().filter(|(u, v)| u == v).count() as u64;
+        let ids: BTreeSet<u32> = links.iter().flat_map(|&(u, v)| [u, v]).collect();
+        let mut label: BTreeMap<u32, u32> = ids.iter().map(|&x| (x, x)).collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &(u, v) in &links {
+                let low = label[&u].min(label[&v]);
+                for x in [u, v] {
+                    if label[&x] != low {
+                        label.insert(x, low);
+                        changed = true;
+                    }
+                }
+            }
+        }
+        let mut sizes: BTreeMap<u32, u64> = BTreeMap::new();
+        for &l in label.values() {
+            *sizes.entry(l).or_default() += 1;
+        }
+        let mut counters = CleanupCounters {
+            raw_records: pairs.len() as u64,
+            self_loops_removed: self_loops,
+            duplicates_removed: pairs.len() as u64 - self_loops - links.len() as u64,
+            distinct_nodes: ids.len() as u64,
+            edges: links.len() as u64,
+            components: sizes.len() as u64,
+            largest_cc_applied: largest_cc,
+            ..CleanupCounters::default()
+        };
+        let mut kept_links: Vec<(u32, u32)> = links.iter().copied().collect();
+        let mut kept_ids: Vec<u32> = ids.iter().copied().collect();
+        if largest_cc && sizes.len() > 1 {
+            let largest = *sizes.values().max().expect("non-empty");
+            let keep = pick
+                .map(|x| label[&x])
+                .filter(|l| sizes[l] == largest)
+                .expect("the pipeline kept one of the largest components");
+            kept_links.retain(|(u, _)| label[u] == keep);
+            kept_ids.retain(|x| label[x] == keep);
+            counters.lcc_nodes_dropped = (ids.len() - kept_ids.len()) as u64;
+            counters.lcc_edges_dropped = (links.len() - kept_links.len()) as u64;
+        }
+        counters.identity_ids = kept_ids.iter().enumerate().all(|(i, &x)| x as usize == i);
+        let rank = |x: u32| kept_ids.binary_search(&x).expect("kept endpoint") as u32;
+        let edges = kept_links
+            .iter()
+            .map(|&(u, v)| (rank(u), rank(v)))
+            .collect();
+        (counters, kept_ids, edges)
+    }
+
+    proptest! {
+        /// The packed-key pipeline agrees with the plain reference on
+        /// every counter, the id table and the edge list, with and
+        /// without the largest-component filter.
+        #[test]
+        fn packed_cleanup_matches_reference(
+            draws in prop::collection::vec((0usize..12, 0usize..12), 0..48),
+        ) {
+            let pairs: Vec<(u32, u32)> = draws.iter().map(|&(a, b)| (POOL[a], POOL[b])).collect();
+            for largest_cc in [false, true] {
+                let out = clean(pairs.clone(), largest_cc);
+                let (counters, ids, edges) =
+                    reference(&pairs, largest_cc, out.external_ids.first().copied());
+                prop_assert_eq!(out.counters, counters);
+                prop_assert_eq!(&out.external_ids, &ids);
+                prop_assert_eq!(out.graph.edges().collect::<Vec<_>>(), edges);
+                prop_assert_eq!(out.graph.node_count(), ids.len());
+            }
+        }
+    }
+
+    fn keys(pairs: &[(u32, u32)]) -> Vec<u64> {
+        pairs.iter().map(|&(u, v)| pack(u, v)).collect()
+    }
 
     fn clean(pairs: Vec<(u32, u32)>, lcc: bool) -> CleanedGraph {
-        cleanup(pairs, lcc, &Limits::default()).unwrap()
+        cleanup(keys(&pairs), lcc, &Limits::default()).unwrap()
     }
 
     #[test]
@@ -281,7 +412,7 @@ mod tests {
             max_nodes: 3,
             ..Limits::default()
         };
-        let err = cleanup(vec![(1, 2), (3, 4)], false, &limits).unwrap_err();
+        let err = cleanup(keys(&[(1, 2), (3, 4)]), false, &limits).unwrap_err();
         assert!(
             matches!(
                 err.kind(),

@@ -101,7 +101,9 @@ pub struct IngestOutcome {
 pub struct Ingestor {
     opts: IngestOptions,
     budget: RunBudget,
-    pairs: Vec<(u32, u32)>,
+    /// Raw endpoint pairs, packed `(u << 32) | v` as the sources wrote
+    /// them; at most `max_edge_records` of them.
+    pairs: Vec<u64>,
     sources: Vec<SourceReport>,
 }
 

@@ -151,7 +151,7 @@ impl<R: BufRead> LineReader<R> {
             // before `charge_bytes` re-borrows `self`. The copy is
             // bounded by `room` either way, and a failed charge aborts
             // the run before anything is consumed.
-            match chunk[..take].iter().position(|&b| b == b'\n') {
+            match find_newline(&chunk[..take]) {
                 Some(nl) => {
                     self.buf.extend_from_slice(&chunk[..nl]);
                     self.charge_bytes(nl as u64 + 1)?;
@@ -192,7 +192,7 @@ impl<R: BufRead> LineReader<R> {
                 self.terminated = true;
                 return Ok(());
             }
-            match chunk.iter().position(|&b| b == b'\n') {
+            match find_newline(chunk) {
                 Some(nl) => {
                     self.charge_bytes(nl as u64 + 1)?;
                     self.inner.consume(nl + 1);
@@ -236,9 +236,113 @@ impl<R: BufRead> LineReader<R> {
     }
 }
 
+/// Index of the first `\n` in `bytes`, tested a 64-bit word at a time.
+///
+/// Each word is XORed with eight newlines, which turns newline bytes
+/// into zero bytes, and the classic zero-byte test
+/// `(w - 0x01..01) & !w & 0x80..80` flags them. A borrow out of a true
+/// zero byte can also flag the byte *above* it (a `0x0B` right after a
+/// newline, say), but never one below, so the lowest flagged byte of a
+/// little-endian load is always the first newline.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut base = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ NEWLINES;
+        let hits = w.wrapping_sub(ONES) & !w & HIGHS;
+        if hits != 0 {
+            return Some(base + hits.trailing_zeros() as usize / 8);
+        }
+        base += 8;
+    }
+    let tail = words.remainder();
+    tail.iter().position(|&b| b == b'\n').map(|i| base + i)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::io::BufReader;
+
+    /// Bytes that sit where the word-at-a-time test can go wrong: the
+    /// newline itself, `0x0B` (the XOR makes it `0x01`, which the
+    /// borrow out of a newline just below it falsely flags), bytes with
+    /// the high bit set, and zero.
+    const TRICKY: [u8; 10] = [b'\n', 0x0B, 0x80, 0x8A, 0xFF, 0x00, 0x01, 0x09, b'\r', b'a'];
+
+    /// Maps `(choice, raw)` draws to bytes, two in three from
+    /// [`TRICKY`] and the rest arbitrary.
+    fn bytes_from(draws: &[(usize, u8)]) -> Vec<u8> {
+        draws
+            .iter()
+            .map(|&(choice, raw)| TRICKY.get(choice).copied().unwrap_or(raw))
+            .collect()
+    }
+
+    /// One framing step: outcome, buffer, line number, bytes charged.
+    type Frame = (LineOutcome, Vec<u8>, u64, u64);
+
+    /// Every frame a reader yields, skipping each over-long line.
+    fn frames<R: BufRead>(mut r: LineReader<R>) -> Vec<Frame> {
+        let mut out = Vec::new();
+        loop {
+            let outcome = r.next_line().unwrap();
+            out.push((outcome, r.line().to_vec(), r.line_no(), r.bytes_used()));
+            match outcome {
+                LineOutcome::Eof => return out,
+                LineOutcome::TooLong => r.discard_line().unwrap(),
+                LineOutcome::Line => {}
+            }
+        }
+    }
+
+    #[test]
+    fn newline_finder_edges() {
+        assert_eq!(find_newline(b""), None);
+        assert_eq!(find_newline(b"\n"), Some(0));
+        assert_eq!(find_newline(b"\n\x0B\x0B\x0B\x0B\x0B\x0B\x0B"), Some(0));
+        assert_eq!(find_newline(b"\xFF\x80\x8A\x0B\x00\x01\x09\n"), Some(7));
+        assert_eq!(find_newline(b"\xFF\x80\x8A\x0B\x00\x01\x09\x0B"), None);
+        assert_eq!(find_newline(b"01234567\x0B\x0B\n"), Some(10));
+    }
+
+    proptest! {
+        /// The word-at-a-time finder agrees with the byte loop at every
+        /// alignment.
+        #[test]
+        fn newline_finder_matches_byte_scan(
+            draws in prop::collection::vec((0usize..15, 0u8..=255), 0..160),
+        ) {
+            let bytes = bytes_from(&draws);
+            for start in 0..bytes.len().min(9) {
+                let tail = &bytes[start..];
+                prop_assert_eq!(find_newline(tail), tail.iter().position(|&b| b == b'\n'));
+            }
+        }
+
+        /// Lines framed through a tiny `BufReader`, so that lines
+        /// straddle refills, are the lines framed through a big one:
+        /// same outcomes, contents, numbers and bytes charged.
+        #[test]
+        fn framing_is_independent_of_refill_size(
+            draws in prop::collection::vec((0usize..15, 0u8..=255), 0..120),
+            max_line in 1usize..24,
+        ) {
+            let data = bytes_from(&draws);
+            let framed = |capacity: usize| {
+                let inner = BufReader::with_capacity(capacity, &data[..]);
+                frames(LineReader::new(inner, max_line, 1 << 20, 1 << 20, 1 << 20, 1 << 20))
+            };
+            let reference = framed(8192);
+            for capacity in 1..=17 {
+                prop_assert_eq!(&framed(capacity), &reference);
+            }
+        }
+    }
 
     fn reader(data: &[u8], max_line: usize) -> LineReader<&[u8]> {
         LineReader::new(data, max_line, 1 << 20, 1 << 20, 1 << 20, 1 << 20)

@@ -116,8 +116,19 @@ impl RunBudget {
     }
 }
 
+/// Packs an endpoint pair into one raw record, `u` in the high half,
+/// in the orientation the source wrote it.
+pub(crate) fn pack(u: u32, v: u32) -> u64 {
+    (u64::from(u) << 32) | u64::from(v)
+}
+
+/// The endpoint pair a [`pack`]ed key holds.
+pub(crate) fn unpack(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
+}
+
 /// Parses one source, pushing every accepted endpoint pair into
-/// `pairs`. Returns the per-source report.
+/// `pairs` as a [`pack`]ed key. Returns the per-source report.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn parse_source<R: BufRead>(
     reader: R,
@@ -127,9 +138,12 @@ pub(crate) fn parse_source<R: BufRead>(
     lenient: bool,
     cancel: Option<&CancelToken>,
     budget: &mut RunBudget,
-    pairs: &mut Vec<(u32, u32)>,
+    pairs: &mut Vec<u64>,
 ) -> Result<SourceReport, IngestFailure> {
     let mut report = SourceReport::new(name, format);
+    // The two AS-links member sets, reused line to line; each holds at
+    // most `max_moas_set` members.
+    let mut sets = (Vec::new(), Vec::new());
     let mut lines = LineReader::new(
         reader,
         limits.max_line_bytes,
@@ -213,6 +227,7 @@ pub(crate) fn parse_source<R: BufRead>(
             limits,
             budget,
             pairs,
+            &mut sets,
             &mut report.edges_emitted,
         );
         match result {
@@ -272,7 +287,8 @@ fn parse_record(
     line_no: u64,
     limits: &Limits,
     budget: &mut RunBudget,
-    pairs: &mut Vec<(u32, u32)>,
+    pairs: &mut Vec<u64>,
+    (set1, set2): &mut (Vec<u32>, Vec<u32>),
     edges_emitted: &mut u64,
 ) -> Result<(), IngestError> {
     let mut emit = |u: u32, v: u32| -> Result<(), IngestError> {
@@ -288,7 +304,7 @@ fn parse_record(
             ));
         }
         budget.records_left -= 1;
-        pairs.push((u, v));
+        pairs.push(pack(u, v));
         *edges_emitted += 1;
         Ok(())
     };
@@ -331,10 +347,10 @@ fn parse_record(
                 return Err(field_count(name, line_no, 2, "at least 3"));
             };
             // Trailing columns (link counts, monitor lists) are ignored.
-            let set1 = parse_as_set(name, line_no, c1, f1, limits)?;
-            let set2 = parse_as_set(name, line_no, c2, f2, limits)?;
-            for &u in &set1 {
-                for &v in &set2 {
+            parse_as_set(name, line_no, c1, f1, limits, set1)?;
+            parse_as_set(name, line_no, c2, f2, limits, set2)?;
+            for &u in set1.iter() {
+                for &v in set2.iter() {
                     emit(u, v)?;
                 }
             }
@@ -374,32 +390,44 @@ fn bad_as(name: &str, line: u64, column: u32, field: &[u8], reason: BadAsReason)
 }
 
 /// Parses a multi-origin AS set field (`"7018"`, `"3257_29"`,
-/// `"1,2,3"`), capped at `limits.max_moas_set` members.
+/// `"1,2,3"`) into `out`, capped at `limits.max_moas_set` members.
 fn parse_as_set(
     name: &str,
     line_no: u64,
     col: u32,
     field: &[u8],
     limits: &Limits,
-) -> Result<Vec<u32>, IngestError> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    let mut saw_any_element = false;
+    out: &mut Vec<u32>,
+) -> Result<(), IngestError> {
+    out.clear();
+    // The common case, one member: a field `parse_as` accepts holds no
+    // separator. Any rejection is re-diagnosed below, element by element.
+    if limits.max_moas_set > 0 {
+        if let Ok(v) = parse_as(field, false) {
+            out.push(v);
+            return Ok(());
+        }
+    }
+    let is_separator = |b: &u8| *b == b',' || *b == b'_';
+    // Decided once per field, not per empty element: rescanning the
+    // field for every `,` of a separator-only field is quadratic.
+    if field.iter().all(is_separator) {
+        return Err(IngestError::new(
+            name,
+            line_no,
+            Some(col),
+            IngestErrorKind::EmptyAsSet,
+        ));
+    }
+    let mut start = 0;
     for i in 0..=field.len() {
-        let boundary = i == field.len() || field[i] == b',' || field[i] == b'_';
-        if !boundary {
+        if i < field.len() && !is_separator(&field[i]) {
             continue;
         }
         let element = &field[start..i];
         let element_col = col + start as u32;
-        saw_any_element = saw_any_element || i > start;
         if element.is_empty() {
-            // `_`-only or `,,`: an empty member. A fully empty field is
-            // reported as an empty set below.
-            if field.iter().all(|&b| b == b',' || b == b'_') {
-                start = i + 1;
-                continue;
-            }
+            // `,,`, or a leading or trailing separator, beside a member.
             return Err(bad_as(
                 name,
                 line_no,
@@ -424,15 +452,7 @@ fn parse_as_set(
         out.push(v);
         start = i + 1;
     }
-    if out.is_empty() {
-        return Err(IngestError::new(
-            name,
-            line_no,
-            Some(col),
-            IngestErrorKind::EmptyAsSet,
-        ));
-    }
-    Ok(out)
+    Ok(())
 }
 
 /// Parses one AS number: ASCII digits, optionally `AS`/`as`-prefixed
@@ -451,10 +471,8 @@ fn parse_as(field: &[u8], allow_prefix: bool) -> Result<u32, BadAsReason> {
         if !b.is_ascii_digit() {
             return Err(BadAsReason::NotANumber);
         }
-        value = value
-            .checked_mul(10)
-            .and_then(|v| v.checked_add(u64::from(b - b'0')))
-            .ok_or(BadAsReason::ExceedsAsSpace)?;
+        // `value` is at most `u32::MAX` here, so this cannot overflow.
+        value = value * 10 + u64::from(b - b'0');
         if value > u64::from(u32::MAX) {
             return Err(BadAsReason::ExceedsAsSpace);
         }
@@ -574,6 +592,8 @@ mod tests {
             &mut budget,
             &mut pairs,
         )?;
+        // Decode the packed keys back to pairs, in emission order.
+        let pairs = pairs.into_iter().map(unpack).collect();
         Ok((report, pairs))
     }
 
@@ -711,10 +731,33 @@ mod tests {
 
     #[test]
     fn failing_line_emits_nothing() {
-        // The M record emits (1,3) before failing on "x": the rollback
-        // must retract it so lenient acceptance is per-line atomic.
+        // Both AS sets are parsed before the cross product, so the M
+        // record fails on "x" having emitted nothing. Whatever a failing
+        // line did emit, the rollback retracts, so lenient acceptance is
+        // per-line atomic.
         let (_, pairs) = run("M\t1\t3,x\nD 7 8\n", Format::AsLinks, true).unwrap();
         assert_eq!(pairs, vec![(7, 8)]);
+    }
+
+    #[test]
+    fn separator_only_sets_cost_linear_time() {
+        // Whether a field holds only separators is decided once per
+        // field; deciding it per empty element made each of these lines
+        // cost seconds.
+        let line = format!("D\t{}\t1\n", ",".repeat(60_000));
+        let text = line.repeat(16);
+        let started = std::time::Instant::now();
+        let (r, pairs) = run(&text, Format::AsLinks, true).unwrap();
+        assert_eq!(r.skipped.empty_as_set, 16);
+        assert!(pairs.is_empty());
+        let err = run(&text, Format::AsLinks, false).unwrap_err();
+        let IngestFailure::Parse(e) = err else {
+            panic!("expected parse failure");
+        };
+        assert_eq!(e.line(), 1);
+        assert_eq!(e.column(), Some(3));
+        assert!(matches!(e.kind(), IngestErrorKind::EmptyAsSet), "{e}");
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
     }
 
     #[test]
