@@ -129,14 +129,13 @@ impl GraphBuilder {
             adjacency[cursor[v as usize]] = u;
             cursor[v as usize] += 1;
         }
-        // Each neighbour list is filled in ascending order of the *other*
-        // endpoint only for the `u` side; the `v` side gets sources in
-        // ascending `u` order too (edges are sorted), so both sides are
-        // already sorted. Sorting again defensively is cheap relative to
-        // construction and guards the invariant.
-        for v in 0..n {
-            adjacency[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
+        // The edges are sorted and distinct, so each node first receives
+        // its smaller neighbours (as the `v` of ascending `u`s), then its
+        // larger ones (as the `u` of ascending `v`s): every list is
+        // already strictly ascending.
+        debug_assert!((0..n).all(|v| adjacency[offsets[v]..offsets[v + 1]]
+            .windows(2)
+            .all(|w| w[0] < w[1])));
         Graph::from_csr(offsets, adjacency)
     }
 }

@@ -25,6 +25,28 @@ proptest! {
         prop_assert_eq!(g, g2);
     }
 
+    /// The builder's neighbour lists are strictly ascending and
+    /// symmetric, whatever the soup holds: self-loops, repeats, both
+    /// orientations.
+    #[test]
+    fn built_neighbour_lists_are_sorted_and_symmetric(edges in edge_soup(30, 200)) {
+        let g = GraphBuilder::from_iter(edges.iter().copied()).build();
+        for u in g.node_ids() {
+            let list = g.neighbors(u);
+            prop_assert!(list.windows(2).all(|w| w[0] < w[1]), "{u}: {list:?}");
+            for &v in list {
+                prop_assert!(v != u);
+                prop_assert!(g.neighbors(v).binary_search(&u).is_ok(), "{u}-{v} one-sided");
+            }
+        }
+        let expect: HashSet<(NodeId, NodeId)> = edges
+            .iter()
+            .filter(|(u, v)| u != v)
+            .map(|&(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        prop_assert_eq!(g.edges().collect::<HashSet<_>>(), expect);
+    }
+
     /// Handshake lemma: sum of degrees equals twice the edge count.
     #[test]
     fn handshake(edges in edge_soup(40, 200)) {

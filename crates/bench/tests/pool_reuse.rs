@@ -6,14 +6,14 @@
 //! cargo test -p bench --features memprof --test pool_reuse --release
 //! ```
 //!
-//! The persistent executor exists to amortise two per-call costs of the
-//! old `crossbeam::scope` pipelines: OS thread spawning and scratch
-//! (re)allocation. Both are observable from outside — thread creation
-//! through `exec::Pool::spawned_threads`, allocation churn through the
-//! counting allocator's cumulative byte counter — so this test pins the
-//! amortisation down as numbers rather than trusting the design. It is
-//! the only test in its binary, so no sibling test can grow the
-//! process-wide pool between its census readings.
+//! The persistent executor exists to amortise two per-call costs: OS
+//! thread spawning and scratch (re)allocation. Both are observable
+//! from outside — thread creation through `exec::Pool::spawned_threads`,
+//! allocation churn through the counting allocator's cumulative byte
+//! counter — so this test pins the amortisation down as numbers rather
+//! than trusting the design. It is the only test in its binary, so no
+//! sibling test can grow the process-wide pool between its census
+//! readings.
 
 #![cfg(feature = "memprof")]
 

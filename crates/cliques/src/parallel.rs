@@ -21,11 +21,10 @@
 //! is the sequential-order reference. [`max_cliques_parallel`] and
 //! [`crate::max_cliques`] run it with a [`CliqueSet`] as the consumer.
 //!
-//! Two things distinguish this from the per-call `crossbeam::scope`
-//! version it replaced: workers are warm pool threads (woken, not
-//! spawned), and each worker's bitset-kernel scratch lives in its pool
-//! arena, so the bitset row pool and local-index buffers persist across
-//! calls instead of being reallocated every time. [`Threads::Auto`]
+//! Workers are warm pool threads (woken, not spawned), and each
+//! worker's bitset-kernel scratch lives in its pool arena, so the
+//! bitset row pool and local-index buffers persist across calls instead
+//! of being reallocated every time. [`Threads::Auto`]
 //! (the default for the CLI) additionally routes graphs below a work
 //! threshold to the one-worker path, so tiny substrates never pay
 //! parallel overhead at all.

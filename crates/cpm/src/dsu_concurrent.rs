@@ -238,17 +238,16 @@ mod tests {
         let n = 1024u32;
         let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         let d = ConcurrentDsu::new(n as usize);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for chunk in edges.chunks(64) {
                 let d = &d;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for &(a, b) in chunk {
                         d.union(a, b);
                     }
                 });
             }
-        })
-        .expect("scope");
+        });
         assert_eq!(d.set_count(), 1);
         for i in 0..n {
             assert_eq!(d.find(i), 0);

@@ -99,17 +99,16 @@ fn stress_concurrent_unions_many_threads() {
     for round in 0..repeats {
         let conc = ConcurrentDsu::new(n as usize);
         let chunk = edges.len() / threads + 1;
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for slice in edges.chunks(chunk) {
                 let conc = &conc;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for &(a, b) in slice {
                         conc.union(a, b);
                     }
                 });
             }
-        })
-        .expect("stress scope");
+        });
         assert_eq!(seq.set_count(), conc.set_count(), "round {round}");
         for x in 0..n {
             let r = conc.find(x);
@@ -128,10 +127,10 @@ fn stress_concurrent_unions_many_threads() {
 fn stress_overlapping_ranges() {
     let n: u32 = 4096;
     let conc = ConcurrentDsu::new(n as usize);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..8u32 {
             let conc = &conc;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 // Every worker walks the same ladder, offset differently.
                 for i in 0..n - 1 {
                     let a = (i + t * 512) % (n - 1);
@@ -139,8 +138,7 @@ fn stress_overlapping_ranges() {
                 }
             });
         }
-    })
-    .expect("stress scope");
+    });
     assert_eq!(conc.set_count(), 1);
     for x in 0..n {
         assert_eq!(conc.find(x), 0);

@@ -1,16 +1,9 @@
 //! Persistent work-stealing executor for the CPM pipeline.
 //!
-//! Every parallel phase of the pipeline — clique enumeration, overlap
-//! counting, the stratum drains of the fused sweep, the streaming
-//! multi-k waves — used to spawn fresh OS threads through a
-//! `crossbeam::scope` on each call. That is correct but slow: thread
-//! startup/teardown costs tens of microseconds per worker, and every
-//! call re-allocated its scratch state (bitset rows, stamp arrays,
-//! overlap counters) from a cold heap. On small and medium substrates
-//! the overhead swamped the work, and every `*_par` bench row lost to
-//! sequential.
-//!
-//! This crate replaces the per-call scopes with one **persistent pool**:
+//! Every parallel phase of the pipeline — clique enumeration, the
+//! finish-time pair passes, the sweep and extraction — runs on one
+//! **persistent pool**, so no call pays thread startup or re-allocates
+//! its scratch state from a cold heap:
 //!
 //! * [`Pool`] — lazily spawned worker threads that park on a condvar
 //!   between jobs. A job is published once, workers wake, run it, and go
@@ -36,9 +29,7 @@
 //!   without tearing down the pool.
 //!
 //! Parking uses `std::sync` primitives (`Mutex`/`Condvar`/`Barrier`)
-//! directly — the vendored crossbeam subset only provides scoped
-//! spawning, which is exactly the per-call cost this crate exists to
-//! avoid.
+//! directly.
 
 mod absorb;
 mod arena;

@@ -12,11 +12,8 @@
 //! "claimed" flag to clear and no ABA hazard on the job slot.
 //!
 //! The calling thread never parks: it participates as worker 0, so a
-//! `run(n, f)` costs `n − 1` condvar wakeups of already-warm threads.
-//! Compare the `crossbeam::scope` pattern this replaces: `n` fresh
-//! `clone(2)`/stack allocations per call, plus `join` teardown — tens
-//! of microseconds that swamped sub-millisecond phases and made every
-//! 4-thread bench row slower than sequential.
+//! `run(n, f)` costs `n − 1` condvar wakeups of already-warm threads,
+//! not `n` thread spawns and joins.
 //!
 //! Completion is signalled on a second condvar: each participating
 //! worker decrements `running`; the publisher waits for zero before

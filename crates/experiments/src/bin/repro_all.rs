@@ -1,63 +1,36 @@
-//! Runs the entire reproduction: launches each experiment binary in
-//! [`BINARIES`] as a child process with the same flags, one after the
-//! other. Each child generates its own topology and percolates it
-//! afresh; nothing is shared between them. Writes all artefacts when
-//! `--out` is given.
+//! Runs the entire reproduction in one process: computes the shared
+//! analysis once, then runs every experiment of
+//! [`experiments::EXPERIMENTS`] over it in presentation order (or just
+//! the one named by `--only`), and writes the artifacts when `--out` is
+//! given.
 //!
 //! This is the binary behind `EXPERIMENTS.md`.
 
-use experiments::Options;
-use std::process::Command;
-
-/// Experiment binaries in presentation order: first the paper's own
-/// artefacts, then the extension experiments.
-const BINARIES: &[&str] = &[
-    // paper artefacts
-    "dataset_summary",
-    "table_2_1",
-    "table_2_2",
-    "fig_4_1",
-    "fig_4_2",
-    "fig_4_3",
-    "fig_4_4",
-    "overlap_analysis",
-    "ixp_analysis",
-    "crown_trunk_root",
-    "baseline_comparison",
-    // extensions
-    "topology_validation",
-    "community_significance",
-    "zp_analysis",
-    "cover_distributions",
-    "evolution",
-    "directed_cpm",
-    "census_blowup",
-];
+use experiments::{Options, EXPERIMENTS};
 
 fn main() {
-    // Validate flags once up front (each child re-parses them).
-    let _ = Options::from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let exe = std::env::current_exe().expect("current exe path");
-    let bin_dir = exe.parent().expect("exe has a directory");
-
-    let mut failures = Vec::new();
-    for name in BINARIES {
-        println!("\n================================================================");
-        println!("== {name}");
-        println!("================================================================");
-        let path = bin_dir.join(name);
-        let status = Command::new(&path)
-            .args(&args)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {}: {e}", path.display()));
-        if !status.success() {
-            failures.push(*name);
+    let opts = Options::from_env();
+    let analysis = opts.run_analysis();
+    let selected: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| opts.only.as_deref().is_none_or(|only| only == *name))
+        .collect();
+    for (name, run) in &selected {
+        if opts.only.is_none() {
+            println!("\n================================================================");
+            println!("== {name}");
+            println!("================================================================");
+        }
+        let artifacts = run(&analysis, &opts);
+        let Some(dir) = &opts.out else { continue };
+        std::fs::create_dir_all(dir).expect("create output dir");
+        for artifact in artifacts {
+            let path = dir.join(&artifact.name);
+            std::fs::write(&path, artifact.contents).expect("write artifact");
+            eprintln!("# wrote {}", path.display());
         }
     }
-    if !failures.is_empty() {
-        eprintln!("\nFAILED experiments: {failures:?}");
-        std::process::exit(1);
+    if opts.only.is_none() {
+        println!("\nall {} experiments completed", selected.len());
     }
-    println!("\nall {} experiments completed", BINARIES.len());
 }

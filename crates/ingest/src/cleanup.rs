@@ -131,9 +131,10 @@ pub(crate) fn cleanup(
     }
     counters.components = dsu.component_count() as u64;
 
-    // Stage 5: optionally keep only the largest component (size ties
-    // broken by the smallest root rank, deterministically). Kept ranks
-    // are renumbered in order, so the keys stay sorted.
+    // Stage 5: optionally keep only the largest component; on a size tie,
+    // the one holding the smallest AS. Ranks ascend with AS number, so
+    // that is the component of the first rank in a largest component.
+    // Kept ranks are renumbered in order, so the keys stay sorted.
     if largest_cc && counters.components > 1 {
         counters.largest_cc_applied = true;
         let roots: Vec<u32> = (0..ids.len()).map(|i| dsu.find(i) as u32).collect();
@@ -141,10 +142,11 @@ pub(crate) fn cleanup(
         for &root in &roots {
             size[root as usize] += 1;
         }
-        let keep_root = (0..ids.len())
-            .filter(|&i| roots[i] as usize == i)
-            .max_by_key(|&i| (size[i], std::cmp::Reverse(i)))
-            .expect("non-empty id set has a root") as u32;
+        let keep_root = roots
+            .iter()
+            .copied()
+            .min_by_key(|&root| std::cmp::Reverse(size[root as usize]))
+            .expect("non-empty id set has a root");
         let nodes_before = ids.len();
         let mut new_rank = vec![0u32; nodes_before];
         let mut kept = 0;
@@ -254,13 +256,12 @@ mod tests {
 
     /// What cleanup must produce, computed the plain way: a set of
     /// `(min, max)` links, its endpoints ranked by sorting, components
-    /// by relabelling to a fixed point. With `largest_cc`, one of the
-    /// largest components is kept; which one, on a size tie, is the
-    /// pipeline's choice, so `pick` names a kept AS (if any) to follow.
+    /// by relabelling to a fixed point. With `largest_cc`, the largest
+    /// component with the smallest label is kept: labels are each
+    /// component's smallest AS.
     fn reference(
         pairs: &[(u32, u32)],
         largest_cc: bool,
-        pick: Option<u32>,
     ) -> (CleanupCounters, Vec<u32>, Vec<(u32, u32)>) {
         let links: BTreeSet<(u32, u32)> = pairs
             .iter()
@@ -301,10 +302,10 @@ mod tests {
         let mut kept_ids: Vec<u32> = ids.iter().copied().collect();
         if largest_cc && sizes.len() > 1 {
             let largest = *sizes.values().max().expect("non-empty");
-            let keep = pick
-                .map(|x| label[&x])
-                .filter(|l| sizes[l] == largest)
-                .expect("the pipeline kept one of the largest components");
+            let keep = *sizes
+                .keys()
+                .find(|l| sizes[*l] == largest)
+                .expect("non-empty");
             kept_links.retain(|(u, _)| label[u] == keep);
             kept_ids.retain(|x| label[x] == keep);
             counters.lcc_nodes_dropped = (ids.len() - kept_ids.len()) as u64;
@@ -330,8 +331,7 @@ mod tests {
             let pairs: Vec<(u32, u32)> = draws.iter().map(|&(a, b)| (POOL[a], POOL[b])).collect();
             for largest_cc in [false, true] {
                 let out = clean(pairs.clone(), largest_cc);
-                let (counters, ids, edges) =
-                    reference(&pairs, largest_cc, out.external_ids.first().copied());
+                let (counters, ids, edges) = reference(&pairs, largest_cc);
                 prop_assert_eq!(out.counters, counters);
                 prop_assert_eq!(&out.external_ids, &ids);
                 prop_assert_eq!(out.graph.edges().collect::<Vec<_>>(), edges);
@@ -404,6 +404,25 @@ mod tests {
         // Two 2-node components; the one containing the smallest AS wins.
         let out = clean(vec![(5, 6), (1, 2)], true);
         assert_eq!(out.external_ids, vec![1, 2]);
+        // Two 6-node components. Union by size makes rank 7 (AS 11) the
+        // root of AS 0's component and rank 1 (AS 1) the star's root, so
+        // the smallest root is in the component without the smallest AS.
+        let out = clean(
+            vec![
+                (0, 20),
+                (11, 12),
+                (11, 13),
+                (11, 14),
+                (14, 20),
+                (1, 2),
+                (1, 3),
+                (1, 4),
+                (1, 5),
+                (1, 6),
+            ],
+            true,
+        );
+        assert_eq!(out.external_ids, vec![0, 11, 12, 13, 14, 20]);
     }
 
     #[test]
