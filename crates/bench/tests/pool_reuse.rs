@@ -1,11 +1,5 @@
 //! Pool reuse, measured: warm calls must not re-pay cold-start costs.
 //!
-//! Requires the `memprof` counting allocator:
-//!
-//! ```text
-//! cargo test -p bench --features memprof --test pool_reuse --release
-//! ```
-//!
 //! The persistent executor exists to amortise two per-call costs: OS
 //! thread spawning and scratch (re)allocation. Both are observable
 //! from outside — thread creation through `exec::Pool::spawned_threads`,
@@ -14,8 +8,6 @@
 //! than trusting the design. It is the only test in its binary, so no
 //! sibling test can grow the process-wide pool between its census
 //! readings.
-
-#![cfg(feature = "memprof")]
 
 use exec::Pool;
 

@@ -69,7 +69,7 @@ pub fn run(analysis: &Analysis, _opts: &Options) -> Vec<Artifact> {
     );
     let odf = main_vs_parallel_svg(
         "Figure 4.4(b) — average ODF vs k",
-        "value",
+        "average ODF",
         false,
         (&main, &parallel),
         |r| r.average_odf,
