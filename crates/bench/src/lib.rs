@@ -1,17 +1,18 @@
 //! The bench harness behind the committed `BENCH_*.json` records.
 //!
-//! One binary, `bench`, runs one suite per call — `kernel`, `pool`,
-//! `serve` or `faultio` — or `bench all`, which reruns every suite
-//! at its defaults (the settings of its committed record) and rewrites
-//! all four files. Every row of every suite has the same keys in the
-//! same order ([`COLUMNS`]); a suite writes `null` for a value it does
-//! not measure. Peak heap comes from [`memprof::CountingAlloc`], which
-//! the binary always installs.
+//! One binary, `bench`, runs one suite per call — `ingest`, `kernel`,
+//! `pool`, `serve` or `faultio` — or `bench all`, which reruns every
+//! suite at its defaults (the settings of its committed record) and
+//! rewrites all five files. Every row of every suite has the same keys
+//! in the same order ([`COLUMNS`]); a suite writes `null` for a value
+//! it does not measure. Peak heap comes from [`memprof::CountingAlloc`],
+//! which the binary always installs.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod faultio;
+mod ingest;
 mod kernel;
 // memprof implements GlobalAlloc, which is inherently unsafe; the rest
 // of the crate denies unsafe code.
@@ -47,7 +48,13 @@ pub struct Suite {
 type Gate = fn(&[Row]) -> Vec<String>;
 
 /// Every suite, in the order `bench all` runs them.
-pub static SUITES: [Suite; 4] = [kernel::SUITE, pool::SUITE, faultio::SUITE, serve::SUITE];
+pub static SUITES: [Suite; 5] = [
+    ingest::SUITE,
+    kernel::SUITE,
+    pool::SUITE,
+    faultio::SUITE,
+    serve::SUITE,
+];
 
 /// The settings of one suite run.
 struct Args {
@@ -477,8 +484,8 @@ mod tests {
     #[test]
     fn usage_errors_name_the_valid_values() {
         for (line, needle) in [
-            ("", "kernel | pool | faultio | serve | all"),
-            ("bogus", "kernel | pool | faultio | serve | all"),
+            ("", "ingest | kernel | pool | faultio | serve | all"),
+            ("bogus", "ingest | kernel | pool | faultio | serve | all"),
             ("all --iters 3", "takes no flags"),
             ("kernel --check", "--substrate | --iters | --seed | --out"),
             ("serve --iters 3", "--requests"),
@@ -512,9 +519,9 @@ mod tests {
 
         let all = parse_str("all").expect("valid");
         let names: Vec<&str> = all.iter().map(|r| r.suite.name).collect();
-        assert_eq!(names, ["kernel", "pool", "faultio", "serve"]);
+        assert_eq!(names, ["ingest", "kernel", "pool", "faultio", "serve"]);
         assert!(all.iter().all(|r| !r.check));
-        assert_eq!(all[1].substrates, ["medium", "full"]);
-        assert_eq!(all[1].iters, 11);
+        assert_eq!(all[2].substrates, ["medium", "full"]);
+        assert_eq!(all[2].iters, 11);
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! The paper merges several topology sources, then cleans the union:
 //! duplicate links collapse, self-loops go, and (optionally) only the
-//! largest connected component survives. This module does exactly that
-//! over the raw endpoint pairs the parsers emitted, counting every
-//! record each stage drops so the run is auditable.
+//! largest connected component survives. Duplicates and self-loops go
+//! as the parsers accept each line ([`Links`]), so memory follows the
+//! distinct links rather than the records read; [`cleanup`] does the
+//! rest, counting every record each stage drops so the run is
+//! auditable.
 //!
 //! External AS numbers are densified: `asgraph` allocates `max id + 1`
 //! slots, so feeding it raw 32-bit ASNs (e.g. 4200000000) would let one
@@ -14,8 +16,53 @@
 
 use crate::error::{CapKind, IngestError, IngestErrorKind};
 use crate::limits::Limits;
-use crate::parse::{pack, unpack};
 use asgraph::{Graph, GraphBuilder};
+use std::collections::HashSet;
+
+/// Packs a link into one key, `u` in the high half, so that keys sort
+/// as their `(u, v)` pairs.
+fn pack(u: u32, v: u32) -> u64 {
+    (u64::from(u) << 32) | u64::from(v)
+}
+
+/// The endpoint pair a [`pack`]ed key holds.
+fn unpack(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
+}
+
+/// The merge so far: every distinct link accepted, plus the counts of
+/// the raw pairs and self-loops that fed it.
+#[derive(Debug, Default)]
+pub(crate) struct Links {
+    /// Distinct links, normalised to `(min, max)` and [`pack`]ed. std's
+    /// randomly keyed hasher, so crafted AS numbers cannot force
+    /// collisions.
+    distinct: HashSet<u64>,
+    /// Endpoint pairs accepted, duplicates and self-loops included.
+    raw: u64,
+    /// Accepted pairs whose two endpoints were the same AS.
+    self_loops: u64,
+}
+
+impl Links {
+    /// Accepts one endpoint pair in the orientation its source wrote.
+    pub(crate) fn accept(&mut self, u: u32, v: u32) {
+        self.raw += 1;
+        if u == v {
+            self.self_loops += 1;
+        } else {
+            self.distinct.insert(pack(u.min(v), u.max(v)));
+        }
+    }
+
+    /// The distinct links, ascending.
+    #[cfg(test)]
+    pub(crate) fn sorted(&self) -> Vec<(u32, u32)> {
+        let mut keys: Vec<u64> = self.distinct.iter().copied().collect();
+        keys.sort_unstable();
+        keys.into_iter().map(unpack).collect()
+    }
+}
 
 /// Per-stage drop/keep counters for one cleanup run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,39 +102,32 @@ pub struct CleanedGraph {
     pub counters: CleanupCounters,
 }
 
-/// Runs the cleanup pipeline over raw records, each an endpoint pair
-/// [`pack`]ed as the source wrote it.
+/// Runs the cleanup pipeline over the merged links.
 ///
-/// Consumes `keys` (the raw, possibly huge vector) so its memory is
-/// reused for the sort, and then for the ranked links, instead of
-/// cloned.
+/// Consumes `links`: the set is drained into a vector of its distinct
+/// keys and freed, and that vector is sorted and then ranked in place.
+/// It is itself freed before the graph's adjacency is laid out.
 pub(crate) fn cleanup(
-    mut keys: Vec<u64>,
+    links: Links,
     largest_cc: bool,
     limits: &Limits,
 ) -> Result<CleanedGraph, IngestError> {
+    // Stages 1 and 2, self-loops and duplicates out, ran as each pair
+    // was accepted. A packed key sorts as its (min, max) pair.
+    let Links {
+        distinct,
+        raw,
+        self_loops,
+    } = links;
+    let mut keys: Vec<u64> = distinct.into_iter().collect();
+    keys.sort_unstable();
     let mut counters = CleanupCounters {
-        raw_records: keys.len() as u64,
+        raw_records: raw,
+        self_loops_removed: self_loops,
+        duplicates_removed: raw - self_loops - keys.len() as u64,
+        edges: keys.len() as u64,
         ..CleanupCounters::default()
     };
-
-    // Stage 1: self-loops out, orientation normalised to (min, max).
-    keys.retain_mut(|key| {
-        let (u, v) = unpack(*key);
-        *key = pack(u.min(v), u.max(v));
-        u != v
-    });
-    counters.self_loops_removed = counters.raw_records - keys.len() as u64;
-
-    // Stage 2: dedup. A packed key sorts as its (min, max) pair.
-    keys.sort_unstable();
-    let before = keys.len();
-    keys.dedup();
-    // Most raw records are duplicates in a multi-source merge: hand the
-    // slack back before the graph is built next to the keys.
-    keys.shrink_to_fit();
-    counters.duplicates_removed = (before - keys.len()) as u64;
-    counters.edges = keys.len() as u64;
 
     // Stage 3: collect the distinct endpoints, then rank each link's
     // endpoints once. Ranking is monotone, so the ranked keys stay
@@ -101,6 +141,9 @@ pub(crate) fn cleanup(
     }
     ids.sort_unstable();
     ids.dedup();
+    // Two slots per link were reserved: hand the slack back before the
+    // graph is built next to the id table it is returned with.
+    ids.shrink_to_fit();
     counters.distinct_nodes = ids.len() as u64;
     if ids.len() as u64 > limits.max_nodes {
         return Err(IngestError::new(
@@ -171,14 +214,14 @@ pub(crate) fn cleanup(
         counters.largest_cc_applied = true;
     }
 
-    // Stage 6: build over the ranks.
+    // Stage 6: build over the ranks. The keys move into the builder in
+    // ascending order, so its sort is one linear pass, and they (and the
+    // union-find) are freed before the adjacency is laid out.
     // Sorted + distinct, so max id == n-1 implies ids are exactly 0..n.
     counters.identity_ids = ids.last().is_none_or(|&max| max as usize == ids.len() - 1);
     let mut builder = GraphBuilder::with_capacity(ids.len(), keys.len());
-    for &key in &keys {
-        let (u, v) = unpack(key);
-        builder.add_edge(u, v);
-    }
+    builder.add_edges(keys.into_iter().map(unpack));
+    drop(dsu);
     let graph = builder.build();
     Ok(CleanedGraph {
         graph,
@@ -231,7 +274,7 @@ impl Dsu {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
@@ -239,7 +282,7 @@ mod tests {
     /// Endpoints the soups draw from: both ends of the 32-bit AS space
     /// and a few clusters, so that small soups split into several
     /// components and collide often enough to repeat links.
-    const POOL: [u32; 12] = [
+    pub(crate) const POOL: [u32; 12] = [
         0,
         1,
         2,
@@ -259,7 +302,7 @@ mod tests {
     /// by relabelling to a fixed point. With `largest_cc`, the largest
     /// component with the smallest label is kept: labels are each
     /// component's smallest AS.
-    fn reference(
+    pub(crate) fn reference(
         pairs: &[(u32, u32)],
         largest_cc: bool,
     ) -> (CleanupCounters, Vec<u32>, Vec<(u32, u32)>) {
@@ -340,12 +383,16 @@ mod tests {
         }
     }
 
-    fn keys(pairs: &[(u32, u32)]) -> Vec<u64> {
-        pairs.iter().map(|&(u, v)| pack(u, v)).collect()
+    fn merged(pairs: &[(u32, u32)]) -> Links {
+        let mut links = Links::default();
+        for &(u, v) in pairs {
+            links.accept(u, v);
+        }
+        links
     }
 
     fn clean(pairs: Vec<(u32, u32)>, lcc: bool) -> CleanedGraph {
-        cleanup(keys(&pairs), lcc, &Limits::default()).unwrap()
+        cleanup(merged(&pairs), lcc, &Limits::default()).unwrap()
     }
 
     #[test]
@@ -431,7 +478,7 @@ mod tests {
             max_nodes: 3,
             ..Limits::default()
         };
-        let err = cleanup(keys(&[(1, 2), (3, 4)]), false, &limits).unwrap_err();
+        let err = cleanup(merged(&[(1, 2), (3, 4)]), false, &limits).unwrap_err();
         assert!(
             matches!(
                 err.kind(),

@@ -50,6 +50,7 @@ pub use limits::Limits;
 pub use parse::{SkipCounters, SourceReport};
 
 use asgraph::Graph;
+use cleanup::Links;
 use exec::CancelToken;
 use parse::RunBudget;
 use std::fs::File;
@@ -101,9 +102,11 @@ pub struct IngestOutcome {
 pub struct Ingestor {
     opts: IngestOptions,
     budget: RunBudget,
-    /// Raw endpoint pairs, packed `(u << 32) | v` as the sources wrote
-    /// them; at most `max_edge_records` of them.
-    pairs: Vec<u64>,
+    /// The distinct links of every line accepted so far, with the
+    /// counts of raw pairs and self-loops behind them. Its size follows
+    /// the distinct links, not the records read; `max_edge_records`
+    /// bounds the pairs charged to it, duplicates included.
+    links: Links,
     sources: Vec<SourceReport>,
 }
 
@@ -114,7 +117,7 @@ impl Ingestor {
         Ingestor {
             opts,
             budget,
-            pairs: Vec::new(),
+            links: Links::default(),
             sources: Vec::new(),
         }
     }
@@ -134,7 +137,7 @@ impl Ingestor {
             self.opts.lenient,
             self.opts.cancel.as_ref(),
             &mut self.budget,
-            &mut self.pairs,
+            &mut self.links,
         )?;
         self.sources.push(report);
         Ok(self.sources.last().expect("just pushed"))
@@ -168,7 +171,7 @@ impl Ingestor {
 
     /// Runs the cleanup pipeline over everything ingested so far.
     pub fn finish(self) -> Result<IngestOutcome, IngestFailure> {
-        let cleaned = cleanup::cleanup(self.pairs, self.opts.largest_cc, &self.opts.limits)
+        let cleaned = cleanup::cleanup(self.links, self.opts.largest_cc, &self.opts.limits)
             .map_err(IngestFailure::Parse)?;
         Ok(IngestOutcome {
             graph: cleaned.graph,
@@ -319,6 +322,203 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One line of a generated source, and what it must contribute.
+    enum Expect {
+        /// A comment or blank line.
+        Comment,
+        /// An accepted record's endpoint pairs, in the orientation written.
+        Record(Vec<(u32, u32)>),
+        /// A malformed record, tallied by the given skip counter.
+        Skip(fn(&mut SkipCounters) -> &mut u64),
+    }
+
+    /// Renders one drawn line of an edge-list or AS-links source: `kind`
+    /// picks its shape, and `a`, `b`, `c` index the cleanup tests' pool
+    /// of AS numbers, which is small enough that links repeat, in both
+    /// orientations, within and across sources.
+    fn render_line(as_links: bool, kind: u8, (a, b, c): (usize, usize, usize)) -> (String, Expect) {
+        use crate::cleanup::tests::POOL;
+        let (x, y, z) = (POOL[a], POOL[b], POOL[c]);
+        match (as_links, kind) {
+            (false, 0..=2) => (format!("{x} {y}"), Expect::Record(vec![(x, y)])),
+            (true, 0..=2) => (format!("D\t{x}\t{y}"), Expect::Record(vec![(x, y)])),
+            (false, 3) => (format!("{x}\t{x}"), Expect::Record(vec![(x, x)])),
+            (true, 3) => (format!("I {x} {x} 2"), Expect::Record(vec![(x, x)])),
+            (false, 4) => (format!("{x} {y} {z}"), Expect::Skip(|s| &mut s.field_count)),
+            (true, 4) => (
+                format!("M\t{x}_{y}\t{z}"),
+                Expect::Record(vec![(x, z), (y, z)]),
+            ),
+            (false, 5) => (format!("{x}"), Expect::Skip(|s| &mut s.field_count)),
+            (true, 5) => (
+                format!("T {x} {y},{z},{x}"),
+                Expect::Record(vec![(x, y), (x, z), (x, x)]),
+            ),
+            (false, 6) => (format!("{x} AS{y}"), Expect::Skip(|s| &mut s.bad_as_number)),
+            (true, 6) => (
+                format!("D\t{x}_\t{y}"),
+                Expect::Skip(|s| &mut s.bad_as_number),
+            ),
+            (false, 7) => (
+                format!("{x} 9{y}0000000000"),
+                Expect::Skip(|s| &mut s.bad_as_number),
+            ),
+            (true, 7) => (format!("X {x} {y}"), Expect::Skip(|s| &mut s.unknown_tag)),
+            (false, 8) => (
+                format!("{x} {y} # {z}"),
+                Expect::Skip(|s| &mut s.field_count),
+            ),
+            (true, 8) => (format!("M ,_ {y}"), Expect::Skip(|s| &mut s.empty_as_set)),
+            (_, 9) => (format!("# {x}"), Expect::Comment),
+            _ => (" \t".to_owned(), Expect::Comment),
+        }
+    }
+
+    /// What the merge must produce, computed the way cleanup did before
+    /// links were deduplicated on accept: every accepted pair in a
+    /// vector, self-loops out and orientation normalised, sorted and
+    /// deduplicated. The distinct links then go through the cleanup
+    /// tests' plain reference.
+    fn merge_reference(
+        mut pairs: Vec<(u32, u32)>,
+        largest_cc: bool,
+    ) -> (CleanupCounters, Vec<u32>, Vec<(u32, u32)>) {
+        let raw = pairs.len() as u64;
+        pairs.retain_mut(|(u, v)| {
+            (*u, *v) = ((*u).min(*v), (*u).max(*v));
+            u != v
+        });
+        let self_loops = raw - pairs.len() as u64;
+        pairs.sort_unstable();
+        pairs.dedup();
+        let (mut counters, ids, edges) = cleanup::tests::reference(&pairs, largest_cc);
+        counters.raw_records = raw;
+        counters.self_loops_removed = self_loops;
+        counters.duplicates_removed = raw - self_loops - pairs.len() as u64;
+        (counters, ids, edges)
+    }
+
+    proptest! {
+        /// A lenient multi-source merge, deduplicated as lines are
+        /// accepted, equals the reference over the accepted pairs: graph,
+        /// id table, every cleanup counter and every source report. The
+        /// edge-record cap is sometimes set to trip inside a source;
+        /// that source then fails at the line whose pairs overrun it,
+        /// and only the lines before it stay in the merge.
+        #[test]
+        fn merge_matches_reference(
+            sources in prop::collection::vec(
+                (
+                    0u8..2,
+                    prop::collection::vec((0u8..11, (0usize..12, 0usize..12, 0usize..12)), 0..24),
+                ),
+                1..5,
+            ),
+            settings in (0u64..4, 0u8..2),
+        ) {
+            let (cap_quarters, largest_cc) = settings;
+            let sources: Vec<(Format, String, Vec<Expect>)> = sources
+                .iter()
+                .map(|(as_links, draws)| {
+                    let as_links = *as_links == 1;
+                    let mut text = String::new();
+                    let mut expects = Vec::new();
+                    for &(kind, abc) in draws {
+                        let (line, expect) = render_line(as_links, kind, abc);
+                        text.push_str(&line);
+                        text.push('\n');
+                        expects.push(expect);
+                    }
+                    let format = if as_links { Format::AsLinks } else { Format::EdgeList };
+                    (format, text, expects)
+                })
+                .collect();
+            let emitted: u64 = sources
+                .iter()
+                .flat_map(|(_, _, expects)| expects)
+                .map(|e| match e {
+                    Expect::Record(pairs) => pairs.len() as u64,
+                    _ => 0,
+                })
+                .sum();
+            let limits = Limits {
+                max_edge_records: match cap_quarters {
+                    0 => Limits::default().max_edge_records,
+                    q => emitted * q / 4,
+                },
+                ..Limits::default()
+            };
+            let mut ing = Ingestor::new(IngestOptions {
+                lenient: true,
+                largest_cc: largest_cc == 1,
+                limits,
+                ..IngestOptions::default()
+            });
+            let mut records_left = limits.max_edge_records;
+            let mut accepted = Vec::new();
+            let mut reports = Vec::new();
+            for (i, (format, text, expects)) in sources.iter().enumerate() {
+                let mut report = SourceReport {
+                    name: format!("s{i}"),
+                    format: *format,
+                    lines: expects.len() as u64,
+                    bytes: text.len() as u64,
+                    comment_lines: 0,
+                    header_skipped: false,
+                    records: 0,
+                    edges_emitted: 0,
+                    skipped: SkipCounters::default(),
+                };
+                let mut capped_at = None;
+                for (line, expect) in expects.iter().enumerate() {
+                    match expect {
+                        Expect::Comment => report.comment_lines += 1,
+                        Expect::Skip(counter) => *counter(&mut report.skipped) += 1,
+                        Expect::Record(pairs) if pairs.len() as u64 > records_left => {
+                            capped_at = Some(line as u64 + 1);
+                            break;
+                        }
+                        Expect::Record(pairs) => {
+                            records_left -= pairs.len() as u64;
+                            report.records += 1;
+                            report.edges_emitted += pairs.len() as u64;
+                            accepted.extend_from_slice(pairs);
+                        }
+                    }
+                }
+                let got = ing.ingest_reader(&report.name, *format, text.as_bytes());
+                match (got, capped_at) {
+                    (Ok(_), None) => reports.push(report),
+                    (Err(IngestFailure::Parse(e)), Some(line)) => {
+                        prop_assert_eq!(e.line(), line, "{}", e);
+                        prop_assert!(
+                            matches!(
+                                e.kind(),
+                                IngestErrorKind::CapExceeded { cap: CapKind::EdgeRecords, .. }
+                            ),
+                            "{}",
+                            e
+                        );
+                    }
+                    (got, _) => {
+                        return Err(TestCaseError::fail(format!(
+                            "source {i}: got {:?}, expected the cap at line {capped_at:?}",
+                            got.map(|r| r.records)
+                        )));
+                    }
+                }
+            }
+            let out = ing.finish().expect("the merge finishes");
+            let (counters, ids, edges) = merge_reference(accepted, largest_cc == 1);
+            prop_assert_eq!(out.report.cleanup, counters);
+            prop_assert_eq!(&out.external_ids, &ids);
+            prop_assert_eq!(out.graph.edges().collect::<Vec<_>>(), edges);
+            prop_assert_eq!(out.graph.node_count(), ids.len());
+            prop_assert_eq!(&out.report.sources, &reports);
+        }
+    }
 
     #[test]
     fn multi_source_merge() {

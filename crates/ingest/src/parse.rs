@@ -7,6 +7,7 @@
 //! record-level errors are skipped and tallied in [`SkipCounters`];
 //! resource-cap errors abort either way.
 
+use crate::cleanup::Links;
 use crate::error::{BadAsReason, CapKind, IngestError, IngestErrorKind, IngestFailure};
 use crate::format::Format;
 use crate::limits::Limits;
@@ -60,7 +61,7 @@ impl SkipCounters {
 
 /// Per-source parse outcome: what was read, kept, and (leniently)
 /// dropped.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceReport {
     /// Source label (usually the file name).
     pub name: String,
@@ -116,19 +117,8 @@ impl RunBudget {
     }
 }
 
-/// Packs an endpoint pair into one raw record, `u` in the high half,
-/// in the orientation the source wrote it.
-pub(crate) fn pack(u: u32, v: u32) -> u64 {
-    (u64::from(u) << 32) | u64::from(v)
-}
-
-/// The endpoint pair a [`pack`]ed key holds.
-pub(crate) fn unpack(key: u64) -> (u32, u32) {
-    ((key >> 32) as u32, key as u32)
-}
-
-/// Parses one source, pushing every accepted endpoint pair into
-/// `pairs` as a [`pack`]ed key. Returns the per-source report.
+/// Parses one source, handing every endpoint pair of each accepted line
+/// to `links`. Returns the per-source report.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn parse_source<R: BufRead>(
     reader: R,
@@ -138,12 +128,16 @@ pub(crate) fn parse_source<R: BufRead>(
     lenient: bool,
     cancel: Option<&CancelToken>,
     budget: &mut RunBudget,
-    pairs: &mut Vec<u64>,
+    links: &mut Links,
 ) -> Result<SourceReport, IngestFailure> {
     let mut report = SourceReport::new(name, format);
     // The two AS-links member sets, reused line to line; each holds at
     // most `max_moas_set` members.
     let mut sets = (Vec::new(), Vec::new());
+    // The current line's endpoint pairs, as the source wrote them: at
+    // most `max_moas_set²`. They reach `links` only once the whole line
+    // is accepted.
+    let mut staged = Vec::new();
     let mut lines = LineReader::new(
         reader,
         limits.max_line_bytes,
@@ -218,7 +212,6 @@ pub(crate) fn parse_source<R: BufRead>(
             continue;
         }
         let line_no = lines.line_no();
-        let emitted_before = report.edges_emitted;
         let result = parse_record(
             line,
             format,
@@ -226,24 +219,25 @@ pub(crate) fn parse_source<R: BufRead>(
             line_no,
             limits,
             budget,
-            pairs,
+            &mut staged,
             &mut sets,
-            &mut report.edges_emitted,
         );
         match result {
             Ok(()) => {
                 report.records += 1;
+                report.edges_emitted += staged.len() as u64;
+                for (u, v) in staged.drain(..) {
+                    links.accept(u, v);
+                }
                 first_record_line = false;
             }
             Err(err) => {
-                // Roll back any pairs the failing line managed to emit
-                // before the error: record acceptance is atomic per
-                // line, so lenient output is independent of *where* in
-                // the line the rot sits.
-                let emitted_now = report.edges_emitted - emitted_before;
-                pairs.truncate(pairs.len() - emitted_now as usize);
-                budget.records_left += emitted_now;
-                report.edges_emitted = emitted_before;
+                // Drop any pairs the failing line staged before the
+                // error: record acceptance is atomic per line, so
+                // lenient output is independent of *where* in the line
+                // the rot sits.
+                budget.records_left += staged.len() as u64;
+                staged.clear();
                 if !err.kind().is_record_error() {
                     settle(budget, &lines, &mut report);
                     return Err(err.into());
@@ -277,8 +271,9 @@ fn settle<R: BufRead>(budget: &mut RunBudget, lines: &LineReader<R>, report: &mu
     report.lines = lines.lines_used();
 }
 
-/// Parses one non-comment line, emitting pairs. Errors carry `name` and
-/// `line_no`.
+/// Parses one non-comment line, staging its pairs; each is charged to
+/// the run's edge-record budget, duplicates included. Errors carry
+/// `name` and `line_no`.
 #[allow(clippy::too_many_arguments)]
 fn parse_record(
     line: &[u8],
@@ -287,9 +282,8 @@ fn parse_record(
     line_no: u64,
     limits: &Limits,
     budget: &mut RunBudget,
-    pairs: &mut Vec<u64>,
+    staged: &mut Vec<(u32, u32)>,
     (set1, set2): &mut (Vec<u32>, Vec<u32>),
-    edges_emitted: &mut u64,
 ) -> Result<(), IngestError> {
     let mut emit = |u: u32, v: u32| -> Result<(), IngestError> {
         if budget.records_left == 0 {
@@ -304,8 +298,7 @@ fn parse_record(
             ));
         }
         budget.records_left -= 1;
-        pairs.push(pack(u, v));
-        *edges_emitted += 1;
+        staged.push((u, v));
         Ok(())
     };
     match format {
@@ -574,6 +567,8 @@ impl<'a> Iterator for SplitByte<'a> {
 mod tests {
     use super::*;
 
+    /// Parses `text` as one source; returns its report and the distinct
+    /// links it merged, ascending.
     fn run(
         text: &str,
         format: Format,
@@ -581,7 +576,7 @@ mod tests {
     ) -> Result<(SourceReport, Vec<(u32, u32)>), IngestFailure> {
         let limits = Limits::default();
         let mut budget = RunBudget::new(&limits);
-        let mut pairs = Vec::new();
+        let mut links = Links::default();
         let report = parse_source(
             text.as_bytes(),
             "test",
@@ -590,11 +585,9 @@ mod tests {
             lenient,
             None,
             &mut budget,
-            &mut pairs,
+            &mut links,
         )?;
-        // Decode the packed keys back to pairs, in emission order.
-        let pairs = pairs.into_iter().map(unpack).collect();
-        Ok((report, pairs))
+        Ok((report, links.sorted()))
     }
 
     #[test]
@@ -702,7 +695,7 @@ mod tests {
             ..Limits::default()
         };
         let mut budget = RunBudget::new(&limits);
-        let mut pairs = Vec::new();
+        let mut links = Links::default();
         let err = parse_source(
             &b"D 1,2,3,4 9\n"[..],
             "t",
@@ -711,7 +704,7 @@ mod tests {
             false,
             None,
             &mut budget,
-            &mut pairs,
+            &mut links,
         )
         .unwrap_err();
         let IngestFailure::Parse(e) = err else {
@@ -733,8 +726,8 @@ mod tests {
     fn failing_line_emits_nothing() {
         // Both AS sets are parsed before the cross product, so the M
         // record fails on "x" having emitted nothing. Whatever a failing
-        // line did emit, the rollback retracts, so lenient acceptance is
-        // per-line atomic.
+        // line did stage never reaches the merge, so lenient acceptance
+        // is per-line atomic.
         let (_, pairs) = run("M\t1\t3,x\nD 7 8\n", Format::AsLinks, true).unwrap();
         assert_eq!(pairs, vec![(7, 8)]);
     }
@@ -785,33 +778,36 @@ mod tests {
             max_edge_records: 2,
             ..Limits::default()
         };
-        let mut budget = RunBudget::new(&limits);
-        let mut pairs = Vec::new();
-        let err = parse_source(
-            &b"1 2\n3 4\n5 6\n"[..],
-            "t",
-            Format::EdgeList,
-            &limits,
-            true,
-            None,
-            &mut budget,
-            &mut pairs,
-        )
-        .unwrap_err();
-        let IngestFailure::Parse(e) = err else {
-            panic!("expected parse failure");
-        };
-        assert!(
-            matches!(
-                e.kind(),
-                IngestErrorKind::CapExceeded {
-                    cap: CapKind::EdgeRecords,
-                    limit: 2,
-                }
-            ),
-            "{e}"
-        );
-        assert_eq!(e.line(), 3);
+        // The cap counts records, duplicates included, not distinct links.
+        for text in ["1 2\n3 4\n5 6\n", "1 2\n1 2\n1 2\n"] {
+            let mut budget = RunBudget::new(&limits);
+            let mut links = Links::default();
+            let err = parse_source(
+                text.as_bytes(),
+                "t",
+                Format::EdgeList,
+                &limits,
+                true,
+                None,
+                &mut budget,
+                &mut links,
+            )
+            .unwrap_err();
+            let IngestFailure::Parse(e) = err else {
+                panic!("expected parse failure");
+            };
+            assert!(
+                matches!(
+                    e.kind(),
+                    IngestErrorKind::CapExceeded {
+                        cap: CapKind::EdgeRecords,
+                        limit: 2,
+                    }
+                ),
+                "{text:?}: {e}"
+            );
+            assert_eq!(e.line(), 3, "{text:?}");
+        }
     }
 
     #[test]
@@ -821,7 +817,7 @@ mod tests {
             ..Limits::default()
         };
         let mut budget = RunBudget::new(&limits);
-        let mut pairs = Vec::new();
+        let mut links = Links::default();
         parse_source(
             &b"1 2\n3 4\n"[..],
             "a",
@@ -830,7 +826,7 @@ mod tests {
             false,
             None,
             &mut budget,
-            &mut pairs,
+            &mut links,
         )
         .unwrap();
         let err = parse_source(
@@ -841,7 +837,7 @@ mod tests {
             false,
             None,
             &mut budget,
-            &mut pairs,
+            &mut links,
         )
         .unwrap_err();
         let IngestFailure::Parse(e) = err else {
