@@ -140,22 +140,29 @@ pub fn evolve(topo: &AsTopology, config: &EvolveConfig) -> (AsTopology, ChurnRep
             ) && !dead.contains(&v)
         })
         .collect();
+    // The providers present in each country, in `providers` order.
+    let mut providers_in: Vec<Vec<NodeId>> = vec![Vec::new(); topo.world.len()];
+    for &p in &providers {
+        for &c in &topo.ases[p as usize].countries {
+            let list = &mut providers_in[c as usize];
+            if list.last() != Some(&p) {
+                list.push(p);
+            }
+        }
+    }
     let max_asn = topo.ases.iter().map(|a| a.asn).max().unwrap_or(0);
     for i in 0..birth_count {
         let id = (n_old + i) as NodeId;
-        let home = weighted_pick(&mut rng, &country_weights).expect("weights") as u16;
+        let home =
+            weighted_pick(&mut rng, country_weights.iter().copied()).expect("weights") as u16;
         ases.push(AsInfo {
             asn: max_asn + 1 + i as u32,
             tier: Tier::Stub,
             countries: vec![home],
         });
         // Home to 1-3 providers, same-country preferred.
-        let local: Vec<NodeId> = providers
-            .iter()
-            .copied()
-            .filter(|&p| topo.ases[p as usize].countries.contains(&home))
-            .collect();
-        let pool = if local.is_empty() { &providers } else { &local };
+        let local = &providers_in[home as usize];
+        let pool = if local.is_empty() { &providers } else { local };
         if pool.is_empty() {
             continue;
         }

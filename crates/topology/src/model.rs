@@ -166,6 +166,10 @@ pub fn generate(config: &ModelConfig) -> Result<AsTopology, InvalidConfig> {
 
     // ---- geography ---------------------------------------------------
     let country_weights: Vec<f64> = world.countries().iter().map(|c| c.weight).collect();
+    let pick_country = |rng: &mut StdRng| -> CountryId {
+        weighted_pick(rng, country_weights.iter().copied()).expect("country weights are positive")
+            as CountryId
+    };
     let big_homes: Vec<CountryId> = ["US", "GB", "DE", "NL", "JP"]
         .iter()
         .map(|c| world.id_of(c).expect("standard world has the big five"))
@@ -182,17 +186,15 @@ pub fn generate(config: &ModelConfig) -> Result<AsTopology, InvalidConfig> {
                         list.iter().map(|&c| world.country(c).continent).collect();
                     continents.len() < 3
                 } {
-                    if let Some(c) = weighted_pick(&mut rng, &country_weights) {
-                        let c = c as CountryId;
-                        if !list.contains(&c) {
-                            list.push(c);
-                        }
+                    let c = pick_country(&mut rng);
+                    if !list.contains(&c) {
+                        list.push(c);
                     }
                 }
                 list
             }
             Tier::Continental => {
-                let home = weighted_pick(&mut rng, &country_weights).expect("weights") as CountryId;
+                let home = pick_country(&mut rng);
                 let mut list = vec![home];
                 let same = world.countries_in(world.country(home).continent);
                 let extra = rng.random_range(1..=3usize);
@@ -208,27 +210,25 @@ pub fn generate(config: &ModelConfig) -> Result<AsTopology, InvalidConfig> {
                 if rng.random_bool(0.3) {
                     let home_continent = world.country(home).continent;
                     for _ in 0..10 {
-                        if let Some(c) = weighted_pick(&mut rng, &country_weights) {
-                            let c = c as CountryId;
-                            if world.country(c).continent != home_continent {
-                                if !list.contains(&c) {
-                                    list.push(c);
-                                }
-                                break;
+                        let c = pick_country(&mut rng);
+                        if world.country(c).continent != home_continent {
+                            if !list.contains(&c) {
+                                list.push(c);
                             }
+                            break;
                         }
                     }
                 }
                 list
             }
             Tier::Regional => {
-                vec![weighted_pick(&mut rng, &country_weights).expect("weights") as CountryId]
+                vec![pick_country(&mut rng)]
             }
             Tier::Stub => {
                 if rng.random_bool(config.unknown_geo_fraction) {
                     Vec::new()
                 } else {
-                    vec![weighted_pick(&mut rng, &country_weights).expect("weights") as CountryId]
+                    vec![pick_country(&mut rng)]
                 }
             }
         };
@@ -266,20 +266,29 @@ pub fn generate(config: &ModelConfig) -> Result<AsTopology, InvalidConfig> {
         }
     }
     let continentals: Vec<usize> = (n_t1..n_t1 + n_cont).collect();
-    let regionals: Vec<usize> = (n_t1 + n_cont..n_t1 + n_cont + n_reg).collect();
+    let regionals = n_t1 + n_cont..n_t1 + n_cont + n_reg;
+    // Home continent of every AS with a known geography; each pool
+    // below keeps ascending id order.
+    let continent_of = |v: usize| countries_of[v].first().map(|&c| world.country(c).continent);
+    let mut continentals_in: [Vec<usize>; Continent::COUNT] = Default::default();
+    for &c in &continentals {
+        continentals_in[continent_of(c).expect("continentals have a home") as usize].push(c);
+    }
 
     // Continental transit: 2-4 Tier-1 uplinks + intra-continent peering.
+    let mut peers: Vec<usize> = Vec::new();
     for &c in &continentals {
         let uplinks = rng.random_range(2..=4usize).min(n_t1);
         for &t in choose_distinct(&mut rng, n_t1, uplinks).iter() {
             add_edge(&mut edges, &mut degree, c, t, EdgeKind::Transit);
         }
-        let continent = world.country(countries_of[c][0]).continent;
-        let peers: Vec<usize> = continentals
-            .iter()
-            .copied()
-            .filter(|&o| o != c && world.country(countries_of[o][0]).continent == continent)
-            .collect();
+        let continent = continent_of(c).expect("continentals have a home");
+        peers.clear();
+        peers.extend(
+            continentals_in[continent as usize]
+                .iter()
+                .filter(|&&o| o != c),
+        );
         let peer_count = rng.random_range(1..=2usize);
         for &p in peers.choose_multiple(&mut rng, peer_count) {
             add_edge(&mut edges, &mut degree, c, p, EdgeKind::Peering);
@@ -287,51 +296,51 @@ pub fn generate(config: &ModelConfig) -> Result<AsTopology, InvalidConfig> {
     }
 
     // Regional transit: 2-3 continental providers (same continent
-    // preferred), degree-weighted.
-    for &r in &regionals {
-        let continent = world.country(countries_of[r][0]).continent;
-        let mut pool: Vec<usize> = continentals
-            .iter()
-            .copied()
-            .filter(|&c| world.country(countries_of[c][0]).continent == continent)
-            .collect();
-        if pool.len() < 2 {
-            pool = continentals.clone();
-        }
-        if pool.is_empty() {
-            pool = (0..n_t1).collect();
-        }
-        let weights: Vec<f64> = pool.iter().map(|&c| degree[c] + 1.0).collect();
+    // preferred), degree-weighted. Every pool member is a Tier-1 or a
+    // continental and every edge this loop adds has a regional end, so
+    // the links among pool members are the ones in `edges` now.
+    let tier1s: Vec<usize> = (0..n_t1).collect();
+    let mut upper_adj: Vec<Vec<usize>> = vec![Vec::new(); n_t1 + n_cont];
+    for &(u, v) in edges.keys() {
+        upper_adj[u as usize].push(v as usize);
+        upper_adj[v as usize].push(u as usize);
+    }
+    let mut stamp = vec![usize::MAX; n_t1 + n_cont];
+    for r in regionals.clone() {
+        let continent = continent_of(r).expect("regionals have a home");
+        let same = &continentals_in[continent as usize];
+        let pool: &[usize] = if same.len() >= 2 {
+            same
+        } else if !continentals.is_empty() {
+            &continentals
+        } else {
+            &tier1s
+        };
         // First upstream: degree-weighted. Second: prefer an upstream
         // that already peers with the first — correlated upstream pairs
         // put every regional provider inside a triangle, which is what
         // chains the periphery into the main 3-clique community (the
         // paper's 69% coverage at k = 3).
-        let first = weighted_pick(&mut rng, &weights).map(|i| pool[i]);
+        let first = weighted_pick(&mut rng, pool.iter().map(|&c| degree[c] + 1.0)).map(|i| pool[i]);
         if let Some(u1) = first {
             add_edge(&mut edges, &mut degree, r, u1, EdgeKind::Transit);
-            let adjacent: Vec<usize> = pool
-                .iter()
-                .copied()
-                .filter(|&c| {
-                    c != u1 && edges.contains_key(&(c.min(u1) as NodeId, c.max(u1) as NodeId))
-                })
-                .collect();
+            for &w in &upper_adj[u1] {
+                stamp[w] = r;
+            }
+            let adjacent: Vec<usize> = pool.iter().copied().filter(|&c| stamp[c] == r).collect();
             let u2 = if !adjacent.is_empty() && rng.random_bool(0.8) {
                 adjacent.choose(&mut rng).copied()
             } else {
-                let w2: Vec<f64> = pool
+                let w2 = pool
                     .iter()
-                    .map(|&c| if c == u1 { 0.0 } else { degree[c] + 1.0 })
-                    .collect();
-                weighted_pick(&mut rng, &w2).map(|i| pool[i])
+                    .map(|&c| if c == u1 { 0.0 } else { degree[c] + 1.0 });
+                weighted_pick(&mut rng, w2).map(|i| pool[i])
             };
             if let Some(u2) = u2 {
                 add_edge(&mut edges, &mut degree, r, u2, EdgeKind::Transit);
             }
             if rng.random_bool(0.3) {
-                let w3: Vec<f64> = pool.iter().map(|&c| degree[c] + 1.0).collect();
-                if let Some(i) = weighted_pick(&mut rng, &w3) {
+                if let Some(i) = weighted_pick(&mut rng, pool.iter().map(|&c| degree[c] + 1.0)) {
                     add_edge(&mut edges, &mut degree, r, pool[i], EdgeKind::Transit);
                 }
             }
@@ -340,37 +349,30 @@ pub fn generate(config: &ModelConfig) -> Result<AsTopology, InvalidConfig> {
 
     // Stubs: 1-3 providers, same country preferred; interconnected
     // providers of multi-homed stubs seed the periphery with triangles.
+    // A stub with no local provider falls back to the transit ASes of
+    // its continent, or to all of them.
     let transit_all: Vec<usize> = (0..n_t1 + n_cont + n_reg).collect();
-    let mut providers_by_country: HashMap<CountryId, Vec<usize>> = HashMap::new();
-    for &p in continentals.iter().chain(regionals.iter()) {
-        for &c in &countries_of[p] {
-            providers_by_country.entry(c).or_default().push(p);
+    let mut transit_in: [Vec<usize>; Continent::COUNT] = Default::default();
+    for &p in &transit_all {
+        if let Some(continent) = continent_of(p) {
+            transit_in[continent as usize].push(p);
         }
     }
-    for s in (n_t1 + n_cont + n_reg)..n {
-        let home = countries_of[s].first().copied();
-        let pool: Vec<usize> = match home.and_then(|h| providers_by_country.get(&h)) {
-            Some(local) if !local.is_empty() => local.clone(),
-            _ => match home {
-                Some(h) => {
-                    let continent = world.country(h).continent;
-                    let same: Vec<usize> = transit_all
-                        .iter()
-                        .copied()
-                        .filter(|&p| {
-                            countries_of[p]
-                                .first()
-                                .is_some_and(|&c| world.country(c).continent == continent)
-                        })
-                        .collect();
-                    if same.is_empty() {
-                        transit_all.clone()
-                    } else {
-                        same
-                    }
-                }
-                None => transit_all.clone(),
-            },
+    let mut providers_by_country: Vec<Vec<usize>> = vec![Vec::new(); world.len()];
+    for p in continentals.iter().copied().chain(regionals) {
+        for &c in &countries_of[p] {
+            providers_by_country[c as usize].push(p);
+        }
+    }
+    for (s, countries) in countries_of.iter().enumerate().skip(n_t1 + n_cont + n_reg) {
+        let pool: &[usize] = match countries.first() {
+            Some(&h) if !providers_by_country[h as usize].is_empty() => {
+                &providers_by_country[h as usize]
+            }
+            Some(&h) if !transit_in[world.country(h).continent as usize].is_empty() => {
+                &transit_in[world.country(h).continent as usize]
+            }
+            _ => &transit_all,
         };
         let roll: f64 = rng.random_range(0.0..1.0);
         let homes = if roll < 0.50 {
@@ -380,8 +382,8 @@ pub fn generate(config: &ModelConfig) -> Result<AsTopology, InvalidConfig> {
         } else {
             3
         };
-        let weights: Vec<f64> = pool.iter().map(|&p| degree[p] + 1.0).collect();
-        let picked = weighted_sample_without_replacement(&mut rng, &weights, homes.min(pool.len()));
+        let weights = pool.iter().map(|&p| degree[p] + 1.0);
+        let picked = weighted_sample_without_replacement(&mut rng, weights, homes.min(pool.len()));
         let chosen: Vec<usize> = picked.into_iter().map(|i| pool[i]).collect();
         for &p in &chosen {
             add_edge(&mut edges, &mut degree, s, p, EdgeKind::Transit);
@@ -408,31 +410,34 @@ pub fn generate(config: &ModelConfig) -> Result<AsTopology, InvalidConfig> {
         "US-IX-SIM",
     ];
     let target = ((n as f64) * config.large_ixp_participation).round() as usize;
+    let large_weights: Vec<f64> = (0..n)
+        .map(|v| {
+            let euro = countries_of[v]
+                .iter()
+                .any(|&c| world.country(c).continent == Continent::Europe);
+            match (tiers[v], euro) {
+                (Tier::Tier1, _) => 1.0e6, // Tier-1s are in every big IXP
+                (Tier::Continental, true) => 50.0,
+                (Tier::Continental, false) => 8.0,
+                (Tier::Regional, true) => 12.0,
+                (Tier::Regional, false) => 1.5,
+                (Tier::Stub, true) => 0.8,
+                (Tier::Stub, false) => 0.05,
+            }
+        })
+        .collect();
     for i in 0..config.large_ixp_count {
         let host = world
             .id_of(large_hosts[i % large_hosts.len()])
             .expect("host country exists");
-        let weights: Vec<f64> = (0..n)
-            .map(|v| {
-                let euro = countries_of[v]
-                    .iter()
-                    .any(|&c| world.country(c).continent == Continent::Europe);
-                match (tiers[v], euro) {
-                    (Tier::Tier1, _) => 1.0e6, // Tier-1s are in every big IXP
-                    (Tier::Continental, true) => 50.0,
-                    (Tier::Continental, false) => 8.0,
-                    (Tier::Regional, true) => 12.0,
-                    (Tier::Regional, false) => 1.5,
-                    (Tier::Stub, true) => 0.8,
-                    (Tier::Stub, false) => 0.05,
-                }
-            })
-            .collect();
-        let participants: Vec<NodeId> =
-            weighted_sample_without_replacement(&mut rng, &weights, target.max(n_t1 + 10))
-                .into_iter()
-                .map(|v| v as NodeId)
-                .collect();
+        let participants: Vec<NodeId> = weighted_sample_without_replacement(
+            &mut rng,
+            large_weights.iter().copied(),
+            target.max(n_t1 + 10),
+        )
+        .into_iter()
+        .map(|v| v as NodeId)
+        .collect();
         ixps.push(Ixp {
             name: large_names[i % large_names.len()].to_owned(),
             country: host,
@@ -441,37 +446,34 @@ pub fn generate(config: &ModelConfig) -> Result<AsTopology, InvalidConfig> {
         });
     }
     // Regional IXPs: country-bound membership.
-    let mut ases_by_country: HashMap<CountryId, Vec<usize>> = HashMap::new();
+    let mut ases_by_country: Vec<Vec<usize>> = vec![Vec::new(); world.len()];
     for (v, countries) in countries_of.iter().enumerate().take(n) {
         if let Some(&c) = countries.first() {
-            ases_by_country.entry(c).or_default().push(v);
+            ases_by_country[c as usize].push(v);
         }
     }
     for j in 0..config.regional_ixp_count {
         let mut country = None;
         for _ in 0..20 {
-            let c = weighted_pick(&mut rng, &country_weights).expect("weights") as CountryId;
-            if ases_by_country.get(&c).is_some_and(|v| v.len() >= 6) {
+            let c = pick_country(&mut rng);
+            if ases_by_country[c as usize].len() >= 6 {
                 country = Some(c);
                 break;
             }
         }
         let Some(c) = country else { continue };
-        let pool = &ases_by_country[&c];
-        let weights: Vec<f64> = pool
-            .iter()
-            .map(|&v| match tiers[v] {
-                Tier::Tier1 => 0.0, // Tier-1s skip small exchanges
-                Tier::Continental => 8.0,
-                Tier::Regional => 6.0,
-                Tier::Stub => 1.0,
-            })
-            .collect();
+        let pool = &ases_by_country[c as usize];
+        let weights = pool.iter().map(|&v| match tiers[v] {
+            Tier::Tier1 => 0.0, // Tier-1s skip small exchanges
+            Tier::Continental => 8.0,
+            Tier::Regional => 6.0,
+            Tier::Stub => 1.0,
+        });
         let size = rng
             .random_range(config.regional_ixp_size.0..=config.regional_ixp_size.1)
             .min(pool.len());
         let participants: Vec<NodeId> =
-            weighted_sample_without_replacement(&mut rng, &weights, size)
+            weighted_sample_without_replacement(&mut rng, weights, size)
                 .into_iter()
                 .map(|i| pool[i] as NodeId)
                 .collect();
@@ -529,13 +531,14 @@ pub fn generate(config: &ModelConfig) -> Result<AsTopology, InvalidConfig> {
     // multi-homed stubs per pocket) and occasionally an isolated stub
     // triangle: this is what populates the low-k levels with hundreds of
     // small parallel communities (the paper's 554 root communities).
-    let mut country_ids: Vec<CountryId> = ases_by_country.keys().copied().collect();
-    country_ids.sort_unstable();
-    for c in country_ids {
+    for (c, locals) in ases_by_country.iter().enumerate() {
+        if locals.is_empty() {
+            continue;
+        }
+        let c = c as CountryId;
         if !rng.random_bool(config.multihoming_country_fraction) {
             continue;
         }
-        let locals = &ases_by_country[&c];
         let providers: Vec<usize> = locals
             .iter()
             .copied()
@@ -552,14 +555,15 @@ pub fn generate(config: &ModelConfig) -> Result<AsTopology, InvalidConfig> {
         stubs.shuffle(&mut rng);
         let mut stub_cursor = 0usize;
         let pockets = (stubs.len() / 8).max(1);
+        let continent = world.country(c).continent;
         for _ in 0..pockets {
             let p_count = rng.random_range(2..=4usize).min(providers.len());
             // Degree-weighted provider choice: well-connected providers
             // sit inside the main community, so pockets share members
             // with it (the paper's 0.704 mean parallel↔main overlap).
-            let p_weights: Vec<f64> = providers.iter().map(|&p| degree[p] + 1.0).collect();
+            let p_weights = providers.iter().map(|&p| degree[p] + 1.0);
             let mut chosen_p: Vec<usize> =
-                weighted_sample_without_replacement(&mut rng, &p_weights, p_count)
+                weighted_sample_without_replacement(&mut rng, p_weights, p_count)
                     .into_iter()
                     .map(|i| providers[i])
                     .collect();
@@ -567,16 +571,10 @@ pub fn generate(config: &ModelConfig) -> Result<AsTopology, InvalidConfig> {
             // not fully contained in one country (the paper: only 382 of
             // 554 root communities are country-contained).
             if rng.random_bool(0.3) {
-                let continent = world.country(c).continent;
-                let foreign: Vec<usize> = continentals
+                let foreign: Vec<usize> = continentals_in[continent as usize]
                     .iter()
                     .copied()
-                    .filter(|&p| {
-                        !countries_of[p].contains(&c)
-                            && countries_of[p]
-                                .first()
-                                .is_some_and(|&h| world.country(h).continent == continent)
-                    })
+                    .filter(|&p| !countries_of[p].contains(&c))
                     .collect();
                 if let Some(&f) = foreign.choose(&mut rng) {
                     if !chosen_p.is_empty() && !chosen_p.contains(&f) {

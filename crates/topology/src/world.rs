@@ -26,6 +26,12 @@ pub enum Continent {
     Africa,
 }
 
+impl Continent {
+    /// Number of continents; `continent as usize` is below it (Africa
+    /// is the last variant).
+    pub(crate) const COUNT: usize = Continent::Africa as usize + 1;
+}
+
 impl fmt::Display for Continent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -59,15 +59,17 @@ fn full_scale_profile() {
     let cfg = ModelConfig::full_scale(42);
     let t0 = Instant::now();
     let topo = generate(&cfg).expect("valid config");
+    let t_gen = t0.elapsed();
+    let t0 = Instant::now();
     let result = cpm::percolate_parallel(&topo.graph, 8, cpm::Mode::Exact);
+    let t_cpm = t0.elapsed();
     println!(
-        "full scale: nodes={} edges={} cliques={} k_max={:?} communities={} in {:?}",
+        "full scale: nodes={} edges={} cliques={} k_max={:?} communities={} gen={t_gen:?} cpm={t_cpm:?}",
         topo.graph.node_count(),
         topo.graph.edge_count(),
         result.clique_count,
         result.k_max(),
-        result.total_communities(),
-        t0.elapsed()
+        result.total_communities()
     );
     assert!(topo.graph.node_count() > 30_000);
     assert!(result.k_max().unwrap() >= 24);
