@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! kclique-cli communities --input topology.edges --k 4
-//! kclique-cli communities --input topology.edges --all-k
+//! kclique-cli communities --log topology.cliquelog --all-k
 //! kclique-cli tree        --input topology.edges --min-k 6
 //! kclique-cli stats       --input topology.edges
 //! kclique-cli generate    --scale small --seed 7 --out dataset/
@@ -111,8 +111,8 @@ impl From<String> for CliFailure {
 pub enum Command {
     /// Run CPM and print communities at one `k` or all of them.
     Communities {
-        /// Edge-list file.
-        input: PathBuf,
+        /// Where the maximal cliques come from.
+        source: CliqueInput,
         /// Specific k (mutually exclusive with `all_k`).
         k: Option<u32>,
         /// Print every level.
@@ -132,6 +132,9 @@ pub enum Command {
         input: PathBuf,
         /// Hide levels below this k.
         min_k: u32,
+        /// Cancel the run after this many seconds (exit
+        /// [`EXIT_INTERRUPTED`]).
+        deadline: Option<u64>,
     },
     /// Print graph statistics.
     Stats {
@@ -151,28 +154,15 @@ pub enum Command {
     Analyze {
         /// Directory written by `generate` (or hand-authored).
         dataset: PathBuf,
+        /// Cancel the run after this many seconds (exit
+        /// [`EXIT_INTERRUPTED`]).
+        deadline: Option<u64>,
     },
     /// Compare baseline methods (k-core, k-dense, Louvain) on an edge
     /// list.
     Baselines {
         /// Edge-list file.
         input: PathBuf,
-    },
-    /// Percolate a clique stream — live enumeration of an edge list or
-    /// a replayed clique log — through the one engine.
-    StreamPercolate {
-        /// Edge-list file (mutually exclusive with `log`).
-        input: Option<PathBuf>,
-        /// Clique-log file written by `clique-log build`.
-        log: Option<PathBuf>,
-        /// Specific k (mutually exclusive with `all_k`).
-        k: Option<u32>,
-        /// Sweep every level and print the summary table.
-        all_k: bool,
-        /// Percolation mode (`exact` | `almost`), as in `communities`.
-        mode: cpm::Mode,
-        /// Worker-count policy for the engine's finish.
-        threads: exec::Threads,
         /// Cancel the run after this many seconds (exit
         /// [`EXIT_INTERRUPTED`]).
         deadline: Option<u64>,
@@ -259,21 +249,28 @@ pub enum Command {
     Help,
 }
 
+/// Where `communities` gets its maximal cliques: exactly one source.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CliqueInput {
+    /// An edge-list file, enumerated live (`--input`).
+    Edges(PathBuf),
+    /// A clique log written by `clique-log build`, replayed (`--log`).
+    Log(PathBuf),
+}
+
 /// Usage text.
 pub const USAGE: &str = "\
 kclique-cli — k-clique communities for AS-level topologies
 
 USAGE:
-  kclique-cli communities --input <edges> (--k <n> | --all-k) [--mode exact|almost]
-                          [--threads <n>|auto] [--deadline <secs>]
-  kclique-cli tree        --input <edges> [--min-k <n>]
+  kclique-cli communities (--input <edges> | --log <file>) (--k <n> | --all-k)
+                          [--mode exact|almost] [--threads <n>|auto] [--deadline <secs>]
+  kclique-cli tree        --input <edges> [--min-k <n>] [--deadline <secs>]
   kclique-cli stats       --input <edges>
   kclique-cli generate    [--scale tiny|small|medium|default|full] [--seed <u64>] --out <dir>
-  kclique-cli analyze     --dataset <dir>
-  kclique-cli baselines   --input <edges>
+  kclique-cli analyze     --dataset <dir> [--deadline <secs>]
+  kclique-cli baselines   --input <edges> [--deadline <secs>]
   kclique-cli rewire      --input <edges> --output <edges> [--swaps <n>] [--seed <u64>]
-  kclique-cli stream-percolate (--input <edges> | --log <file>) (--k <n> | --all-k)
-                          [--mode exact|almost] [--threads <n>|auto] [--deadline <secs>]
   kclique-cli clique-log  build --input <edges> --out <file> [--checkpoint-cliques <n>]
                           [--resume] [--deadline <secs>]
   kclique-cli clique-log  info    --log <file>
@@ -285,12 +282,12 @@ USAGE:
                           [--largest-cc] [--json] [--deadline <secs>]
   kclique-cli help
 
-The percolation mode (--mode) means the same in `communities`,
-`stream-percolate` and `serve`: `almost` unions cliques through shared
-(k−1)-clique keys and a big-clique prepass — identical output on
-Internet-like topologies and never over-merged (divergence can only
-split communities); `exact` (default) runs the same engine plus a
-per-level certification pass that makes every community exact.
+The percolation mode (--mode) means the same in `communities` and
+`serve`: `almost` unions cliques through shared (k−1)-clique keys and a
+big-clique prepass — identical output on Internet-like topologies and
+never over-merged (divergence can only split communities); `exact`
+(default) runs the same engine plus a per-level certification pass
+that makes every community exact.
 
 The worker count (--threads) sizes the persistent thread pool: a fixed
 `<n>` forces that many workers, `auto` (default) scales with the input
@@ -301,7 +298,8 @@ Long commands stop cooperatively: Ctrl-C (or an expired --deadline)
 cancels at the next safe point instead of killing mid-write, and the
 process exits 75 to signal \"interrupted, resumable\". A cancelled
 `clique-log build` seals a valid log; rerun with --resume to continue
-from its last durable clique. Exit codes: 0 success, 1 failure, 2 bad
+from its last durable clique; the other verbs keep no durable state,
+so rerun them to restart. Exit codes: 0 success, 1 failure, 2 bad
 usage (every verb rejects flags it does not know), 65 corrupt input
 (e.g. a torn log — try `clique-log recover`), 75 interrupted/resumable.
 
@@ -371,7 +369,16 @@ impl Command {
 
         match sub.as_str() {
             "communities" => {
-                let input = PathBuf::from(required("--input")?);
+                let source = match (get("--input"), get("--log")) {
+                    (Some(input), None) => CliqueInput::Edges(input.into()),
+                    (None, Some(log)) => CliqueInput::Log(log.into()),
+                    (None, None) => {
+                        return Err("communities needs --input <edges> or --log <file>".to_owned())
+                    }
+                    (Some(_), Some(_)) => {
+                        return Err("--input and --log are mutually exclusive".to_owned())
+                    }
+                };
                 let k = match get("--k") {
                     Some(v) => Some(v.parse::<u32>().map_err(|e| format!("bad --k: {e}"))?),
                     None => None,
@@ -389,7 +396,7 @@ impl Command {
                     }
                 }
                 Ok(Command::Communities {
-                    input,
+                    source,
                     k,
                     all_k,
                     mode: mode()?,
@@ -403,6 +410,7 @@ impl Command {
                     Some(v) => v.parse().map_err(|e| format!("bad --min-k: {e}"))?,
                     None => 2,
                 },
+                deadline: deadline()?,
             }),
             "stats" => Ok(Command::Stats {
                 input: PathBuf::from(required("--input")?),
@@ -423,9 +431,11 @@ impl Command {
             }
             "analyze" => Ok(Command::Analyze {
                 dataset: PathBuf::from(required("--dataset")?),
+                deadline: deadline()?,
             }),
             "baselines" => Ok(Command::Baselines {
                 input: PathBuf::from(required("--input")?),
+                deadline: deadline()?,
             }),
             "rewire" => Ok(Command::Rewire {
                 input: PathBuf::from(required("--input")?),
@@ -439,46 +449,7 @@ impl Command {
                     None => 42,
                 },
             }),
-            "stream-percolate" => {
-                let input = get("--input").map(PathBuf::from);
-                let log = get("--log").map(PathBuf::from);
-                match (&input, &log) {
-                    (None, None) => {
-                        return Err(
-                            "stream-percolate needs --input <edges> or --log <file>".to_owned()
-                        )
-                    }
-                    (Some(_), Some(_)) => {
-                        return Err("--input and --log are mutually exclusive".to_owned())
-                    }
-                    _ => {}
-                }
-                let k = match get("--k") {
-                    Some(v) => Some(v.parse::<u32>().map_err(|e| format!("bad --k: {e}"))?),
-                    None => None,
-                };
-                let all_k = has("--all-k");
-                if k.is_none() && !all_k {
-                    return Err("stream-percolate needs --k <n> or --all-k".to_owned());
-                }
-                if k.is_some() && all_k {
-                    return Err("--k and --all-k are mutually exclusive".to_owned());
-                }
-                if let Some(k) = k {
-                    if k < 2 {
-                        return Err("--k must be at least 2".to_owned());
-                    }
-                }
-                Ok(Command::StreamPercolate {
-                    input,
-                    log,
-                    k,
-                    all_k,
-                    mode: mode()?,
-                    threads: threads()?,
-                    deadline: deadline()?,
-                })
-            }
+            "stream-percolate" => Err("stream-percolate is now communities --log".to_owned()),
             "clique-log" => match rest.first().map(String::as_str) {
                 Some("build") => {
                     let checkpoint_cliques = match get("--checkpoint-cliques") {
@@ -581,20 +552,67 @@ impl Command {
                 Ok(())
             }
             Command::Communities {
-                input,
+                source,
                 k,
                 all_k,
                 mode,
                 threads,
                 deadline,
             } => {
-                let result = percolate_input(input, *threads, *mode, &cancel_token(deadline))?;
-                print_communities(&result, *k, *all_k);
+                let token = cancel_token(deadline);
+                let result = match source {
+                    CliqueInput::Edges(input) => {
+                        percolate(&load_graph(input)?, *threads, *mode, &token)?
+                    }
+                    CliqueInput::Log(log) => {
+                        let failure = |e: StreamError| match e {
+                            StreamError::Interrupted => interrupted_no_durable_state(),
+                            e => CliFailure::stream(log.display(), &e),
+                        };
+                        // The token rides inside the source, so the
+                        // replay and the finish both poll it.
+                        let mut source = cpm_stream::LogSource::open(log)
+                            .map_err(failure)?
+                            .with_cancel(token);
+                        cpm_stream::stream_percolate_parallel_mode(&mut source, *threads, *mode)
+                            .map_err(failure)?
+                    }
+                };
+                if *all_k {
+                    let mut table = Table::new(vec!["k", "communities", "largest"]);
+                    for level in &result.levels {
+                        let largest = level
+                            .communities
+                            .iter()
+                            .map(cpm::Community::size)
+                            .max()
+                            .unwrap_or(0);
+                        table.row(vec![
+                            level.k.to_string(),
+                            level.communities.len().to_string(),
+                            largest.to_string(),
+                        ]);
+                    }
+                    print!("{}", table.render());
+                } else {
+                    let k = k.expect("parse guarantees k for non-all-k");
+                    let comms = result.cover(k);
+                    println!("# {} {k}-clique communities", comms.len());
+                    for (i, c) in comms.iter().enumerate() {
+                        let ids: Vec<String> = c.iter().map(ToString::to_string).collect();
+                        println!("{i}\t{}", ids.join(" "));
+                    }
+                }
                 Ok(())
             }
-            Command::Tree { input, min_k } => {
+            Command::Tree {
+                input,
+                min_k,
+                deadline,
+            } => {
+                let token = cancel_token(deadline);
                 let g = load_graph(input)?;
-                let result = cpm::percolate(&g);
+                let result = percolate(&g, exec::Threads::Auto, cpm::Mode::Exact, &token)?;
                 let tree = kclique_core::CommunityTree::build(&result);
                 print!("{}", tree.to_dot(*min_k));
                 Ok(())
@@ -657,9 +675,10 @@ impl Command {
                 );
                 Ok(())
             }
-            Command::Analyze { dataset } => {
+            Command::Analyze { dataset, deadline } => {
+                let token = cancel_token(deadline);
                 let topo = topology::io::load_dataset(dataset).map_err(|e| e.to_string())?;
-                let result = cpm::percolate(&topo.graph);
+                let result = percolate(&topo.graph, exec::Threads::Auto, cpm::Mode::Exact, &token)?;
                 let analysis = kclique_core::analyze_topology(topo, result);
                 let s = analysis.topo.tag_summary();
                 println!(
@@ -697,7 +716,8 @@ impl Command {
                 print!("{}", table.render());
                 Ok(())
             }
-            Command::Baselines { input } => {
+            Command::Baselines { input, deadline } => {
+                let token = cancel_token(deadline);
                 let g = load_graph(input)?;
                 let cores = baselines::kcore::decompose(&g);
                 let partition = baselines::louvain::louvain(&g);
@@ -727,7 +747,7 @@ impl Command {
                         f3(partition.modularity)
                     ),
                 ]);
-                let cpm3 = cpm::percolate_at(&g, 3);
+                let cpm3 = percolate(&g, exec::Threads::Auto, cpm::Mode::Exact, &token)?.cover(3);
                 table.row(vec![
                     "k-clique (k=3)".into(),
                     format!(
@@ -737,36 +757,6 @@ impl Command {
                     ),
                 ]);
                 print!("{}", table.render());
-                Ok(())
-            }
-            Command::StreamPercolate {
-                input,
-                log,
-                k,
-                all_k,
-                mode,
-                threads,
-                deadline,
-            } => {
-                // `--input` runs exactly what `communities` runs; `--log`
-                // replays the log into the same engine, the token riding
-                // inside the source so the replay and the finish both
-                // poll it. Neither arm keeps durable state.
-                let token = cancel_token(deadline);
-                let result = if let Some(input) = input {
-                    percolate_input(input, *threads, *mode, &token)?
-                } else {
-                    let log = log.as_ref().expect("parse guarantees input xor log");
-                    let mut source = cpm_stream::LogSource::open(log)
-                        .map_err(|e| CliFailure::stream(log.display(), &e))?
-                        .with_cancel(token);
-                    cpm_stream::stream_percolate_parallel_mode(&mut source, *threads, *mode)
-                        .map_err(|e| match e {
-                            StreamError::Interrupted => interrupted_no_durable_state(),
-                            e => CliFailure::stream("stream-percolate", &e),
-                        })?
-                };
-                print_communities(&result, *k, *all_k);
                 Ok(())
             }
             Command::CliqueLogBuild {
@@ -1064,18 +1054,17 @@ fn cancel_token(deadline: &Option<u64>) -> exec::CancelToken {
     token
 }
 
-/// Loads an edge list and percolates it — what `communities` and
-/// `stream-percolate --input` both run. Always the cancellable pipeline:
-/// a live token is bit-identical to the plain one, and Ctrl-C /
-/// `--deadline` then stop the run cooperatively.
-fn percolate_input(
-    input: &PathBuf,
+/// Percolates a graph for every verb that reads one: the fused engine
+/// polling `token`, so Ctrl-C and `--deadline` stop the run
+/// cooperatively. A live token is bit-identical to none, at every
+/// worker count.
+fn percolate(
+    g: &asgraph::Graph,
     threads: exec::Threads,
     mode: cpm::Mode,
     token: &exec::CancelToken,
 ) -> Result<cpm::CpmResult, CliFailure> {
-    let g = load_graph(input)?;
-    cpm::percolate_fused_cancellable(&g, threads, cliques::Kernel::Auto, token, mode)
+    cpm::percolate_fused_cancellable(g, threads, cliques::Kernel::Auto, token, mode)
         .map_err(|_| interrupted_no_durable_state())
 }
 
@@ -1092,36 +1081,6 @@ fn ingest_failure(e: ingest::IngestFailure) -> CliFailure {
     }
 }
 
-/// Prints a percolation the way `communities` and `stream-percolate`
-/// both do: the per-level table with `--all-k`, else level `k`'s cover.
-fn print_communities(result: &cpm::CpmResult, k: Option<u32>, all_k: bool) {
-    if all_k {
-        let mut table = Table::new(vec!["k", "communities", "largest"]);
-        for level in &result.levels {
-            let largest = level
-                .communities
-                .iter()
-                .map(cpm::Community::size)
-                .max()
-                .unwrap_or(0);
-            table.row(vec![
-                level.k.to_string(),
-                level.communities.len().to_string(),
-                largest.to_string(),
-            ]);
-        }
-        print!("{}", table.render());
-    } else {
-        let k = k.expect("parse guarantees k for non-all-k");
-        let comms = result.cover(k);
-        println!("# {} {k}-clique communities", comms.len());
-        for (i, c) in comms.iter().enumerate() {
-            let ids: Vec<String> = c.iter().map(ToString::to_string).collect();
-            println!("{i}\t{}", ids.join(" "));
-        }
-    }
-}
-
 fn interrupted_no_durable_state() -> CliFailure {
     CliFailure::interrupted(
         "interrupted before completion; this command keeps no durable state, rerun to restart",
@@ -1135,30 +1094,23 @@ fn flag_table(sub: &str, action: Option<&str>) -> Option<&'static [(&'static str
     let table: &'static [(&'static str, bool)] = match (sub, action) {
         ("communities", _) => &[
             ("--input", true),
-            ("--k", true),
-            ("--all-k", false),
-            ("--mode", true),
-            ("--threads", true),
-            ("--deadline", true),
-        ],
-        ("tree", _) => &[("--input", true), ("--min-k", true)],
-        ("stats" | "baselines", _) => &[("--input", true)],
-        ("generate", _) => &[("--scale", true), ("--seed", true), ("--out", true)],
-        ("analyze", _) => &[("--dataset", true)],
-        ("rewire", _) => &[
-            ("--input", true),
-            ("--output", true),
-            ("--swaps", true),
-            ("--seed", true),
-        ],
-        ("stream-percolate", _) => &[
-            ("--input", true),
             ("--log", true),
             ("--k", true),
             ("--all-k", false),
             ("--mode", true),
             ("--threads", true),
             ("--deadline", true),
+        ],
+        ("tree", _) => &[("--input", true), ("--min-k", true), ("--deadline", true)],
+        ("stats", _) => &[("--input", true)],
+        ("baselines", _) => &[("--input", true), ("--deadline", true)],
+        ("generate", _) => &[("--scale", true), ("--seed", true), ("--out", true)],
+        ("analyze", _) => &[("--dataset", true), ("--deadline", true)],
+        ("rewire", _) => &[
+            ("--input", true),
+            ("--output", true),
+            ("--swaps", true),
+            ("--seed", true),
         ],
         ("clique-log", Some("build")) => &[
             ("--input", true),
@@ -1341,7 +1293,7 @@ mod tests {
         assert_eq!(
             c,
             Command::Communities {
-                input: PathBuf::from("g.txt"),
+                source: CliqueInput::Edges(PathBuf::from("g.txt")),
                 k: Some(4),
                 all_k: false,
                 mode: cpm::Mode::Exact,
@@ -1371,16 +1323,6 @@ mod tests {
             ])
             .unwrap();
             assert!(matches!(c, Command::Communities { threads, .. } if threads == want));
-            let c = parse(&[
-                "stream-percolate",
-                "--input",
-                "g.txt",
-                "--all-k",
-                "--threads",
-                name,
-            ])
-            .unwrap();
-            assert!(matches!(c, Command::StreamPercolate { threads, .. } if threads == want));
         }
         for bad in ["0", "-1", "many"] {
             assert!(parse(&[
@@ -1433,7 +1375,7 @@ mod tests {
                 "--resume",
             ),
             (
-                &["stream-percolate", "--input", "g", "--k", "3", "--approx"][..],
+                &["communities", "--log", "c", "--k", "3", "--approx"][..],
                 "--approx",
             ),
             (
@@ -1449,14 +1391,7 @@ mod tests {
                 "--kernel",
             ),
             (
-                &[
-                    "stream-percolate",
-                    "--input",
-                    "g",
-                    "--all-k",
-                    "--kernel",
-                    "auto",
-                ][..],
+                &["communities", "--log", "c", "--all-k", "--kernel", "auto"][..],
                 "--kernel",
             ),
             (
@@ -1505,7 +1440,8 @@ mod tests {
             c,
             Command::Tree {
                 input: PathBuf::from("g.txt"),
-                min_k: 2
+                min_k: 2,
+                deadline: None,
             }
         );
     }
@@ -1541,13 +1477,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_stream_percolate() {
-        let c = parse(&["stream-percolate", "--input", "g.txt", "--k", "4"]).unwrap();
+    fn parses_communities_log() {
+        let c = parse(&["communities", "--log", "c.log", "--k", "4"]).unwrap();
         assert_eq!(
             c,
-            Command::StreamPercolate {
-                input: Some(PathBuf::from("g.txt")),
-                log: None,
+            Command::Communities {
+                source: CliqueInput::Log(PathBuf::from("c.log")),
                 k: Some(4),
                 all_k: false,
                 mode: cpm::Mode::Exact,
@@ -1555,22 +1490,25 @@ mod tests {
                 deadline: None,
             }
         );
-        let c = parse(&["stream-percolate", "--log", "c.log", "--all-k"]).unwrap();
+        let c = parse(&["communities", "--log", "c.log", "--all-k"]).unwrap();
         assert!(matches!(
             c,
-            Command::StreamPercolate {
-                input: None,
+            Command::Communities {
+                source: CliqueInput::Log(_),
                 all_k: true,
                 ..
             }
         ));
+        // The removed verb points at its replacement.
+        let err = parse(&["stream-percolate", "--log", "c.log", "--all-k"]).unwrap_err();
+        assert!(err.contains("communities --log"), "{err}");
     }
 
     #[test]
     fn parses_mode_flag() {
         for (cmd, tail) in [
             ("communities", &["--input", "g.txt", "--k", "4"][..]),
-            ("stream-percolate", &["--input", "g.txt", "--all-k"][..]),
+            ("communities", &["--log", "c.log", "--all-k"][..]),
             ("serve", &["--snapshot", "s.snap"][..]),
         ] {
             let mut base = vec![cmd];
@@ -1579,18 +1517,14 @@ mod tests {
                 let mut args = base.clone();
                 args.extend_from_slice(&["--mode", value]);
                 let got = match parse(&args).unwrap() {
-                    Command::Communities { mode, .. }
-                    | Command::StreamPercolate { mode, .. }
-                    | Command::Serve { mode, .. } => mode,
+                    Command::Communities { mode, .. } | Command::Serve { mode, .. } => mode,
                     other => panic!("unexpected parse of {args:?}: {other:?}"),
                 };
                 assert_eq!(got, want, "{args:?}");
             }
             // Default is exact, and garbage is rejected with context.
             let got = match parse(&base).unwrap() {
-                Command::Communities { mode, .. }
-                | Command::StreamPercolate { mode, .. }
-                | Command::Serve { mode, .. } => mode,
+                Command::Communities { mode, .. } | Command::Serve { mode, .. } => mode,
                 other => panic!("unexpected parse of {base:?}: {other:?}"),
             };
             assert_eq!(got, cpm::Mode::Exact, "{base:?}");
@@ -1601,13 +1535,21 @@ mod tests {
     }
 
     #[test]
-    fn stream_percolate_validation() {
+    fn communities_source_validation() {
         // Needs exactly one source and exactly one of --k / --all-k.
-        assert!(parse(&["stream-percolate", "--k", "3"]).is_err());
-        assert!(parse(&["stream-percolate", "--input", "a", "--log", "b", "--k", "3"]).is_err());
-        assert!(parse(&["stream-percolate", "--input", "a"]).is_err());
-        assert!(parse(&["stream-percolate", "--input", "a", "--k", "3", "--all-k"]).is_err());
-        assert!(parse(&["stream-percolate", "--input", "a", "--k", "1"]).is_err());
+        assert!(parse(&["communities", "--k", "3"])
+            .unwrap_err()
+            .contains("--input <edges> or --log <file>"));
+        assert!(
+            parse(&["communities", "--input", "a", "--log", "b", "--k", "3"])
+                .unwrap_err()
+                .contains("mutually exclusive")
+        );
+        assert!(parse(&["communities", "--log", "b"]).is_err());
+        assert!(parse(&["communities", "--log", "b", "--k", "3", "--all-k"]).is_err());
+        assert!(parse(&["communities", "--log", "b", "--k", "1"])
+            .unwrap_err()
+            .contains("at least 2"));
     }
 
     #[test]
@@ -1687,20 +1629,22 @@ mod tests {
     fn parses_deadline_flag() {
         for cmd in [
             vec!["communities", "--input", "g.txt", "--all-k"],
-            vec!["stream-percolate", "--input", "g.txt", "--all-k"],
+            vec!["communities", "--log", "c.log", "--all-k"],
+            vec!["tree", "--input", "g.txt"],
+            vec!["analyze", "--dataset", "d"],
+            vec!["baselines", "--input", "g.txt"],
         ] {
+            let deadline = |args: &[&str]| match parse(args).unwrap() {
+                Command::Communities { deadline, .. }
+                | Command::Tree { deadline, .. }
+                | Command::Analyze { deadline, .. }
+                | Command::Baselines { deadline, .. } => deadline,
+                other => panic!("unexpected command {other:?}"),
+            };
             let mut with = cmd.clone();
             with.extend(["--deadline", "120"]);
-            match parse(&with).unwrap() {
-                Command::Communities { deadline, .. }
-                | Command::StreamPercolate { deadline, .. } => assert_eq!(deadline, Some(120)),
-                other => panic!("unexpected command {other:?}"),
-            }
-            match parse(&cmd).unwrap() {
-                Command::Communities { deadline, .. }
-                | Command::StreamPercolate { deadline, .. } => assert_eq!(deadline, None),
-                other => panic!("unexpected command {other:?}"),
-            }
+            assert_eq!(deadline(&with), Some(120), "{with:?}");
+            assert_eq!(deadline(&cmd), None, "{cmd:?}");
         }
         assert!(parse(&[
             "communities",
@@ -1737,10 +1681,12 @@ mod tests {
             .run()
             .unwrap();
         Command::CliqueLogInfo { log: log.clone() }.run().unwrap();
-        for (input, log_arg) in [(Some(edges.clone()), None), (None, Some(log.clone()))] {
-            Command::StreamPercolate {
-                input: input.clone(),
-                log: log_arg.clone(),
+        for source in [
+            CliqueInput::Edges(edges.clone()),
+            CliqueInput::Log(log.clone()),
+        ] {
+            Command::Communities {
+                source: source.clone(),
                 k: Some(3),
                 all_k: false,
                 mode: cpm::Mode::Exact,
@@ -1749,9 +1695,8 @@ mod tests {
             }
             .run()
             .unwrap();
-            Command::StreamPercolate {
-                input,
-                log: log_arg,
+            Command::Communities {
+                source,
                 k: None,
                 all_k: true,
                 mode: cpm::Mode::Exact,
@@ -1761,9 +1706,8 @@ mod tests {
             .run()
             .unwrap();
         }
-        Command::StreamPercolate {
-            input: Some(edges),
-            log: None,
+        Command::Communities {
+            source: CliqueInput::Log(log),
             k: Some(3),
             all_k: false,
             mode: cpm::Mode::Almost,
@@ -1809,9 +1753,8 @@ mod tests {
         }
         .run()
         .unwrap();
-        Command::StreamPercolate {
-            input: None,
-            log: Some(log),
+        Command::Communities {
+            source: CliqueInput::Log(log),
             k: None,
             all_k: true,
             mode: cpm::Mode::Exact,
@@ -1824,21 +1767,9 @@ mod tests {
         // The interruption exit code also reaches the in-memory
         // commands (which have nothing durable to resume).
         let err = Command::Communities {
-            input: edges.clone(),
+            source: CliqueInput::Edges(edges),
             k: None,
             all_k: true,
-            mode: cpm::Mode::Exact,
-            threads: exec::Threads::Auto,
-            deadline: Some(0),
-        }
-        .run()
-        .unwrap_err();
-        assert_eq!(err.code, EXIT_INTERRUPTED);
-        let err = Command::StreamPercolate {
-            input: Some(edges),
-            log: None,
-            k: Some(3),
-            all_k: false,
             mode: cpm::Mode::Exact,
             threads: exec::Threads::Auto,
             deadline: Some(0),
@@ -1873,9 +1804,8 @@ mod tests {
 
         for cmd in [
             Command::CliqueLogInfo { log: log.clone() },
-            Command::StreamPercolate {
-                input: None,
-                log: Some(log.clone()),
+            Command::Communities {
+                source: CliqueInput::Log(log.clone()),
                 k: Some(3),
                 all_k: false,
                 mode: cpm::Mode::Exact,
@@ -1916,6 +1846,7 @@ mod tests {
         .unwrap();
         Command::Analyze {
             dataset: dir.clone(),
+            deadline: None,
         }
         .run()
         .unwrap();
@@ -1927,7 +1858,7 @@ mod tests {
         .run()
         .unwrap();
         Command::Communities {
-            input: edges.clone(),
+            source: CliqueInput::Edges(edges.clone()),
             k: Some(3),
             all_k: false,
             mode: cpm::Mode::Exact,
@@ -1937,7 +1868,7 @@ mod tests {
         .run()
         .unwrap();
         Command::Communities {
-            input: edges.clone(),
+            source: CliqueInput::Edges(edges.clone()),
             k: None,
             all_k: true,
             mode: cpm::Mode::Exact,
@@ -1949,7 +1880,7 @@ mod tests {
         // A generous (never-expiring) deadline must not change the
         // single-k output path's behaviour, only its engine.
         Command::Communities {
-            input: edges.clone(),
+            source: CliqueInput::Edges(edges.clone()),
             k: Some(3),
             all_k: false,
             mode: cpm::Mode::Exact,
@@ -1960,6 +1891,7 @@ mod tests {
         .unwrap();
         Command::Baselines {
             input: edges.clone(),
+            deadline: None,
         }
         .run()
         .unwrap();

@@ -3,7 +3,8 @@
 //! or one of the removed `--pipeline`, `--sweep`, `--approx` and
 //! `--kernel` — exits 2 with the offending flag named on stderr and
 //! nothing on stdout, so a script never consumes output from a run it
-//! did not ask for.
+//! did not ask for. The removed `stream-percolate` verb exits 2 too,
+//! naming `communities --log`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -68,7 +69,7 @@ fn removed_legacy_flags_are_usage_errors() {
         "--sweep",
     );
     assert_rejects(
-        &["stream-percolate", "--input", input, "--k", "3", "--approx"],
+        &["communities", "--log", "x.log", "--k", "3", "--approx"],
         "--approx",
     );
     for args in [
@@ -82,9 +83,9 @@ fn removed_legacy_flags_are_usage_errors() {
             "merge",
         ][..],
         &[
-            "stream-percolate",
-            "--input",
-            input,
+            "communities",
+            "--log",
+            "x.log",
             "--all-k",
             "--kernel",
             "auto",
@@ -104,6 +105,26 @@ fn removed_legacy_flags_are_usage_errors() {
     }
 }
 
+/// The removed verb is a usage error that names its replacement.
+#[test]
+fn stream_percolate_names_its_replacement() {
+    let edges = fixture_edges("verb");
+    let input = edges.to_str().expect("utf-8 temp path");
+    for source in [["--input", input], ["--log", "x.log"]] {
+        let mut args = vec!["stream-percolate"];
+        args.extend(source);
+        args.push("--all-k");
+        let output = run(&args);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {output:?}");
+        assert!(output.stdout.is_empty(), "{args:?}: {output:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("stream-percolate is now communities --log"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
 /// A typo never runs with the defaults, on any verb.
 #[test]
 fn mistyped_flags_are_usage_errors_on_every_verb() {
@@ -118,14 +139,7 @@ fn mistyped_flags_are_usage_errors_on_every_verb() {
         (&["stats", "--input", input, "--verbose"][..], "--verbose"),
         (&["baselines", "--input", input, "--k", "3"][..], "--k"),
         (
-            &[
-                "stream-percolate",
-                "--input",
-                input,
-                "--all-k",
-                "--thread",
-                "4",
-            ][..],
+            &["communities", "--log", "x.log", "--all-k", "--thread", "4"][..],
             "--thread",
         ),
         (

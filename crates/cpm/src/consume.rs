@@ -80,16 +80,13 @@
 //! candidate components. The summaries are `⌈hubs / 64⌉` words wide,
 //! like every hub bitmap in the engine.
 //!
-//! The finish ([`finish_parallel`](FusedPercolator::finish_parallel);
-//! [`finish`] is its one-worker form) runs on the worker pool: its
+//! The finish ([`FusedPercolator::finish`]) runs on the worker pool: its
 //! phases — pair detection, the descending-`k` stratum drains, member
 //! extraction — scale with workers while staying bit-identical at every
 //! worker count; see the determinism notes on
 //! `FusedPercolator::finish_impl`. Clique ids are stream ordinals
 //! (positions in the deterministic sequential enumeration order), so
 //! the result is also bit-identical across kernels.
-//!
-//! [`finish`]: FusedPercolator::finish
 
 use crate::dsu::Dsu;
 use crate::dsu_concurrent::ConcurrentDsu;
@@ -914,10 +911,9 @@ impl MergeSrc<'_> {
 /// members, each exactly once, deterministic order — the
 /// [`cliques::consume_max_cliques`] driver guarantees this) to
 /// [`consume`](CliqueConsumer::consume), then call
-/// [`finish`](Self::finish) (or one of its pooled forms) for the
-/// multi-level result; a single level is its projection
-/// ([`CpmResult::cover`]). At no point does a clique list exist: peak
-/// memory is the engine's working state.
+/// [`finish`](Self::finish) for the multi-level result; a single level
+/// is its projection ([`CpmResult::cover`]). At no point does a clique
+/// list exist: peak memory is the engine's working state.
 pub struct FusedPercolator {
     sizes: Vec<u32>,
     k_max: usize,
@@ -963,48 +959,31 @@ impl FusedPercolator {
         self.sizes.len()
     }
 
-    /// Runs the descending-`k` sweep on the calling thread and extracts
-    /// every level: [`finish_parallel`](Self::finish_parallel) with one
-    /// worker, which the pool runs inline.
-    pub fn finish(self) -> CpmResult {
-        self.finish_parallel(1)
-    }
-
     /// The pair detection, the descending-`k` sweep and the member
     /// extraction, each chunked over up to `threads` workers of the
     /// persistent [`Pool`] ([`Threads::Auto`] resolves each phase
-    /// against its own work volume). Bit-identical at every worker
-    /// count.
+    /// against its own work volume; one worker runs inline on the
+    /// caller). Bit-identical at every worker count.
     ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is a fixed count of 0.
-    pub fn finish_parallel(self, threads: impl Into<Threads>) -> CpmResult {
-        let mut phases = FusedPhases::default();
-        self.finish_impl(threads.into(), None, &mut phases, &mut |_| {})
-            .expect("uncancellable finish cannot be cancelled")
-    }
-
-    /// [`finish_parallel`](Self::finish_parallel) polling a
-    /// [`CancelToken`] at every chunk claim and level barrier: workers
-    /// stop taking work, run out through the job protocol (the pool
-    /// stays reusable), the partially built result is discarded, and
-    /// the call returns [`Cancelled`].
+    /// With a token, every chunk claim and level barrier polls it:
+    /// workers stop taking work, run out through the job protocol (the
+    /// pool stays reusable), the partially built result is discarded,
+    /// and the call returns [`Cancelled`]. `None` polls nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`Cancelled`] once the token trips.
+    /// Returns [`Cancelled`] once the token trips; never without one.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is a fixed count of 0.
-    pub fn finish_cancellable(
+    pub fn finish(
         self,
         threads: impl Into<Threads>,
-        cancel: &CancelToken,
+        cancel: Option<&CancelToken>,
     ) -> Result<CpmResult, Cancelled> {
         let mut phases = FusedPhases::default();
-        self.finish_impl(threads.into(), Some(cancel), &mut phases, &mut |_| {})
+        self.finish_impl(threads.into(), cancel, &mut phases, &mut |_| {})
     }
 
     /// The one finish behind every entry point, at every worker count:
@@ -1888,27 +1867,6 @@ pub fn percolate(g: &Graph) -> CpmResult {
     percolate_parallel(g, 1, Mode::Exact)
 }
 
-/// The exact k-clique communities of a single level: [`percolate`]
-/// projected onto level `k` ([`CpmResult::cover`]). Returns sorted
-/// member lists, sorted; empty when `k < 2` or no clique reaches size
-/// `k`.
-///
-/// # Example
-///
-/// ```
-/// use asgraph::Graph;
-///
-/// let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]);
-/// let comms = cpm::percolate_at(&g, 3);
-/// assert_eq!(comms, vec![vec![0, 1, 2], vec![2, 3, 4]]);
-/// ```
-pub fn percolate_at(g: &Graph, k: usize) -> Vec<Vec<NodeId>> {
-    match u32::try_from(k) {
-        Ok(k) if k >= 2 => percolate(g).cover(k),
-        _ => Vec::new(),
-    }
-}
-
 /// Percolation in `mode` with pool-parallel enumeration *and* finish:
 /// producers enumerate work-stolen chunks and fold them into the
 /// engine in sequential order, then the finish-time phases (pair
@@ -1934,7 +1892,8 @@ pub fn percolate_parallel(g: &Graph, threads: impl Into<Threads>, mode: Mode) ->
     let mut p = FusedPercolator::new(g.node_count(), mode);
     cliques::consume_max_cliques(g, threads, Kernel::Auto, &CancelToken::new(), &mut p)
         .expect("a fresh token never trips");
-    p.finish_parallel(threads)
+    p.finish(threads, None)
+        .expect("uncancellable finish cannot be cancelled")
 }
 
 /// [`percolate_parallel`] with the [`FusedPhases`] wall-clock breakdown
@@ -2002,7 +1961,7 @@ pub fn percolate_fused_cancellable(
     let threads = entry_threads(threads.into(), g);
     let mut p = FusedPercolator::new(g.node_count(), mode);
     cliques::consume_max_cliques(g, threads, kernel, cancel, &mut p)?;
-    p.finish_cancellable(threads, cancel)
+    p.finish(threads, Some(cancel))
 }
 
 #[cfg(test)]
@@ -2031,7 +1990,8 @@ mod tests {
         let mut p = FusedPercolator::new(g.node_count(), mode);
         cliques::consume_max_cliques(g, 1, kernel, &CancelToken::new(), &mut p)
             .expect("a fresh token never trips");
-        p.finish()
+        p.finish(1, None)
+            .expect("uncancellable finish cannot be cancelled")
     }
 
     /// Every community's parent at the level below contains it, and
@@ -2059,7 +2019,7 @@ mod tests {
     }
 
     /// Both modes agree with the literal definition at every level (and
-    /// one above the top), [`percolate_at`] projects the same covers,
+    /// one above the top), [`percolate`] projects the same covers,
     /// and the almost result refines the exact one with zero
     /// divergence.
     #[track_caller]
@@ -2075,7 +2035,7 @@ mod tests {
             for (mode, r) in [(Mode::Exact, &exact), (Mode::Almost, &almost)] {
                 assert_eq!(r.cover(k as u32), expected, "{mode} k = {k}");
             }
-            assert_eq!(percolate_at(g, k), expected, "single k = {k}");
+            assert_eq!(percolate(g).cover(k as u32), expected, "single k = {k}");
         }
     }
 
@@ -2205,9 +2165,9 @@ mod tests {
             assert!(r.cover(0).is_empty());
             assert!(r.cover(1).is_empty());
         }
-        assert!(percolate_at(&isolated, 2).is_empty());
-        assert!(percolate_at(&one_edge, 0).is_empty());
-        assert!(percolate_at(&one_edge, 1).is_empty());
+        assert!(percolate(&isolated).cover(2).is_empty());
+        assert!(percolate(&one_edge).cover(0).is_empty());
+        assert!(percolate(&one_edge).cover(1).is_empty());
     }
 
     #[test]
@@ -2275,7 +2235,7 @@ mod tests {
 
     proptest! {
         /// Both modes ≡ the literal definition on random graphs, every
-        /// level, and [`percolate_at`] projects the same covers.
+        /// level, and [`percolate`] projects the same covers.
         #[test]
         fn fused_matches_definition_on_soups(edges in edge_soup(16, 60)) {
             let g = Graph::from_edges(16, edges);
@@ -2285,7 +2245,7 @@ mod tests {
                     let expected = naive_communities(&g, k);
                     prop_assert_eq!(&r.cover(k as u32), &expected, "mode {} k {}", mode, k);
                     if mode == Mode::Exact {
-                        prop_assert_eq!(&percolate_at(&g, k), &expected, "single k {}", k);
+                        prop_assert_eq!(&percolate(&g).cover(k as u32), &expected, "single k {}", k);
                     }
                 }
             }

@@ -127,10 +127,11 @@ mod tests {
         let und = b.build();
         let rank: Vec<u64> = (0..14).collect();
         let dig = DiGraph::orient_by_rank(&und, &rank);
+        let undirected = crate::percolate(&und);
         for k in 2..=5 {
             assert_eq!(
                 directed_communities(&dig, k),
-                crate::percolate_at(&und, k),
+                undirected.cover(k as u32),
                 "k = {k}"
             );
         }

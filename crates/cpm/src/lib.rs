@@ -58,7 +58,7 @@ mod snapshot;
 pub mod weighted;
 
 pub use consume::{
-    percolate, percolate_at, percolate_fused_cancellable, percolate_fused_phases_parallel,
+    percolate, percolate_fused_cancellable, percolate_fused_phases_parallel,
     percolate_fused_phases_probed, percolate_parallel, FusedPercolator, FusedPhases,
 };
 pub use dsu::Dsu;

@@ -111,7 +111,8 @@ fn percolate(n: usize, set: &CliqueSet, mode: Mode, threads: usize) -> CpmResult
     for c in set {
         p.push(c);
     }
-    p.finish_parallel(threads)
+    p.finish(threads, None)
+        .expect("uncancellable finish cannot be cancelled")
 }
 
 /// Between `count.0` and `count.1` cliques of sizes in `sizes` planted

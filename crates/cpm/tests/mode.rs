@@ -21,7 +21,7 @@ fn percolate_mode(g: &Graph, mode: Mode) -> CpmResult {
 
 /// Single-level percolation in `mode`: the level-`k` projection of
 /// the all-k result.
-fn percolate_at_mode(g: &Graph, k: usize, mode: Mode) -> Vec<Vec<NodeId>> {
+fn cover_in_mode(g: &Graph, k: usize, mode: Mode) -> Vec<Vec<NodeId>> {
     percolate_mode(g, mode).cover(k as u32)
 }
 
@@ -74,8 +74,8 @@ proptest! {
     #[test]
     fn three_way_oracle_at_fixed_k(edges in edge_soup(14, 50), k in 3usize..6) {
         let g = Graph::from_edges(14, edges);
-        let exact = percolate_at_mode(&g, k, Mode::Exact);
-        let almost = percolate_at_mode(&g, k, Mode::Almost);
+        let exact = cover_in_mode(&g, k, Mode::Exact);
+        let almost = cover_in_mode(&g, k, Mode::Almost);
         let naive = naive_communities(&g, k);
         prop_assert_eq!(&exact, &almost, "exact vs almost, k = {}", k);
         prop_assert_eq!(&exact, &naive, "exact vs naive, k = {}", k);
@@ -99,8 +99,8 @@ fn three_way_oracle_on_tiny_internet() {
     let topo = topology::generate(&topology::ModelConfig::tiny(7)).expect("valid preset");
     let g = &topo.graph;
     for k in [3, 4, 6] {
-        let exact = percolate_at_mode(g, k, Mode::Exact);
-        let almost = percolate_at_mode(g, k, Mode::Almost);
+        let exact = cover_in_mode(g, k, Mode::Exact);
+        let almost = cover_in_mode(g, k, Mode::Almost);
         let naive = naive_communities(g, k);
         assert_eq!(exact, almost, "exact vs almost, k = {k}");
         assert_eq!(exact, naive, "exact vs naive, k = {k}");

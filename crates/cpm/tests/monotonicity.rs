@@ -10,7 +10,8 @@ fn edge_soup(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(NodeId, Nod
 
 /// Cover at level k as a set of member sets.
 fn cover(g: &Graph, k: usize) -> Vec<HashSet<NodeId>> {
-    cpm::percolate_at(g, k)
+    cpm::percolate(g)
+        .cover(k as u32)
         .into_iter()
         .map(|c| c.into_iter().collect())
         .collect()
@@ -38,12 +39,20 @@ proptest! {
         }
     }
 
-    /// percolate_at agrees with the full sweep's level k.
+    /// The single-level query is the full sweep's level k: the same
+    /// member sets, and none when the sweep has no such level.
     #[test]
     fn single_level_matches_full_sweep(edges in edge_soup(14, 50), k in 2u32..7) {
         let g = Graph::from_edges(14, edges);
-        let single = cpm::percolate_at(&g, k as usize);
-        prop_assert_eq!(single, cpm::percolate(&g).cover(k));
+        let result = cpm::percolate(&g);
+        let single = result.cover(k);
+        let mut level: Vec<Vec<NodeId>> = result
+            .level(k)
+            .map(|l| l.communities.iter().map(|c| c.members.clone()).collect())
+            .unwrap_or_default();
+        level.sort_unstable();
+        prop_assert_eq!(&single, &level);
+        prop_assert_eq!(single.is_empty(), result.k_max().is_none_or(|m| k > m));
     }
 
     /// Covers shrink with k: every (k+1)-community is inside some
@@ -61,15 +70,16 @@ proptest! {
     /// Isolating relabelling invariance: reversing node ids yields an
     /// isomorphic cover.
     #[test]
-    fn relabelling_invariance(edges in edge_soup(12, 40), k in 2usize..5) {
+    fn relabelling_invariance(edges in edge_soup(12, 40), k in 2u32..5) {
         let n = 12u32;
         let g = Graph::from_edges(n as usize, edges.iter().copied());
         let flipped = Graph::from_edges(
             n as usize,
             edges.iter().map(|&(u, v)| (n - 1 - u, n - 1 - v)),
         );
-        let mut a = cpm::percolate_at(&g, k);
-        let mut b: Vec<Vec<NodeId>> = cpm::percolate_at(&flipped, k)
+        let mut a = cpm::percolate(&g).cover(k);
+        let mut b: Vec<Vec<NodeId>> = cpm::percolate(&flipped)
+            .cover(k)
             .into_iter()
             .map(|c| {
                 let mut m: Vec<NodeId> = c.into_iter().map(|v| n - 1 - v).collect();

@@ -49,7 +49,9 @@ pub fn run(analysis: &Analysis, opts: &Options) -> Vec<Artifact> {
         for c in cliques.iter() {
             percolator.push(c);
         }
-        let result = percolator.finish();
+        let result = percolator
+            .finish(1, None)
+            .expect("uncancellable finish cannot be cancelled");
         let t_perc = t0.elapsed();
         let at_m = result
             .level(m as u32)

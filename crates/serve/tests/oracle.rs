@@ -1,5 +1,5 @@
 //! Oracle test: every `membership(as, k)` answer served over HTTP must
-//! equal a fresh `cpm::percolate_at` run on the same graph — the
+//! equal level k of a fresh `cpm::percolate` run on the same graph — the
 //! daemon's snapshot path (clique log -> streaming sweep -> frozen
 //! index -> wire) against the reference batch percolator.
 
@@ -25,9 +25,10 @@ fn served_membership_matches_batch_percolation() {
         .expect("k_max in stats");
     assert!(k_max >= 3, "tiny preset should percolate past k=2");
 
+    let result = cpm::percolate(&g);
     for k in 2..=k_max {
         // Reference: communities at k, as sorted member sets per AS.
-        let reference = cpm::percolate_at(&g, k as usize);
+        let reference = result.cover(k);
         let mut expected: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n];
         for community in &reference {
             let mut members = community.clone();

@@ -45,9 +45,7 @@ pub use log::{
     DEFAULT_CHECKPOINT_CLIQUES, TORN_LOG_MSG,
 };
 pub use percolate::stream_percolate_parallel_mode;
-pub use source::{
-    consume_source, CliqueSource, GraphSource, LogSource, StreamError, CANCEL_POLL_CLIQUES,
-};
+pub use source::{CliqueSource, GraphSource, LogSource, StreamError, CANCEL_POLL_CLIQUES};
 
 pub use exec::{CancelToken, Threads};
 
@@ -112,26 +110,6 @@ pub struct LogBuildOutcome {
     pub interrupted: bool,
 }
 
-/// The log-build arm of the sink-driven pipeline: a
-/// [`cliques::CliqueConsumer`] that appends every clique to a
-/// [`CliqueLogWriter`], holding the first I/O error aside so the
-/// enumeration can drain cleanly (writers are not allowed to panic in
-/// the replay callback).
-struct LogBuildSink<'w> {
-    writer: &'w mut CliqueLogWriter,
-    io_err: Option<std::io::Error>,
-}
-
-impl cliques::CliqueConsumer for LogBuildSink<'_> {
-    fn consume(&mut self, clique: &[asgraph::NodeId]) {
-        if self.io_err.is_none() {
-            if let Err(e) = self.writer.push(clique) {
-                self.io_err = Some(e);
-            }
-        }
-    }
-}
-
 /// Enumerates `g`'s maximal cliques into a v2 clique log at `path`,
 /// with checkpointing, crash recovery (`resume`), and cooperative
 /// cancellation per [`LogBuildOptions`].
@@ -178,12 +156,17 @@ pub fn build_clique_log(
     if let Some(token) = &options.cancel {
         source = source.with_cancel(token.clone());
     }
-    let mut sink = LogBuildSink {
-        writer: &mut writer,
-        io_err: None,
-    };
-    let replay = consume_source(&mut source, &mut sink);
-    if let Some(e) = sink.io_err {
+    // The first I/O error is held aside so the enumeration can drain
+    // cleanly (the replay callback must not panic).
+    let mut io_err = None;
+    let replay = source.replay(&mut |clique| {
+        if io_err.is_none() {
+            if let Err(e) = writer.push(clique) {
+                io_err = Some(e);
+            }
+        }
+    });
+    if let Some(e) = io_err {
         return Err(e.into());
     }
     let interrupted = match replay {

@@ -7,7 +7,7 @@
 //! was built from — every level, community order, member list, parent
 //! link and clique id (clique ids are stream ordinals either way).
 
-use crate::source::{consume_source, CliqueSource};
+use crate::source::CliqueSource;
 use crate::StreamError;
 use cpm::{CpmResult, FusedPercolator, Mode};
 use exec::Threads;
@@ -47,12 +47,8 @@ pub fn stream_percolate_parallel_mode<S: CliqueSource + ?Sized>(
     mode: Mode,
 ) -> Result<CpmResult, StreamError> {
     let mut p = FusedPercolator::new(source.node_count(), mode);
-    consume_source(source, &mut p)?;
-    let threads = threads.into();
-    Ok(match source.cancel_token() {
-        Some(token) => p.finish_cancellable(threads, token)?,
-        None => p.finish_parallel(threads),
-    })
+    source.replay(&mut |clique| p.push(clique))?;
+    Ok(p.finish(threads, source.cancel_token())?)
 }
 
 #[cfg(test)]

@@ -107,22 +107,6 @@ pub trait CliqueSource {
     }
 }
 
-/// Replays `source` into any [`cliques::CliqueConsumer`] — the bridge
-/// between the replayable sources of this crate and the sink-driven
-/// clique pipeline. The percolation engine in `cpm` and the log-build
-/// sink both consume the stream through this one surface.
-///
-/// # Errors
-///
-/// Fails only if the source does (I/O on a clique log, or
-/// [`StreamError::Interrupted`] on cancellation).
-pub fn consume_source<S: CliqueSource + ?Sized>(
-    source: &mut S,
-    consumer: &mut (dyn cliques::CliqueConsumer + Send),
-) -> Result<(), StreamError> {
-    source.replay(&mut |clique| consumer.consume(clique))
-}
-
 /// Live [`CliqueSource`]: re-enumerates the graph's maximal cliques on
 /// every replay through [`cliques::consume_max_cliques`] on one worker.
 #[derive(Debug)]

@@ -52,12 +52,12 @@ proptest! {
         assert_stream_matches_batch(&g);
     }
 
-    /// A single level of the replay is `cpm::percolate_at`.
+    /// A single level of the replay is the batch run's level.
     #[test]
     fn stream_at_matches_batch_at(edges in edge_soup(14, 50), k in 2u32..6) {
         let g = Graph::from_edges(14, edges);
         let got = replay(&mut GraphSource::new(&g), Mode::Exact).cover(k);
-        prop_assert_eq!(got, cpm::percolate_at(&g, k as usize));
+        prop_assert_eq!(got, cpm::percolate(&g).cover(k));
     }
 
     /// Percolating off a clique log gives the same result as live

@@ -18,7 +18,7 @@ fn naive_and_reduction_agree_on_the_topology() {
     for k in [3usize, 4, 5] {
         assert_eq!(
             cpm::naive::naive_communities(&topo.graph, k),
-            cpm::percolate_at(&topo.graph, k),
+            cpm::percolate(&topo.graph).cover(k as u32),
             "k = {k}"
         );
     }
@@ -34,7 +34,7 @@ fn weighted_with_uniform_weights_matches_unweighted() {
     let wg = b.build();
     assert_eq!(
         cpm::weighted::weighted_communities(&wg, 4, 0.0),
-        cpm::percolate_at(&topo.graph, 4)
+        cpm::percolate(&topo.graph).cover(4)
     );
     // A huge threshold kills everything.
     assert!(cpm::weighted::weighted_communities(&wg, 4, 10.0).is_empty());
@@ -53,7 +53,7 @@ fn directed_cover_is_coarser_or_equal_under_total_order() {
     // covers.
     assert_eq!(
         cpm::directed::directed_communities(&dig, 3),
-        cpm::percolate_at(&topo.graph, 3)
+        cpm::percolate(&topo.graph).cover(3)
     );
 }
 
@@ -66,7 +66,7 @@ fn louvain_and_cpm_are_complementary() {
     // subset with overlaps.
     let total: usize = p.members().iter().map(Vec::len).sum();
     assert_eq!(total, topo.graph.node_count());
-    let cover = cpm::percolate_at(&topo.graph, 4);
+    let cover = cpm::percolate(&topo.graph).cover(4);
     let covered: usize = cover.iter().map(Vec::len).sum();
     assert!(covered < topo.graph.node_count());
 }

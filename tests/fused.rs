@@ -33,7 +33,7 @@ fn random_graph(n: u32, p: f64, seed: u64) -> asgraph::Graph {
 fn fused_parallel_is_bit_identical_at_every_worker_count() {
     let g = random_graph(70, 0.12, 23);
     for mode in [Mode::Exact, Mode::Almost] {
-        let sequential = consumed(&g, mode).finish();
+        let sequential = finished(&g, mode, 1);
         for k in 2..=sequential.k_max().unwrap_or(1) as usize + 1 {
             assert_eq!(
                 sequential.cover(k as u32),
@@ -55,7 +55,7 @@ fn fused_parallel_is_bit_identical_at_every_worker_count() {
             }
         }
     }
-    assert_eq!(cpm::percolate(&g), consumed(&g, Mode::Exact).finish());
+    assert_eq!(cpm::percolate(&g), finished(&g, Mode::Exact, 1));
 }
 
 /// A run cancelled mid-enumeration drains through the normal job
@@ -64,7 +64,7 @@ fn fused_parallel_is_bit_identical_at_every_worker_count() {
 #[test]
 fn fused_cancellation_leaves_the_pool_reusable_and_the_run_resumable() {
     let g = random_graph(60, 0.15, 47);
-    let reference = consumed(&g, Mode::Almost).finish();
+    let reference = finished(&g, Mode::Almost, 1);
     let tripped = CancelToken::new();
     tripped.cancel();
     for threads in [1usize, 2, 4] {
@@ -163,10 +163,17 @@ fn consumed(g: &asgraph::Graph, mode: Mode) -> FusedPercolator {
     p
 }
 
+/// [`consumed`], finished on `threads` workers without a token.
+fn finished(g: &asgraph::Graph, mode: Mode, threads: usize) -> cpm::CpmResult {
+    consumed(g, mode)
+        .finish(threads, None)
+        .expect("uncancellable finish cannot be cancelled")
+}
+
 /// The finish-time phases (pair detection, sweep, extraction) on the
 /// pool are strictly equal — ordinals, parents, members, everything —
-/// to the one-worker `finish()` at 1, 2, 4, and 7 workers, plain and
-/// cancellable, for both modes: on a substrate whose k = 3 stratum
+/// to the one-worker finish at 1, 2, 4, and 7 workers, with and
+/// without a live token, for both modes: on a substrate whose k = 3 stratum
 /// crosses the parallel sweep's chunk-queue threshold, on the tiny
 /// Internet preset, on the blocks substrate at four- and five-word hub
 /// bitmaps (20 and 25 blocks), where the pooled counting pass runs over
@@ -192,18 +199,18 @@ fn parallel_finish_is_bit_identical_to_sequential_finish() {
             "hub bitmaps past four words"
         );
         for mode in [Mode::Exact, Mode::Almost] {
-            let level3 = consumed(g, mode).finish().cover(3);
+            let level3 = finished(g, mode, 1).cover(3);
             assert_eq!(level3.len(), 1, "{mode}, {blocks} blocks");
         }
         // Almost mode misses the blocks' 3-vertex overlaps at k = 4, but
         // counts every pendant K4 into its block.
-        let level4 = consumed(g, Mode::Almost).finish().cover(4);
+        let level4 = finished(g, Mode::Almost, 1).cover(4);
         assert_eq!(level4.len(), blocks, "{blocks} blocks");
     }
     let ring = ring_graph(300);
     let each: Vec<Vec<u32>> = (0..300).map(|i| (15 * i..15 * i + 15).collect()).collect();
     for mode in [Mode::Exact, Mode::Almost] {
-        let r = consumed(&ring, mode).finish();
+        let r = finished(&ring, mode, 1);
         assert_eq!(r.k_max(), Some(15), "{mode}");
         assert_eq!(r.cover(2), vec![(0..4_500).collect::<Vec<u32>>()], "{mode}");
         for k in 3..=15 {
@@ -219,16 +226,16 @@ fn parallel_finish_is_bit_identical_to_sequential_finish() {
         ring,
     ] {
         for mode in [Mode::Exact, Mode::Almost] {
-            let sequential = consumed(&g, mode).finish();
+            let sequential = finished(&g, mode, 1);
             for threads in [1usize, 2, 4, 7] {
                 assert_eq!(
                     sequential,
-                    consumed(&g, mode).finish_parallel(threads),
+                    finished(&g, mode, threads),
                     "{mode} threads {threads}"
                 );
                 let token = CancelToken::new();
                 let got = consumed(&g, mode)
-                    .finish_cancellable(threads, &token)
+                    .finish(threads, Some(&token))
                     .expect("live token never cancels");
                 assert_eq!(sequential, got, "{mode} cancellable threads {threads}");
             }
@@ -245,16 +252,14 @@ fn cancellation_mid_finish_leaves_the_pool_reusable() {
     let tripped = CancelToken::new();
     tripped.cancel();
     for mode in [Mode::Exact, Mode::Almost] {
-        let reference = consumed(&g, mode).finish();
+        let reference = finished(&g, mode, 1);
         for threads in [1usize, 2, 4] {
             assert!(
-                consumed(&g, mode)
-                    .finish_cancellable(threads, &tripped)
-                    .is_err(),
+                consumed(&g, mode).finish(threads, Some(&tripped)).is_err(),
                 "{mode} threads {threads}: tripped token must cancel the finish"
             );
             let again = consumed(&g, mode)
-                .finish_cancellable(threads, &CancelToken::new())
+                .finish(threads, Some(&CancelToken::new()))
                 .expect("live token never cancels");
             assert_eq!(
                 again, reference,
@@ -270,20 +275,20 @@ fn edge_soup(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>>
 
 proptest! {
     /// Both modes ≡ the literal definition at every level on random
-    /// soups (and `percolate_at` projects the same covers), with
+    /// soups (and `percolate` projects the same covers), with
     /// the parallel driver strictly equal to the sequential one at
     /// 2/4/7 workers.
     #[test]
     fn fused_equals_naive_across_workers(edges in edge_soup(14, 50)) {
         let g = asgraph::Graph::from_edges(14, edges);
         for mode in [Mode::Exact, Mode::Almost] {
-            let fused = consumed(&g, mode).finish();
+            let fused = finished(&g, mode, 1);
             prop_assert_eq!(fused.clique_count, cliques::max_cliques(&g).len());
             for k in 2..=fused.k_max().unwrap_or(1) as usize + 1 {
                 let expected = naive_communities(&g, k);
                 prop_assert_eq!(&fused.cover(k as u32), &expected, "mode {} k {}", mode, k);
                 if mode == Mode::Exact {
-                    prop_assert_eq!(&cpm::percolate_at(&g, k), &expected, "single k {}", k);
+                    prop_assert_eq!(&cpm::percolate(&g).cover(k as u32), &expected, "single k {}", k);
                 }
             }
             for threads in [2usize, 4, 7] {

@@ -40,7 +40,8 @@ fn enumerate_with(g: &kclique::graph::Graph, kernel: Kernel) -> CliqueSet {
 fn percolate_with_kernel(g: &kclique::graph::Graph, kernel: Kernel) -> cpm::CpmResult {
     let mut p = cpm::FusedPercolator::new(g.node_count(), cpm::Mode::Exact);
     enumerate_into(g, kernel, &mut p);
-    p.finish()
+    p.finish(1, None)
+        .expect("uncancellable finish cannot be cancelled")
 }
 
 #[test]

@@ -72,7 +72,7 @@ fn the_pool_stops_growing_and_survives_cancellation() {
             );
             assert!(
                 consumed(&book, mode)
-                    .finish_cancellable(threads, &tripped)
+                    .finish(threads, Some(&tripped))
                     .is_err(),
                 "{mode} threads {threads}: a tripped token must cancel the finish"
             );
