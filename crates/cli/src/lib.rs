@@ -36,6 +36,42 @@ pub const EXIT_CORRUPT_INPUT: i32 = 65;
 /// with `--resume` where applicable — continues from where it stopped.
 pub const EXIT_INTERRUPTED: i32 = 75;
 
+/// Writes formatted output to stdout. A reader that has gone away — a
+/// closed pipe, as under `| head -1` — ends the process quietly with
+/// exit 0: the rest of the output has nobody to go to. Any other write
+/// failure ends it with exit 1.
+fn write_stdout(args: fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        write_stderr(format_args!("error: writing to stdout: {e}\n"));
+        std::process::exit(1);
+    }
+}
+
+/// Writes formatted output to stderr, dropping it if stderr is closed:
+/// a message nobody can read must not change how the run ends.
+pub fn write_stderr(args: fmt::Arguments<'_>) {
+    use std::io::Write;
+    let _ = std::io::stderr().lock().write_fmt(args);
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! stdout {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! stdoutln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// A failed command: the stderr message plus the process exit code.
 ///
 /// Scripts can branch on the code without parsing stderr: `1` is a
@@ -537,7 +573,9 @@ impl Command {
         }
     }
 
-    /// Executes the command, writing human output to stdout.
+    /// Executes the command, writing human output to stdout. A closed
+    /// stdout (the reader of a pipe has exited) ends the process with
+    /// exit 0 at the next write.
     ///
     /// # Errors
     ///
@@ -548,7 +586,7 @@ impl Command {
     pub fn run(&self) -> Result<(), CliFailure> {
         match self {
             Command::Help => {
-                print!("{USAGE}");
+                stdout!("{USAGE}");
                 Ok(())
             }
             Command::Communities {
@@ -593,14 +631,14 @@ impl Command {
                             largest.to_string(),
                         ]);
                     }
-                    print!("{}", table.render());
+                    stdout!("{}", table.render());
                 } else {
                     let k = k.expect("parse guarantees k for non-all-k");
                     let comms = result.cover(k);
-                    println!("# {} {k}-clique communities", comms.len());
+                    stdoutln!("# {} {k}-clique communities", comms.len());
                     for (i, c) in comms.iter().enumerate() {
                         let ids: Vec<String> = c.iter().map(ToString::to_string).collect();
-                        println!("{i}\t{}", ids.join(" "));
+                        stdoutln!("{i}\t{}", ids.join(" "));
                     }
                 }
                 Ok(())
@@ -614,7 +652,7 @@ impl Command {
                 let g = load_graph(input)?;
                 let result = percolate(&g, exec::Threads::Auto, cpm::Mode::Exact, &token)?;
                 let tree = kclique_core::CommunityTree::build(&result);
-                print!("{}", tree.to_dot(*min_k));
+                stdout!("{}", tree.to_dot(*min_k));
                 Ok(())
             }
             Command::Stats { input } => {
@@ -653,7 +691,7 @@ impl Command {
                 if let Some(r) = asgraph::stats::degree_assortativity(&g) {
                     table.row(vec!["degree assortativity".into(), f3(r)]);
                 }
-                print!("{}", table.render());
+                stdout!("{}", table.render());
                 Ok(())
             }
             Command::Generate { scale, seed, out } => {
@@ -666,7 +704,7 @@ impl Command {
                 };
                 let topo = topology::generate(&config).map_err(|e| e.to_string())?;
                 topology::io::save_dataset(&topo, out).map_err(|e| e.to_string())?;
-                println!(
+                stdoutln!(
                     "wrote {} ASes / {} links / {} IXPs to {}",
                     topo.graph.node_count(),
                     topo.graph.edge_count(),
@@ -681,7 +719,7 @@ impl Command {
                 let result = percolate(&topo.graph, exec::Threads::Auto, cpm::Mode::Exact, &token)?;
                 let analysis = kclique_core::analyze_topology(topo, result);
                 let s = analysis.topo.tag_summary();
-                println!(
+                stdoutln!(
                     "{} ASes, {} links | on-IXP {} | national {} continental {} worldwide {} unknown {}",
                     analysis.topo.graph.node_count(),
                     analysis.topo.graph.edge_count(),
@@ -691,7 +729,7 @@ impl Command {
                     s.worldwide,
                     s.unknown
                 );
-                println!(
+                stdoutln!(
                     "{} communities, k_max {}, bands: root <= {}, crown >= {}",
                     analysis.result.total_communities(),
                     analysis.result.k_max().unwrap_or(0),
@@ -713,7 +751,7 @@ impl Command {
                         pct(mean),
                     ]);
                 }
-                print!("{}", table.render());
+                stdout!("{}", table.render());
                 Ok(())
             }
             Command::Baselines { input, deadline } => {
@@ -756,7 +794,7 @@ impl Command {
                         cpm3.iter().map(Vec::len).sum::<usize>()
                     ),
                 ]);
-                print!("{}", table.render());
+                stdout!("{}", table.render());
                 Ok(())
             }
             Command::CliqueLogBuild {
@@ -776,13 +814,13 @@ impl Command {
                 let outcome = cpm_stream::build_clique_log(&g, out, &options)
                     .map_err(|e| CliFailure::stream(format_args!("{}", out.display()), &e))?;
                 if outcome.resumed_from > 0 {
-                    println!(
+                    stdoutln!(
                         "resumed after {} durable cliques already in {}",
                         outcome.resumed_from,
                         out.display()
                     );
                 }
-                println!(
+                stdoutln!(
                     "wrote {} cliques over {} nodes (largest {}) to {}",
                     outcome.info.clique_count,
                     outcome.info.node_count,
@@ -810,7 +848,7 @@ impl Command {
                 if let Ok(meta) = std::fs::metadata(log) {
                     table.row(vec!["file bytes".into(), meta.len().to_string()]);
                 }
-                print!("{}", table.render());
+                stdout!("{}", table.render());
                 Ok(())
             }
             Command::CliqueLogRecover { log } => {
@@ -836,9 +874,9 @@ impl Command {
                     "was already finished".into(),
                     report.was_finished.to_string(),
                 ]);
-                print!("{}", table.render());
+                stdout!("{}", table.render());
                 if !report.was_finished {
-                    println!(
+                    stdoutln!(
                         "log sealed at the last durable clique; continue with: \
                          clique-log build --resume --input <edges> --out {}",
                         log.display()
@@ -898,7 +936,7 @@ impl Command {
                 let local = server
                     .local_addr()
                     .map_err(|e| CliFailure::general(format!("cannot read bound address: {e}")))?;
-                println!(
+                stdoutln!(
                     "serving {} on http://{local} ({} workers); Ctrl-C to stop",
                     snapshot.display(),
                     config.threads
@@ -906,7 +944,7 @@ impl Command {
                 server
                     .run(&token)
                     .map_err(|e| CliFailure::general(format!("server failed: {e}")))?;
-                println!(
+                stdoutln!(
                     "shutdown: connections drained (generation {})",
                     server.generation()
                 );
@@ -944,7 +982,7 @@ impl Command {
                 if *check {
                     // Dry run: the report IS the product, so it goes to
                     // stdout and nothing touches the filesystem.
-                    print!("{report}");
+                    stdout!("{report}");
                     return Ok(());
                 }
                 let out = out.as_ref().expect("parse guarantees out xor check");
@@ -991,8 +1029,8 @@ impl Command {
                 }
                 // Counters go to stderr: stdout stays byte-clean for
                 // pipelines, like every other verb's notices.
-                eprint!("{report}");
-                println!(
+                write_stderr(format_args!("{report}"));
+                stdoutln!(
                     "wrote {} ASes / {} links to {}{}",
                     outcome.graph.node_count(),
                     outcome.graph.edge_count(),
@@ -1017,7 +1055,7 @@ impl Command {
                 let (h, report) = asgraph::rewire::rewire(&g, attempts, &mut rng);
                 std::fs::write(output, asgraph::io::to_edge_list_string(&h))
                     .map_err(|e| format!("cannot write {}: {e}", output.display()))?;
-                println!(
+                stdoutln!(
                     "rewired {}: {}/{} swaps succeeded, wrote {}",
                     input.display(),
                     report.successes,

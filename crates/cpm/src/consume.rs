@@ -34,9 +34,10 @@
 //! al. fold each clique in as it arrives only to avoid keeping a clique
 //! list; the posting lists and hub rows already stand in for that list,
 //! and the work they feed gives the same partitions in any order. So
-//! the heavy passes run in the pooled [`finish`]: the big cliques' edge
-//! keys (per hub pair, chained to the pair's last small owner), the
-//! exact small×small overlap counting over the posting lists (split
+//! the heavy passes run in the pooled
+//! [`finish`](FusedPercolator::finish): the big cliques' edge keys (per
+//! hub pair, chained to the pair's last small owner), the exact
+//! small×small overlap counting over the posting lists (split
 //! across workers, as Pollner & Palla split it), and the big×big and
 //! big×small prepasses over hub bitmaps `⌈hubs / 64⌉` words wide, built
 //! from the same rows that extraction later decodes the big cliques'
@@ -45,12 +46,16 @@
 //! 201. Everything from `k = 4` up thus comes from the prepass *strata*,
 //! which record each detected pair at its exact detection level `m + 1`
 //! (`m` = overlap size); the persistent union–find carries every
-//! detection to all lower levels for free. That is also why big×small
-//! joins a small clique to a component of bigs once rather than to
-//! every big it hits: big×big runs first, and where all the bigs a
-//! small hits in one bitmap word are already one component at the top
-//! hit's level, one union with that component stands for all of them
-//! (`AlmostFused::finish_pairs`).
+//! detection to all lower levels for free. That is also why a clique
+//! joins a component of bigs once rather than every big it hits. Big×big
+//! keeps each level's partition cumulative (every big×big union at that
+//! level or above), so where a probe big is already joined at its own
+//! size to a 64-big bitmap word that is one component, it skips the
+//! word, and where it is joined only lower, one union at the level of
+//! its nearest containment in the word stands for the rest. Big×small
+//! runs after big×big: where all the bigs a small hits in one word are
+//! already one component at the top hit's level, one union with that
+//! component stands for all of them (`AlmostFused::finish_pairs`).
 //!
 //! **Exact = almost + certification.** Every union above is witnessed by
 //! a real overlap, or by a chain of them at its level or above, so
@@ -96,6 +101,7 @@ use asgraph::{Graph, NodeId};
 use cliques::kclique::binomial;
 use cliques::{CliqueConsumer, Kernel};
 use exec::{CancelToken, Cancelled, ChunkQueue, Pool, Threads};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
@@ -379,11 +385,13 @@ struct AlmostFused {
     /// prepasses ([`Self::finish_pairs`]) — big-involving pairs union
     /// straight in here instead of materialising millions of `(y, x)`
     /// entries, and the sweep merges each level's partition exactly
-    /// like `dsu2`/`dsu3`. Pool workers union concurrently, and
-    /// [`ConcurrentDsu`]'s order-free min-id partition means the sweep
-    /// merge sees the same components whatever the interleaving.
-    /// Lazily created per level by whichever worker first detects a
-    /// pair there. Level `L`'s partition is over *size ranks*
+    /// like `dsu2`/`dsu3`. Big×big keeps them cumulative (level `L`
+    /// also holds every big×big union above it). Pool workers union
+    /// concurrently; which unions they make depends on the interleaving,
+    /// but [`ConcurrentDsu`]'s order-free min-id partition and the
+    /// cumulative rule leave each level with the same components
+    /// whatever it was. Lazily created per level by whichever worker
+    /// first joins a pair there. Level `L`'s partition is over *size ranks*
     /// `0..n_L` ([`Self::by_size`]), not ordinals: both cliques of a
     /// level-`L` pair have at least `L` members.
     level_cdsus: Vec<OnceLock<ConcurrentDsu>>,
@@ -676,6 +684,96 @@ fn single_component_words(
         }
     }
     Some(reps)
+}
+
+/// The big×big miss scan of one 64-big candidate word, bit-sliced: per
+/// lane, a 3-bit counter of the probe's hub `rows` (each sliced to the
+/// candidate words) that the candidate lacks, in the planes
+/// `[c0, c1, c2]`. Every counter starts at `8 − limit`, so the carry
+/// out of the top plane flags a lane in the returned mask as soon as it
+/// has missed `limit` rows, and the scan stops once every lane is
+/// flagged — after a handful of rows for almost every word. Lanes set
+/// in `void` start flagged. An unflagged lane missed its counter minus
+/// `8 − limit` rows.
+#[inline]
+fn miss_scan(rows: &[&[u64]], w: usize, limit: usize, void: u64) -> ([u64; 3], u64) {
+    debug_assert!((1..=8).contains(&limit));
+    let start = 8 - limit;
+    let plane = |bit: usize| if start & bit != 0 { u64::MAX } else { 0 };
+    let (mut c0, mut c1, mut c2, mut sat) = (plane(1), plane(2), plane(4), void);
+    for r in rows {
+        if sat == u64::MAX {
+            break;
+        }
+        let mut v = !r[w];
+        let t = c0 & v;
+        c0 ^= v;
+        v = t;
+        let t = c1 & v;
+        c1 ^= v;
+        v = t;
+        let t = c2 & v;
+        c2 ^= v;
+        sat |= t;
+    }
+    ([c0, c1, c2], sat)
+}
+
+/// A big×big worker's record of which 64-big words of the transposed
+/// index are one component at each level of the cumulative partitions
+/// (per level, over size ranks). Partitions only coarsen, so a word
+/// found whole stays whole; a word found split is tested again only
+/// once its level has merged since.
+struct WordComponents {
+    words: usize,
+    /// Per `(level, word)`: the word's first rank once the word is one
+    /// component, else `u32::MAX`.
+    whole: Vec<u32>,
+    /// Per `(level, word)`: the level's merge count when the word was
+    /// last found split (`u32::MAX` = never tested).
+    tested: Vec<u32>,
+}
+
+impl WordComponents {
+    fn new(levels: usize, words: usize) -> Self {
+        WordComponents {
+            words,
+            whole: vec![u32::MAX; levels * words],
+            tested: vec![u32::MAX; levels * words],
+        }
+    }
+
+    /// A rank of word `w` if its 64 bigs are one component of `dsu`, the
+    /// partition of `level`, which has made `merges` real merges so far.
+    /// A `Some` is always true; a `None` may be stale.
+    fn whole(
+        &mut self,
+        level: usize,
+        w: usize,
+        dsu: Option<&ConcurrentDsu>,
+        merges: u32,
+    ) -> Option<u32> {
+        let i = level * self.words + w;
+        if self.whole[i] != u32::MAX {
+            return Some(self.whole[i]);
+        }
+        let dsu = dsu?;
+        if self.tested[i] == merges {
+            return None;
+        }
+        // Take the count before testing, so a merge that races the test
+        // forces the next one.
+        self.tested[i] = merges;
+        let lo = (w << 6) as u32;
+        let root = dsu.find(lo);
+        // Equal roots are a real join, whatever unions race the finds.
+        if (1..64).all(|j| dsu.find(lo + j) == root) {
+            self.whole[i] = lo;
+            Some(lo)
+        } else {
+            None
+        }
+    }
 }
 
 /// Per small clique of the big×small scan, the highest level at which
@@ -996,10 +1094,14 @@ impl FusedPercolator {
     /// the final result depends only on the per-level *partitions* (the
     /// snapshotter assigns community indices by first-seen root over
     /// ascending ordinals, and members are canonicalised), every union
-    /// source contributes the same pair set in every schedule, and
-    /// [`ConcurrentDsu`]'s unions commute partition-wise. So chunking
-    /// unions over workers — in any interleaving — cannot change the
-    /// output; exact mode's certification runs on the leader between a
+    /// source yields the same partition in every schedule, and
+    /// [`ConcurrentDsu`]'s unions commute partition-wise. Most sources
+    /// contribute the same pair set in every schedule; big×big's pair
+    /// set does not (a worker skips pairs another worker's unions
+    /// already imply), but each level's partition does not move
+    /// (`AlmostFused::finish_pairs`). So chunking unions over workers —
+    /// in any interleaving — cannot change the output; exact mode's
+    /// certification runs on the leader between a
     /// level's union barrier and its snapshot, and depends only on that
     /// partition. Phase transitions are reported to `observe` (the
     /// bench's per-phase memory hook).
@@ -1576,7 +1678,7 @@ impl AlmostFused {
     /// the *hub vertex set* — tiny on Internet substrates (203 ASes on
     /// the medium preset, against 10,000 nodes): hub cores nest, so the
     /// big cliques are rungs of a ladder over the same few hub vertices.
-    /// *Big×big* records every near-containment (the smaller side
+    /// *Big×big* joins every near-containment (the smaller side
     /// missing at most [`MISS_DEPTH`] of its own members); *big×small*
     /// counts, for every small with ≥ 3 hub members, its overlap with
     /// every big. What this leaves out — a big×big pair with a mid-range
@@ -1589,24 +1691,44 @@ impl AlmostFused {
     /// bitmaps over them, `hubs × ⌈nb / 64⌉` words) runs on the caller;
     /// `hubs` is the hub-membership CSR ([`Self::hub_rows`]). Big×big
     /// then drains a [`ChunkQueue`] of sorted-big rows over `workers`
-    /// pool workers, unioning its hits into the per-level
-    /// [`ConcurrentDsu`]s of `level_cdsus`, over size ranks
-    /// ([`Self::by_size`]). Once it has quiesced, the caller folds those
-    /// partitions top-down ([`single_component_words`]): per level `L`
-    /// and 64-big word of the transposed index, whether all the word's
-    /// bigs are one component at `L`. Big×small then drains a queue of
-    /// ordinals. Per small `x` and word, it takes the top overlap `M`
-    /// among the word's hits; if the word is one component at `M + 1`,
-    /// one union joins `x` to it at `x`'s level for `M`, and the word's
-    /// other hits are skipped. They add nothing: each of those bigs is
-    /// already joined at `M + 1` to the top hit, which `x` really
-    /// overlaps in `M`, and each hit's own level is at most `x`'s
+    /// pool workers into the per-level [`ConcurrentDsu`]s of
+    /// `level_cdsus`, over size ranks ([`Self::by_size`]), which it
+    /// keeps *cumulative*: a real merge at level `L` is repeated at
+    /// `L − 1`, `L − 2`, … until a level reports the pair already
+    /// joined, so level `L` holds every big×big union at `L` or above.
+    /// That lets big×big join a component once, as big×small does. Per
+    /// probe `x` of size `s` and full 64-big word that is one component
+    /// at `s` ([`WordComponents`]), let `t` be the highest level in
+    /// `s − MISS_DEPTH + 1..=s` at which `x` is already joined to the
+    /// word. If `t = s` the word is skipped unscanned; otherwise its
+    /// scan stops counting at `s − t + 1` misses ([`miss_scan`]), and
+    /// one union at the level of the fewest misses among the survivors
+    /// stands for all of them, the others being joined to that one
+    /// through the word at `s`. Words spanning several components, and
+    /// the last partial word, union hit by hit (on the medium preset
+    /// 4.42 M union calls become about 0.42 M). Once big×big has
+    /// quiesced, the caller folds its partitions top-down
+    /// ([`single_component_words`]): per level `L` and word, whether all
+    /// the word's bigs are one component at `L`. Big×small then drains a
+    /// queue of ordinals. Per small `x` and word, it takes the top
+    /// overlap `M` among the word's hits; if the word is one component
+    /// at `M + 1`, one union joins `x` to it at `x`'s level for `M`, and
+    /// the word's other hits are skipped. They add nothing: each of
+    /// those bigs is already joined at `M + 1` to the top hit, which `x`
+    /// really overlaps in `M`, and each hit's own level is at most `x`'s
     /// level for `M`, below which the sweep carries every union. Only
     /// words spanning several components union hit by hit (on the
-    /// medium preset 6.79 M hits become about 130 k unions). Each
-    /// level's partition is fully determined by its pair set and the
-    /// quiescent big×big partitions, whatever the interleaving, so the
-    /// result is the same at every worker count.
+    /// medium preset 6.79 M hits become about 130 k unions).
+    ///
+    /// Which unions big×big makes depends on the interleaving — a
+    /// worker skips what another has already joined — but not what they
+    /// join: a `find` that sees two ranks joined is never wrong, and
+    /// partitions only coarsen, so every pair skipped at level `L` is
+    /// implied by unions at `L` or above, and every union made is a real
+    /// pair at its level or implied by one. So each level's partition,
+    /// folded top-down, is the one the detected pairs generate, and
+    /// big×small's pair set follows from it; the result is the same at
+    /// every worker count.
     fn finish_pairs(
         &mut self,
         sizes: &[u32],
@@ -1659,71 +1781,109 @@ impl AlmostFused {
                 )
             })
         };
+        // Big×big keeps its partitions cumulative: a real merge at `L`
+        // is applied at `L − 1`, `L − 2`, … down to the lowest level a
+        // big×big pair reaches, and stops at the first level where the
+        // pair is already joined (every union there is carried below
+        // it). So level `L`'s partition holds every big×big union at `L`
+        // or above, and one look at it tells whether a pair is already
+        // implied. `merges` counts each level's real merges; the count
+        // publishes no data (a stale read only delays a retest in
+        // `WordComponents`), so `Relaxed` serves.
+        let floor = sizes[bigs[nb - 1] as usize] as usize + 1 - MISS_DEPTH;
+        let merges: Vec<AtomicU32> = (0..cdsus.len()).map(|_| AtomicU32::new(0)).collect();
+        let merge = |level: usize, a: u32, b: u32| {
+            let mut l = level;
+            while l >= floor && dsu_at(l).union(a, b) {
+                merges[l].fetch_add(1, Ordering::Relaxed);
+                l -= 1;
+            }
+        };
         let queue_bb = ChunkQueue::new(nb, PAIRS_BIG_CHUNK);
         Pool::global().run(workers, |_w| {
             let mut rows: Vec<&[u64]> = Vec::new();
+            let mut whole = WordComponents::new(cdsus.len(), w_big);
             // Big×big, bit-sliced on the *miss* count: a qualifying
             // pair lacks at most `MISS_DEPTH` of x's hub rows, so per
-            // candidate word a 3-bit saturating counter of absences —
-            // kept in registers, rippled branch-free from the
-            // complemented rows — replaces one AND+popcount row per
-            // earlier big. Almost every word has all 64 candidates
-            // saturate (miss ≥ 8) after a handful of rows, and the
-            // sticky mask then short-circuits the rest of x's rows.
+            // candidate word a 3-bit saturating counter of absences
+            // replaces one AND+popcount row per earlier big
+            // ([`miss_scan`]). A full word that is one component at
+            // x's size `s` needs no pair by pair unions: if x is
+            // already joined to it at `s`, every pair with it is
+            // implied and the word is not scanned; if x is joined to it
+            // at most at `t < s`, only the pairs above `t` (miss ≤
+            // `s − t`) add anything, and the one with the fewest misses
+            // — the highest level — stands for all of them, the rest
+            // being joined to it through the word at `s`. Other words
+            // union hit by hit.
             let claim = || match cancel {
                 Some(token) => queue_bb.claim_unless(token),
                 None => queue_bb.claim(),
             };
             while let Some(range) = claim() {
                 for xi in range {
-                    if xi == 0 {
-                        continue;
-                    }
+                    let x = xi as u32;
                     let row = hubs.of(bigs[xi]);
                     let s = row.len();
-                    let w_words = xi.div_ceil(64);
+                    // Words `0..full` hold 64 earlier bigs each; a last,
+                    // partial word holds the rest.
+                    let full = xi >> 6;
                     rows.clear();
-                    rows.extend(row.iter().map(|&b| &trans[b as usize * w_big..][..w_words]));
-                    for w in 0..w_words {
-                        let (mut c0, mut c1, mut c2, mut sat) = (0u64, 0u64, 0u64, 0u64);
-                        for r in &rows {
-                            let mut v = !r[w];
-                            let t = c0 & v;
-                            c0 ^= v;
-                            v = t;
-                            let t = c1 & v;
-                            c1 ^= v;
-                            v = t;
-                            let t = c2 & v;
-                            c2 ^= v;
-                            v = t;
-                            sat |= v;
-                            if sat == u64::MAX {
-                                // Every candidate in the word already
-                                // misses ≥ 8 rows; no survivors.
-                                break;
-                            }
-                        }
-                        // Unsaturated candidates carry an exact 3-bit
-                        // miss count; the `c2 & c1` term pre-cuts 6
-                        // and 7 so only genuine d ≤ MISS_DEPTH = 5 bits
-                        // survive to the (defensive) per-hit check.
-                        let mut hits = !(sat | (c2 & c1));
-                        if w == xi >> 6 {
-                            hits &= (1u64 << (xi & 63)) - 1;
-                        }
-                        while hits != 0 {
-                            let i = hits.trailing_zeros() as usize;
-                            hits &= hits - 1;
-                            let yi = (w << 6) | i;
-                            let d =
-                                (((c0 >> i) & 1) | (((c1 >> i) & 1) << 1) | (((c2 >> i) & 1) << 2))
-                                    as usize;
-                            if d > MISS_DEPTH {
+                    rows.extend(
+                        row.iter()
+                            .map(|&b| &trans[b as usize * w_big..][..xi.div_ceil(64)]),
+                    );
+                    for w in 0..xi.div_ceil(64) {
+                        let joined = if w < full {
+                            let merged = merges[s].load(Ordering::Relaxed);
+                            whole.whole(s, w, cdsus[s].get(), merged)
+                        } else {
+                            None
+                        };
+                        if let Some(rep) = joined {
+                            let t = (s + 1 - MISS_DEPTH..=s)
+                                .rev()
+                                .find(|&l| cdsus[l].get().is_some_and(|d| d.find(rep) == d.find(x)))
+                                .unwrap_or(s - MISS_DEPTH);
+                            if t == s {
                                 continue;
                             }
-                            let level = (s - d + 1).min(s).max(2);
-                            dsu_at(level).union(yi as u32, xi as u32);
+                            let limit = s - t + 1;
+                            let (c, sat) = miss_scan(&rows, w, limit, 0);
+                            let mut top = !sat;
+                            if top == 0 {
+                                continue;
+                            }
+                            // The fewest misses among the survivors, plane
+                            // by plane from the top.
+                            let mut count = 0;
+                            for (bit, plane) in [(4, c[2]), (2, c[1]), (1, c[0])] {
+                                if top & !plane != 0 {
+                                    top &= !plane;
+                                } else {
+                                    count |= bit;
+                                }
+                            }
+                            let d = count - (8 - limit);
+                            let yi = (w << 6) as u32 | top.trailing_zeros();
+                            merge((s - d + 1).min(s), yi, x);
+                            continue;
+                        }
+                        let void = if w < full {
+                            0
+                        } else {
+                            !((1u64 << (xi & 63)) - 1)
+                        };
+                        let (c, sat) = miss_scan(&rows, w, MISS_DEPTH + 1, void);
+                        let mut hits = !sat;
+                        while hits != 0 {
+                            let i = hits.trailing_zeros();
+                            hits &= hits - 1;
+                            let count = ((c[0] >> i) & 1)
+                                | (((c[1] >> i) & 1) << 1)
+                                | (((c[2] >> i) & 1) << 2);
+                            let d = count as usize + MISS_DEPTH + 1 - 8;
+                            merge((s - d + 1).min(s), (w << 6) as u32 | i, x);
                         }
                     }
                 }

@@ -177,6 +177,57 @@ fn ladder(seed: u64, pool: u32, bigs: usize, pendants: u32) -> Graph {
     planted(seed, pool, (15, 20), (bigs, bigs), pendants, (3, 10))
 }
 
+/// A nested ladder: `bigs` cliques whose hub cores are near-prefixes of
+/// one order over a pool of 40 hub vertices, as Internet hub cores nest.
+/// Four to six disjoint pool pairs are never joined, and every clique
+/// keeps one side of each pair inside its prefix, so the cores split
+/// into up to 64 branches: a core rarely sits inside a bigger one, and
+/// misses it by one to several members. Each clique also drops up to
+/// two more members at random and gets a private vertex of its own,
+/// which keeps it maximal and makes every near-containment miss at
+/// least one member. `pendants` pendant vertices join 3–10 members of
+/// one planted clique (hubby small cliques).
+fn nested(seed: u64, bigs: usize, pendants: u32) -> Graph {
+    const POOL: u32 = 40;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let base = POOL + bigs as u32;
+    let mut b = GraphBuilder::with_nodes((base + pendants) as usize);
+    // Pool pair `p` is `{2p, 2p + 1}`.
+    let pairs: Vec<u32> = (0..POOL / 2).collect();
+    let splits = rng.random_range(4..=6);
+    let split: Vec<u32> = pairs.choose_multiple(&mut rng, splits).copied().collect();
+    let mut cliques: Vec<Vec<NodeId>> = Vec::with_capacity(bigs);
+    for i in 0..bigs as u32 {
+        let len = rng.random_range(20..=POOL);
+        let evens: Vec<bool> = split.iter().map(|_| rng.random_bool(0.5)).collect();
+        let mut members: Vec<NodeId> = (0..len)
+            .filter(|&v| match split.iter().position(|&p| v >> 1 == p) {
+                Some(j) => (v & 1 == 0) == evens[j],
+                None => true,
+            })
+            .collect();
+        for _ in 0..rng.random_range(0..=2u32) {
+            let at = rng.random_range(0..members.len());
+            members.remove(at);
+        }
+        members.push(POOL + i);
+        for (j, &u) in members.iter().enumerate() {
+            for &v in &members[j + 1..] {
+                b.add_edge(u, v);
+            }
+        }
+        cliques.push(members);
+    }
+    for p in 0..pendants {
+        let c = &cliques[rng.random_range(0..cliques.len())];
+        let t = rng.random_range(3..=10);
+        for &v in c.choose_multiple(&mut rng, t) {
+            b.add_edge(base + p, v);
+        }
+    }
+    b.build()
+}
+
 /// Exact mode at 1 and 4 workers equals the reference at every level;
 /// returns the clique set and the exact result.
 fn check_exact(g: &Graph) -> Result<(CliqueSet, CpmResult), TestCaseError> {
@@ -212,6 +263,33 @@ proptest! {
     #[test]
     fn exact_equals_the_reduction_on_planted_big_cliques(seed in 0u64..1 << 32, pool in 0u32..4) {
         check_exact(&if pool == 0 { wide_pool(seed) } else { small_pool(seed) })?;
+    }
+}
+
+proptest! {
+    /// Nested ladders of 193–230 bigs, more than three full words of the
+    /// transposed big index: big×big skips a word its probe is already
+    /// joined to at the probe's size and joins a word it is joined to
+    /// lower with one union at the fewest misses, so a pair it drops,
+    /// or joins a level too low, splits a community. Exact equals the
+    /// reduction, and almost the reduction minus its documented misses,
+    /// at 1 and 4 workers; exact mode's certification repairs a dropped
+    /// big×big union, so the almost check is the one that catches it.
+    #[test]
+    fn nested_ladders_equal_the_reduction(seed in 0u64..1 << 32, bigs in 193usize..=230) {
+        let g = nested(seed, bigs, 40);
+        let (set, _) = check_exact(&g)?;
+        let big_cliques = set.iter().filter(|c| c.len() > SMALL_FULL).count();
+        prop_assert!(big_cliques > 3 * 64, "{} bigs fill fewer than three words", big_cliques);
+        let expected = almost_reference(&set);
+        for threads in [1, 4] {
+            let almost = percolate(g.node_count(), &set, Mode::Almost, threads);
+            prop_assert_eq!(almost.k_max(), Some(expected.len() as u32));
+            for (i, cover) in expected.iter().enumerate() {
+                let k = i as u32 + 2;
+                prop_assert_eq!(&almost.cover(k), cover, "k = {}, {} workers", k, threads);
+            }
+        }
     }
 }
 
