@@ -83,14 +83,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Ensures the graph has at least `n` nodes even if some are isolated.
-    pub fn reserve_nodes(&mut self, n: usize) -> &mut Self {
-        if n > self.n {
-            self.n = n;
-        }
-        self
-    }
-
     /// Number of self loops that were dropped so far.
     pub fn dropped_self_loops(&self) -> usize {
         self.dropped_self_loops

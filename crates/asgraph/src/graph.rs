@@ -71,6 +71,16 @@ impl Graph {
         b.build()
     }
 
+    /// Creates the cocktail-party graph K(2×m): the complete graph on
+    /// `2m` nodes minus the perfect matching `{2t, 2t + 1}`. It has
+    /// exactly 2^m maximal cliques, each of `m` nodes, the clique-census
+    /// blow-up regime.
+    pub fn cocktail_party(m: usize) -> Self {
+        let n = 2 * m as NodeId;
+        let pairs = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)));
+        crate::GraphBuilder::from_iter(pairs.filter(|(u, v)| u / 2 != v / 2)).build()
+    }
+
     pub(crate) fn from_csr(offsets: Vec<usize>, adjacency: Vec<NodeId>) -> Self {
         debug_assert!(!offsets.is_empty());
         debug_assert_eq!(*offsets.last().unwrap(), adjacency.len());
@@ -285,6 +295,17 @@ mod tests {
             assert_eq!(g.degree(u), 4);
             for v in 0..5 {
                 assert_eq!(g.has_edge(u, v), u != v);
+            }
+        }
+    }
+
+    #[test]
+    fn cocktail_party_graph() {
+        let g = Graph::cocktail_party(3);
+        assert_eq!((g.node_count(), g.edge_count()), (6, 12));
+        for u in 0..6 {
+            for v in 0..6 {
+                assert_eq!(g.has_edge(u, v), u / 2 != v / 2);
             }
         }
     }

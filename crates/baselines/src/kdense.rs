@@ -9,7 +9,6 @@
 //! COMSNETS 2011 companion study of the same dataset.
 
 use asgraph::{Graph, GraphBuilder, NodeId};
-use std::collections::HashMap;
 
 /// The k-dense communities of `g`: connected components (with at least
 /// one edge) of the k-dense subgraph, as sorted member lists in canonical
@@ -123,27 +122,6 @@ pub fn is_k_dense(sub: &Graph, k: usize) -> bool {
     let need = k.saturating_sub(2);
     sub.edges()
         .all(|(u, v)| sub.common_neighbor_count(u, v) >= need)
-}
-
-/// Returns, for each k-dense community, how many of its members fall in
-/// each group of `labels` — a helper for comparing partitions with CPM
-/// covers in the experiments.
-pub fn confusion(
-    comms: &[Vec<NodeId>],
-    labels: &HashMap<NodeId, usize>,
-) -> Vec<HashMap<usize, usize>> {
-    comms
-        .iter()
-        .map(|c| {
-            let mut counts: HashMap<usize, usize> = HashMap::new();
-            for v in c {
-                if let Some(&l) = labels.get(v) {
-                    *counts.entry(l).or_insert(0) += 1;
-                }
-            }
-            counts
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -196,13 +196,14 @@ fn parse(args: &[String]) -> Result<Vec<Args>, String> {
 }
 
 /// `--substrate` values and the names their rows carry.
-const SUBSTRATES: [(&str, &str); 6] = [
+const SUBSTRATES: [(&str, &str); 7] = [
     ("sparse", "sparse300"),
     ("dense", "dense60"),
     ("tiny", "tiny-internet"),
     ("small", "small-internet"),
     ("medium", "medium-internet"),
     ("full", "full-internet"),
+    ("census", "census-k2x14"),
 ];
 
 /// A seeded Erdős–Rényi graph.
@@ -221,7 +222,10 @@ pub fn random_graph(n: u32, p: f64, seed: u64) -> Graph {
 
 /// The substrate a `--substrate` value names, with its row name:
 /// Erdős–Rényi graphs (`sparse`: 300 nodes at p = 0.05, `dense`: 60 at
-/// 0.5) or a synthetic-Internet preset (`full` is the 35k-AS one).
+/// 0.5), a synthetic-Internet preset (`full` is the 35k-AS one), or
+/// `census`, the cocktail-party graph K(2×14), whose 16,384 maximal
+/// cliques of 14 nodes overlap pairwise in up to 13 (the paper's census
+/// regime, every clique small). `census` ignores the seed.
 fn substrate(flag: &str, seed: u64) -> (&'static str, Graph) {
     let (_, name) = SUBSTRATES
         .iter()
@@ -234,7 +238,8 @@ fn substrate(flag: &str, seed: u64) -> (&'static str, Graph) {
         "tiny" => preset(topology::ModelConfig::tiny(seed)),
         "small" => preset(topology::ModelConfig::small(seed)),
         "medium" => preset(topology::ModelConfig::medium(seed)),
-        _ => preset(topology::ModelConfig::full_scale(seed)),
+        "full" => preset(topology::ModelConfig::full_scale(seed)),
+        _ => Graph::cocktail_party(14),
     };
     eprintln!("{name}: {} nodes, {} edges", g.node_count(), g.edge_count());
     (name, g)
@@ -491,7 +496,7 @@ mod tests {
             ("serve --iters 3", "--requests"),
             (
                 "pool --substrate huge",
-                "sparse | dense | tiny | small | medium | full",
+                "sparse | dense | tiny | small | medium | full | census",
             ),
             ("pool --iters", "--iters needs a value"),
             ("pool --iters x", "positive integer"),

@@ -1,6 +1,7 @@
 //! The thread-scaling suite of the persistent executor
 //! (`BENCH_pool.json`), on `medium` and `full` (the paper-scale 35k-AS
-//! preset) by default.
+//! preset) by default; `--substrate census` (K(2×14), opt-in) runs the
+//! paper's census regime.
 //!
 //! Ops, at 1, 2, 4 and 8 workers and `auto` through the one persistent
 //! `exec::Pool`: `enumerate` (work-stealing Bron–Kerbosch) and
@@ -11,13 +12,17 @@
 //! substrate's clique log into the engine, as `serve --snapshot
 //! x.cliquelog` does at start-up and on every reload.
 //!
-//! `--check` gates three clauses. Scaling: the 4-worker and `auto` rows
+//! `--check` gates four clauses. Scaling: the 4-worker and `auto` rows
 //! of each scaled op take at most 1.2× the 1-worker median; on a
 //! single core that bounds pure pool overhead. Mode, on the medium
 //! Internet: exact mode takes at most 1.5× almost mode's 1-worker
 //! minimum time and 3× its peak heap. Engine scaling, on the medium
 //! Internet with ≥ 4 hardware threads: 4 workers beat 1 by at least
-//! 1.3× on the minima, both modes.
+//! 1.3× on the minima, both modes. Census memory, on K(2×14): every
+//! `percolate-fused` row peaks at most 64 MiB of heap, so the finish
+//! keeps no list of the census's 10⁸ overlapping clique pairs. That is
+//! the census's only clause: its 28 vertices make two enumeration
+//! chunks, so its worker counts time milliseconds of pool overhead.
 
 use crate::{find, memprof, round_robin, substrate, substrates_of, Args, Cell, Row, Sample, Suite};
 use exec::Threads;
@@ -148,12 +153,31 @@ fn check(rows: &[Row]) -> Vec<String> {
     const MODE_TIME_BOUND: f64 = 1.5;
     const MODE_HEAP_BOUND: f64 = 3.0;
     const FUSED_SCALE_BOUND: f64 = 1.3;
+    const CENSUS_HEAP_BOUND: usize = 64 << 20;
     let mut violations = Vec::new();
     let one = Threads::Fixed(1);
     let ratio = |a: Option<u128>, b: Option<u128>| Some(a? as f64 / b?.max(1) as f64);
     let min = |r: Option<&Row>| r.and_then(|r| r.min_ns);
     let peak = |r: Option<&Row>| r.and_then(|r| r.peak_bytes).map(|b| b as u128);
     for sub in substrates_of(rows) {
+        if sub == "census-k2x14" {
+            for r in rows
+                .iter()
+                .filter(|r| r.substrate == sub && r.op == "percolate-fused")
+            {
+                if let Some(peak) = r.peak_bytes.filter(|&p| p > CENSUS_HEAP_BOUND) {
+                    violations.push(format!(
+                        "{sub}/percolate-fused ({}) @ {} workers peaks at {:.1} MiB of heap \
+                         (bound {} MiB)",
+                        r.mode.unwrap_or("-"),
+                        r.threads.map_or("-".into(), |t| t.to_string()),
+                        peak as f64 / (1 << 20) as f64,
+                        CENSUS_HEAP_BOUND >> 20
+                    ));
+                }
+            }
+            continue;
+        }
         let get = |op, mode, threads| find(rows, (sub, op, mode, None, Some(threads)));
         for (op, mode) in SCALED_OPS {
             let median = |threads| get(op, mode, threads).and_then(|r| r.median_ns);

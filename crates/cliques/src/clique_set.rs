@@ -149,20 +149,6 @@ impl CliqueSet {
         *self = fresh;
     }
 
-    /// The single canonicalisation entry point of the percolation
-    /// pipelines: sorts into canonical order and (in debug builds)
-    /// asserts the result is *strictly* increasing — i.e. the enumerator
-    /// delivered no duplicate maximal clique. Every percolation front-end
-    /// (sequential, parallel, precomputed cliques) funnels through this
-    /// so community indices never depend on enumeration order.
-    pub fn canonicalize(&mut self) {
-        self.sort_canonical();
-        debug_assert!(
-            (1..self.len()).all(|i| self.get(i - 1) < self.get(i)),
-            "canonical clique order must be strictly increasing (duplicate clique in set)"
-        );
-    }
-
     /// Merges another set into this one (cliques appended).
     pub fn merge(&mut self, other: &CliqueSet) {
         for c in other.iter() {

@@ -43,11 +43,14 @@
 //! from the same rows that extraction later decodes the big cliques'
 //! members from. One store and one path serve every hub count: the
 //! 35k-AS preset's 263 hubs run the same scans as the medium preset's
-//! 201. Everything from `k = 4` up thus comes from the prepass *strata*,
-//! which record each detected pair at its exact detection level `m + 1`
-//! (`m` = overlap size); the persistent union–find carries every
-//! detection to all lower levels for free. That is also why a clique
-//! joins a component of bigs once rather than every big it hits. Big×big
+//! 201. Every source unions into one partition per *detection level*, a
+//! [`ConcurrentDsu`] over the size ranks of the cliques active there:
+//! the vertex and edge keys at levels 2 and 3, and every counted or
+//! detected overlap `m ≥ 3` at `m + 1`. No pair list is kept. The
+//! descending sweep merges exactly one partition per level, and its
+//! persistent union–find carries every detection to all lower levels
+//! for free. That is also why a clique joins a component of bigs once
+//! rather than every big it hits. Big×big
 //! keeps each level's partition cumulative (every big×big union at that
 //! level or above), so where a probe big is already joined at its own
 //! size to a 64-big bitmap word that is one component, it skips the
@@ -86,7 +89,7 @@
 //! like every hub bitmap in the engine.
 //!
 //! The finish ([`FusedPercolator::finish`]) runs on the worker pool: its
-//! phases — pair detection, the descending-`k` stratum drains, member
+//! phases — pair detection, the descending-`k` partition merges, member
 //! extraction — scale with workers while staying bit-identical at every
 //! worker count; see the determinism notes on
 //! `FusedPercolator::finish_impl`. Clique ids are stream ordinals
@@ -143,9 +146,10 @@ pub const SMALL_FULL: usize = 14;
 
 /// The per-level key emission bound: shared vertices (`l = 1`, exact
 /// `k = 2` components) and shared edges (`l = 2`, exact `k = 3`
-/// strata) are keyed for every clique. Higher subset sizes are
+/// components) are keyed for every clique. Higher subset sizes are
 /// mostly-unique keys — all cost, no sharing — so everything from
-/// `k = 4` up is covered by the prepass strata instead.
+/// `k = 4` up is covered by the finish's overlap counting and big-clique
+/// prepasses instead.
 pub const KEY_MAX_L: usize = 2;
 
 /// Fibonacci hashing's multiplier: the top bits of `key × FIB` spread
@@ -177,13 +181,14 @@ pub const MISS_DEPTH: usize = 5;
 // stay exact only up to a miss depth of 7.
 const _: () = assert!(MISS_DEPTH <= 7);
 
-/// Stratum pairs claimed per queue chunk while draining one stratum
-/// into the concurrent union–find. A union is a handful of atomic ops,
-/// so chunks are coarse to keep the shared counter out of the way.
+/// Ranks claimed per queue chunk while the sweep merges one level's
+/// partition into its concurrent union–find. A rank costs a `find` and
+/// at most one union, a handful of atomic ops, so chunks are coarse to
+/// keep the shared counter out of the way.
 pub const UNION_CHUNK: usize = 2048;
 
-/// Below this many pairs a stratum is drained by worker 0 alone:
-/// coordinating the team costs more than the unions.
+/// Below this many ranks a level's partition is merged by worker 0
+/// alone: coordinating the team costs more than the unions.
 const PAR_UNION_MIN: usize = 4 * UNION_CHUNK;
 
 /// The `Threads::Auto` work-volume grain for the *end-to-end*
@@ -216,10 +221,6 @@ const PAIRS_BIG_CHUNK: usize = 64;
 
 /// Ordinals per claim of the parallel big×small plane scan.
 const PAIRS_SMALL_CHUNK: usize = 256;
-
-/// Counted pairs a pairs-phase worker buffers before moving them into
-/// the shared strata.
-const STRATA_BATCH: usize = 4096;
 
 /// Communities per claim of the parallel member extraction.
 const FUSED_EXTRACT_CHUNK: usize = 16;
@@ -330,25 +331,62 @@ impl EdgeTable {
     }
 }
 
-/// Level-stratified `(earlier, later)` union pairs, grown on demand and
-/// filled by the finish's counting pass.
-#[derive(Default)]
-struct Strata {
-    by_level: Vec<Vec<(u32, u32)>>,
+/// The finish's one union target: per detection level `L`, a
+/// partition over the *size ranks* `0..n_L` of the cliques active at
+/// `L` (both cliques of a level-`L` pair have at least `L` members).
+/// Every source unions into the partition of its level — the folded
+/// key DSUs at 2 and 3, the big cliques' edge keys at 3, big×big,
+/// big×small and the counting pass at `m + 1` — and the sweep merges
+/// exactly one partition per level. Pool workers union concurrently;
+/// which unions they make may depend on the interleaving, but
+/// [`ConcurrentDsu`]'s order-free min-id partition leaves each level
+/// with the same components whatever it was. A level's partition is
+/// created by whichever source first joins a pair there.
+struct LevelPartitions {
+    /// Size rank → ordinal: every ordinal by descending size, ties by
+    /// ordinal, so the cliques of size ≥ `L` are the ranks `0..n_L`.
+    by_size: Vec<u32>,
+    /// Ordinal → size rank.
+    rank: Vec<u32>,
+    /// Per level `L`, `n_L`.
+    len: Vec<u32>,
+    dsus: Vec<OnceLock<ConcurrentDsu>>,
 }
 
-impl Strata {
-    #[inline]
-    fn push(&mut self, level: usize, pair: (u32, u32)) {
-        if self.by_level.len() <= level {
-            self.by_level.resize_with(level + 1, Vec::new);
+impl LevelPartitions {
+    /// The rank order of `sizes` and one empty slot per level up to
+    /// `k_max + 1` (room for big×small's `.min(s)` clamp).
+    fn new(sizes: &[u32], k_max: usize) -> Self {
+        // The sort is stable, so ties keep ordinal order.
+        let mut by_size: Vec<u32> = (0..sizes.len() as u32).collect();
+        by_size.sort_by_key(|&x| std::cmp::Reverse(sizes[x as usize]));
+        let mut rank = vec![0u32; sizes.len()];
+        for (r, &x) in by_size.iter().enumerate() {
+            rank[x as usize] = r as u32;
         }
-        self.by_level[level].push(pair);
+        let len = (0..k_max + 2)
+            .map(|level| by_size.partition_point(|&x| sizes[x as usize] as usize >= level) as u32)
+            .collect();
+        LevelPartitions {
+            by_size,
+            rank,
+            len,
+            dsus: std::iter::repeat_with(OnceLock::new)
+                .take(k_max + 2)
+                .collect(),
+        }
     }
 
-    /// The largest single stratum — the sweep's per-level work bound.
-    fn max_len(&self) -> usize {
-        self.by_level.iter().map(Vec::len).max().unwrap_or(0)
+    /// The partition of `level`, created on first use.
+    fn dsu_at(&self, level: usize) -> &ConcurrentDsu {
+        self.dsus[level].get_or_init(|| ConcurrentDsu::new(self.len[level] as usize))
+    }
+
+    /// Joins ordinals `a` and `b` at `level`.
+    #[inline]
+    fn union(&self, level: usize, a: u32, b: u32) {
+        self.dsu_at(level)
+            .union(self.rank[a as usize], self.rank[b as usize]);
     }
 }
 
@@ -357,12 +395,14 @@ struct AlmostFused {
     /// Per-vertex last clique that emitted this vertex's key
     /// (`u32::MAX` = none yet); chains into `dsu2`.
     last2: Vec<u32>,
-    /// Level-2 (vertex-key) components over clique ordinals.
+    /// Level-2 (vertex-key) components over clique ordinals, folded
+    /// into the level-2 partition at finish ([`Self::fold_keys`]).
     dsu2: Dsu,
     /// Persistent edge-key table of the small cliques, chaining into
     /// `dsu3`; the finish chains the big cliques to its owners.
     edges: EdgeTable,
-    /// Level-3 (edge-key) components over clique ordinals.
+    /// Level-3 (edge-key) components over clique ordinals, folded like
+    /// `dsu2`.
     dsu3: Dsu,
     /// Per-vertex posting lists of the *small* cliques
     /// (3 ≤ size ≤ [`SMALL_FULL`]), ascending — the finish's counting
@@ -380,24 +420,6 @@ struct AlmostFused {
     /// [`Self::hub_rows`] moves into the [`HubRows`].
     big_off: Vec<u32>,
     big_hubs: Vec<u32>,
-    strata: Strata,
-    /// Per-detection-level components found by the finish-time
-    /// prepasses ([`Self::finish_pairs`]) — big-involving pairs union
-    /// straight in here instead of materialising millions of `(y, x)`
-    /// entries, and the sweep merges each level's partition exactly
-    /// like `dsu2`/`dsu3`. Big×big keeps them cumulative (level `L`
-    /// also holds every big×big union above it). Pool workers union
-    /// concurrently; which unions they make depends on the interleaving,
-    /// but [`ConcurrentDsu`]'s order-free min-id partition and the
-    /// cumulative rule leave each level with the same components
-    /// whatever it was. Lazily created per level by whichever worker
-    /// first joins a pair there. Level `L`'s partition is over *size ranks*
-    /// `0..n_L` ([`Self::by_size`]), not ordinals: both cliques of a
-    /// level-`L` pair have at least `L` members.
-    level_cdsus: Vec<OnceLock<ConcurrentDsu>>,
-    /// Size rank → ordinal: every ordinal by descending size, ties by
-    /// ordinal, so the cliques of size ≥ `L` are the ranks `0..n_L`.
-    by_size: Vec<u32>,
     /// Transposed member store for extraction (ordinal-indexed CSR over
     /// the small cliques), built once at finish time from the posting
     /// lists — see [`Self::build_small_members`].
@@ -418,9 +440,6 @@ impl AlmostFused {
             hub_inv: Vec::new(),
             big_off: vec![0],
             big_hubs: Vec::new(),
-            strata: Strata::default(),
-            level_cdsus: Vec::new(),
-            by_size: Vec::new(),
             small_off: Vec::new(),
             small_mem: Vec::new(),
         }
@@ -969,42 +988,6 @@ impl<'h> Certifier<'h> {
     }
 }
 
-/// One partition to merge into the sweep's concurrent DSU: either the
-/// pairs pass's lock-free per-level partition over size ranks (whose
-/// `find` is exact once that pass has quiesced; the slice maps rank →
-/// ordinal) or the root array of one of the engine's incremental key
-/// [`Dsu`]s (whose `find` needs `&mut`, which pool workers cannot
-/// share).
-enum MergeSrc<'a> {
-    Ranked(ConcurrentDsu, &'a [u32]),
-    Roots(Vec<u32>),
-}
-
-impl MergeSrc<'_> {
-    fn len(&self) -> usize {
-        match self {
-            MergeSrc::Ranked(d, _) => d.len(),
-            MergeSrc::Roots(r) => r.len(),
-        }
-    }
-
-    /// The union element `i` contributes: itself and its root, as
-    /// ordinals (`None` for a root).
-    #[inline]
-    fn edge(&self, i: u32) -> Option<(u32, u32)> {
-        match self {
-            MergeSrc::Ranked(d, by_size) => {
-                let r = d.find(i);
-                (r != i).then(|| (by_size[r as usize], by_size[i as usize]))
-            }
-            MergeSrc::Roots(roots) => {
-                let r = roots[i as usize];
-                (r != i).then_some((r, i))
-            }
-        }
-    }
-}
-
 /// Percolation as a clique sink: feed every maximal clique (sorted
 /// members, each exactly once, deterministic order — the
 /// [`cliques::consume_max_cliques`] driver guarantees this) to
@@ -1093,18 +1076,17 @@ impl FusedPercolator {
     /// Why the finish is bit-identical at every worker count:
     /// the final result depends only on the per-level *partitions* (the
     /// snapshotter assigns community indices by first-seen root over
-    /// ascending ordinals, and members are canonicalised), every union
-    /// source yields the same partition in every schedule, and
-    /// [`ConcurrentDsu`]'s unions commute partition-wise. Most sources
-    /// contribute the same pair set in every schedule; big×big's pair
-    /// set does not (a worker skips pairs another worker's unions
-    /// already imply), but each level's partition does not move
-    /// (`AlmostFused::finish_pairs`). So chunking unions over workers —
-    /// in any interleaving — cannot change the output; exact mode's
-    /// certification runs on the leader between a
-    /// level's union barrier and its snapshot, and depends only on that
-    /// partition. Phase transitions are reported to `observe` (the
-    /// bench's per-phase memory hook).
+    /// ascending ordinals, and members are canonicalised). Every source
+    /// unions into [`LevelPartitions`], and [`ConcurrentDsu`]'s unions
+    /// commute partition-wise. Most sources make the same unions in
+    /// every schedule; big×big does not (a worker skips pairs another
+    /// worker's unions already imply), but each level's partition does
+    /// not move (`AlmostFused::finish_pairs`). So chunking unions over
+    /// workers — in any interleaving — cannot change the output; exact
+    /// mode's certification runs on the leader between a level's union
+    /// barrier and its snapshot, and depends only on that partition.
+    /// Phase transitions are reported to `observe` (the bench's
+    /// per-phase memory hook).
     fn finish_impl(
         mut self,
         threads: Threads,
@@ -1126,14 +1108,18 @@ impl FusedPercolator {
         self.engine.last2 = Vec::new();
         let pairs_workers = self.pairs_workers(threads);
         let count_workers = threads.resolve(clique_count, FUSED_AUTO_CLIQUES_PER_WORKER);
+        let levels = LevelPartitions::new(&self.sizes, self.k_max);
+        self.engine.fold_keys(&levels);
         let hubs = self.engine.hub_rows(&self.sizes);
         self.engine
-            .key_big_edges(&self.sizes, &hubs, count_workers, cancel);
+            .key_big_edges(&self.sizes, &hubs, &levels, count_workers, cancel);
+        // Big×big reads its own partitions to skip implied pairs, so it
+        // runs before the counting pass adds to them.
+        self.engine
+            .finish_pairs(&self.sizes, &levels, pairs_workers, cancel, &hubs);
         self.engine.build_small_members(clique_count);
         self.engine
-            .count_overlaps(&self.sizes, count_workers, cancel);
-        self.engine
-            .finish_pairs(&self.sizes, self.k_max, pairs_workers, cancel, &hubs);
+            .count_overlaps(&self.sizes, &levels, count_workers, cancel);
         if let Some(token) = cancel {
             token.check()?;
         }
@@ -1142,8 +1128,11 @@ impl FusedPercolator {
         observe("sweep");
         let t = Instant::now();
         let certifier = self.certify.then(|| Certifier::new(&hubs, &self.sizes));
-        let sweep_workers = threads.resolve(self.sweep_work(), PAR_UNION_MIN);
-        let (mut levels_desc, snap_time) = self.sweep_levels(sweep_workers, cancel, certifier)?;
+        // A level merges at most one partition of at most `clique_count`
+        // ranks.
+        let sweep_workers = threads.resolve(clique_count, PAR_UNION_MIN);
+        let (mut levels_desc, snap_time) =
+            self.sweep_levels(levels, sweep_workers, cancel, certifier)?;
         phases.sweep += t.elapsed().saturating_sub(snap_time);
 
         observe("extract");
@@ -1169,95 +1158,58 @@ impl FusedPercolator {
         threads.resolve(work, FUSED_PAIRS_AUTO_CANDIDATES_PER_WORKER)
     }
 
-    /// The sweep's work bound: the largest single stratum or the
-    /// ordinal universe (each keyed/partition merge replays one union
-    /// per ordinal), whichever dominates.
-    fn sweep_work(&self) -> usize {
-        self.engine.strata.max_len().max(self.sizes.len())
-    }
-
-    /// The pool-parallel descending-`k` sweep: per level, workers drain
-    /// the stratum pairs and the partition merges into one shared
-    /// [`ConcurrentDsu`], then a barrier separates the unions from the
-    /// leader's certification (exact mode, `certifier`) and level
-    /// snapshot (both read the quiescent DSU, where `find` is the exact
-    /// min-id root), and a second barrier separates the snapshot from
-    /// the next level's unions. Sources smaller than [`PAR_UNION_MIN`]
-    /// get an empty queue and are replayed leader-inline, so tiny levels
-    /// never pay claim traffic. Between the barriers the leader also
-    /// frees the level's spent sources, so the sweep never holds the
-    /// strata and partitions of levels it has already settled.
+    /// The pool-parallel descending-`k` sweep: per level, workers merge
+    /// that level's partition (rank `i` joins the ordinal of its root)
+    /// into one shared [`ConcurrentDsu`] over ordinals, then a barrier
+    /// separates the unions from the leader's certification (exact
+    /// mode, `certifier`) and level snapshot (both read the quiescent
+    /// DSU, where `find` is the exact min-id root), and a second barrier
+    /// separates the snapshot from the next level's unions. A partition
+    /// smaller than [`PAR_UNION_MIN`] is merged by the leader alone, so
+    /// tiny levels never pay claim traffic. Between the barriers the
+    /// leader also frees the level's partition, so the sweep never holds
+    /// the partitions of levels it has already settled.
     ///
     /// Returns the levels in descending `k` plus the wall time spent
     /// snapshotting (attributed to the extract phase).
     fn sweep_levels(
-        &mut self,
+        &self,
+        levels: LevelPartitions,
         workers: usize,
         cancel: Option<&CancelToken>,
         certifier: Option<Certifier<'_>>,
     ) -> Result<(Vec<KLevel>, Duration), Cancelled> {
         let count = self.sizes.len();
-        // The sweep takes every union source out of the engine and frees
-        // each level's as soon as that level has quiesced. The
-        // incremental key DSUs become root arrays: `Dsu::find` needs
-        // `&mut`, which pool workers cannot share.
-        let engine = &mut self.engine;
-        let mut strata = std::mem::take(&mut engine.strata.by_level);
-        let mut ranked = std::mem::take(&mut engine.level_cdsus);
-        let by_size = std::mem::take(&mut engine.by_size);
-        let mut roots3 = Some(std::mem::replace(&mut engine.dsu3, Dsu::new(0)).into_roots());
-        let mut roots2 = Some(std::mem::replace(&mut engine.dsu2, Dsu::new(0)).into_roots());
+        let LevelPartitions {
+            by_size, mut dsus, ..
+        } = levels;
 
-        /// One level's union sources: its stratum pairs and the
-        /// partitions it merges.
-        #[derive(Default)]
-        struct LevelWork<'a> {
-            pairs: Vec<(u32, u32)>,
-            merges: Vec<MergeSrc<'a>>,
-        }
-        struct LevelPlan<'a> {
+        struct LevelPlan {
             k: usize,
-            /// Read by every worker while the level unions, emptied by
+            /// Read by every worker while the level unions, dropped by
             /// the leader once they are done.
-            work: RwLock<LevelWork<'a>>,
-            pairs_queue: ChunkQueue,
-            merge_queues: Vec<ChunkQueue>,
+            partition: RwLock<Option<ConcurrentDsu>>,
+            queue: ChunkQueue,
+            /// Whether every worker claims from `queue`, or the leader
+            /// alone.
+            shared: bool,
         }
+        let plans: Vec<LevelPlan> = (2..=self.k_max)
+            .rev()
+            .map(|k| {
+                let partition = dsus[k].take();
+                let len = partition.as_ref().map_or(0, ConcurrentDsu::len);
+                LevelPlan {
+                    k,
+                    partition: RwLock::new(partition),
+                    queue: ChunkQueue::new(len, UNION_CHUNK),
+                    shared: workers > 1 && len >= PAR_UNION_MIN,
+                }
+            })
+            .collect();
+        drop(dsus);
 
         let sizes = &self.sizes[..];
-        // Only sources worth stealing get a live queue; `gate` returns
-        // the queue length (0 = leader-inline).
-        let gate = |len: usize| {
-            let len = if workers > 1 && len >= PAR_UNION_MIN {
-                len
-            } else {
-                0
-            };
-            ChunkQueue::new(len, UNION_CHUNK)
-        };
-        let mut plans: Vec<LevelPlan> = Vec::with_capacity(self.k_max - 1);
-        for k in (2..=self.k_max).rev() {
-            let pairs = strata.get_mut(k).map(std::mem::take).unwrap_or_default();
-            let ranked = ranked.get_mut(k).and_then(OnceLock::take);
-            let keyed = match k {
-                3 => roots3.take(),
-                2 => roots2.take(),
-                _ => None,
-            };
-            let merges: Vec<MergeSrc> = ranked
-                .map(|cd| MergeSrc::Ranked(cd, &by_size))
-                .into_iter()
-                .chain(keyed.map(MergeSrc::Roots))
-                .collect();
-            plans.push(LevelPlan {
-                k,
-                pairs_queue: gate(pairs.len()),
-                merge_queues: merges.iter().map(|m| gate(m.len())).collect(),
-                work: RwLock::new(LevelWork { pairs, merges }),
-            });
-        }
-        drop((strata, ranked));
-
         let cdsu = ConcurrentDsu::new(count);
         type SnapParts<'h> = (
             LevelSnapshotter,
@@ -1274,66 +1226,29 @@ impl FusedPercolator {
         Pool::global().run(workers, |w| {
             let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
             for plan in &plans {
-                let work = plan.work.read().expect("fused sweep worker panicked");
-                if plan.pairs_queue.is_empty() {
-                    if w.is_leader() && !cancelled() {
-                        for chunk in work.pairs.chunks(UNION_CHUNK) {
-                            if cancelled() {
-                                break;
-                            }
-                            for &(a, b) in chunk {
-                                cdsu.union(a, b);
-                            }
-                        }
-                    }
-                } else {
+                if plan.shared || w.is_leader() {
+                    let partition = plan.partition.read().expect("fused sweep worker panicked");
                     let claim = || match cancel {
-                        Some(token) => plan.pairs_queue.claim_unless(token),
-                        None => plan.pairs_queue.claim(),
+                        Some(token) => plan.queue.claim_unless(token),
+                        None => plan.queue.claim(),
                     };
-                    while let Some(range) = claim() {
-                        for &(a, b) in &work.pairs[range] {
-                            cdsu.union(a, b);
-                        }
-                    }
-                }
-                for (src, queue) in work.merges.iter().zip(&plan.merge_queues) {
-                    if queue.is_empty() {
-                        if w.is_leader() && !cancelled() {
-                            let len = src.len();
-                            for start in (0..len).step_by(UNION_CHUNK) {
-                                if cancelled() {
-                                    break;
-                                }
-                                let end = (start + UNION_CHUNK).min(len);
-                                for i in start as u32..end as u32 {
-                                    if let Some((a, b)) = src.edge(i) {
-                                        cdsu.union(a, b);
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        let claim = || match cancel {
-                            Some(token) => queue.claim_unless(token),
-                            None => queue.claim(),
-                        };
+                    if let Some(d) = &*partition {
                         while let Some(range) = claim() {
                             for i in range.start as u32..range.end as u32 {
-                                if let Some((a, b)) = src.edge(i) {
-                                    cdsu.union(a, b);
+                                let r = d.find(i);
+                                if r != i {
+                                    cdsu.union(by_size[r as usize], by_size[i as usize]);
                                 }
                             }
                         }
                     }
                 }
-                drop(work);
-                // Quiesce, free the spent sources, certify and snapshot
-                // the settled partition, then release everyone into the
+                // Quiesce, free the spent partition, certify and snapshot
+                // the settled union–find, then release everyone into the
                 // next level.
                 w.barrier();
                 if w.is_leader() {
-                    *plan.work.write().expect("fused sweep worker panicked") = LevelWork::default();
+                    *plan.partition.write().expect("fused sweep worker panicked") = None;
                     if !cancelled() {
                         let mut guard = snap_parts.lock().expect("fused sweep worker panicked");
                         let (snap, levels, snap_time, certifier) = &mut *guard;
@@ -1522,38 +1437,26 @@ impl AlmostFused {
     /// members' posting lists for *earlier* ordinals, accumulating
     /// `|x ∩ y|` in a per-worker dense counter, so each small×small
     /// pair is counted once, from its later side ([`Self::finish_pairs`]
-    /// counts big×small over the hub rows). Overlaps
-    /// `m >` [`KEY_MAX_L`] go to the strata at detection level `m + 1`
-    /// (`m ≤ 2` is owned by the keys). Workers claim ordinal chunks and
-    /// move their pairs into the shared strata in batches; the sweep
-    /// depends only on each level's pair *set*, so the result is the
-    /// same at every worker count. The posting lists are freed at the
-    /// end: nothing reads them afterwards.
-    fn count_overlaps(&mut self, sizes: &[u32], workers: usize, cancel: Option<&CancelToken>) {
+    /// counts big×small over the hub rows). Each overlap
+    /// `m >` [`KEY_MAX_L`] unions the pair at its detection level
+    /// `m + 1` (`m ≤ 2` is owned by the keys). Workers claim ordinal
+    /// chunks; each level's partition is the same whatever order its
+    /// unions came in, so the result is the same at every worker count.
+    /// The posting lists are freed at the end: nothing reads them
+    /// afterwards.
+    fn count_overlaps(
+        &mut self,
+        sizes: &[u32],
+        levels: &LevelPartitions,
+        workers: usize,
+        cancel: Option<&CancelToken>,
+    ) {
         let count = sizes.len();
-        // Every stratum the pass can reach (`m ≤ SMALL_FULL`) gets its
-        // first allocation here, on the calling thread: a pool worker
-        // that grows it then reallocates inside the caller's malloc
-        // arena instead of starting the buffer in its own, where the
-        // memory would stay resident once freed.
-        let strata = Mutex::new(Strata {
-            by_level: (0..=SMALL_FULL + 1)
-                .map(|_| Vec::with_capacity(1))
-                .collect(),
-        });
-        // Workers batch their pairs, so the lock is taken once a batch.
-        let flush = |local: &mut Vec<(usize, (u32, u32))>| {
-            let mut strata = strata.lock().expect("fused pairs worker panicked");
-            for (level, pair) in local.drain(..) {
-                strata.push(level, pair);
-            }
-        };
         let queue = ChunkQueue::new(count, PAIRS_SMALL_CHUNK);
         let this = &*self;
         Pool::global().run(workers, |_w| {
             let mut counter = vec![0u8; count];
             let mut touched: Vec<u32> = Vec::new();
-            let mut local: Vec<(usize, (u32, u32))> = Vec::new();
             let claim = || match cancel {
                 Some(token) => queue.claim_unless(token),
                 None => queue.claim(),
@@ -1575,23 +1478,28 @@ impl AlmostFused {
                     for &y in &touched {
                         let m = std::mem::take(&mut counter[y as usize]) as usize;
                         if m > KEY_MAX_L {
-                            local.push((m + 1, (y, x)));
+                            levels.union(m + 1, y, x);
                         }
                     }
                     touched.clear();
-                    if local.len() >= STRATA_BATCH {
-                        flush(&mut local);
-                    }
                 }
             }
-            flush(&mut local);
         });
-        debug_assert!(self.strata.by_level.is_empty());
-        self.strata = strata.into_inner().expect("fused pairs worker panicked");
-        for stratum in &mut self.strata.by_level {
-            stratum.shrink_to_fit();
-        }
         self.small_postings = Vec::new();
+    }
+
+    /// Folds the stream's vertex- and edge-key DSUs (over ordinals) into
+    /// the partitions of levels 2 and 3 and frees them.
+    fn fold_keys(&mut self, levels: &LevelPartitions) {
+        for (level, dsu) in [(2, &mut self.dsu2), (3, &mut self.dsu3)] {
+            let mut dsu = std::mem::replace(dsu, Dsu::new(0));
+            for x in 0..dsu.len() as u32 {
+                let root = dsu.find(x);
+                if root != x {
+                    levels.union(level, root, x);
+                }
+            }
+        }
     }
 
     /// The level-3 edge keys of the big cliques that emit them
@@ -1603,20 +1511,20 @@ impl AlmostFused {
     /// big edge. Chains and the stream's last-owner chains over the same
     /// edge connect the same cliques.
     ///
-    /// Hubs `u` are claimed by `workers` pool workers, which union into
-    /// a shared [`ConcurrentDsu`] (its partition does not depend on the
-    /// interleaving); that partition is then folded into `dsu3`. The
-    /// edge table is freed on return: the stream's keys are all in.
+    /// Hubs `u` are claimed by `workers` pool workers, which union
+    /// straight into the level-3 partition (its partition does not
+    /// depend on the interleaving). The edge table is freed on return:
+    /// the stream's keys are all in.
     fn key_big_edges(
         &mut self,
         sizes: &[u32],
         hubs: &HubRows,
+        levels: &LevelPartitions,
         workers: usize,
         cancel: Option<&CancelToken>,
     ) {
         let edges = std::mem::take(&mut self.edges);
         let keyed = KeyedBigs::new(sizes, hubs);
-        let joined = ConcurrentDsu::new(self.dsu3.len());
         // Hub rounds vary widely in cost: claim them one at a time.
         let queue = ChunkQueue::new(hubs.hubs, 1);
         let hub_inv = &self.hub_inv[..];
@@ -1651,7 +1559,7 @@ impl AlmostFused {
                                 }
                             };
                             if partner != partner_seen {
-                                joined.union(partner, x);
+                                levels.union(3, partner, x);
                                 partner_seen = partner;
                             }
                         }
@@ -1662,12 +1570,6 @@ impl AlmostFused {
                 }
             }
         });
-        for x in 0..joined.len() as u32 {
-            let root = joined.find(x);
-            if root != x {
-                self.dsu3.union(root, x);
-            }
-        }
     }
 
     /// The big-clique prepasses, big×big and big×small, over the hub
@@ -1686,14 +1588,13 @@ impl AlmostFused {
     /// near-containments and hubby smalls, which is why the divergence
     /// oracle measures zero on every preset.
     ///
-    /// A linear prologue (the descending-size rank order, whose first
-    /// `nb` ranks are the sorted bigs, and the transposed per-hub
-    /// bitmaps over them, `hubs × ⌈nb / 64⌉` words) runs on the caller;
-    /// `hubs` is the hub-membership CSR ([`Self::hub_rows`]). Big×big
-    /// then drains a [`ChunkQueue`] of sorted-big rows over `workers`
-    /// pool workers into the per-level [`ConcurrentDsu`]s of
-    /// `level_cdsus`, over size ranks ([`Self::by_size`]), which it
-    /// keeps *cumulative*: a real merge at level `L` is repeated at
+    /// A linear prologue (the transposed per-hub bitmaps over the
+    /// first `nb` size ranks, which are the sorted bigs, `hubs ×
+    /// ⌈nb / 64⌉` words) runs on the caller; `hubs` is the
+    /// hub-membership CSR ([`Self::hub_rows`]). Big×big then drains a
+    /// [`ChunkQueue`] of sorted-big rows over `workers` pool workers
+    /// into the per-level partitions of `levels`, which it keeps
+    /// *cumulative*: a real merge at level `L` is repeated at
     /// `L − 1`, `L − 2`, … until a level reports the pair already
     /// joined, so level `L` holds every big×big union at `L` or above.
     /// That lets big×big join a component once, as big×small does. Per
@@ -1730,37 +1631,21 @@ impl AlmostFused {
     /// big×small's pair set follows from it; the result is the same at
     /// every worker count.
     fn finish_pairs(
-        &mut self,
+        &self,
         sizes: &[u32],
-        k_max: usize,
+        levels: &LevelPartitions,
         workers: usize,
         cancel: Option<&CancelToken>,
         hubs: &HubRows,
     ) {
-        if !sizes.iter().any(|&s| s as usize > SMALL_FULL) {
+        let count = sizes.len();
+        // The bigs, ranks `0..nb`, are sorted by descending size, ties
+        // by ordinal; only smalls need a rank lookup.
+        let nb = levels.len.get(SMALL_FULL + 1).map_or(0, |&n| n as usize);
+        if nb == 0 {
             return;
         }
-        let count = sizes.len();
-        // Levels never exceed the largest clique size, so `k_max + 2`
-        // slots cover every detection level with room for the `.min(s)`
-        // clamp's upper bound.
-        self.level_cdsus = std::iter::repeat_with(OnceLock::new)
-            .take(k_max + 2)
-            .collect();
-        // Every hit at level L joins two cliques of ≥ L members, so
-        // level L's partition spans only the first n_L size ranks. The
-        // sort is stable, so the bigs, ranks `0..nb`, are sorted by
-        // descending size, ties by ordinal; only smalls need a rank
-        // lookup.
-        let mut by_size: Vec<u32> = (0..count as u32).collect();
-        by_size.sort_by_key(|&x| std::cmp::Reverse(sizes[x as usize]));
-        let mut rank = vec![0u32; count];
-        for (r, &x) in by_size.iter().enumerate() {
-            rank[x as usize] = r as u32;
-        }
-        let nb = by_size.partition_point(|&x| sizes[x as usize] as usize > SMALL_FULL);
-        self.by_size = by_size;
-        let bigs = &self.by_size[..nb];
+        let bigs = &levels.by_size[..nb];
         let w_big = nb.div_ceil(64);
         // Transposed index — per hub vertex, a bitmap over the sorted
         // bigs — shared by the big×big and big×small scans below.
@@ -1771,16 +1656,8 @@ impl AlmostFused {
             }
         }
 
-        let cdsus = &self.level_cdsus[..];
+        let cdsus = &levels.dsus[..];
         let trans = &trans[..];
-        let by_size = &self.by_size[..];
-        let dsu_at = |level: usize| {
-            cdsus[level].get_or_init(|| {
-                ConcurrentDsu::new(
-                    by_size.partition_point(|&x| sizes[x as usize] as usize >= level),
-                )
-            })
-        };
         // Big×big keeps its partitions cumulative: a real merge at `L`
         // is applied at `L − 1`, `L − 2`, … down to the lowest level a
         // big×big pair reaches, and stops at the first level where the
@@ -1794,7 +1671,7 @@ impl AlmostFused {
         let merges: Vec<AtomicU32> = (0..cdsus.len()).map(|_| AtomicU32::new(0)).collect();
         let merge = |level: usize, a: u32, b: u32| {
             let mut l = level;
-            while l >= floor && dsu_at(l).union(a, b) {
+            while l >= floor && levels.dsu_at(l).union(a, b) {
                 merges[l].fetch_add(1, Ordering::Relaxed);
                 l -= 1;
             }
@@ -1921,13 +1798,13 @@ impl AlmostFused {
                             .iter()
                             .map(|&b| &trans[b as usize * w_big..][..w_big]),
                     );
-                    let rx = rank[x];
+                    let rx = levels.rank[x];
                     joined.clear();
                     if let [r0, r1, r2] = rows[..] {
                         // Exactly three hub members: m ≥ 3 forces m = 3
                         // and the hit mask is one three-way AND per word.
                         let level = 4.min(s).max(2);
-                        let dsu = dsu_at(level);
+                        let dsu = levels.dsu_at(level);
                         for w in 0..w_big {
                             let mut hits = r0[w] & r1[w] & r2[w];
                             let rep = reps[4][w];
@@ -1982,7 +1859,7 @@ impl AlmostFused {
                         if rep != u32::MAX {
                             let level = (m_top + 1).min(s).max(2);
                             if joined.first(rep, level) {
-                                dsu_at(level).union(rep, rx);
+                                levels.dsu_at(level).union(rep, rx);
                             }
                             continue;
                         }
@@ -1995,7 +1872,7 @@ impl AlmostFused {
                                 | (((c2 >> i) & 1) << 2)
                                 | (((c3 >> i) & 1) << 3);
                             let level = ((m as usize) + 1).min(s).max(2);
-                            dsu_at(level).union(yi as u32, rx);
+                            levels.dsu_at(level).union(yi as u32, rx);
                         }
                     }
                 }

@@ -102,16 +102,6 @@ impl Dsu {
     pub fn same(&mut self, a: u32, b: u32) -> bool {
         self.find(a) == self.find(b)
     }
-
-    /// Consumes the forest and returns every element's representative,
-    /// reusing the parent array's allocation.
-    pub fn into_roots(mut self) -> Vec<u32> {
-        for x in 0..self.parent.len() as u32 {
-            let root = self.find(x);
-            self.parent[x as usize] = root;
-        }
-        self.parent
-    }
 }
 
 #[cfg(test)]
@@ -160,18 +150,5 @@ mod tests {
         assert!(d.same(0, 3));
         assert!(!d.same(0, 4));
         assert_eq!(d.set_count(), 3);
-    }
-
-    #[test]
-    fn into_roots_flattens_every_path() {
-        let mut d = Dsu::new(6);
-        d.union(0, 1);
-        d.union(2, 3);
-        d.union(1, 2);
-        let mut check = d.clone();
-        let roots = d.into_roots();
-        for x in 0..6 {
-            assert_eq!(roots[x as usize], check.find(x));
-        }
     }
 }

@@ -1,7 +1,8 @@
 //! Lock-free disjoint-set union over atomic parent pointers.
 //!
-//! The pool-parallel finish of [`crate::FusedPercolator`] drains each
-//! stratum with several workers hammering one union–find. This is the
+//! The pool-parallel finish of [`crate::FusedPercolator`] unions into
+//! one partition per level, and merges each level's into the sweep's,
+//! with several workers hammering one union–find. This is the
 //! classic CAS-based structure (Anderson & Woll's lock-free union–find,
 //! as used by every parallel connected-components kernel since):
 //!
@@ -87,7 +88,7 @@ impl ConcurrentDsu {
     /// Concurrent unions may move the representative while this runs; the
     /// returned id is some node that was `x`'s root at one point during
     /// the call (the usual lock-free contract). Once all unions have
-    /// happened-before the call — the per-stratum barrier in the sweep —
+    /// happened-before the call — the per-level barrier in the sweep —
     /// the result is exact and equals the component's minimum id.
     ///
     /// # Panics

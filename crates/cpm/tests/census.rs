@@ -3,26 +3,20 @@
 //! has 2^m maximal cliques of m members, and any two are joined by a
 //! chain of single flips that each share m − 1 nodes. So at every
 //! k ≤ m its k-clique communities are one community holding all 2m
-//! nodes. This is the heaviest big×big load there is: every clique is
-//! big and nearly contains hundreds of others. Release mode only
-//! (`cargo test --release -p cpm --test census -- --ignored`).
+//! nodes. From m = 15 up every clique is big and nearly contains
+//! hundreds of others, the heaviest big×big load there is; up to
+//! m = 14 every clique is small, and the counting pass unions almost
+//! every pair of them. Release mode only (`cargo test --release -p cpm
+//! --test census -- --ignored`).
 
-use asgraph::{Graph, GraphBuilder, NodeId};
+use asgraph::{Graph, NodeId};
 use cpm::Mode;
-
-/// K(2×m): the complete graph on 2m nodes minus the matching
-/// `{2t, 2t + 1}`.
-fn cocktail_party(m: u32) -> Graph {
-    let n = 2 * m;
-    let pairs = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)));
-    GraphBuilder::from_iter(pairs.filter(|(u, v)| u / 2 != v / 2)).build()
-}
 
 #[test]
 #[ignore = "census-scale; run in release mode"]
 fn cocktail_parties_are_one_community_at_every_level() {
-    for m in 15..=17u32 {
-        let g = cocktail_party(m);
+    for m in 10..=17u32 {
+        let g = Graph::cocktail_party(m as usize);
         let all: Vec<NodeId> = (0..2 * m).collect();
         for mode in [Mode::Exact, Mode::Almost] {
             let one = cpm::percolate_parallel(&g, 1, mode);

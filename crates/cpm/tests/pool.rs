@@ -32,7 +32,7 @@ const REPEATS: usize = if cfg!(debug_assertions) { 3 } else { 16 };
 
 #[test]
 fn repeated_percolations_stay_bit_identical() {
-    // Dense enough for multi-k strata, small enough to repeat often.
+    // Dense enough for many levels, small enough to repeat often.
     let graphs: Vec<Graph> = (0..4).map(|s| random_graph(90, 0.25, s)).collect();
     let references: Vec<_> = graphs.iter().map(cpm::percolate).collect();
     for round in 0..REPEATS {

@@ -2,8 +2,8 @@
 //! chunk boundaries.
 //!
 //! Nothing in this workspace preempts a worker. Instead, every
-//! long-running phase (clique enumeration, overlap counting, stratum
-//! drains, stream replays) polls a [`CancelToken`] at its natural chunk
+//! long-running phase (clique enumeration, overlap counting, level
+//! merges, stream replays) polls a [`CancelToken`] at its natural chunk
 //! boundary — one atomic load per [`ChunkQueue`](crate::ChunkQueue)
 //! claim or per emitted clique — and winds down cleanly when the token
 //! trips: pool workers stop claiming chunks and run out through the

@@ -10,7 +10,7 @@
 //!   back to sleep; the calling thread participates as worker 0, so
 //!   `run(n, f)` costs `n − 1` wakeups, not `n` spawns.
 //! * [`Worker::barrier`] — a reusable barrier for multi-phase jobs (the
-//!   fused sweep drains stratum `k−1`, snapshots, then starts `k−2`
+//!   fused sweep merges level `k−1`, snapshots, then starts `k−2`
 //!   without ever tearing the workers down).
 //! * [`ScratchArena`] — one arena per worker slot, persisting across
 //!   `run` calls. A phase asks for its scratch type

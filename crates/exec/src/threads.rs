@@ -20,7 +20,7 @@ pub fn available_parallelism() -> usize {
 /// How many workers a parallel phase should use.
 ///
 /// `Auto` is the default everywhere: each call site estimates its work
-/// in site-specific units (outer vertices, postings, stratum pairs) and
+/// in site-specific units (outer vertices, postings, partition ranks) and
 /// [`resolve`](Threads::resolve) picks a worker count that keeps every
 /// worker above a minimum grain — so tiny substrates run sequentially
 /// and never pay pool overhead, while large ones use the whole machine.

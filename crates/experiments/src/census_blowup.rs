@@ -14,16 +14,9 @@
 //! demand.
 
 use crate::{Analysis, Artifact, Options};
-use asgraph::{Graph, GraphBuilder, NodeId};
+use asgraph::Graph;
 use kclique_core::report::Table;
 use std::time::Instant;
-
-/// K(2×m): complete graph on 2m nodes minus the matching {2t, 2t+1}.
-fn cocktail_party(m: usize) -> Graph {
-    let n = 2 * m as NodeId;
-    let pairs = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)));
-    GraphBuilder::from_iter(pairs.filter(|(u, v)| u / 2 != v / 2)).build()
-}
 
 pub fn run(analysis: &Analysis, opts: &Options) -> Vec<Artifact> {
     println!("§3 census regime — cocktail-party sweep (2^m maximal cliques of size m)\n");
@@ -37,7 +30,7 @@ pub fn run(analysis: &Analysis, opts: &Options) -> Vec<Artifact> {
         "communities at k=m",
     ]);
     for m in [6usize, 8, 10, 12] {
-        let g = cocktail_party(m);
+        let g = Graph::cocktail_party(m);
         let t0 = Instant::now();
         let cliques = cliques::max_cliques(&g);
         let t_enum = t0.elapsed();

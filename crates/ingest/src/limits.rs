@@ -51,21 +51,6 @@ impl Default for Limits {
     }
 }
 
-impl Limits {
-    /// A tiny budget for tests: small enough to trip every cap with
-    /// hand-sized inputs.
-    pub fn strict_test() -> Self {
-        Limits {
-            max_line_bytes: 128,
-            max_bytes: 4096,
-            max_lines: 256,
-            max_edge_records: 512,
-            max_nodes: 128,
-            max_moas_set: 4,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -82,17 +82,19 @@ fn fused_cancellation_leaves_the_pool_reusable_and_the_run_resumable() {
     }
 }
 
-/// `m` triangles sharing one common edge — every pair of the `m`
-/// maximal cliques overlaps in exactly 2 vertices, so the k = 3 stratum
-/// holds `m·(m−1)/2` pairs. `m = 150` gives 11 175, crossing the
-/// parallel sweep's `PAR_UNION_MIN` (8 192) so the chunk-queue drain
-/// path runs, not just the leader-inline one.
-fn book_graph(m: u32) -> asgraph::Graph {
-    let mut b = asgraph::GraphBuilder::with_nodes(m as usize + 2);
-    for w in 2..m + 2 {
-        b.add_edge(0, 1);
-        b.add_edge(0, w);
-        b.add_edge(1, w);
+/// A strip of `m` K4s, `{i, i + 1, i + 2, i + 3}` for `i < m`: the
+/// maximal cliques are exactly these windows, and consecutive ones
+/// share a triangle, so the counting pass joins all of them at level 4
+/// into one community of `m + 3` nodes. At `m ≥ 8 192` the partitions
+/// of levels 2 to 4 each span `m` ranks, past the parallel sweep's
+/// `PAR_UNION_MIN` (8 192), so the chunk-queue merge runs, not just the
+/// leader-inline one.
+fn strip_graph(m: u32) -> asgraph::Graph {
+    let mut b = asgraph::GraphBuilder::with_nodes(m as usize + 3);
+    for u in 0..m + 3 {
+        for v in u + 1..(u + 4).min(m + 3) {
+            b.add_edge(u, v);
+        }
     }
     b.build()
 }
@@ -173,8 +175,8 @@ fn finished(g: &asgraph::Graph, mode: Mode, threads: usize) -> cpm::CpmResult {
 /// The finish-time phases (pair detection, sweep, extraction) on the
 /// pool are strictly equal — ordinals, parents, members, everything —
 /// to the one-worker finish at 1, 2, 4, and 7 workers, with and
-/// without a live token, for both modes: on a substrate whose k = 3 stratum
-/// crosses the parallel sweep's chunk-queue threshold, on the tiny
+/// without a live token, for both modes: on a substrate whose level
+/// partitions cross the parallel sweep's chunk-queue threshold, on the tiny
 /// Internet preset, on the blocks substrate at four- and five-word hub
 /// bitmaps (20 and 25 blocks), where the pooled counting pass runs over
 /// several ordinal chunks, and on a ring of 300 disjoint K15s, whose
@@ -207,6 +209,13 @@ fn parallel_finish_is_bit_identical_to_sequential_finish() {
         let level4 = finished(g, Mode::Almost, 1).cover(4);
         assert_eq!(level4.len(), blocks, "{blocks} blocks");
     }
+    let strip = strip_graph(8_200);
+    for mode in [Mode::Exact, Mode::Almost] {
+        let r = finished(&strip, mode, 1);
+        assert_eq!(r.clique_count, 8_200, "{mode}");
+        assert_eq!(r.k_max(), Some(4), "{mode}");
+        assert_eq!(r.cover(4), vec![(0..8_203).collect::<Vec<u32>>()], "{mode}");
+    }
     let ring = ring_graph(300);
     let each: Vec<Vec<u32>> = (0..300).map(|i| (15 * i..15 * i + 15).collect()).collect();
     for mode in [Mode::Exact, Mode::Almost] {
@@ -217,14 +226,7 @@ fn parallel_finish_is_bit_identical_to_sequential_finish() {
             assert_eq!(r.cover(k), each, "{mode} k = {k}");
         }
     }
-    for g in [
-        random_graph(70, 0.12, 23),
-        book_graph(150),
-        tiny,
-        narrow,
-        wide,
-        ring,
-    ] {
+    for g in [random_graph(70, 0.12, 23), strip, tiny, narrow, wide, ring] {
         for mode in [Mode::Exact, Mode::Almost] {
             let sequential = finished(&g, mode, 1);
             for threads in [1usize, 2, 4, 7] {
@@ -248,7 +250,7 @@ fn parallel_finish_is_bit_identical_to_sequential_finish() {
 /// produces the full, bit-identical answer.
 #[test]
 fn cancellation_mid_finish_leaves_the_pool_reusable() {
-    let g = book_graph(150);
+    let g = strip_graph(8_200);
     let tripped = CancelToken::new();
     tripped.cancel();
     for mode in [Mode::Exact, Mode::Almost] {

@@ -26,9 +26,8 @@ fn random_graph(n: u32, p: f64, seed: u64) -> asgraph::Graph {
     b.build()
 }
 
-/// `m` triangles sharing one edge: the k = 3 stratum holds
-/// `m·(m−1)/2` pairs, so the finish-time sweep drains through the
-/// chunk queues rather than leader-inline.
+/// `m` triangles sharing one edge: a finish with key unions at levels 2
+/// and 3 for a tripped token to cut short.
 fn book_graph(m: u32) -> asgraph::Graph {
     let mut b = asgraph::GraphBuilder::with_nodes(m as usize + 2);
     for w in 2..m + 2 {

@@ -3,7 +3,7 @@
 //! The unit and property tests in `crates/cpm` prove the pooled engine
 //! bit-identical to the sequential one on random edge soups; here the
 //! oracle is the seeded `InternetModel` — power-law degrees, dense IXP
-//! cores, deep overlap strata — and the assertion is full bit-identity
+//! cores, overlaps at many levels — and the assertion is full bit-identity
 //! of the `CpmResult` (community tree parents included) across kernels
 //! and thread counts, plus the same invariance for a clique-stream
 //! replay into the engine.
@@ -29,14 +29,14 @@ fn parallel_matches_sequential_on_internet_model() {
         assert_eq!(seq, par, "seed {seed}");
         assert!(
             seq.k_max().unwrap_or(0) >= 3,
-            "seed {seed}: fixture too sparse to exercise the strata"
+            "seed {seed}: fixture too sparse to exercise the counted levels"
         );
     }
 }
 
 #[test]
 fn pooled_sweep_is_thread_count_invariant() {
-    // The concurrent union–find races freely inside each stratum and the
+    // The concurrent union–find races freely inside each level and the
     // enumeration chunks race between workers; the result must not
     // depend on how many workers raced or which kernel enumerated, and
     // must equal the sequential sweep bit for bit.
