@@ -81,6 +81,29 @@ impl Graph {
         crate::GraphBuilder::from_iter(pairs.filter(|(u, v)| u / 2 != v / 2)).build()
     }
 
+    /// Creates a ring of `blocks` disjoint `K_size` blocks, each joined
+    /// to the next by one bridge edge (the last member of block `i` to
+    /// the first of block `i + 1`, the last block to the first). With
+    /// blocks of 15, past the 14 members up to which the percolation
+    /// engine counts a clique as small, every vertex is one of the
+    /// engine's hubs and no two blocks share one: the sparsest hub set
+    /// there is.
+    pub fn clique_ring(blocks: usize, size: usize) -> Self {
+        let (blocks, size) = (blocks as NodeId, size as NodeId);
+        let n = blocks * size;
+        let mut b = crate::GraphBuilder::with_nodes(n as usize);
+        for i in 0..blocks {
+            let base = size * i;
+            for u in base..base + size {
+                for v in u + 1..base + size {
+                    b.add_edge(u, v);
+                }
+            }
+            b.add_edge(base + size - 1, (base + size) % n);
+        }
+        b.build()
+    }
+
     pub(crate) fn from_csr(offsets: Vec<usize>, adjacency: Vec<NodeId>) -> Self {
         debug_assert!(!offsets.is_empty());
         debug_assert_eq!(*offsets.last().unwrap(), adjacency.len());
@@ -306,6 +329,23 @@ mod tests {
         for u in 0..6 {
             for v in 0..6 {
                 assert_eq!(g.has_edge(u, v), u / 2 != v / 2);
+            }
+        }
+    }
+
+    #[test]
+    fn clique_ring_graph() {
+        let g = Graph::clique_ring(4, 5);
+        // Four K5s (10 edges each) and four bridges.
+        assert_eq!((g.node_count(), g.edge_count()), (20, 44));
+        for u in 0..20 {
+            for v in 0..20 {
+                let bridge = (u % 5 == 4 && v == (u + 1) % 20) || (v % 5 == 4 && u == (v + 1) % 20);
+                assert_eq!(
+                    g.has_edge(u, v),
+                    u != v && (u / 5 == v / 5 || bridge),
+                    "{u} {v}"
+                );
             }
         }
     }

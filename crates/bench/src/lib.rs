@@ -196,7 +196,7 @@ fn parse(args: &[String]) -> Result<Vec<Args>, String> {
 }
 
 /// `--substrate` values and the names their rows carry.
-const SUBSTRATES: [(&str, &str); 7] = [
+const SUBSTRATES: [(&str, &str); 8] = [
     ("sparse", "sparse300"),
     ("dense", "dense60"),
     ("tiny", "tiny-internet"),
@@ -204,6 +204,7 @@ const SUBSTRATES: [(&str, &str); 7] = [
     ("medium", "medium-internet"),
     ("full", "full-internet"),
     ("census", "census-k2x14"),
+    ("ring", "ring-k15x4000"),
 ];
 
 /// A seeded Erdős–Rényi graph.
@@ -225,7 +226,10 @@ pub fn random_graph(n: u32, p: f64, seed: u64) -> Graph {
 /// 0.5), a synthetic-Internet preset (`full` is the 35k-AS one), or
 /// `census`, the cocktail-party graph K(2×14), whose 16,384 maximal
 /// cliques of 14 nodes overlap pairwise in up to 13 (the paper's census
-/// regime, every clique small). `census` ignores the seed.
+/// regime, every clique small), or `ring`, 4,000 disjoint K15s joined in
+/// a ring by bridge edges (60,000 hubs, 4,000 components at every level
+/// from 3 to 15: exact mode's certification at its sparsest). `census`
+/// and `ring` ignore the seed.
 fn substrate(flag: &str, seed: u64) -> (&'static str, Graph) {
     let (_, name) = SUBSTRATES
         .iter()
@@ -239,7 +243,8 @@ fn substrate(flag: &str, seed: u64) -> (&'static str, Graph) {
         "small" => preset(topology::ModelConfig::small(seed)),
         "medium" => preset(topology::ModelConfig::medium(seed)),
         "full" => preset(topology::ModelConfig::full_scale(seed)),
-        _ => Graph::cocktail_party(14),
+        "census" => Graph::cocktail_party(14),
+        _ => Graph::clique_ring(4_000, 15),
     };
     eprintln!("{name}: {} nodes, {} edges", g.node_count(), g.edge_count());
     (name, g)
@@ -496,7 +501,7 @@ mod tests {
             ("serve --iters 3", "--requests"),
             (
                 "pool --substrate huge",
-                "sparse | dense | tiny | small | medium | full | census",
+                "sparse | dense | tiny | small | medium | full | census | ring",
             ),
             ("pool --iters", "--iters needs a value"),
             ("pool --iters x", "positive integer"),

@@ -10,8 +10,9 @@
 //! Hence the k-clique communities are the components of the clique
 //! overlap graph thresholded at k−1, restricted to cliques of size ≥ k —
 //! `crates/cpm/tests/oracle.rs` checks this against the literal
-//! definition ([`crate::naive`]), and `crates/cpm/tests/certify.rs`
-//! implements it literally over planted big cliques.
+//! definition ([`crate::naive`]), and [`crate::naive::clique_reduction`]
+//! states the reduction itself, the reference of
+//! `crates/cpm/tests/certify.rs` up to the largest presets.
 //!
 //! **One descending sweep.** As `k` decreases, the set of active cliques
 //! (size ≥ k) and active overlaps (≥ k−1) only grows, so a single
@@ -78,15 +79,24 @@
 //! vertex, so the vertices a missed pair shares are hubs. [`Mode::Exact`]
 //! therefore runs the same engine and adds one certification pass per
 //! level of the sweep, after that level's unions quiesce and before its
-//! snapshot: every component holding an active big clique gets a hub
-//! summary (the OR of its active cliques' hub bits); component pairs
-//! whose summaries share ≥ k−1 hubs keep only the cliques with ≥ k−1
-//! hubs in the partner's summary; those clique pairs (at least one side
-//! big) are tested by popcount, and the first hit unions the pair. No
-//! fixed point is needed: adjacency is a relation between cliques, so
-//! every missing union already joins two of the level's original
-//! candidate components. The summaries are `⌈hubs / 64⌉` words wide,
-//! like every hub bitmap in the engine.
+//! snapshot. Its candidates are the active cliques with ≥ k−1 hub
+//! members, grouped by component, each component with the distinct hubs
+//! its candidates hold (a sparse list). The grouping is carried down the
+//! levels: the partition only coarsens, so each level re-roots the
+//! components of the level above through `find`, merges those that have
+//! joined (each keeps all of its hubs and candidates), and looks up only
+//! the cliques that became candidates at k. Components meet through the
+//! hubs they share: a per-hub list of the level's components lets every
+//! component with a big count its partners' shared hubs, and only
+//! partners at ≥ k−1 are paired. A pair keeps, on each side, the
+//! candidates with ≥ k−1 hubs in the other's set, reading the side with
+//! fewer candidates first; those clique pairs with a big side are
+//! tested by hub bitmap, and the first hit unions the pair. No fixed
+//! point is needed: adjacency is a relation between cliques, so every
+//! missing union already joins two of the level's original candidate
+//! components. So a level costs what changed since the level above plus
+//! the sum over hubs of the components sharing them, and the
+//! certifier's memory follows the hub rows, not components × hubs.
 //!
 //! The finish ([`FusedPercolator::finish`]) runs on the worker pool: its
 //! phases — pair detection, the descending-`k` partition merges, member
@@ -651,14 +661,6 @@ fn csr(rows: usize, visit: impl Fn(&mut dyn FnMut(u32, u32))) -> (Vec<u32>, Vec<
     (off, values)
 }
 
-/// How many of `row`'s hub ids are set in the hub bitmap `bm`.
-#[inline]
-fn hits(row: &[u32], bm: &[u64]) -> usize {
-    row.iter()
-        .filter(|&&b| bm[(b >> 6) as usize] >> (b & 63) & 1 != 0)
-        .count()
-}
-
 /// The single-component words of the transposed big index, from the
 /// quiescent big×big partitions `cdsus` (per level, over size ranks;
 /// the first `nb` ranks are the bigs): per level `L` in
@@ -835,59 +837,134 @@ impl RepLevels {
 
 /// Exact mode's per-level certification pass (see the module docs):
 /// every union the engine misses involves a big clique and shares only
-/// hub vertices, so hub-bitmap tests between the level's components
-/// find them all. Runs on the sweep leader against the quiescent
-/// partition; the unions it adds depend only on that partition, so the
-/// result stays bit-identical at every worker count.
+/// hub vertices, so hub tests between the level's components find them
+/// all. Runs on the sweep leader against the quiescent partition; the
+/// unions it adds depend only on that partition, so the result stays
+/// bit-identical at every worker count.
+///
+/// Each level pays for what changed since the level above. The
+/// partition only coarsens as `k` descends, so last level's components
+/// are re-rooted and merged, and only the candidates that became active
+/// at `k` are looked up; components meet only through the hubs they
+/// share.
 struct Certifier<'h> {
-    /// Hub-bitmap width in words (`⌈hubs / 64⌉`).
-    width: usize,
-    /// `(top, ordinal)` for every clique with a hub member, by
-    /// descending `top` = min(size, hub members + 1): the highest level
-    /// at which the clique is active with ≥ k−1 hub members, so each
-    /// level's participants are a prefix.
-    cands: Vec<(u32, u32)>,
+    /// Every clique with a hub member, grouped by `top` = min(size, hub
+    /// members + 1), ascending by ordinal within a group: `top` is the
+    /// highest level at which the clique is active with ≥ k−1 hub
+    /// members, so it becomes a candidate at level `top`.
+    cands: Vec<u32>,
+    /// `cands[by_top[t]..by_top[t + 1]]` are the cliques of `top` = t.
+    by_top: Vec<u32>,
+    /// The components of the last certified level that hold a
+    /// candidate.
+    comps: Vec<Component>,
     /// Every clique's hub members.
     hub: &'h HubRows,
     /// The largest big-clique size: above it no big clique is active,
     /// so no union can be missing.
     big_max: usize,
-    /// Root ordinal → the level's component index, valid where `stamp`
-    /// equals `epoch`.
+    /// Root ordinal → index in `comps`, valid where `stamp` equals
+    /// `epoch`.
     comp_of_root: Vec<u32>,
     stamp: Vec<u32>,
     epoch: u32,
+    /// Two hub bitmaps (`⌈hubs / 64⌉` words), zero between uses: a
+    /// component's hub set and a clique's row.
+    set: Vec<u64>,
+    probe: Vec<u64>,
+}
+
+/// A component of the certifier's level: its candidates and the
+/// distinct hubs they hold, both sparse.
+struct Component {
+    /// An ordinal of the component: its root when last grouped.
+    root: u32,
+    /// Whether a candidate is a big clique.
+    big: bool,
+    /// The candidates' hub ids, distinct.
+    hubs: Vec<u32>,
+    /// The candidates' ordinals.
+    cands: Vec<u32>,
+}
+
+/// Sets the bits `ids` in the bitmap `bm`.
+fn set_bits(bm: &mut [u64], ids: &[u32]) {
+    for &b in ids {
+        bm[(b >> 6) as usize] |= 1 << (b & 63);
+    }
+}
+
+/// Zeroes the words of `bm` that hold the bits `ids`: once `ids` are the
+/// only bits set, the bitmap is zero again.
+fn clear_bits(bm: &mut [u64], ids: &[u32]) {
+    for &b in ids {
+        bm[(b >> 6) as usize] = 0;
+    }
+}
+
+/// Appends to `hubs` the ids of `ids` not set in the bitmap `seen`,
+/// setting them.
+fn add_new(seen: &mut [u64], hubs: &mut Vec<u32>, ids: &[u32]) {
+    for &b in ids {
+        let (w, bit) = ((b >> 6) as usize, 1u64 << (b & 63));
+        if seen[w] & bit == 0 {
+            seen[w] |= bit;
+            hubs.push(b);
+        }
+    }
+}
+
+/// Whether at least `need` of `row`'s hub ids are set in the hub bitmap
+/// `bm`. Counts without branching, eight ids at a time, and stops at
+/// the first eight that rule it out.
+#[inline]
+fn holds_at_least(row: &[u32], bm: &[u64], need: usize) -> bool {
+    let Some(slack) = row.len().checked_sub(need) else {
+        return false;
+    };
+    let mut misses = 0;
+    for ids in row.chunks(8) {
+        misses += ids
+            .iter()
+            .map(|&b| (!bm[(b >> 6) as usize] >> (b & 63) & 1) as usize)
+            .sum::<usize>();
+        if misses > slack {
+            return false;
+        }
+    }
+    true
 }
 
 impl<'h> Certifier<'h> {
-    fn new(hub: &'h HubRows, sizes: &[u32]) -> Self {
+    fn new(hub: &'h HubRows, sizes: &[u32], k_max: usize) -> Self {
         let count = sizes.len();
-        let mut cands: Vec<(u32, u32)> = (0..count as u32)
-            .filter(|&x| !hub.of(x).is_empty())
-            .map(|x| (sizes[x as usize].min(hub.of(x).len() as u32 + 1), x))
-            .collect();
-        cands.sort_unstable_by_key(|&(top, x)| (std::cmp::Reverse(top), x));
+        let (by_top, cands) = csr(k_max + 1, |f| {
+            for x in 0..count as u32 {
+                let row = hub.of(x).len() as u32;
+                if row > 0 {
+                    f(sizes[x as usize].min(row + 1), x);
+                }
+            }
+        });
         let big_max = sizes
             .iter()
             .map(|&s| s as usize)
             .filter(|&s| s > SMALL_FULL)
             .max()
             .unwrap_or(0);
+        let width = hub.hubs.div_ceil(64);
         Certifier {
-            width: hub.hubs.div_ceil(64),
             cands,
+            by_top,
+            comps: Vec::new(),
             hub,
             big_max,
             comp_of_root: vec![0; count],
             stamp: vec![u32::MAX; count],
             epoch: 0,
+            set: vec![0; width],
+            probe: vec![0; width],
         }
-    }
-
-    /// The hub row of candidate `i`.
-    #[inline]
-    fn row(&self, i: usize) -> &[u32] {
-        self.hub.of(self.cands[i].1)
     }
 
     /// Certifies level `k` of the quiescent sweep partition `dsu`:
@@ -897,95 +974,192 @@ impl<'h> Certifier<'h> {
         if k > self.big_max {
             return;
         }
-        let need = k - 1;
-        let w = self.width;
-        // A missed pair shares ≥ k−1 hubs, so only active cliques with
-        // that many hub members take part: group them by component and
-        // OR each component's hub summary.
-        let active = self.cands.partition_point(|&(top, _)| top as usize >= k);
-        self.epoch += 1;
-        let mut comp: Vec<u32> = Vec::with_capacity(active);
-        let mut has_big: Vec<bool> = Vec::new();
-        let mut bigs: Vec<usize> = Vec::new();
-        let mut summary: Vec<u64> = Vec::new();
-        for i in 0..active {
-            let x = self.cands[i].1;
-            let r = dsu.find(x) as usize;
-            if self.stamp[r] != self.epoch {
-                self.stamp[r] = self.epoch;
-                self.comp_of_root[r] = has_big.len() as u32;
-                has_big.push(false);
-                summary.resize(summary.len() + w, 0);
-            }
-            let c = self.comp_of_root[r] as usize;
-            if sizes[x as usize] as usize > SMALL_FULL {
-                has_big[c] = true;
-                bigs.push(i);
-            }
-            let acc = &mut summary[c * w..][..w];
-            for &b in self.row(i) {
-                acc[(b >> 6) as usize] |= 1 << (b & 63);
-            }
-            comp.push(c as u32);
+        self.regroup(sizes, k, dsu);
+        if !self.comps.iter().any(|c| c.big) {
+            return;
         }
-        let summary_of = |c: usize| &summary[c * w..][..w];
-        // The candidates of component `c` (only its bigs, or all) with
-        // ≥ k−1 hubs in `partner`'s summary: only these can be adjacent
-        // to a clique of `partner`.
-        let side = |c: usize, partner: usize, big_only: bool| -> Vec<usize> {
-            let pick = |&i: &usize| {
-                comp[i] as usize == c && hits(self.row(i), summary_of(partner)) >= need
-            };
-            if big_only {
-                bigs.iter().copied().filter(pick).collect()
-            } else {
-                (0..active).filter(pick).collect()
-            }
-        };
-        // Tests `from`'s bigs against `to`'s candidates by popcount (a
-        // big's members are all hubs, so its bitmap against a hub row
-        // counts the overlap exactly) and unions the first pair sharing
-        // ≥ k−1 vertices. Small×small pairs need no test: the engine
-        // counts them exactly, so every missed pair has a big side.
-        let mut scratch = vec![0u64; w];
-        let mut join = |from: usize, to: usize| -> bool {
-            let from_bigs = side(from, to, true);
-            let partners = if from_bigs.is_empty() {
-                Vec::new()
-            } else {
-                side(to, from, false)
-            };
-            for &i in &from_bigs {
-                for &b in self.row(i) {
-                    scratch[(b >> 6) as usize] |= 1 << (b & 63);
-                }
-                let hit = partners
-                    .iter()
-                    .find(|&&j| hits(self.row(j), &scratch) >= need);
-                scratch.fill(0);
-                if let Some(&j) = hit {
-                    dsu.union(self.cands[i].1, self.cands[j].1);
-                    return true;
+        let need = k - 1;
+        // Per hub, the components holding it. Components sharing fewer
+        // than k−1 hubs hold no missed pair, so each component with a
+        // big counts its partners' shared hubs through these lists and
+        // pairs only with those at k−1 or more.
+        let (off, by_hub) = csr(self.hub.hubs, |f| {
+            for (c, comp) in self.comps.iter().enumerate() {
+                for &b in &comp.hubs {
+                    f(b, c as u32);
                 }
             }
-            false
-        };
-        let n = has_big.len();
-        for a in (0..n).filter(|&a| has_big[a]) {
-            // Big×big component pairs are visited once, from the lower
-            // index.
-            for b in (0..n).filter(|&b| b != a && !(has_big[b] && b < a)) {
-                let shared: u32 = summary_of(a)
-                    .iter()
-                    .zip(summary_of(b))
-                    .map(|(p, q)| (p & q).count_ones())
-                    .sum();
-                if shared as usize >= need {
-                    let _ = join(a, b) || join(b, a);
+        });
+        let mut shared = vec![0u32; self.comps.len()];
+        let mut touched: Vec<u32> = Vec::new();
+        for a in 0..self.comps.len() {
+            if !self.comps[a].big {
+                continue;
+            }
+            for &h in &self.comps[a].hubs {
+                for &b in &by_hub[off[h as usize] as usize..off[h as usize + 1] as usize] {
+                    if shared[b as usize] == 0 {
+                        touched.push(b);
+                    }
+                    shared[b as usize] += 1;
                 }
+            }
+            for &b in &touched {
+                let b = b as usize;
+                // Two components with bigs are paired once, from the
+                // lower index.
+                let partner = b != a && !(self.comps[b].big && b < a);
+                if partner && shared[b] as usize >= need {
+                    self.pair(sizes, need, a, b, dsu);
+                }
+                shared[b] = 0;
+            }
+            touched.clear();
+        }
+    }
+
+    /// Brings `comps` to level `k`: re-roots last level's components,
+    /// merging those the partition has joined since (each keeps all of
+    /// its hubs and candidates), and folds in the candidates that
+    /// became active at `k`.
+    fn regroup(&mut self, sizes: &[u32], k: usize, dsu: &ConcurrentDsu) {
+        self.epoch += 1;
+        let mut comps: Vec<Component> = Vec::with_capacity(self.comps.len());
+        let mut merged: Vec<u32> = Vec::new();
+        for mut c in std::mem::take(&mut self.comps) {
+            c.root = dsu.find(c.root);
+            let Some(i) = self.index_of(c.root) else {
+                self.claim(c.root, comps.len());
+                comps.push(c);
+                continue;
+            };
+            let into = &mut comps[i as usize];
+            // Append the shorter candidate list to the longer.
+            if into.cands.len() < c.cands.len() {
+                std::mem::swap(&mut into.cands, &mut c.cands);
+            }
+            into.cands.append(&mut c.cands);
+            into.hubs.append(&mut c.hubs);
+            into.big |= c.big;
+            merged.push(i);
+        }
+        merged.sort_unstable();
+        merged.dedup();
+        for i in merged {
+            let hubs = &mut comps[i as usize].hubs;
+            hubs.sort_unstable();
+            hubs.dedup();
+        }
+        // The cliques that became candidates at `k`, by component, each
+        // component's hub set in `self.set` while its cliques' hubs are
+        // added, so that each is added once.
+        let mut adds: Vec<(u32, u32)> = Vec::new();
+        for i in self.by_top[k]..self.by_top[k + 1] {
+            let x = self.cands[i as usize];
+            let r = dsu.find(x);
+            let i = self.index_of(r).unwrap_or_else(|| {
+                self.claim(r, comps.len());
+                comps.push(Component {
+                    root: r,
+                    big: false,
+                    hubs: Vec::new(),
+                    cands: Vec::new(),
+                });
+                comps.len() as u32 - 1
+            });
+            adds.push((i, x));
+        }
+        adds.sort_unstable();
+        for run in adds.chunk_by(|p, q| p.0 == q.0) {
+            let c = &mut comps[run[0].0 as usize];
+            set_bits(&mut self.set, &c.hubs);
+            for &(_, x) in run {
+                c.cands.push(x);
+                c.big |= is_big(sizes, x);
+                // A component holding every hub gains none.
+                if c.hubs.len() < self.hub.hubs {
+                    add_new(&mut self.set, &mut c.hubs, self.hub.of(x));
+                }
+            }
+            clear_bits(&mut self.set, &c.hubs);
+        }
+        self.comps = comps;
+    }
+
+    /// The index in `comps` of the component rooted at `r` at this
+    /// level, once [`Self::claim`]ed.
+    fn index_of(&self, r: u32) -> Option<u32> {
+        (self.stamp[r as usize] == self.epoch).then(|| self.comp_of_root[r as usize])
+    }
+
+    fn claim(&mut self, r: u32, i: usize) {
+        self.stamp[r as usize] = self.epoch;
+        self.comp_of_root[r as usize] = i as u32;
+    }
+
+    /// The candidates of component `c` (only its bigs, or all) with at
+    /// least `need` hubs in component `partner`'s hub set: only these
+    /// can be adjacent to a clique of `partner`.
+    fn near(
+        &mut self,
+        sizes: &[u32],
+        need: usize,
+        c: usize,
+        partner: usize,
+        big_only: bool,
+    ) -> Vec<u32> {
+        set_bits(&mut self.set, &self.comps[partner].hubs);
+        let near = self.comps[c]
+            .cands
+            .iter()
+            .copied()
+            .filter(|&x| {
+                (!big_only || is_big(sizes, x)) && holds_at_least(self.hub.of(x), &self.set, need)
+            })
+            .collect();
+        clear_bits(&mut self.set, &self.comps[partner].hubs);
+        near
+    }
+
+    /// Tests the near candidates of components `a` and `b` against each
+    /// other and unions the first pair, with a big side, that shares
+    /// ≥ `need` vertices: a big's members are all hubs, so its row
+    /// against the other's counts the overlap exactly. Small×small pairs
+    /// need no test, since the engine counts them exactly. The side with
+    /// fewer candidates is read first: if it is empty the test ends, and
+    /// if it has no big, only the other side's bigs are read.
+    fn pair(&mut self, sizes: &[u32], need: usize, a: usize, b: usize, dsu: &ConcurrentDsu) {
+        let (a, b) = if self.comps[a].cands.len() <= self.comps[b].cands.len() {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let near_a = self.near(sizes, need, a, b, false);
+        if near_a.is_empty() {
+            return;
+        }
+        let big_only = !near_a.iter().any(|&x| is_big(sizes, x));
+        let near_b = self.near(sizes, need, b, a, big_only);
+        for &x in &near_a {
+            let row = self.hub.of(x);
+            set_bits(&mut self.probe, row);
+            let hit = near_b.iter().find(|&&y| {
+                (is_big(sizes, x) || is_big(sizes, y))
+                    && holds_at_least(self.hub.of(y), &self.probe, need)
+            });
+            clear_bits(&mut self.probe, row);
+            if let Some(&y) = hit {
+                dsu.union(x, y);
+                return;
             }
         }
     }
+}
+
+/// Whether clique `x` is big (more than [`SMALL_FULL`] members).
+#[inline]
+fn is_big(sizes: &[u32], x: u32) -> bool {
+    sizes[x as usize] as usize > SMALL_FULL
 }
 
 /// Percolation as a clique sink: feed every maximal clique (sorted
@@ -1127,7 +1301,9 @@ impl FusedPercolator {
 
         observe("sweep");
         let t = Instant::now();
-        let certifier = self.certify.then(|| Certifier::new(&hubs, &self.sizes));
+        let certifier = self
+            .certify
+            .then(|| Certifier::new(&hubs, &self.sizes, self.k_max));
         // A level merges at most one partition of at most `clique_count`
         // ranks.
         let sweep_workers = threads.resolve(clique_count, PAR_UNION_MIN);

@@ -13,9 +13,17 @@
 //! oracle for the maximal-clique reduction in [`crate::percolate`]. It
 //! holds every kept k-clique and every (k−1)-subset in memory, so use it
 //! on small graphs.
+//!
+//! [`reduction_where`] states that reduction over the maximal cliques
+//! themselves (DESIGN §4.1, CFinder's): per k, the components of the
+//! overlap graph of the cliques of size ≥ k, thresholded at k−1. It
+//! shares no code with the engine, keeps no pair list and runs in
+//! seconds on the largest presets, so it judges exact mode where
+//! k-clique enumeration cannot go.
 
 use crate::dsu::Dsu;
 use asgraph::{Graph, NodeId};
+use cliques::CliqueSet;
 use std::collections::HashMap;
 
 /// Computes the k-clique communities of `g` directly from the definition.
@@ -103,6 +111,129 @@ pub fn communities_where(
         .collect();
     communities.sort_unstable();
     communities
+}
+
+/// The k-clique communities of every level from 2 to the largest
+/// clique size, from the maximal cliques `set` by the CFinder reduction
+/// (see [`reduction_where`]): entry `k − 2` is the cover of level `k`,
+/// canonical as in [`naive_communities`].
+///
+/// # Example
+///
+/// ```
+/// use cliques::CliqueSet;
+/// use cpm::naive::clique_reduction;
+///
+/// // Two triangles sharing an edge, and a pendant edge.
+/// let mut set = CliqueSet::new();
+/// set.push(&[0, 1, 2]);
+/// set.push(&[1, 2, 3]);
+/// set.push(&[3, 4]);
+/// let levels = clique_reduction(&set);
+/// assert_eq!(levels[0], vec![vec![0, 1, 2, 3, 4]]); // k = 2
+/// assert_eq!(levels[1], vec![vec![0, 1, 2, 3]]); // k = 3
+/// ```
+pub fn clique_reduction(set: &CliqueSet) -> Vec<Vec<Vec<NodeId>>> {
+    reduction_where(set, |_, _, m| m)
+}
+
+/// [`clique_reduction`] with each pair of cliques that shares `m ≥ 2`
+/// vertices (sizes `a`, `b`) counted as overlapping in
+/// `counted(a, b, m)`; every pair sharing a vertex joins at level 2.
+///
+/// Two maximal cliques are adjacent at level k when both have at least
+/// k members and they share at least k−1, and a k-connection is also a
+/// (k−1)-connection. So each pair is unioned once, at the deepest level
+/// it reaches, min(overlap + 1, both sizes), into that level's
+/// union–find, and the levels fold into one union–find from the top
+/// down. Level 2 chains the cliques through each vertex. Overlaps are
+/// counted per clique through per-vertex posting lists of the earlier
+/// cliques of ≥ 3 members, with a counter that the touched list resets.
+/// Memory is cliques × levels; no pair is stored.
+pub fn reduction_where(
+    set: &CliqueSet,
+    counted: impl Fn(usize, usize, usize) -> usize,
+) -> Vec<Vec<Vec<NodeId>>> {
+    let n = set.len();
+    let top = set.max_size();
+    let nodes = set.iter().flatten().max().map_or(0, |&v| v as usize + 1);
+    // Per level `L`, the unions of the pairs whose deepest level is `L`.
+    let mut at: Vec<Dsu> = (0..=top)
+        .map(|level| Dsu::new(if level >= 2 { n } else { 0 }))
+        .collect();
+    let mut first = vec![u32::MAX; nodes];
+    let mut postings: Vec<Vec<u32>> = vec![Vec::new(); nodes];
+    let mut count = vec![0u32; n];
+    let mut touched: Vec<u32> = Vec::new();
+    for (i, c) in set.iter().enumerate() {
+        let i = i as u32;
+        if c.len() < 2 {
+            continue;
+        }
+        for &v in c {
+            let owner = &mut first[v as usize];
+            if *owner == u32::MAX {
+                *owner = i;
+            } else {
+                at[2].union(*owner, i);
+            }
+        }
+        if c.len() < 3 {
+            continue;
+        }
+        for &v in c {
+            for &j in &postings[v as usize] {
+                if count[j as usize] == 0 {
+                    touched.push(j);
+                }
+                count[j as usize] += 1;
+            }
+        }
+        for &j in &touched {
+            let m = std::mem::take(&mut count[j as usize]) as usize;
+            let b = set.size(j as usize);
+            // Level 2 already holds every pair that shares a vertex.
+            if m >= 2 {
+                let level = (counted(c.len(), b, m) + 1).min(c.len()).min(b);
+                if level >= 3 {
+                    at[level].union(j, i);
+                }
+            }
+        }
+        touched.clear();
+        for &v in c {
+            postings[v as usize].push(i);
+        }
+    }
+    drop(postings);
+    let mut dsu = Dsu::new(n);
+    let mut levels = Vec::with_capacity(top.saturating_sub(1));
+    for k in (2..=top).rev() {
+        let mut level = std::mem::replace(&mut at[k], Dsu::new(0));
+        for x in 0..n as u32 {
+            let r = level.find(x);
+            if r != x {
+                dsu.union(r, x);
+            }
+        }
+        let mut by_root: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        for (x, c) in set.iter().enumerate().filter(|(_, c)| c.len() >= k) {
+            by_root[dsu.find(x as u32) as usize].extend_from_slice(c);
+        }
+        let mut cover: Vec<Vec<NodeId>> = by_root
+            .into_iter()
+            .filter(|m| !m.is_empty())
+            .map(|mut m| {
+                m.sort_unstable();
+                m.dedup();
+                m
+            })
+            .collect();
+        cover.sort_unstable();
+        levels.push(cover);
+    }
+    levels.reverse();
+    levels
 }
 
 #[cfg(test)]

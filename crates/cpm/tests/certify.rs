@@ -1,56 +1,38 @@
 //! Exact mode against a reference that reaches big cliques.
 //!
 //! `cpm::naive` enumerates k-cliques, which it cannot do inside a
-//! 99-clique. The reference here is the maximal-clique reduction stated
-//! literally (see the `consume` module docs): per k, the components of
-//! the overlap graph of the maximal cliques of size ≥ k, thresholded at
-//! k−1, with every pair's overlap taken by a sorted merge. Planted big
-//! cliques with mid-range overlaps put the pairs the almost engine does
-//! not count — big×big overlaps that are not near-containments, and
-//! edges shared with a clique of more than 91 members — in front of
+//! 99-clique. The reference here is the maximal-clique reduction
+//! ([`cpm::naive::clique_reduction`]): per k, the components of the
+//! overlap graph of the maximal cliques of size ≥ k, thresholded at
+//! k−1, with every pair's overlap counted through posting lists. Planted
+//! big cliques with mid-range overlaps put the pairs the almost engine
+//! does not count — big×big overlaps that are not near-containments,
+//! and edges shared with a clique of more than 91 members — in front of
 //! exact mode's certification pass, with hub bitmaps of up to four
 //! words (at most 256 hubs) and wider. Ladders of overlapping big
 //! cliques with hubby small ones hold almost mode itself to the
-//! reduction minus the pairs it documents as missed.
+//! reduction minus the pairs it documents as missed. Rings of disjoint
+//! blocks with those planted pools spliced in make the hub set sparse:
+//! most components share no hub.
+//!
+//! The scale tests run in release mode only:
+//! `cargo test --release -p cpm --test certify -- --ignored`.
 
 use asgraph::{Graph, GraphBuilder, NodeId};
 use cliques::CliqueSet;
 use cpm::consume::{MISS_DEPTH, SMALL_FULL};
-use cpm::{divergence, CpmResult, Dsu, FusedPercolator, Mode};
+use cpm::naive::{clique_reduction, reduction_where};
+use cpm::{divergence, CpmResult, FusedPercolator, Mode};
 use proptest::prelude::*;
 use rand::prelude::*;
 
-/// `|a ∩ b|` of two sorted member lists.
-fn overlap(a: &[NodeId], b: &[NodeId]) -> usize {
-    let (mut i, mut j, mut m) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                m += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    m
-}
-
-/// The cover of every level from 2 to one above the largest clique, by
-/// the literal reduction: all-pairs overlaps over the maximal cliques,
-/// one union–find per level.
-fn reference(set: &CliqueSet) -> Vec<Vec<Vec<NodeId>>> {
-    reduction(set, |_, _, m| m)
-}
-
-/// [`reference`] without the pairs almost mode does not count (the
+/// [`clique_reduction`] without the pairs almost mode does not count (the
 /// `consume` module docs): a big×big pair whose smaller side misses more
 /// than [`MISS_DEPTH`] of its own members is seen only through the edge
 /// keys, so it joins at levels 2 and 3 alone. Holds while no clique has
 /// more than 91 members (larger ones emit no edge keys).
 fn almost_reference(set: &CliqueSet) -> Vec<Vec<Vec<NodeId>>> {
-    reduction(set, |a, b, m| {
+    reduction_where(set, |a, b, m| {
         let smaller = a.min(b);
         if smaller > SMALL_FULL && m > 2 && smaller - m > MISS_DEPTH {
             2
@@ -58,50 +40,6 @@ fn almost_reference(set: &CliqueSet) -> Vec<Vec<Vec<NodeId>>> {
             m
         }
     })
-}
-
-/// The reduction with each pair of cliques (sizes `a`, `b`, overlap
-/// `m`) counted as overlapping in `counted(a, b, m)`.
-fn reduction(
-    set: &CliqueSet,
-    counted: impl Fn(usize, usize, usize) -> usize,
-) -> Vec<Vec<Vec<NodeId>>> {
-    let n = set.len();
-    let mut pairs: Vec<(u32, u32, usize)> = Vec::new();
-    for i in 0..n {
-        for j in i + 1..n {
-            let m = counted(set.size(i), set.size(j), overlap(set.get(i), set.get(j)));
-            if m > 0 {
-                pairs.push((i as u32, j as u32, m));
-            }
-        }
-    }
-    (2..=set.max_size() + 1)
-        .map(|k| {
-            let mut dsu = Dsu::new(n);
-            for &(i, j, m) in &pairs {
-                if m + 1 >= k && set.size(i as usize) >= k && set.size(j as usize) >= k {
-                    dsu.union(i, j);
-                }
-            }
-            let mut by_root: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-            for i in (0..n).filter(|&i| set.size(i) >= k) {
-                let r = dsu.find(i as u32) as usize;
-                by_root[r].extend_from_slice(set.get(i));
-            }
-            let mut cover: Vec<Vec<NodeId>> = by_root
-                .into_iter()
-                .filter(|m| !m.is_empty())
-                .map(|mut m| {
-                    m.sort_unstable();
-                    m.dedup();
-                    m
-                })
-                .collect();
-            cover.sort();
-            cover
-        })
-        .collect()
 }
 
 /// Percolates the enumerated cliques of an `n`-vertex graph in `mode`
@@ -228,21 +166,77 @@ fn nested(seed: u64, bigs: usize, pendants: u32) -> Graph {
     b.build()
 }
 
-/// Exact mode at 1 and 4 workers equals the reference at every level;
+/// Pool vertices `0..SPLICED` of a pool spliced into a ring block are
+/// the block's first members.
+const SPLICED: u32 = 6;
+
+/// A ring of `blocks` disjoint K15s ([`Graph::clique_ring`]) with the
+/// 40-hub pools of [`small_pool`] spliced into `pools` blocks picked by
+/// `seed`: each pool shares its first [`SPLICED`] vertices with its
+/// block, so its cliques overlap the block's K15 in up to six members,
+/// which no near-containment sees: almost mode joins them at level 3
+/// only, through edge keys. Every other block is a component of its own
+/// at levels 3 to 15, and no two blocks share a hub. With `wide`, one
+/// more block shares a vertex `v` with a clique of 92 members (no edge
+/// keys) and holds a 4-clique of `v`, two more block members and a
+/// member `w` of the big one: at level 3 that small clique, through the
+/// edge `{v, w}`, is the big clique's only way in.
+fn pooled_ring(seed: u64, blocks: usize, pools: usize, wide: bool) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ring = Graph::clique_ring(blocks, 15);
+    let mut b = GraphBuilder::with_nodes(ring.node_count());
+    b.add_edges(ring.edges());
+    let mut fresh = ring.node_count() as NodeId;
+    let all: Vec<usize> = (0..blocks).collect();
+    let picked: Vec<usize> = all.choose_multiple(&mut rng, pools + 1).copied().collect();
+    for &block in &picked[..pools] {
+        let base = 15 * block as NodeId;
+        let pool = small_pool(rng.random());
+        let at = |v: NodeId| if v < SPLICED { base + v } else { fresh + v };
+        b.add_edges(pool.edges().map(|(u, v)| (at(u), at(v))));
+        fresh += pool.node_count() as NodeId;
+    }
+    if wide {
+        // Members 9..=11 of the last picked block: no pool vertex, no
+        // bridge end.
+        let base = 15 * picked[pools] as NodeId;
+        let (v, w) = (base + 9, fresh);
+        let big: Vec<NodeId> = [v].into_iter().chain(fresh..fresh + 91).collect();
+        for (i, &x) in big.iter().enumerate() {
+            for &y in &big[i + 1..] {
+                b.add_edge(x, y);
+            }
+        }
+        for u in [v, base + 10, base + 11] {
+            b.add_edge(u, w);
+        }
+        b.add_edges([(v, base + 10), (v, base + 11), (base + 10, base + 11)]);
+    }
+    b.build()
+}
+
+/// Exact mode at 1 and 4 workers equals the reduction at every level;
 /// returns the clique set and the exact result.
 fn check_exact(g: &Graph) -> Result<(CliqueSet, CpmResult), TestCaseError> {
     let set = cliques::max_cliques(g);
-    let expected = reference(&set);
-    let one = percolate(g.node_count(), &set, Mode::Exact, 1);
-    let four = percolate(g.node_count(), &set, Mode::Exact, 4);
+    let one = check_set(g.node_count(), &set)?;
+    Ok((set, one))
+}
+
+/// [`check_exact`] on the maximal cliques `set` of an `n`-vertex graph,
+/// fed to the engine in `set`'s order.
+fn check_set(n: usize, set: &CliqueSet) -> Result<CpmResult, TestCaseError> {
+    let expected = clique_reduction(set);
+    let one = percolate(n, set, Mode::Exact, 1);
+    let four = percolate(n, set, Mode::Exact, 4);
     prop_assert!(one == four, "exact is not worker-count invariant");
-    // `expected` runs from k = 2 to one above the largest clique.
-    prop_assert_eq!(one.k_max(), Some(expected.len() as u32));
+    // `expected` runs from k = 2 to the largest clique size.
+    prop_assert_eq!(one.k_max(), Some(expected.len() as u32 + 1));
     for (i, cover) in expected.iter().enumerate() {
         let k = i as u32 + 2;
         prop_assert_eq!(&one.cover(k), cover, "k = {}", k);
     }
-    Ok((set, one))
+    Ok(one)
 }
 
 /// Vertices in cliques above the small-clique threshold: the engine's
@@ -284,12 +278,60 @@ proptest! {
         let expected = almost_reference(&set);
         for threads in [1, 4] {
             let almost = percolate(g.node_count(), &set, Mode::Almost, threads);
-            prop_assert_eq!(almost.k_max(), Some(expected.len() as u32));
+            prop_assert_eq!(almost.k_max(), Some(expected.len() as u32 + 1));
             for (i, cover) in expected.iter().enumerate() {
                 let k = i as u32 + 2;
                 prop_assert_eq!(&almost.cover(k), cover, "k = {}, {} workers", k, threads);
             }
         }
+    }
+}
+
+proptest! {
+    /// Rings of 20–40 blocks with one to four 40-hub pools spliced in
+    /// and a 92-member clique that only a small clique joins at level 3:
+    /// the certifier pairs components through the hubs they share, so
+    /// a partner threshold one too high, or a hub index without the
+    /// small cliques' hubs, splits a community here. Exact equals the
+    /// reduction at 1 and 4 workers.
+    #[test]
+    fn exact_equals_the_reduction_on_pooled_rings(
+        seed in 0u64..1 << 32,
+        blocks in 20usize..=40,
+        pools in 1usize..=4,
+    ) {
+        let g = pooled_ring(seed, blocks, pools, true);
+        let (set, _) = check_exact(&g)?;
+        prop_assert!(set.max_size() > 91, "no clique without edge keys");
+    }
+}
+
+/// Certification carries its grouping from one level to the next. K20s
+/// `A` and `B` share four vertices, so they are adjacent at level 5,
+/// which almost mode misses and certification joins. A third K20 `D`
+/// shares three vertices with `B` alone, so its only adjacency is at
+/// level 4, with one side of the component certification made one level
+/// up. The cliques arrive as `A, B, D` and as `B, A, D`, so `B` is the
+/// first side of that component once and the second once: if
+/// re-rooting the component at level 4 dropped either side's hubs or
+/// candidates, `D` would stay apart.
+#[test]
+fn certification_keeps_the_components_it_merged() {
+    let a: Vec<NodeId> = (0..20).collect();
+    let b: Vec<NodeId> = (16..36).collect();
+    let d: Vec<NodeId> = [32, 33, 34].into_iter().chain(36..53).collect();
+    for order in [[&a, &b, &d], [&b, &a, &d]] {
+        let mut set = CliqueSet::new();
+        for c in order {
+            set.push(c);
+        }
+        let what = if order[0] == &a { "A first" } else { "B first" };
+        let exact = check_set(53, &set).unwrap_or_else(|e| panic!("{what}: {e:?}"));
+        assert_eq!(exact.cover(5).len(), 2, "{what}");
+        assert_eq!(exact.cover(4).len(), 1, "{what}");
+        let almost = percolate(53, &set, Mode::Almost, 1);
+        assert_eq!(almost.cover(5).len(), 3, "{what}");
+        assert_eq!(almost.cover(4).len(), 3, "{what}");
     }
 }
 
@@ -366,7 +408,7 @@ fn almost_equals_the_reduction_minus_its_misses_on_ladders() {
 
 /// `r` has the covers `expected` lists, from k = 2 to its last level.
 fn assert_levels(r: &CpmResult, expected: &[Vec<Vec<NodeId>>], what: &str) {
-    assert_eq!(r.k_max(), Some(expected.len() as u32), "{what}");
+    assert_eq!(r.k_max(), Some(expected.len() as u32 + 1), "{what}");
     for (i, cover) in expected.iter().enumerate() {
         let k = i as u32 + 2;
         assert_eq!(&r.cover(k), cover, "{what}, k = {k}");
@@ -426,4 +468,40 @@ fn union_of_cliques(n: usize, cliques: &[Vec<NodeId>]) -> Graph {
         }
     }
     b.build()
+}
+
+/// Exact mode at 1 and 4 workers equals the reduction on the graph of
+/// `config`.
+fn check_preset(config: &topology::ModelConfig) {
+    let g = topology::generate(config).expect("preset is valid").graph;
+    check_exact(&g).unwrap_or_else(|e| panic!("{e:?}"));
+}
+
+/// The medium preset: 27,518 maximal cliques, 201 hubs.
+#[test]
+#[ignore = "scale; run in release mode"]
+fn exact_equals_the_reduction_on_medium_7() {
+    check_preset(&topology::ModelConfig::medium(7));
+}
+
+/// The full preset, the paper's scale: 68,034 maximal cliques.
+#[test]
+#[ignore = "scale; run in release mode"]
+fn exact_equals_the_reduction_on_full_42() {
+    check_preset(&topology::ModelConfig::full_scale(42));
+}
+
+/// A ring of 1,500 blocks with 150 pools spliced in: more than 22,500
+/// hubs in about 1,500 components from level 3 to 15, where almost mode
+/// diverges and certification must join pools to their blocks.
+#[test]
+#[ignore = "scale; run in release mode"]
+fn exact_equals_the_reduction_on_a_pooled_ring() {
+    let g = pooled_ring(7, 1_500, 150, false);
+    let (set, exact) = check_exact(&g).unwrap_or_else(|e| panic!("{e:?}"));
+    let almost = percolate(g.node_count(), &set, Mode::Almost, 1);
+    assert!(
+        !divergence(&exact, &almost).is_zero(),
+        "almost mode never diverged"
+    );
 }

@@ -137,25 +137,6 @@ fn blocks_graph(blocks: u32) -> asgraph::Graph {
     b.build()
 }
 
-/// `blocks` disjoint K15 blocks in a ring, each joined to the next by
-/// one bridge edge: every vertex is a hub, so at 300 blocks the hub
-/// bitmaps are 71 words wide, and the hub set is as sparse as it gets —
-/// no two blocks share a hub.
-fn ring_graph(blocks: u32) -> asgraph::Graph {
-    let n = 15 * blocks;
-    let mut b = asgraph::GraphBuilder::with_nodes(n as usize);
-    for i in 0..blocks {
-        let base = 15 * i;
-        for u in base..base + 15 {
-            for v in (u + 1)..base + 15 {
-                b.add_edge(u, v);
-            }
-        }
-        b.add_edge(base + 14, (base + 15) % n);
-    }
-    b.build()
-}
-
 /// Builds the percolator by the *sequential* sink so the engine state
 /// is identical across runs; only the finish's worker count varies.
 fn consumed(g: &asgraph::Graph, mode: Mode) -> FusedPercolator {
@@ -216,7 +197,7 @@ fn parallel_finish_is_bit_identical_to_sequential_finish() {
         assert_eq!(r.k_max(), Some(4), "{mode}");
         assert_eq!(r.cover(4), vec![(0..8_203).collect::<Vec<u32>>()], "{mode}");
     }
-    let ring = ring_graph(300);
+    let ring = asgraph::Graph::clique_ring(300, 15);
     let each: Vec<Vec<u32>> = (0..300).map(|i| (15 * i..15 * i + 15).collect()).collect();
     for mode in [Mode::Exact, Mode::Almost] {
         let r = finished(&ring, mode, 1);
